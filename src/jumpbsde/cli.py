@@ -6,7 +6,9 @@ One self-describing JSON config per run; the only flags are --config, --seed
 {"header": {timestamp, tool}, "body": {...}} with the body fully determined
 by the config: regenerating from the embedded config is byte-identical
 outside the header. Exit codes: 0 success, 1 config/input error,
-2 divergence report, 3 verification failure.
+2 divergence report, 3 verification failure, 4 solver failure (a
+rank-deficient regression, or a per-step fixed point that does not
+converge).
 """
 
 import argparse
@@ -18,7 +20,8 @@ import os
 import sys
 
 from . import __version__
-from .errors import ConfigError, ResourceLimitError
+from .errors import (ConditioningError, ConfigError, NumericError,
+                     ResourceLimitError)
 from .estimates import (DEFAULT_CEILING, ci_suite, ci_suite_csv_rows,
                         uniqueness_experiment, verify_full_estimate,
                         verify_zv_estimate)
@@ -36,6 +39,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_SOLVER = 4
 
 DEFAULT_CONFIG = {
     "schema": CONFIG_SCHEMA_ID,
@@ -87,6 +91,15 @@ def _merge_defaults(default, given, path):
     return out
 
 
+def _is_int(x):
+    # bool is a subclass of int, but true/false are not counts
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def validate_config(raw):
     """Merge with defaults, reject unknown keys, check field domains."""
     if not isinstance(raw, dict):
@@ -97,10 +110,10 @@ def validate_config(raw):
     cfg = _merge_defaults(DEFAULT_CONFIG, raw, "")
 
     prob = cfg["problem"]
-    if not (isinstance(prob["horizon"], (int, float)) and prob["horizon"] > 0):
+    if not (_is_real(prob["horizon"]) and prob["horizon"] > 0):
         raise ConfigError("problem.horizon",
                           f"must be a positive real, got {prob['horizon']!r}")
-    if not (isinstance(prob["dim"], int) and prob["dim"] >= 1):
+    if not (_is_int(prob["dim"]) and prob["dim"] >= 1):
         raise ConfigError("problem.dim", "must be a positive integer")
     if prob["marks"]["marks"] is None or prob["marks"]["intensities"] is None:
         raise ConfigError("problem.marks", "marks and intensities are required")
@@ -114,10 +127,14 @@ def validate_config(raw):
                           f"known: {sorted(TERMINAL_FORMS)}")
     if cfg["method"] not in ("tree", "mc"):
         raise ConfigError("method", "must be 'tree' or 'mc'")
-    if not (isinstance(cfg["grid_steps"], int) and cfg["grid_steps"] >= 1):
+    if not (_is_int(cfg["grid_steps"]) and cfg["grid_steps"] >= 1):
         raise ConfigError("grid_steps", "must be a positive integer")
-    if not isinstance(cfg["seed"], int):
+    if not _is_int(cfg["seed"]):
         raise ConfigError("seed", "must be an integer")
+    if not (_is_int(cfg["n_paths"]) and cfg["n_paths"] >= 1):
+        raise ConfigError("n_paths", "must be a positive integer")
+    if not (_is_int(cfg["basis_degree"]) and cfg["basis_degree"] >= 0):
+        raise ConfigError("basis_degree", "must be a non-negative integer")
     n_list = cfg["ladder"]["n_list"]
     if n_list is not None:
         if (not isinstance(n_list, list) or len(n_list) < 1
@@ -461,6 +478,9 @@ def main(argv=None):
     except (ConfigError, ValueError, ResourceLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except (ConditioningError, NumericError) as e:
+        print(f"error: solver failure: {e}", file=sys.stderr)
+        return EXIT_SOLVER
     for f in files:
         print(f)
     if args.command == "solve" and code == EXIT_DIVERGED:

@@ -7,6 +7,15 @@ these state summaries so the same driver evaluates on path batches and on the
 scenario-tree lattice. ||v|| anywhere in the driver or the checks is the
 sectional norm (sum_i |v_i|^p lambda_i)^(1/p) with p from the problem.
 
+The solvers' per-step fixed point holds (z, v) fixed, so they evaluate the
+driver through GeneratorSpec.bind(ctx, z, v), a y-only map. The built-in forms
+are written once, in that bound form: binding computes their (z, v) term a
+single time, and the bound map evaluates any subset of rows, so the fixed
+point can stop evaluating the rows that have settled. f(ctx, y, z, v) of a
+built-in form is its bound map on every row, bit for bit. Any other driver
+(custom, or truncated by truncate_problem) is bound generically: every
+evaluation goes through GeneratorSpec.__call__ on all rows.
+
 The Lipschitz/growth/integrability checks are empirical reports over sampled
 argument clouds, not proofs. The remainder bound sup_{|y|<=r}|f(t,y,0,0) -
 f(t,0,0,0)| <= kappa r holds automatically for Lipschitz drivers and is not
@@ -92,6 +101,19 @@ class GeneratorSpec:
     def __call__(self, ctx, y, z, v):
         out = np.asarray(self.f(ctx, y, z, v), dtype=float)
         return np.broadcast_to(out, np.shape(y)).astype(float, copy=False)
+
+    def bind(self, ctx, z, v):
+        """The y-only driver y -> f(ctx, y, z, v) with (ctx, z, v) held fixed.
+
+        ``bound(y)`` evaluates every row. A built-in form's bound map has
+        ``row_wise`` set: ``bound(y[rows], rows)`` then evaluates those rows
+        only and gives the bits of ``bound(y)[rows]``. The fast path lives on
+        the form's ``f``, not on the spec, so replacing ``f`` (as
+        truncate_problem does) falls back to the generic path.
+        """
+        if isinstance(self.f, _Form):
+            return self.f.bind(ctx, z, v)
+        return lambda y: self(ctx, y, z, v)
 
     def zero_section(self, ctx):
         """f(t, ., 0, 0, 0) on the context's states."""
@@ -337,6 +359,31 @@ def check_integrability(problem, n_paths=10_000, seed=0, method="mc", tree=None)
 # declarative built-in forms (config schema v1)
 # ---------------------------------------------------------------------------
 
+class _Form:
+    """A built-in driver written once, in its bound form.
+
+    ``bind_zv(ctx, z, v)`` computes the (z, v) term and returns the map
+    ``f_of_y(y, rows=None)``, where ``y`` holds the rows ``rows`` (all rows
+    when None). Calling the form as f(ctx, y, z, v) binds and evaluates every
+    row, so both routes share one formula and one floating-point association.
+    """
+
+    def __init__(self, bind_zv):
+        self._bind_zv = bind_zv
+
+    def bind(self, ctx, z, v):
+        f_of_y = self._bind_zv(ctx, z, v)
+        f_of_y.row_wise = True
+        return f_of_y
+
+    def __call__(self, ctx, y, z, v):
+        return self._bind_zv(ctx, z, v)(y)
+
+
+def _take(values, rows):
+    return values if rows is None else values[rows]
+
+
 def _affine(params, marks, p, d):
     a = float(params.get("a", 0.0))
     const = float(params.get("const", 0.0))
@@ -344,8 +391,13 @@ def _affine(params, marks, p, d):
     c = np.asarray(params.get("c", [0.0] * marks.m), dtype=float).reshape(marks.m)
     c_lam = c * marks.intensities
 
-    def f(ctx, y, z, v):
-        return const + a * y + z @ b + v @ c_lam
+    def bind_zv(ctx, z, v):
+        zb, vc = z @ b, v @ c_lam
+
+        def f_of_y(y, rows=None):
+            return const + a * y + _take(zb, rows) + _take(vc, rows)
+
+        return f_of_y
 
     if p > 1:
         q = p / (p - 1)
@@ -353,7 +405,7 @@ def _affine(params, marks, p, d):
     else:
         kappa_v = float(np.max(np.abs(c))) if marks.m else 0.0
     kappa = abs(a) + float(np.linalg.norm(b)) + kappa_v
-    return f, kappa, bool(np.any(b) or np.any(c))
+    return _Form(bind_zv), kappa, bool(np.any(b) or np.any(c))
 
 
 def _lipschitz_smooth(params, marks, p, d):
@@ -361,11 +413,16 @@ def _lipschitz_smooth(params, marks, p, d):
     bz = np.asarray(params.get("bz", [0.0] * d), dtype=float).reshape(d)
     cv = float(params.get("cv", 0.0))
 
-    def f(ctx, y, z, v):
-        return ay * np.sin(y) + z @ bz + cv * ctx.section_norm(v)
+    def bind_zv(ctx, z, v):
+        zb, vn = z @ bz, cv * ctx.section_norm(v)
+
+        def f_of_y(y, rows=None):
+            return ay * np.sin(y) + _take(zb, rows) + _take(vn, rows)
+
+        return f_of_y
 
     kappa = max(abs(ay), float(np.linalg.norm(bz)), abs(cv))
-    return f, kappa, bool(np.any(bz) or cv != 0)
+    return _Form(bind_zv), kappa, bool(np.any(bz) or cv != 0)
 
 
 def _zv_coupled(params, marks, p, d):
@@ -373,12 +430,17 @@ def _zv_coupled(params, marks, p, d):
     cz = float(params.get("cz", 0.0))
     cv = float(params.get("cv", 0.0))
 
-    def f(ctx, y, z, v):
-        return (cy * y + cz * np.sqrt(np.einsum("...d,...d->...", z, z))
-                + cv * ctx.section_norm(v))
+    def bind_zv(ctx, z, v):
+        zn = cz * np.sqrt(np.einsum("...d,...d->...", z, z))
+        vn = cv * ctx.section_norm(v)
+
+        def f_of_y(y, rows=None):
+            return cy * y + _take(zn, rows) + _take(vn, rows)
+
+        return f_of_y
 
     kappa = max(abs(cy), abs(cz), abs(cv))
-    return f, kappa, bool(cz or cv)
+    return _Form(bind_zv), kappa, bool(cz or cv)
 
 
 GENERATOR_FORMS = {

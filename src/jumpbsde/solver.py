@@ -181,17 +181,41 @@ def _fixpoint_iterations(kappa_dt, max_inner):
 
 
 def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt, max_inner):
-    """Fixed point of y -> cond_mean + f(y) dt, vectorized over nodes."""
+    """Fixed point of y -> cond_mean + f(y) dt, vectorized over nodes.
+
+    ``f_of_y`` is a bound driver (GeneratorSpec.bind). When it is row-wise, a
+    row whose update repeats its value bit for bit is an exact fixed point:
+    it can never move again, and evaluating it again gives the same bits.
+    Such rows are dropped from the evaluated set once they make up at least
+    half of it (gathering a subset costs more than evaluating a few settled
+    rows along). Other drivers see every row on every iteration. Either way
+    the iterates are those of the whole-array iteration, which stops early
+    once two successive iterates are equal.
+    """
     n_iter = _fixpoint_iterations(kappa_dt, max_inner)
-    y = cond_mean
-    f_val = f_of_y(y)
+    row_wise = getattr(f_of_y, "row_wise", False)
+    y, f_val = cond_mean, f_of_y(cond_mean)
+    rows = slice(None)          # the rows still moving
     for _ in range(n_iter):
-        y_next = cond_mean + f_val * dt
-        f_next = f_of_y(y_next)
-        if np.array_equal(y_next, y):
-            y, f_val = y_next, f_next
+        y_old = y[rows]
+        y_new = cond_mean[rows] + f_val[rows] * dt
+        done = np.array_equal(y_new, y_old)
+        if row_wise:
+            moved = y_new.view(np.int64) != y_old.view(np.int64)
+            if 2 * np.count_nonzero(moved) <= moved.size:
+                keep = np.flatnonzero(moved)
+                if isinstance(rows, slice):
+                    y, rows = y_new, keep   # y_new repeats y_old off keep
+                else:
+                    rows = rows[keep]
+                y_new = y_new[keep]
+        if isinstance(rows, slice):
+            y, f_val = y_new, f_of_y(y_new)
+        else:
+            y[rows] = y_new
+            f_val[rows] = f_of_y(y_new, rows)
+        if done:
             break
-        y, f_val = y_next, f_next
     resid = np.abs(y - (cond_mean + f_val * dt))
     scale = np.abs(y) + np.abs(cond_mean) + np.abs(f_val * dt)
     if not np.all(resid <= 512.0 * np.finfo(float).eps * scale):
@@ -264,8 +288,7 @@ def _tree_backward(problem, tree, k_hi, k_lo, terminal_values, frozen=None,
         else:
             z_arg, v_arg = z, v
         ctx = _tree_context(problem, tree, k)
-        y = _solve_implicit(cond_mean,
-                            lambda yy: gen(ctx, yy, z_arg, v_arg),
+        y = _solve_implicit(cond_mean, gen.bind(ctx, z_arg, v_arg),
                             dt, kappa_dt, max_inner)
         y_levels[k - k_lo] = y
         z_levels[k - k_lo] = z
@@ -436,8 +459,7 @@ def _mc_backward(problem, batch, basis_degree, k_hi, k_lo, terminal_values,
             z_arg, v_arg = z, v
         ctx = problem.context(grid.nodes[k], bvals[:, k, :], counts[:, k, :])
         Y[:, k - k_lo] = _solve_implicit(
-            cond_mean, lambda yy: gen(ctx, yy, z_arg, v_arg),
-            dt, kappa_dt, max_inner)
+            cond_mean, gen.bind(ctx, z_arg, v_arg), dt, kappa_dt, max_inner)
         Z[:, k - k_lo, :] = z
         V[:, k - k_lo, :] = v
     return Y, Z, V

@@ -280,7 +280,7 @@ def test_criterion_8_a_priori_estimates():
             "implied exactly 1; scale covariance bit-exact", t0)
 
 
-def test_criterion_9_reproducibility(tmp_path):
+def test_criterion_9_reproducibility(tmp_path, monkeypatch):
     t0 = time.time()
     cfg = {
         "schema": "jumpbsde/run-config/v1",
@@ -323,8 +323,10 @@ def test_criterion_9_reproducibility(tmp_path):
         else:
             assert blob == f2[name]             # CSVs byte-identical
 
-    # regenerating from the embedded config reproduces the body
+    # regenerating from the embedded config reproduces the body (it has no
+    # out_dir, so the re-run writes where JUMPBSDE_OUT points)
     from jumpbsde import cli as jcli
+    monkeypatch.setenv("JUMPBSDE_OUT", str(tmp_path / "rerun"))
     body = json.loads(f1[[n for n in f1 if n.endswith(".json")][0]])["body"]
     emb = tmp_path / "embedded.json"
     emb.write_text(json.dumps(body["config"]))

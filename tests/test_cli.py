@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 
 from jumpbsde import cli
 
@@ -69,6 +70,47 @@ def test_unknown_key_rejected(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert cli.main(["solve", "--config", str(path)]) == 1
     assert "mystery" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("problem.horizon", True),
+    ("problem.dim", True),
+    ("grid_steps", True),
+    ("seed", False),
+    ("n_paths", 0),
+    ("basis_degree", -1),
+])
+def test_bad_field_rejected_with_its_path(tmp_path, capsys, field, value):
+    cfg = copy.deepcopy(BASE)
+    cfg["out_dir"] = str(tmp_path / "out")
+    *parents, leaf = field.split(".")
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg, indent=1))
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{path}:" in err and f": {field}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides", [
+    # rank-deficient regression: more basis functions than paths
+    {"method": "mc", "grid_steps": 4, "n_paths": 4, "basis_degree": 4},
+    # the first step back overflows: no finite fixed point
+    {"problem": {**BASE["problem"],
+                 "generator": {"form": "affine", "params": {"a": 5.0}},
+                 "terminal": {"form": "constant",
+                              "params": {"value": 1e308}}}},
+], ids=["conditioning", "numeric"])
+def test_solver_failure_exits_4(tmp_path, capsys, overrides):
+    path, _ = _cfg(tmp_path, **overrides)
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_SOLVER == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failure:")
+    assert "Traceback" not in err
 
 
 def test_solve_divergent_exits_2(tmp_path):
@@ -199,9 +241,11 @@ def test_reports_reproducible_across_thread_counts(tmp_path):
             assert pay1[n] == pay2[n]
 
 
-def test_config_round_trip(tmp_path):
+def test_config_round_trip(tmp_path, monkeypatch):
     # the emitted report embeds the resolved config; re-running from it
-    # reproduces the body byte for byte
+    # reproduces the body byte for byte (the embedded config has no out_dir,
+    # so the re-run writes where JUMPBSDE_OUT points)
+    monkeypatch.setenv("JUMPBSDE_OUT", str(tmp_path / "rerun"))
     path, _ = _cfg(tmp_path, grid_steps=8)
     assert cli.main(["solve", "--config", str(path)]) == 0
     out = tmp_path / "out"

@@ -1,0 +1,137 @@
+"""The per-step implicit fixed point against the whole-array reference loop."""
+
+import numpy as np
+import pytest
+
+import jumpbsde as jb
+from jumpbsde.errors import NumericError
+from jumpbsde.solver import _fixpoint_iterations, _solve_implicit
+
+DT = 0.5
+KAPPA_DT = 0.1
+
+
+def _reference(cond_mean, f_of_y, dt, kappa_dt, max_inner):
+    """The whole-array iteration: every row evaluated on every iteration."""
+    n_iter = _fixpoint_iterations(kappa_dt, max_inner)
+    y = cond_mean
+    f_val = f_of_y(y)
+    for _ in range(n_iter):
+        y_next = cond_mean + f_val * dt
+        f_next = f_of_y(y_next)
+        if np.array_equal(y_next, y):
+            y, f_val = y_next, f_next
+            break
+        y, f_val = y_next, f_next
+    resid = np.abs(y - (cond_mean + f_val * dt))
+    scale = np.abs(y) + np.abs(cond_mean) + np.abs(f_val * dt)
+    if not np.all(resid <= 512.0 * np.finfo(float).eps * scale):
+        raise NumericError("per-step fixed point not converged")
+    return y
+
+
+def _recording(f_of_y):
+    """The same driver, logging how many rows each call evaluates."""
+    sizes = []
+
+    def logged(y, rows=None):
+        sizes.append(y.size)
+        return f_of_y(y) if rows is None else f_of_y(y, rows)
+
+    logged.row_wise = getattr(f_of_y, "row_wise", False)
+    return logged, sizes
+
+
+def _smooth_bound(n, seed):
+    """A built-in bound driver and cond_mean values spread over 1e-8 .. 1e2."""
+    marks = jb.make_mark_space([[1.0]], [1.0])
+    spec = jb.make_generator("lipschitz-smooth",
+                             {"ay": 0.2, "bz": [0.25], "cv": 0.25},
+                             marks=marks, d=1)
+    rng = np.random.default_rng(seed)
+    ctx = jb.StateContext(0.0, np.zeros((n, 1)), np.zeros((n, 1)), marks, 2.0)
+    bound = spec.bind(ctx, rng.normal(size=(n, 1)), rng.normal(size=(n, 1)))
+    cond_mean = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 2, size=n)
+    return bound, cond_mean
+
+
+def _settle_iterations(cond_mean, f_of_y, dt, n_iter):
+    """First iteration at which each row repeats its value bit for bit."""
+    y, first = cond_mean, np.full(cond_mean.size, -1)
+    for it in range(n_iter):
+        y_next = cond_mean + f_of_y(y) * dt
+        first[(first < 0) & (y_next.view(np.int64) == y.view(np.int64))] = it
+        y = y_next
+    return first
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_rows_settling_at_different_iterations_match_reference():
+    bound, cond_mean = _smooth_bound(4000, seed=11)
+    n_iter = _fixpoint_iterations(KAPPA_DT, 1000)
+    settle = _settle_iterations(cond_mean, bound, DT, n_iter)
+    assert len(set(settle.tolist())) >= 4
+    logged, sizes = _recording(bound)
+    out = _solve_implicit(cond_mean, logged, DT, KAPPA_DT, 1000)
+    assert _same_bits(out, _reference(cond_mean, bound, DT, KAPPA_DT, 1000))
+    # settled rows stopped being evaluated
+    assert sizes[0] == cond_mean.size and sizes[-1] < cond_mean.size // 2
+
+
+A = 1.0
+B = np.nextafter(1.0, 2.0)
+
+
+def _cycling(y, rows=None):
+    """Row-wise driver: 0.25 sin(y), except on two two-cycles at dt 0.5.
+
+    From cond_mean 0.5, y alternates between 1.0 and the next float up; from
+    cond_mean -0.0, f(y) = -y alternates y between -0.0 and +0.0, which are
+    equal as numbers but not bit for bit.
+    """
+    out = 0.25 * np.sin(y)
+    out[y == 0.5] = A
+    out[y == A] = 2.0 * B - 1.0
+    out[y == B] = A
+    out[y == 0.0] = -y[y == 0.0]
+    return out
+
+
+_cycling.row_wise = True
+
+
+@pytest.mark.parametrize("n_rest", [0, 999])
+def test_two_cycle_row_runs_the_full_count(n_rest):
+    _, rest = _smooth_bound(n_rest, seed=5)
+    cond_mean = np.concatenate(([0.5, -0.0], rest))
+    n_iter = _fixpoint_iterations(KAPPA_DT, 1000)
+    logged, sizes = _recording(_cycling)
+    out = _solve_implicit(cond_mean, logged, DT, KAPPA_DT, 1000)
+    ref = _reference(cond_mean, _cycling, DT, KAPPA_DT, 1000)
+    assert _same_bits(out, ref)
+    assert out[0] in (A, B) and out[1] == 0.0
+    assert len(sizes) == n_iter + 1
+
+
+def test_nan_row_raises_in_both_loops():
+    bound, cond_mean = _smooth_bound(500, seed=2)
+    cond_mean[123] = np.nan
+    with pytest.raises(NumericError):
+        _reference(cond_mean, bound, DT, KAPPA_DT, 1000)
+    with pytest.raises(NumericError):
+        _solve_implicit(cond_mean, bound, DT, KAPPA_DT, 1000)
+
+
+def test_custom_driver_sees_every_row_on_every_iteration():
+    bound, cond_mean = _smooth_bound(3000, seed=8)
+
+    def custom(y):
+        return bound(y)
+
+    logged, sizes = _recording(custom)
+    out = _solve_implicit(cond_mean, logged, DT, KAPPA_DT, 1000)
+    assert _same_bits(out, _reference(cond_mean, custom, DT, KAPPA_DT, 1000))
+    assert set(sizes) == {cond_mean.size}

@@ -87,6 +87,80 @@ def test_truncate_inactive_when_bounded():
         prob.generator(ctx, y, np.zeros((50, 1)), np.zeros((50, 1))))
 
 
+BUILT_IN_PARAMS = {
+    "affine": lambda d, m: {"a": 0.7, "const": -0.3, "b": [0.25, -0.5][:d],
+                            "c": [0.4, -0.2][:m]},
+    "lipschitz-smooth": lambda d, m: {"ay": 0.5, "bz": [0.25, -0.75][:d],
+                                      "cv": 0.3},
+    "zv-coupled": lambda d, m: {"cy": -0.6, "cz": 0.3, "cv": 0.2},
+}
+
+
+def _formula(form, prm, ctx, y, z, v):
+    """Each built-in form written out left to right, as documented."""
+    if form == "affine":
+        c_lam = np.array(prm["c"]) * ctx.marks.intensities
+        return prm["const"] + prm["a"] * y + z @ np.array(prm["b"]) + v @ c_lam
+    if form == "lipschitz-smooth":
+        return (prm["ay"] * np.sin(y) + z @ np.array(prm["bz"])
+                + prm["cv"] * ctx.section_norm(v))
+    return (prm["cy"] * y + prm["cz"] * np.sqrt(np.einsum("nd,nd->n", z, z))
+            + prm["cv"] * ctx.section_norm(v))
+
+
+def _bind_case(form, d, m, n, seed):
+    marks = jb.make_mark_space([[1.0], [2.0]][:m], [1.0, 3.0][:m])
+    spec = jb.make_generator(form, BUILT_IN_PARAMS[form](d, m), marks=marks,
+                             d=d)
+    draws = np.random.default_rng(seed).normal(size=(n, 2 + d + 2 * m))
+    scale = 10.0 ** np.floor(4 * draws[:, :1])     # magnitudes 1e-8 .. 1e8
+    ctx = jb.StateContext(0.5, draws[:, 1:1 + d], np.abs(draws[:, -m:]),
+                          marks, 2.0)
+    y = draws[:, 0] * scale[:, 0]
+    z = draws[:, 1:1 + d] * scale
+    v = draws[:, 1 + d:1 + d + m] * scale
+    return spec, ctx, y, z, v
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BUILT_IN_PARAMS)), st.sampled_from([1, 2]),
+       st.sampled_from([1, 2]), st.integers(1, 200),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_bound_form_matches_full_call_bit_for_bit(form, d, m, n, seed, data):
+    spec, ctx, y, z, v = _bind_case(form, d, m, n, seed)
+    bound = spec.bind(ctx, z, v)
+    assert bound.row_wise
+    full = spec(ctx, y, z, v)
+    assert _same_bits(full, _formula(form, spec.params, ctx, y, z, v))
+    assert _same_bits(np.asarray(bound(y), dtype=float), full)
+    rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n,
+                                             max_size=n)))
+    assert _same_bits(bound(y[rows], rows), full[rows])
+
+
+@pytest.mark.parametrize("form", sorted(BUILT_IN_PARAMS))
+def test_truncated_and_custom_drivers_bind_generically(form):
+    spec, ctx, y, z, v = _bind_case(form, 2, 2, 30, seed=3)
+    term = jb.make_terminal("constant", {}, ctx.marks, d=2)
+    base = jb.make_problem(1.0, 4, 2, ctx.marks, spec, term)
+    truncated = jb.truncate_problem(base, 0.125).generator
+    custom = GeneratorSpec(f=lambda c, yy, zz, vv: spec.f(c, yy, zz, vv),
+                           lipschitz_kappa=spec.lipschitz_kappa)
+    for gen in (truncated, custom):
+        bound = gen.bind(ctx, z, v)
+        assert not getattr(bound, "row_wise", False)
+        assert _same_bits(bound(y), gen(ctx, y, z, v))
+    # the truncated driver keeps its clamp of the zero section
+    zero = spec.zero_section(ctx)
+    clamped = spec(ctx, y, z, v) - zero + q_n(zero, 0.125)
+    assert np.array_equal(truncated.bind(ctx, z, v)(y), clamped)
+
+
 def test_tail_mean_decreasing_in_level():
     # ladder-Cauchy input: E[|xi| 1{|xi|>n}] non-increasing, to 0
     rng = np.random.default_rng(5)
@@ -122,20 +196,13 @@ def test_check_lipschitz_smooth_form():
                              marks=marks, d=1, kappa=1.0)
     ys = np.linspace(-6, 6, 41)
     zs = np.linspace(-6, 6, 13)
-    worst = 0.0
+    # every (y, z) grid point in one evaluation, every pair by broadcasting
+    yg, zg = (a.ravel() for a in np.meshgrid(ys, zs, indexing="ij"))
     ctx = prob.context(0.0, np.zeros((1, 1)), np.zeros((1, 1)))
-    for y1 in ys:
-        for y2 in ys:
-            for z1 in zs:
-                for z2 in zs:
-                    dist = abs(y1 - y2) + abs(z1 - z2)
-                    if dist == 0:
-                        continue
-                    df = (spec(ctx, np.array([y1]), np.array([[z1]]),
-                               np.zeros((1, 1)))
-                          - spec(ctx, np.array([y2]), np.array([[z2]]),
-                                 np.zeros((1, 1))))[0]
-                    worst = max(worst, abs(df) / dist)
+    fg = spec(ctx, yg, zg[:, None], np.zeros((yg.size, 1)))
+    dist = np.abs(yg[:, None] - yg) + np.abs(zg[:, None] - zg)
+    moved = dist > 0
+    worst = float(np.max(np.abs(fg[:, None] - fg)[moved] / dist[moved]))
     assert worst <= 1.0 + 1e-12
     rep = jb.check_lipschitz(spec, prob, n_pairs=256, seed=1)
     assert rep["passed"]
