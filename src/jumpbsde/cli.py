@@ -7,8 +7,8 @@ One self-describing JSON config per run; the only flags are --config, --seed
 by the config: regenerating from the embedded config is byte-identical
 outside the header. Exit codes: 0 success, 1 config/input error,
 2 divergence report, 3 verification failure, 4 solver failure (a
-rank-deficient regression, or a per-step fixed point that does not
-converge).
+rank-deficient regression, a per-step fixed point that does not converge,
+or an iterate that overflows).
 """
 
 import argparse
@@ -129,6 +129,9 @@ def validate_config(raw):
         raise ConfigError("method", "must be 'tree' or 'mc'")
     if not (_is_int(cfg["grid_steps"]) and cfg["grid_steps"] >= 1):
         raise ConfigError("grid_steps", "must be a positive integer")
+    if cfg["node_cap"] is not None and not (_is_int(cfg["node_cap"])
+                                           and cfg["node_cap"] >= 1):
+        raise ConfigError("node_cap", "must be a positive integer or null")
     if not _is_int(cfg["seed"]):
         raise ConfigError("seed", "must be an integer")
     if not (_is_int(cfg["n_paths"]) and cfg["n_paths"] >= 1):

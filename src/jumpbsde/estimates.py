@@ -4,7 +4,7 @@ The inequalities bound the solution norms by a constant times a data term;
 the constant exists but has no usable closed form, so verification means a
 finite, stable implied constant lhs/rhs_core against a configured ceiling,
 not comparison with a formula. On tree solutions every expectation is exact
-(path enumeration with node probabilities); on path batches they are sample
+(a leaf sweep with path probabilities); on path batches they are sample
 means. The running sup of |Y| uses the recorded grid values: the discrete
 scheme has no intra-step Y values, jumps being absorbed into the step
 transition.
@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import make_generator, make_problem, make_terminal
-from .norms import ProcessSample, abs_pow, sp_norm
+from .norms import ProcessSample, abs_pow, sp_from_sup, sp_norm
 from .randomness import build_scenario_tree, make_mark_space
-from .solver import picard_solve, solve_tree, tree_path_table
+from .solver import (_LeafSweep, _require_finite, _tree_context, picard_solve,
+                     solve_tree)
 
 __all__ = [
     "EstimateReport",
@@ -70,42 +71,40 @@ def solution_functionals(solution, problem, p):
     grid, marks = problem.grid, problem.marks
     dt = grid.dt
     N = grid.steps
+
+    def z_sq(arr):
+        return np.einsum("njd,njd->n", arr, arr)
+
+    def v_p(arr):
+        return np.einsum("njm,m->n", arr, marks.intensities)
+
     if solution.kind == "paths":
-        batch = solution.batch
-        bvals, counts = batch.state_paths()
+        bvals, counts = solution.batch.state_paths()
         y, z, v = solution.y_paths, solution.z_paths, solution.v_paths
         w = np.full(y.shape[0], 1.0 / y.shape[0])
         f0 = np.zeros(y.shape[0])
         for k in range(N):
             ctx = problem.context(grid.nodes[k], bvals[:, k], counts[:, k])
             f0 += np.abs(problem.generator.zero_section(ctx))
-        f0 *= dt
-        xi = solution.y_paths[:, -1]
+        sup_abs_y, int_z_sq = np.max(np.abs(y), axis=1), z_sq(z)
+        int_v_p, xi_abs = v_p(np.abs(v) ** p), np.abs(y[:, -1])
     else:
         tree = solution.tree
-        _, idx, w = tree_path_table(tree)
-        y = np.stack([solution.y_levels[k][idx[:, k]]
-                      for k in range(N + 1)], axis=1)
-        z = np.stack([solution.z_levels[k][idx[:, k]]
-                      for k in range(N)], axis=1)
-        v = np.stack([solution.v_levels[k][idx[:, k]]
-                      for k in range(N)], axis=1)
-        f0 = np.zeros(y.shape[0])
-        for k in range(N):
-            ctx = problem.context(grid.nodes[k], tree.brownian_values(k),
-                                  tree.levels[k].jump_counts.astype(float))
-            f0 += np.abs(problem.generator.zero_section(ctx))[idx[:, k]]
-        f0 *= dt
-        xi = y[:, -1]
-    return {
-        "weights": w,
-        "sup_abs_y": np.max(np.abs(y), axis=1),
-        "int_z_sq": np.einsum("njd,njd->n", z, z) * dt,
-        "int_v_p": np.einsum("njm,m->n", np.abs(v) ** p,
-                             marks.intensities) * dt,
-        "int_f0_abs": f0,
-        "xi_abs": np.abs(xi),
-    }
+        sweep = _LeafSweep(tree)
+        y, z, v = solution.y_levels, solution.z_levels, solution.v_levels
+        _require_finite(*y, *z, *v)
+        w = sweep.weights
+        zero = problem.generator.zero_section
+        f0 = sweep.fold(np.add, [np.abs(zero(_tree_context(problem, tree, k)))
+                                 for k in range(N)])
+        sup_abs_y = sweep.fold(np.maximum, [np.abs(lev) for lev in y])
+        int_z_sq = sweep.row_reduce(z, z_sq)
+        int_v_p = sweep.row_reduce([np.abs(lev) ** p for lev in v], v_p)
+        xi_abs = sweep.at_depth(np.abs(y[-1]), N)
+    for per_path in (int_z_sq, int_v_p, f0):
+        per_path *= dt
+    return {"weights": w, "sup_abs_y": sup_abs_y, "int_z_sq": int_z_sq,
+            "int_v_p": int_v_p, "int_f0_abs": f0, "xi_abs": xi_abs}
 
 
 def _expect(w, arr):
@@ -204,11 +203,12 @@ def uniqueness_experiment(problem, method="tree", perturbations=None,
             else:
                 tree_ = a.tree
                 if tree_.explicit:
-                    _, idx, w = tree_path_table(tree_)
-                    diff = np.stack(
-                        [(a.y_levels[k] - b.y_levels[k])[idx[:, k]]
-                         for k in range(len(a.y_levels))], axis=1)
-                    dist = sp_norm(ProcessSample(diff, grid, w), q_used)
+                    diff = [x - y for x, y in zip(a.y_levels, b.y_levels)]
+                    _require_finite(*diff)
+                    sweep = _LeafSweep(tree_)
+                    dist = sp_from_sup(
+                        sweep.fold(np.maximum, [np.abs(lev) for lev in diff]),
+                        sweep.weights, q_used)
                 else:
                     dist = max(
                         float(np.einsum("n,n->", tree_.state_probs(k),

@@ -19,6 +19,8 @@ __all__ = [
     "StoppingFamily",
     "sp_norm",
     "mp_norm",
+    "sp_from_sup",
+    "mp_from_sq",
     "class_d_norm",
     "uniform_integrability_profile",
     "norm_report",
@@ -76,24 +78,34 @@ def _wmean(weights, per_path):
 
 def sp_norm(sample, p):
     """(E[sup_j |Y_j|^p])^(1/p) over the sample."""
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
     vals = sample.values
     if vals.ndim == 3:
         vals = np.sqrt(np.einsum("njd,njd->nj", vals, vals))
-    sup = np.max(np.abs(vals), axis=1)
-    return _wmean(sample.path_weights(), abs_pow(sup, p)) ** (1.0 / p)
+    return sp_from_sup(np.max(np.abs(vals), axis=1), sample.path_weights(), p)
+
+
+def sp_from_sup(sup, weights, p):
+    """(E[sup^p])^(1/p) from per-path sups sup_j |Y_j| and path weights."""
+    if p <= 0:
+        raise ValueError(f"p must be positive, got {p}")
+    return _wmean(weights, abs_pow(sup, p)) ** (1.0 / p)
 
 
 def mp_norm(sample, p):
     """(E[(sum_j |Z_j|^2 dt)^(p/2)])^(1/p); Z given per step (n, N, d)."""
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
     vals = sample.values
     if vals.ndim == 2:
         vals = vals[:, :, None]
     sq = np.einsum("njd,njd->n", vals, vals) * sample.grid.dt
-    return _wmean(sample.path_weights(), sq ** (p / 2.0)) ** (1.0 / p)
+    return mp_from_sq(sq, sample.path_weights(), p)
+
+
+def mp_from_sq(sq, weights, p):
+    """(E[sq^(p/2)])^(1/p) from per-path sq = sum_j |Z_j|^2 dt and path
+    weights."""
+    if p <= 0:
+        raise ValueError(f"p must be positive, got {p}")
+    return _wmean(weights, sq ** (p / 2.0)) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +155,12 @@ class StoppingFamily:
     @classmethod
     def default_for(cls, sample):
         """All grid times plus hitting rules at |Y_T| quantiles (50/90/99%)."""
-        rules = [StoppingRule("time", node=j)
-                 for j in range(sample.grid.steps + 1)]
-        terminal = np.abs(sample.values[:, -1])
+        return cls.for_terminal(sample.grid, np.abs(sample.values[:, -1]))
+
+    @classmethod
+    def for_terminal(cls, grid, terminal):
+        """``default_for`` given the per-path terminal values |Y_T|."""
+        rules = [StoppingRule("time", node=j) for j in range(grid.steps + 1)]
         for q in (0.5, 0.9, 0.99):
             lev = float(np.quantile(terminal, q))
             if lev > 0:

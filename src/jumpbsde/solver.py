@@ -13,7 +13,7 @@ input scalings reproduce bit-identical solutions on the tree.
 The Picard engine re-solves with (z, v) frozen at the previous iterate -- the
 inner problem's driver depends on y only -- and records successive distances
 in the (S^q, M^q, L^q) sample norms. On explicit trees those norms are exact
-via path enumeration; on implicit lattices S^q is replaced by the exact
+via a leaf sweep; on implicit lattices S^q is replaced by the exact
 sup-of-marginals lower bound and M^q by its q=2 form (L^q is a linear
 functional and stays exact). Non-contraction (three consecutive ratios >= 1)
 produces a divergence report advising horizon subdivision.
@@ -24,14 +24,14 @@ a fixed order for the same reason.
 """
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConditioningError, NumericError, StepSizeError
 from .generators import check_lipschitz, truncate_problem
-from .norms import ProcessSample, StoppingFamily, class_d_norm, mp_norm, sp_norm
+from .norms import (ProcessSample, StoppingFamily, class_d_norm, mp_from_sq,
+                    sp_from_sup)
 from .randomness import build_scenario_tree, simulate_paths
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "truncation_ladder_solve",
     "bsde_residual_max",
     "picard_q",
-    "tree_path_table",
     "solution_norms",
 ]
 
@@ -490,14 +489,176 @@ def solve_mc_regression(problem, batch, basis_degree=2, max_inner=100_000):
 # sample norms of iterate differences
 # ---------------------------------------------------------------------------
 
-_path_table_cache = weakref.WeakKeyDictionary()
+class _LeafSweep:
+    """Per-path functionals of lattice level arrays on an explicit tree.
+
+    A path functional reads one level array per depth along every
+    root-to-leaf path. The sweep never builds the (b^N, N+1) table of path
+    states: it walks the tree one subtree at a time, carrying the prefix
+    states from depth to depth (``children[k][prefix].ravel()``), so every
+    per-path vector comes out in leaf-id order, the order of
+    ``ScenarioTree.enumerate_paths``. Exact reductions (max, first hit,
+    left-to-right sums) run as running values over the prefixes; einsum
+    reductions run on a contiguous (rows, depths[, width]) block per subtree,
+    whose per-row results do not depend on how the rows are chunked. Every
+    per-path vector therefore equals, bit for bit, the one the path table
+    gives, and memory stays O(b^N) floats instead of O(N b^N).
+
+    Level lists start at depth ``k_lo``; callers do elementwise work (abs,
+    powers) on the levels, once per lattice node, before the sweep expands
+    them.
+    """
+
+    CHUNK_ROWS = 1 << 14       # most prefixes in one subtree block
+
+    def __init__(self, tree, k_lo=0):
+        tree._require_explicit("a path functional")
+        self.tree, self.k_lo = tree, k_lo
+        b = tree.branching
+        self._chunk_depth = 0
+        while b ** (self._chunk_depth + 1) <= self.CHUNK_ROWS:
+            self._chunk_depth += 1
+        # exact leaf probabilities, multiplied in enumerate_paths' order
+        w = np.ones(1)
+        for _ in range(tree.grid.steps):
+            w = (w[:, None] * tree.branch_probs).ravel()
+        self.weights = w
+
+    def _subtrees(self, k_first, k_hi):
+        """Prefix states at depths k_first..k_hi, one subtree at a time.
+
+        The subtrees hang from depth c, so that each holds at most
+        CHUNK_ROWS prefixes at depth k_hi; above c the single ancestor state
+        is given.
+        """
+        tree, b = self.tree, self.tree.branching
+        c = max(0, k_hi - self._chunk_depth)
+        top = [np.zeros(1, dtype=np.int64)]
+        for k in range(c):
+            top.append(tree.children[k][top[k]].ravel())
+        for i in range(b ** c):
+            states = [top[j][[i // b ** (c - j)]] for j in range(k_first, c)]
+            s = top[c][i:i + 1]
+            for j in range(c, k_hi + 1):
+                if j >= k_first:
+                    states.append(s)
+                if j < k_hi:
+                    s = tree.children[j][s].ravel()
+            yield states
+
+    def _per_path(self, k_first, k_hi, per_subtree):
+        """Per-path vector over all leaves, in leaf-id order.
+
+        ``per_subtree(states)`` maps one subtree's prefix states at depths
+        k_first..k_hi to a value per prefix at depth k_hi; the leaves below a
+        prefix share its value.
+        """
+        b, n_steps = self.tree.branching, self.tree.grid.steps
+        out = np.empty(b ** k_hi)
+        pos = 0
+        for states in self._subtrees(k_first, k_hi):
+            vals = per_subtree(states)
+            out[pos:pos + vals.size] = vals
+            pos += vals.size
+        return out if k_hi == n_steps else np.repeat(out, b ** (n_steps - k_hi))
+
+    def at_depth(self, level, depth):
+        """Per-path value of one depth's level array."""
+        return self._per_path(depth, depth, lambda states: level[states[0]])
+
+    def fold(self, ufunc, levels):
+        """Per-path left-to-right ``ufunc`` over depths: ``np.maximum`` gives
+        the max of each path's row, ``np.add`` its sequential sum (the same
+        bits as a sum from 0.0 for levels without -0.0)."""
+        def per_subtree(states):
+            acc = levels[0][states[0]]
+            for lev, s in zip(levels[1:], states[1:]):
+                acc = ufunc(acc[:, None], lev[s].reshape(acc.size, -1)).ravel()
+            return acc
+        return self._per_path(self.k_lo, self.k_lo + len(levels) - 1,
+                              per_subtree)
+
+    def first_hit(self, levels, threshold):
+        """Per-path value at the first depth where it is >= threshold, else
+        at the last depth (``StoppingRule('hit')`` on non-negative levels)."""
+        def per_subtree(states):
+            acc = np.full(1, np.nan)             # nan: not hit yet
+            for lev, s in zip(levels, states):
+                val = lev[s]
+                acc = np.repeat(acc, val.size // acc.size)
+                fresh = np.isnan(acc) & (val >= threshold)
+                acc[fresh] = val[fresh]
+            return np.where(np.isnan(acc), val, acc)
+        return self._per_path(self.k_lo, self.k_lo + len(levels) - 1,
+                              per_subtree)
+
+    def row_reduce(self, levels, reduce):
+        """Per-path ``reduce(block)`` where block[n, j] is path n's value of
+        levels[j]: a row-wise reduction of the (rows, depths[, width]) path
+        table, computed on one subtree's rows at a time."""
+        def per_subtree(states):
+            rows = states[-1].size
+            block = np.empty((rows, len(levels)) + levels[0].shape[1:])
+            for j, (lev, s) in enumerate(zip(levels, states)):
+                block.reshape((s.size, rows // s.size) + block.shape[1:])[
+                    :, :, j] = lev[s][:, None]
+            return reduce(block)
+        return self._per_path(self.k_lo, self.k_lo + len(levels) - 1,
+                              per_subtree)
 
 
-def tree_path_table(tree):
-    """Cached full-path enumeration of an explicit tree."""
-    if tree not in _path_table_cache:
-        _path_table_cache[tree] = tree.enumerate_paths()
-    return _path_table_cache[tree]
+def _require_finite(*arrays):
+    """Overflowed iterates are a solver failure, not a norm to report."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise NumericError("the solution is not finite (overflow in the "
+                           "backward induction)")
+
+
+def _sample_norms(problem, p, y, z, v, sweep=None, tree=None, k_lo=0):
+    """(S^p, M^p, L^p) norms of one (Y, Z, V) triple.
+
+    The triple is given as path arrays (n, K[, d|m]) of a batch, or as level
+    lists from depth k_lo of a tree: exact via the leaf sweep on an explicit
+    tree, else the exact marginal estimators of the implicit lattice.
+    """
+    dt, intensities = problem.grid.dt, problem.marks.intensities
+
+    def z_sq(arr):
+        return np.einsum("njd,njd->n", arr, arr) * dt
+
+    def v_p(arr):
+        return np.einsum("njm,m->n", arr, intensities)
+
+    if isinstance(y, np.ndarray):
+        _require_finite(y, z, v)
+        w = np.full(y.shape[0], 1.0 / y.shape[0])
+        sp = sp_from_sup(np.max(np.abs(y), axis=1), w, p)
+        mp = mp_from_sq(z_sq(z), w, p)
+        lp = float(np.mean(v_p(np.abs(v) ** p)) * dt) ** (1 / p)
+        return sp, mp, lp
+    _require_finite(*y, *z, *v)
+    if sweep is not None:
+        w = sweep.weights
+        sp = sp_from_sup(
+            sweep.fold(np.maximum, [np.abs(lev) for lev in y]), w, p)
+        mp = mp_from_sq(sweep.row_reduce(z, z_sq), w, p)
+        lp = float(np.einsum("n,n->", w, sweep.row_reduce(
+            [np.abs(lev) ** p for lev in v], v_p)) * dt) ** (1 / p)
+        return sp, mp, lp
+    sp = max(
+        float(np.einsum("n,n->", tree.state_probs(k_lo + k),
+                        np.abs(lev) ** p)) ** (1 / p)
+        for k, lev in enumerate(y))
+    mp = math.sqrt(sum(
+        float(np.einsum("n,n->", tree.state_probs(k_lo + k),
+                        np.einsum("nd,nd->n", lev, lev))) * dt
+        for k, lev in enumerate(z)))
+    lp = sum(
+        float(np.einsum("n,n->", tree.state_probs(k_lo + k),
+                        np.einsum("nm,m->n", np.abs(lev) ** p,
+                                  intensities))) * dt
+        for k, lev in enumerate(v)) ** (1 / p)
+    return sp, mp, lp
 
 
 class _DistanceMeter:
@@ -508,58 +669,19 @@ class _DistanceMeter:
         self.q = q
         self.tree = tree
         self.k_lo = k_lo
-        if tree is not None and tree.explicit:
-            _, self.state_idx, self.probs = tree_path_table(tree)
-        else:
-            self.state_idx = self.probs = None
+        self.sweep = (_LeafSweep(tree, k_lo)
+                      if tree is not None and tree.explicit else None)
 
     def distance(self, a, b):
-        q, grid, marks = self.q, self.problem.grid, self.problem.marks
-        dt = grid.dt
         if a.kind == "paths":
-            dy_v = a.y_paths - b.y_paths
-            dz_v = a.z_paths - b.z_paths
-            dv_v = a.v_paths - b.v_paths
-            dy = sp_norm(ProcessSample(dy_v, grid), q)
-            dz = mp_norm(ProcessSample(dz_v, grid), q)
-            dv = float(np.mean(np.einsum("njm,m->n", np.abs(dv_v) ** q,
-                                         marks.intensities)) * dt) ** (1 / q)
-            return dy, dz, dv
-        ydiff = [x - y for x, y in zip(a.y_levels, b.y_levels)]
-        zdiff = [x - y for x, y in zip(a.z_levels, b.z_levels)]
-        vdiff = [x - y for x, y in zip(a.v_levels, b.v_levels)]
-        if self.state_idx is not None:
-            k0 = self.k_lo
-            idx = self.state_idx
-            w = self.probs
-            ypaths = np.stack([ydiff[k][idx[:, k0 + k]]
-                               for k in range(len(ydiff))], axis=1)
-            zpaths = np.stack([zdiff[k][idx[:, k0 + k]]
-                               for k in range(len(zdiff))], axis=1)
-            vpaths = np.stack([vdiff[k][idx[:, k0 + k]]
-                               for k in range(len(vdiff))], axis=1)
-            dy = sp_norm(ProcessSample(ypaths, grid, w), q)
-            dz = mp_norm(ProcessSample(zpaths, grid, w), q)
-            dv = float(np.einsum("n,n->", w,
-                                 np.einsum("njm,m->n", np.abs(vpaths) ** q,
-                                           marks.intensities)) * dt) ** (1 / q)
-            return dy, dz, dv
-        # implicit lattice: exact marginal estimators
-        tree, k0 = self.tree, self.k_lo
-        dy = max(
-            float(np.einsum("n,n->", tree.state_probs(k0 + k),
-                            np.abs(lev) ** q)) ** (1 / q)
-            for k, lev in enumerate(ydiff))
-        dz = math.sqrt(sum(
-            float(np.einsum("n,n->", tree.state_probs(k0 + k),
-                            np.einsum("nd,nd->n", lev, lev))) * dt
-            for k, lev in enumerate(zdiff)))
-        dv = sum(
-            float(np.einsum("n,n->", tree.state_probs(k0 + k),
-                            np.einsum("nm,m->n", np.abs(lev) ** q,
-                                      marks.intensities))) * dt
-            for k, lev in enumerate(vdiff)) ** (1 / q)
-        return dy, dz, dv
+            return _sample_norms(self.problem, self.q, a.y_paths - b.y_paths,
+                                 a.z_paths - b.z_paths, a.v_paths - b.v_paths)
+        return _sample_norms(
+            self.problem, self.q,
+            [x - y for x, y in zip(a.y_levels, b.y_levels)],
+            [x - y for x, y in zip(a.z_levels, b.z_levels)],
+            [x - y for x, y in zip(a.v_levels, b.v_levels)],
+            sweep=self.sweep, tree=self.tree, k_lo=self.k_lo)
 
 
 def _constant_tree_solution(problem, tree, k_lo, k_hi, init):
@@ -812,11 +934,19 @@ def _class_d_distance(sol_a, sol_b, tree=None):
         return class_d_norm(sample, StoppingFamily.default_for(sample))
     ydiff = [x - y for x, y in zip(sol_a.y_levels, sol_b.y_levels)]
     if tree is not None and tree.explicit:
-        _, idx, w = tree_path_table(tree)
-        paths = np.stack([ydiff[k][idx[:, k]] for k in range(len(ydiff))],
-                         axis=1)
-        sample = ProcessSample(paths, grid, w)
-        return class_d_norm(sample, StoppingFamily.default_for(sample))
+        _require_finite(*ydiff)
+        sweep = _LeafSweep(tree)
+        abs_levels = [np.abs(lev) for lev in ydiff]
+        last = len(abs_levels) - 1
+        family = StoppingFamily.for_terminal(
+            grid, sweep.at_depth(abs_levels[last], last))
+        best = 0.0
+        for rule in family.rules:
+            stopped = (sweep.at_depth(abs_levels[rule.node], rule.node)
+                       if rule.kind == "time"
+                       else sweep.first_hit(abs_levels, rule.level))
+            best = max(best, float(np.einsum("n,n->", sweep.weights, stopped)))
+        return best
     # implicit lattice: deterministic-time rules only (exact)
     return max(float(np.einsum("n,n->", tree.state_probs(k), np.abs(lev)))
                for k, lev in enumerate(ydiff))
@@ -911,12 +1041,14 @@ def bsde_residual_max(solution, problem):
 
     Zero (to fp rounding) exactly when one-step values are additively
     separable in (sign, jump outcome) -- in particular on affine instances;
-    in general it measures the projection remainder. Explicit trees only.
+    in general it measures the projection remainder. A branch's residual
+    depends on its parent state and branch index only, so the max runs over
+    the (state, branch) pairs of each depth: the same values as over the
+    tree's nodes, since every lattice state is reached.
     """
     if solution.kind != "tree":
         raise ValueError("residual diagnostic is defined on tree solutions")
     tree = solution.tree
-    ids, idx, _ = tree_path_table(tree)
     N, b = tree.grid.steps, tree.branching
     dt = tree.grid.dt
     sqrt_dt = math.sqrt(dt)
@@ -924,22 +1056,22 @@ def bsde_residual_max(solution, problem):
     # combinations of a jump branch already sum to (lambda_i/Lambda)(1-e^-x))
     p_mark = np.array([tree.branch_probs[tree.branch_jump == i].sum()
                        for i in range(tree.marks.m)])
+    j_branch = np.zeros((b, tree.marks.m))
+    has = tree.branch_jump >= 0
+    j_branch[has, tree.branch_jump[has]] = 1.0
     worst = 0.0
     for k in range(N):
-        digit = (ids // (b ** (N - 1 - k))) % b
-        y_k = solution.y_levels[k][idx[:, k]]
-        y_k1 = solution.y_levels[k + 1][idx[:, k + 1]]
-        z_k = solution.z_levels[k][idx[:, k]]
-        v_k = solution.v_levels[k][idx[:, k]]
-        db = tree.sign_vectors[digit] * sqrt_dt
-        jump = tree.branch_jump[digit]
-        j_ind = np.zeros((ids.size, tree.marks.m))
-        has = jump >= 0
-        j_ind[has, jump[has]] = 1.0
+        n_k = tree.n_states(k)
+        y_k = np.repeat(solution.y_levels[k], b)
+        y_k1 = solution.y_levels[k + 1][tree.children[k]].ravel()
+        z_k = np.repeat(solution.z_levels[k], b, axis=0)
+        v_k = np.repeat(solution.v_levels[k], b, axis=0)
+        db = np.tile(tree.sign_vectors, (n_k, 1)) * sqrt_dt
+        j_ind = np.tile(j_branch, (n_k, 1))
         ctx = _tree_context(problem, tree, k)
-        f_k = problem.generator(ctx, solution.y_levels[k],
-                                solution.z_levels[k],
-                                solution.v_levels[k])[idx[:, k]]
+        f_k = np.repeat(problem.generator(ctx, solution.y_levels[k],
+                                          solution.z_levels[k],
+                                          solution.v_levels[k]), b)
         resid = (y_k1 - y_k + f_k * dt
                  - np.einsum("nd,nd->n", z_k, db)
                  - np.einsum("nm,nm->n", v_k, j_ind - p_mark))
@@ -950,43 +1082,18 @@ def bsde_residual_max(solution, problem):
 def solution_norms(solution, problem, p=None):
     """S^p / M^p / L^p norms of a Solution, with the estimator tag."""
     p = problem.p if p is None else p
-    grid, marks = problem.grid, problem.marks
-    dt = grid.dt
     if solution.kind == "paths":
-        y = ProcessSample(solution.y_paths, grid)
-        z = ProcessSample(solution.z_paths, grid)
-        lp = float(np.mean(np.einsum("njm,m->n",
-                                     np.abs(solution.v_paths) ** p,
-                                     marks.intensities)) * dt) ** (1 / p)
-        return {"sp": sp_norm(y, p), "mp": mp_norm(z, p), "lp": lp,
-                "p": p, "estimator": "mc",
+        sp, mp, lp = _sample_norms(problem, p, solution.y_paths,
+                                   solution.z_paths, solution.v_paths)
+        return {"sp": sp, "mp": mp, "lp": lp, "p": p, "estimator": "mc",
                 "n_paths": solution.y_paths.shape[0]}
     tree = solution.tree
-    if tree.explicit:
-        _, idx, w = tree_path_table(tree)
-        ypaths = np.stack([solution.y_levels[k][idx[:, k]]
-                           for k in range(len(solution.y_levels))], axis=1)
-        zpaths = np.stack([solution.z_levels[k][idx[:, k]]
-                           for k in range(len(solution.z_levels))], axis=1)
-        vpaths = np.stack([solution.v_levels[k][idx[:, k]]
-                           for k in range(len(solution.v_levels))], axis=1)
-        lp = float(np.einsum("n,n->", w,
-                             np.einsum("njm,m->n", np.abs(vpaths) ** p,
-                                       marks.intensities)) * dt) ** (1 / p)
-        return {"sp": sp_norm(ProcessSample(ypaths, grid, w), p),
-                "mp": mp_norm(ProcessSample(zpaths, grid, w), p),
-                "lp": lp, "p": p, "estimator": "tree",
-                "n_paths": int(w.size)}
-    sp = max(float(np.einsum("n,n->", tree.state_probs(k),
-                             np.abs(lev) ** p)) ** (1 / p)
-             for k, lev in enumerate(solution.y_levels))
-    mp = math.sqrt(sum(
-        float(np.einsum("n,n->", tree.state_probs(k),
-                        np.einsum("nd,nd->n", lev, lev))) * dt
-        for k, lev in enumerate(solution.z_levels)))
-    lp = sum(float(np.einsum("n,n->", tree.state_probs(k),
-                             np.einsum("nm,m->n", np.abs(lev) ** p,
-                                       marks.intensities))) * dt
-             for k, lev in enumerate(solution.v_levels)) ** (1 / p)
+    sweep = _LeafSweep(tree) if tree.explicit else None
+    sp, mp, lp = _sample_norms(problem, p, solution.y_levels,
+                               solution.z_levels, solution.v_levels,
+                               sweep=sweep, tree=tree)
+    if sweep is not None:
+        return {"sp": sp, "mp": mp, "lp": lp, "p": p, "estimator": "tree",
+                "n_paths": int(sweep.weights.size)}
     return {"sp": sp, "mp": mp, "lp": lp, "p": p,
             "estimator": "tree-marginal", "n_paths": None}

@@ -113,6 +113,28 @@ def test_solver_failure_exits_4(tmp_path, capsys, overrides):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["abc", True, -5, 2.5])
+def test_bad_node_cap_rejected_with_its_path(tmp_path, capsys, value):
+    path, _ = _cfg(tmp_path, node_cap=value)
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{path}:" in err and ": node_cap: " in err
+    assert "Traceback" not in err
+
+
+def test_overflowing_iterate_exits_4(tmp_path, capsys):
+    # every per-step fixed point converges, but the Z projection of Y values
+    # near 1.6e308 overflows; N=8 is the smallest grid on which it does
+    path, _ = _cfg(tmp_path,
+                   problem={**copy.deepcopy(BASE["problem"]),
+                            "terminal": {"form": "constant",
+                                         "params": {"value": 1e308}}},
+                   grid_steps=8)
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failure:") and "not finite" in err
+
+
 def test_solve_divergent_exits_2(tmp_path):
     path, _ = _cfg(
         tmp_path,

@@ -8,7 +8,6 @@ import pytest
 
 import jumpbsde as jb
 from jumpbsde.errors import StepSizeError
-from jumpbsde.solver import tree_path_table
 
 
 def _problem(gen_form, gen_params, term_form, term_params, T=1.0, N=8,
@@ -76,7 +75,7 @@ def test_tower_property_small_trees():
                          "compensated": True}, N=N)
         tree = jb.build_scenario_tree(prob.grid, prob.marks, 1)
         sol = jb.solve_tree(prob, tree)
-        ids, idx, probs = tree_path_table(tree)
+        ids, idx, probs = tree.enumerate_paths()
         xi = sol.y_levels[-1][idx[:, -1]]
         for k in range(N + 1):
             # group paths by their lattice state at depth k
