@@ -17,6 +17,7 @@ import datetime
 import hashlib
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -100,6 +101,15 @@ def _is_real(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_picard_q(x):
+    return x is None or (_is_real(x) and 1.0 < x < 2.0)
+
+
+def _require(ok, path, message):
+    if not ok:
+        raise ConfigError(path, message)
+
+
 def validate_config(raw):
     """Merge with defaults, reject unknown keys, check field domains."""
     if not isinstance(raw, dict):
@@ -125,6 +135,9 @@ def validate_config(raw):
         raise ConfigError("problem.terminal.form",
                           f"unknown form {prob['terminal']['form']!r}; "
                           f"known: {sorted(TERMINAL_FORMS)}")
+    p = prob["generator"]["p"]
+    _require(_is_real(p) and p >= 1, "problem.generator.p",
+             "must be a real >= 1")
     if cfg["method"] not in ("tree", "mc"):
         raise ConfigError("method", "must be 'tree' or 'mc'")
     if not (_is_int(cfg["grid_steps"]) and cfg["grid_steps"] >= 1):
@@ -138,6 +151,30 @@ def validate_config(raw):
         raise ConfigError("n_paths", "must be a positive integer")
     if not (_is_int(cfg["basis_degree"]) and cfg["basis_degree"] >= 0):
         raise ConfigError("basis_degree", "must be a non-negative integer")
+    pic, sub, ver = cfg["picard"], cfg["subdivide"], cfg["verify"]
+    _require(_is_real(pic["tol"]) and pic["tol"] >= 0, "picard.tol",
+             "must be a non-negative real")
+    _require(_is_int(pic["max_iter"]) and pic["max_iter"] >= 1,
+             "picard.max_iter", "must be a positive integer")
+    _require(_is_picard_q(pic["q"]), "picard.q",
+             "must be null or a real in (1, 2)")
+    _require(isinstance(sub["enabled"], bool), "subdivide.enabled",
+             "must be true or false")
+    _require(_is_real(sub["safety"]) and 0 < sub["safety"] < 1,
+             "subdivide.safety", "must be a real in (0, 1)")
+    _require(sub["c_emp"] is None or (_is_real(sub["c_emp"])
+                                      and sub["c_emp"] > 0),
+             "subdivide.c_emp", "must be null or a positive real")
+    _require(_is_picard_q(sub["q"]), "subdivide.q",
+             "must be null or a real in (1, 2)")
+    _require(_is_int(sub["pilot_max_iter"]) and sub["pilot_max_iter"] >= 1,
+             "subdivide.pilot_max_iter", "must be a positive integer")
+    _require(_is_real(cfg["ladder"]["tol"]) and cfg["ladder"]["tol"] >= 0,
+             "ladder.tol", "must be a non-negative real")
+    _require(_is_real(ver["ceiling"]) and ver["ceiling"] > 0,
+             "verify.ceiling", "must be a positive real")
+    _require(ver["suite"] in (None, "ci12"), "verify.suite",
+             "must be null or 'ci12'")
     n_list = cfg["ladder"]["n_list"]
     if n_list is not None:
         if (not isinstance(n_list, list) or len(n_list) < 1
@@ -165,12 +202,27 @@ def load_config(path):
         raise
 
 
+# an object key, a string value, or a bracket
+_JSON_TOKEN = re.compile(r'("(?:[^"\\]|\\.)*")\s*:|"(?:[^"\\]|\\.)*"|[{}\[\]]')
+
+
 def _locate_key(text, dotted_path):
-    """Best-effort line number of the deepest key of a config path."""
-    leaf = dotted_path.split(".")[-1].split(":")[0]
-    for i, line in enumerate(text.splitlines(), start=1):
-        if f'"{leaf}"' in line:
-            return i
+    """Line number of the key at a dotted config path, following the path
+    through the nesting of objects; None if the text has no such key."""
+    want = dotted_path.split(".")
+    parents, key = [], None
+    for match in _JSON_TOKEN.finditer(text):
+        token = match.group()
+        if token in ("{", "["):
+            parents.append(key if token == "{" else None)
+            key = None
+        elif token in ("}", "]"):
+            parents.pop()
+            key = None
+        elif match.group(1):
+            key = json.loads(match.group(1))
+            if parents[1:] + [key] == want:
+                return text.count("\n", 0, match.start()) + 1
     return None
 
 
@@ -387,8 +439,10 @@ def cmd_verify(cfg):
     zv = verify_zv_estimate(solution, problem, ceiling=ceiling)
     full = (verify_full_estimate(solution, problem, ceiling=ceiling)
             if problem.p > 1 else None)
+    # the verify solve is the uniqueness experiment's (0, 0, 0) start
     uniq = uniqueness_experiment(problem, cfg["method"], tol=pic["tol"],
-                                 q=pic["q"], **ctx)
+                                 q=pic["q"], max_iter=pic["max_iter"],
+                                 _first_run=(solution, trace), **ctx)
     all_passed = (zv.passed and (full is None or full.passed)
                   and uniq["passed"] is True)
     body = {

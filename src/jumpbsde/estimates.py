@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import make_generator, make_problem, make_terminal
-from .norms import ProcessSample, abs_pow, sp_from_sup, sp_norm
+from .norms import abs_pow
 from .randomness import build_scenario_tree, make_mark_space
-from .solver import (_LeafSweep, _require_finite, _tree_context, picard_solve,
+from .solver import (_picard, _prepare, _represent, _setup, picard_solve,
                      solve_tree)
 
 __all__ = [
@@ -68,43 +68,7 @@ def solution_functionals(solution, problem, p):
     int |f(s,0,0,0)| ds, |xi|, and weights. Exact on explicit trees, sample
     versions on path batches.
     """
-    grid, marks = problem.grid, problem.marks
-    dt = grid.dt
-    N = grid.steps
-
-    def z_sq(arr):
-        return np.einsum("njd,njd->n", arr, arr)
-
-    def v_p(arr):
-        return np.einsum("njm,m->n", arr, marks.intensities)
-
-    if solution.kind == "paths":
-        bvals, counts = solution.batch.state_paths()
-        y, z, v = solution.y_paths, solution.z_paths, solution.v_paths
-        w = np.full(y.shape[0], 1.0 / y.shape[0])
-        f0 = np.zeros(y.shape[0])
-        for k in range(N):
-            ctx = problem.context(grid.nodes[k], bvals[:, k], counts[:, k])
-            f0 += np.abs(problem.generator.zero_section(ctx))
-        sup_abs_y, int_z_sq = np.max(np.abs(y), axis=1), z_sq(z)
-        int_v_p, xi_abs = v_p(np.abs(v) ** p), np.abs(y[:, -1])
-    else:
-        tree = solution.tree
-        sweep = _LeafSweep(tree)
-        y, z, v = solution.y_levels, solution.z_levels, solution.v_levels
-        _require_finite(*y, *z, *v)
-        w = sweep.weights
-        zero = problem.generator.zero_section
-        f0 = sweep.fold(np.add, [np.abs(zero(_tree_context(problem, tree, k)))
-                                 for k in range(N)])
-        sup_abs_y = sweep.fold(np.maximum, [np.abs(lev) for lev in y])
-        int_z_sq = sweep.row_reduce(z, z_sq)
-        int_v_p = sweep.row_reduce([np.abs(lev) ** p for lev in v], v_p)
-        xi_abs = sweep.at_depth(np.abs(y[-1]), N)
-    for per_path in (int_z_sq, int_v_p, f0):
-        per_path *= dt
-    return {"weights": w, "sup_abs_y": sup_abs_y, "int_z_sq": int_z_sq,
-            "int_v_p": int_v_p, "int_f0_abs": f0, "xi_abs": xi_abs}
+    return _represent(solution, problem).functionals(problem, p, solution)
 
 
 def _expect(w, arr):
@@ -164,27 +128,30 @@ def verify_full_estimate(solution, problem, p=None, ceiling=DEFAULT_CEILING):
 
 def uniqueness_experiment(problem, method="tree", perturbations=None,
                           tree=None, batch=None, tol=1e-9, q=None,
-                          se_reps=4, **picard_kwargs):
+                          se_reps=4, *, _first_run=None, **picard_kwargs):
     """Solve from several Picard initializations (and regression bases) and
     report the spread of the final solutions.
 
     Tree solves are deterministic: pass iff the max pairwise S^q distance is
     <= 2 tol. MC solves compare Y_0 within 2 tol + 3 SE, the SE estimated
     from independent-seed replicates of the first configuration. Any inner
-    divergence makes the experiment inconclusive.
+    divergence makes the experiment inconclusive. ``_first_run`` is the
+    (Solution, PicardTrace) of the first perturbation when the caller has
+    already solved it on the same tree or batch with the same keywords.
     """
     if perturbations is None:
         perturbations = [{"init": (0.0, 0.0, 0.0)},
                          {"init": (10.0, 1.0, 1.0)}]
     picard_kwargs.setdefault("check_assumptions", False)
-    runs = []
-    for pert in perturbations:
-        kwargs = dict(picard_kwargs)
+    rep, kwargs = _prepare(problem, method, tree, batch, picard_kwargs)
+    runs = [] if _first_run is None else [(perturbations[0], *_first_run)]
+    for pert in perturbations[len(runs):]:
+        run_rep = rep
         if "basis_degree" in pert:
-            kwargs["basis_degree"] = pert["basis_degree"]
-        sol, tr = picard_solve(problem, method, tree=tree, batch=batch,
-                               tol=tol, q=q, init=pert.get("init", (0.0, 0.0, 0.0)),
-                               **kwargs)
+            run_rep = _setup(problem, method, rep.tree, rep.batch,
+                             basis_degree=pert["basis_degree"])
+        sol, tr = _picard(run_rep, problem, tol=tol, q=q,
+                          init=pert.get("init", (0.0, 0.0, 0.0)), **kwargs)
         runs.append((pert, sol, tr))
     if any(tr.diverged for _, _, tr in runs):
         return {"conclusive": False, "passed": None,
@@ -192,30 +159,13 @@ def uniqueness_experiment(problem, method="tree", perturbations=None,
                 "traces": [tr.to_json_dict() for _, _, tr in runs]}
 
     q_used = runs[0][2].q
-    grid = problem.grid
     max_pair, max_dy0 = 0.0, 0.0
     for i in range(len(runs)):
         for j in range(i + 1, len(runs)):
             a, b = runs[i][1], runs[j][1]
             max_dy0 = max(max_dy0, abs(a.y0 - b.y0))
-            if a.kind == "paths":
-                dist = sp_norm(ProcessSample(a.y_paths - b.y_paths, grid), q_used)
-            else:
-                tree_ = a.tree
-                if tree_.explicit:
-                    diff = [x - y for x, y in zip(a.y_levels, b.y_levels)]
-                    _require_finite(*diff)
-                    sweep = _LeafSweep(tree_)
-                    dist = sp_from_sup(
-                        sweep.fold(np.maximum, [np.abs(lev) for lev in diff]),
-                        sweep.weights, q_used)
-                else:
-                    dist = max(
-                        float(np.einsum("n,n->", tree_.state_probs(k),
-                                        np.abs(a.y_levels[k] - b.y_levels[k])
-                                        ** q_used)) ** (1 / q_used)
-                        for k in range(len(a.y_levels)))
-            max_pair = max(max_pair, dist)
+            max_pair = max(max_pair,
+                           rep.sup_norm(rep.diff(a, b)[0], q_used))
 
     se_y0 = 0.0
     if method == "mc":

@@ -10,6 +10,15 @@ The fixed point contracts at rate kappa*dt; the iteration runs a count that
 depends only on kappa*dt (plus an exact-equality early exit) so power-of-two
 input scalings reproduce bit-identical solutions on the tree.
 
+One loop, ``_backward``, runs the scheme on a noise representation, and only
+the representation's estimator of E[. | info_k] differs: ``_Lattice`` sums
+over the tree's recombined states with exact branch weights (``_Tree``, an
+explicit tree, adds the leaf sweep over root-to-leaf paths); ``_PathBatch``
+regresses on the simulated state, one basis per step kept for every solve on
+the batch. A representation also lays out its solutions and owns the
+estimators read from them. ``_setup`` builds the tree or the batch and picks
+the representation for every entry point below.
+
 The Picard engine re-solves with (z, v) frozen at the previous iterate -- the
 inner problem's driver depends on y only -- and records successive distances
 in the (S^q, M^q, L^q) sample norms. On explicit trees those norms are exact
@@ -22,7 +31,7 @@ Lattice reductions use einsum(optimize=False) rather than BLAS, so results
 are bit-stable across thread counts; per-path regression assembly reduces in
 a fixed order for the same reason.
 """
-
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -72,9 +81,6 @@ class Solution:
     z_paths: np.ndarray = None     # (n, N, d)
     v_paths: np.ndarray = None     # (n, N, m)
     diagnostics: dict = field(default_factory=dict)
-
-    def terminal_values(self):
-        return self.y_levels[-1] if self.kind == "tree" else self.y_paths[:, -1]
 
 
 @dataclass
@@ -225,90 +231,7 @@ def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt, max_inner):
 
 
 # ---------------------------------------------------------------------------
-# tree backward induction (exact lattice recursion)
-# ---------------------------------------------------------------------------
-
-def _tree_weights(tree):
-    """Branch weights for the conditional mean, Z projection, V difference."""
-    b, d, m = tree.branching, tree.d, tree.marks.m
-    sqrt_dt = math.sqrt(tree.grid.dt)
-    wz = tree.branch_probs[:, None] * tree.sign_vectors * (sqrt_dt / tree.grid.dt)
-    half_d = 0.5 ** d
-    wv = np.zeros((b, m))
-    for i in range(m):
-        wv[tree.branch_jump == i, i] = half_d
-        wv[tree.branch_jump == -1, i] -= half_d
-    return wz, wv
-
-
-def _check_tree_matches(problem, tree):
-    if tree.grid.to_json_dict() != problem.grid.to_json_dict():
-        raise ValueError("tree was built on a different grid")
-    if tree.d != problem.d or tree.marks.m != problem.marks.m:
-        raise ValueError("tree dimensions do not match the problem")
-
-
-def _tree_context(problem, tree, depth):
-    return problem.context(tree.grid.nodes[depth], tree.brownian_values(depth),
-                           tree.levels[depth].jump_counts.astype(float))
-
-
-def _tree_backward(problem, tree, k_hi, k_lo, terminal_values, frozen=None,
-                   max_inner=100_000):
-    """Exact backward induction over depths [k_lo, k_hi]; level lists are
-    indexed relative to k_lo."""
-    gen = problem.generator
-    dt = tree.grid.dt
-    kappa_dt = gen.lipschitz_kappa * dt
-    if kappa_dt >= 1.0:
-        raise StepSizeError(
-            f"kappa*dt = {kappa_dt:g} >= 1; refine the grid "
-            f"(kappa={gen.lipschitz_kappa:g}, dt={dt:g})")
-    wz, wv = _tree_weights(tree)
-
-    n_levels = k_hi - k_lo + 1
-    y_levels = [None] * n_levels
-    z_levels = [None] * (n_levels - 1)
-    v_levels = [None] * (n_levels - 1)
-    term = np.asarray(terminal_values, dtype=float)
-    if term.shape != (tree.n_states(k_hi),):
-        raise ValueError(
-            f"terminal values shaped {term.shape} do not match the lattice "
-            f"({tree.n_states(k_hi)} states at depth {k_hi})")
-    y_levels[-1] = term
-
-    for k in range(k_hi - 1, k_lo - 1, -1):
-        yc = y_levels[k - k_lo + 1][tree.children[k]]          # (n_k, b)
-        cond_mean = np.einsum("nb,b->n", yc, tree.branch_probs)
-        z = np.einsum("nb,bd->nd", yc, wz)
-        v = np.einsum("nb,bm->nm", yc, wv)
-        if frozen is not None:
-            z_arg, v_arg = frozen[0][k - k_lo], frozen[1][k - k_lo]
-        else:
-            z_arg, v_arg = z, v
-        ctx = _tree_context(problem, tree, k)
-        y = _solve_implicit(cond_mean, gen.bind(ctx, z_arg, v_arg),
-                            dt, kappa_dt, max_inner)
-        y_levels[k - k_lo] = y
-        z_levels[k - k_lo] = z
-        v_levels[k - k_lo] = v
-    return y_levels, z_levels, v_levels
-
-
-def solve_tree(problem, tree, max_inner=100_000):
-    """Exact backward induction on the scenario tree (the oracle solver)."""
-    _check_tree_matches(problem, tree)
-    N = tree.grid.steps
-    term = problem.terminal(_tree_context(problem, tree, N))
-    y, z, v = _tree_backward(problem, tree, N, 0, term, max_inner=max_inner)
-    return Solution(kind="tree", grid=tree.grid,
-                    fingerprint=problem.fingerprint(),
-                    y0=float(y[0][0]), tree=tree,
-                    y_levels=y, z_levels=z, v_levels=v)
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo regression solver
+# regression basis (path batches)
 # ---------------------------------------------------------------------------
 
 def _monomial_exponents(n_features, degree):
@@ -404,89 +327,8 @@ class _StepBasis:
         return np.einsum("ni,it->nt", self.design, beta, optimize=False)
 
 
-def _mc_backward(problem, batch, basis_degree, k_hi, k_lo, terminal_values,
-                 frozen=None, max_inner=100_000, basis_cache=None,
-                 state_cache=None):
-    gen = problem.generator
-    grid, d, m = problem.grid, problem.d, problem.marks.m
-    dt = grid.dt
-    kappa_dt = gen.lipschitz_kappa * dt
-    if kappa_dt >= 1.0:
-        raise StepSizeError(f"kappa*dt = {kappa_dt:g} >= 1; refine the grid")
-    n = batch.n_paths
-    if state_cache is None:
-        state_cache = batch.state_paths()
-    bvals, counts = state_cache
-    jump_ind = (np.diff(counts, axis=1) > 0).astype(float)    # (n, N, m)
-    p_jump = -np.expm1(-problem.marks.intensities * dt)       # (m,)
-    norm_v = p_jump * (1.0 - p_jump)
-
-    n_levels = k_hi - k_lo + 1
-    Y = np.empty((n, n_levels))
-    Z = np.empty((n, n_levels - 1, d))
-    V = np.empty((n, n_levels - 1, m))
-    Y[:, -1] = terminal_values
-
-    for k in range(k_hi - 1, k_lo - 1, -1):
-        y_next = Y[:, k - k_lo + 1]
-        db = batch.brownian_increments[:, k, :]
-        targets = np.empty((n, 1 + d + m))
-        targets[:, 0] = y_next
-        targets[:, 1:1 + d] = y_next[:, None] * db / dt
-        targets[:, 1 + d:] = (y_next[:, None] * (jump_ind[:, k, :] - p_jump)
-                              / norm_v)
-        if k == 0:
-            # every path carries the same state at t_0: the projection given
-            # trivial information is the plain mean
-            fitted = np.broadcast_to(targets.mean(axis=0), targets.shape)
-        else:
-            if basis_cache is not None and k in basis_cache:
-                basis = basis_cache[k]
-            else:
-                states = np.concatenate((bvals[:, k, :], counts[:, k, :]),
-                                        axis=1)
-                basis = _StepBasis(states, basis_degree, step=k)
-                if basis_cache is not None:
-                    basis_cache[k] = basis
-            fitted = basis.fit(targets)
-        cond_mean = fitted[:, 0]
-        z = fitted[:, 1:1 + d]
-        v = fitted[:, 1 + d:]
-        if frozen is not None:
-            z_arg, v_arg = frozen[0][:, k - k_lo, :], frozen[1][:, k - k_lo, :]
-        else:
-            z_arg, v_arg = z, v
-        ctx = problem.context(grid.nodes[k], bvals[:, k, :], counts[:, k, :])
-        Y[:, k - k_lo] = _solve_implicit(
-            cond_mean, gen.bind(ctx, z_arg, v_arg), dt, kappa_dt, max_inner)
-        Z[:, k - k_lo, :] = z
-        V[:, k - k_lo, :] = v
-    return Y, Z, V
-
-
-def solve_mc_regression(problem, batch, basis_degree=2, max_inner=100_000):
-    """Least-squares Monte Carlo backward solver on a simulated path batch."""
-    if batch.grid.to_json_dict() != problem.grid.to_json_dict():
-        raise ValueError("batch was simulated on a different grid")
-    if not (batch.has_brownian and batch.has_jumps):
-        raise ValueError("batch must carry both noises")
-    if basis_degree < 0:
-        raise ValueError("basis degree must be >= 0")
-    N = problem.grid.steps
-    state_cache = batch.state_paths()
-    bvals, counts = state_cache
-    ctx_T = problem.context(problem.grid.horizon, bvals[:, -1], counts[:, -1])
-    Y, Z, V = _mc_backward(problem, batch, basis_degree, N, 0,
-                           problem.terminal(ctx_T), state_cache=state_cache)
-    return Solution(kind="paths", grid=problem.grid,
-                    fingerprint=problem.fingerprint(),
-                    y0=float(Y[0, 0]), batch=batch,
-                    y_paths=Y, z_paths=Z, v_paths=V,
-                    diagnostics={"basis_degree": basis_degree})
-
-
 # ---------------------------------------------------------------------------
-# sample norms of iterate differences
+# leaf sweep (explicit trees)
 # ---------------------------------------------------------------------------
 
 class _LeafSweep:
@@ -504,16 +346,16 @@ class _LeafSweep:
     per-path vector therefore equals, bit for bit, the one the path table
     gives, and memory stays O(b^N) floats instead of O(N b^N).
 
-    Level lists start at depth ``k_lo``; callers do elementwise work (abs,
-    powers) on the levels, once per lattice node, before the sweep expands
-    them.
+    Level lists start at depth ``k_lo`` (0 unless given); callers do
+    elementwise work (abs, powers) on the levels, once per lattice node,
+    before the sweep expands them.
     """
 
     CHUNK_ROWS = 1 << 14       # most prefixes in one subtree block
 
-    def __init__(self, tree, k_lo=0):
+    def __init__(self, tree):
         tree._require_explicit("a path functional")
-        self.tree, self.k_lo = tree, k_lo
+        self.tree = tree
         b = tree.branching
         self._chunk_depth = 0
         while b ** (self._chunk_depth + 1) <= self.CHUNK_ROWS:
@@ -566,7 +408,7 @@ class _LeafSweep:
         """Per-path value of one depth's level array."""
         return self._per_path(depth, depth, lambda states: level[states[0]])
 
-    def fold(self, ufunc, levels):
+    def fold(self, ufunc, levels, k_lo=0):
         """Per-path left-to-right ``ufunc`` over depths: ``np.maximum`` gives
         the max of each path's row, ``np.add`` its sequential sum (the same
         bits as a sum from 0.0 for levels without -0.0)."""
@@ -575,12 +417,12 @@ class _LeafSweep:
             for lev, s in zip(levels[1:], states[1:]):
                 acc = ufunc(acc[:, None], lev[s].reshape(acc.size, -1)).ravel()
             return acc
-        return self._per_path(self.k_lo, self.k_lo + len(levels) - 1,
-                              per_subtree)
+        return self._per_path(k_lo, k_lo + len(levels) - 1, per_subtree)
 
     def first_hit(self, levels, threshold):
         """Per-path value at the first depth where it is >= threshold, else
-        at the last depth (``StoppingRule('hit')`` on non-negative levels)."""
+        at the last depth (``StoppingRule('hit')`` on non-negative levels
+        from depth 0)."""
         def per_subtree(states):
             acc = np.full(1, np.nan)             # nan: not hit yet
             for lev, s in zip(levels, states):
@@ -589,10 +431,9 @@ class _LeafSweep:
                 fresh = np.isnan(acc) & (val >= threshold)
                 acc[fresh] = val[fresh]
             return np.where(np.isnan(acc), val, acc)
-        return self._per_path(self.k_lo, self.k_lo + len(levels) - 1,
-                              per_subtree)
+        return self._per_path(0, len(levels) - 1, per_subtree)
 
-    def row_reduce(self, levels, reduce):
+    def row_reduce(self, levels, reduce, k_lo=0):
         """Per-path ``reduce(block)`` where block[n, j] is path n's value of
         levels[j]: a row-wise reduction of the (rows, depths[, width]) path
         table, computed on one subtree's rows at a time."""
@@ -603,9 +444,12 @@ class _LeafSweep:
                 block.reshape((s.size, rows // s.size) + block.shape[1:])[
                     :, :, j] = lev[s][:, None]
             return reduce(block)
-        return self._per_path(self.k_lo, self.k_lo + len(levels) - 1,
-                              per_subtree)
+        return self._per_path(k_lo, k_lo + len(levels) - 1, per_subtree)
 
+
+# ---------------------------------------------------------------------------
+# noise representations
+# ---------------------------------------------------------------------------
 
 def _require_finite(*arrays):
     """Overflowed iterates are a solver failure, not a norm to report."""
@@ -614,189 +458,463 @@ def _require_finite(*arrays):
                            "backward induction)")
 
 
-def _sample_norms(problem, p, y, z, v, sweep=None, tree=None, k_lo=0):
-    """(S^p, M^p, L^p) norms of one (Y, Z, V) triple.
-
-    The triple is given as path arrays (n, K[, d|m]) of a batch, or as level
-    lists from depth k_lo of a tree: exact via the leaf sweep on an explicit
-    tree, else the exact marginal estimators of the implicit lattice.
+class _PathEstimators:
+    """Estimators read from per-path functionals of the fields, for the path
+    batch (uniform weights) and the explicit tree (leaf probabilities). A
+    subclass gives ``weights``, ``_expect`` and the per-path reductions, each
+    of which checks that its field, starting at depth ``k_lo``, is finite.
     """
-    dt, intensities = problem.grid.dt, problem.marks.intensities
 
-    def z_sq(arr):
-        return np.einsum("njd,njd->n", arr, arr) * dt
+    def _sum_v_lambda(self, v_pow):
+        """Per-path sum over depths and marks of |V|^p lambda."""
+        return np.einsum("njm,m->n", v_pow, self.intensities)
 
-    def v_p(arr):
-        return np.einsum("njm,m->n", arr, intensities)
+    def sup_norm(self, y, p, k_lo=0):
+        """S^p of one Y field."""
+        return sp_from_sup(self._sup_abs(y, k_lo), self.weights, p)
 
-    if isinstance(y, np.ndarray):
-        _require_finite(y, z, v)
-        w = np.full(y.shape[0], 1.0 / y.shape[0])
-        sp = sp_from_sup(np.max(np.abs(y), axis=1), w, p)
-        mp = mp_from_sq(z_sq(z), w, p)
-        lp = float(np.mean(v_p(np.abs(v) ** p)) * dt) ** (1 / p)
-        return sp, mp, lp
-    _require_finite(*y, *z, *v)
-    if sweep is not None:
-        w = sweep.weights
-        sp = sp_from_sup(
-            sweep.fold(np.maximum, [np.abs(lev) for lev in y]), w, p)
-        mp = mp_from_sq(sweep.row_reduce(z, z_sq), w, p)
-        lp = float(np.einsum("n,n->", w, sweep.row_reduce(
-            [np.abs(lev) ** p for lev in v], v_p)) * dt) ** (1 / p)
-        return sp, mp, lp
-    sp = max(
-        float(np.einsum("n,n->", tree.state_probs(k_lo + k),
-                        np.abs(lev) ** p)) ** (1 / p)
-        for k, lev in enumerate(y))
-    mp = math.sqrt(sum(
-        float(np.einsum("n,n->", tree.state_probs(k_lo + k),
-                        np.einsum("nd,nd->n", lev, lev))) * dt
-        for k, lev in enumerate(z)))
-    lp = sum(
-        float(np.einsum("n,n->", tree.state_probs(k_lo + k),
-                        np.einsum("nm,m->n", np.abs(lev) ** p,
-                                  intensities))) * dt
-        for k, lev in enumerate(v)) ** (1 / p)
-    return sp, mp, lp
+    def norms(self, p, y, z, v, k_lo=0):
+        """(S^p, M^p, L^p) of one (Y, Z, V) triple."""
+        dt = self.grid.dt
+        z_sq, v_p = self._z_sq(z, k_lo), self._v_p(v, p, k_lo)
+        return (self.sup_norm(y, p, k_lo),
+                mp_from_sq(z_sq * dt, self.weights, p),
+                float(self._expect(v_p) * dt) ** (1 / p))
+
+    def functionals(self, problem, p, sol):
+        """Per-path functionals of the a priori estimates, with weights."""
+        y, z, v = self.triple(sol)
+        N, dt = self.grid.steps, self.grid.dt
+        zero = problem.generator.zero_section
+        f0 = self._depth_sum(np.abs(zero(self.context(problem, k)))
+                             for k in range(N))
+        return {"weights": self.weights, "sup_abs_y": self._sup_abs(y),
+                "int_z_sq": self._z_sq(z) * dt,
+                "int_v_p": self._v_p(v, p) * dt, "int_f0_abs": f0 * dt,
+                "xi_abs": self._at_depth(np.abs(self.fields(sol)[0][-1]), N)}
 
 
-class _DistanceMeter:
-    """(S^q, M^q, L^q) distances between iterates on one representation."""
+class _Lattice:
+    """The recombined state lattice of a scenario tree: E[. | F_k] and the
+    Z / V projections are exact branch-weighted sums over each state's
+    children, and solutions are per-depth level lists. Without an explicit
+    tree the estimators are the exact marginal ones."""
 
-    def __init__(self, problem, q, tree=None, k_lo=0):
-        self.problem = problem
-        self.q = q
-        self.tree = tree
-        self.k_lo = k_lo
-        self.sweep = (_LeafSweep(tree, k_lo)
-                      if tree is not None and tree.explicit else None)
+    kind, estimator, batch, n_paths = "tree", "tree-marginal", None, None
 
-    def distance(self, a, b):
-        if a.kind == "paths":
-            return _sample_norms(self.problem, self.q, a.y_paths - b.y_paths,
-                                 a.z_paths - b.z_paths, a.v_paths - b.v_paths)
-        return _sample_norms(
-            self.problem, self.q,
-            [x - y for x, y in zip(a.y_levels, b.y_levels)],
-            [x - y for x, y in zip(a.z_levels, b.z_levels)],
-            [x - y for x, y in zip(a.v_levels, b.v_levels)],
-            sweep=self.sweep, tree=self.tree, k_lo=self.k_lo)
+    def __init__(self, problem, tree):
+        if tree.grid.to_json_dict() != problem.grid.to_json_dict():
+            raise ValueError("tree was built on a different grid")
+        if tree.d != problem.d or tree.marks.m != problem.marks.m:
+            raise ValueError("tree dimensions do not match the problem")
+        self.tree, self.grid = tree, tree.grid
+        self.intensities = problem.marks.intensities
+        b, d, m = tree.branching, tree.d, tree.marks.m
+        sqrt_dt = math.sqrt(self.grid.dt)
+        self._wz = (tree.branch_probs[:, None] * tree.sign_vectors
+                    * (sqrt_dt / self.grid.dt))
+        half_d = 0.5 ** d
+        self._wv = np.zeros((b, m))
+        for i in range(m):
+            self._wv[tree.branch_jump == i, i] = half_d
+            self._wv[tree.branch_jump == -1, i] -= half_d
+
+    def context(self, problem, k):
+        return problem.context(self.grid.nodes[k], self.tree.brownian_values(k),
+                               self.tree.levels[k].jump_counts.astype(float))
+
+    def project(self, y_next, k):
+        """(E[Y_{k+1} | F_k], Z_k, V_k) from the level at depth k+1."""
+        yc = y_next[self.tree.children[k]]                   # (n_k, b)
+        return (np.einsum("nb,b->n", yc, self.tree.branch_probs),
+                np.einsum("nb,bd->nd", yc, self._wz),
+                np.einsum("nb,bm->nm", yc, self._wv))
+
+    def empty(self, problem, k_lo, k_hi):
+        n = self.tree.n_states
+        return Solution(
+            kind="tree", grid=problem.grid, fingerprint=problem.fingerprint(),
+            y0=math.nan, tree=self.tree,
+            y_levels=[np.empty(n(k)) for k in range(k_lo, k_hi + 1)],
+            z_levels=[np.empty((n(k), problem.d)) for k in range(k_lo, k_hi)],
+            v_levels=[np.empty((n(k), problem.marks.m))
+                      for k in range(k_lo, k_hi)])
+
+    def triple(self, sol):
+        """The (Y, Z, V) fields in the layout the estimators read."""
+        return sol.y_levels, sol.z_levels, sol.v_levels
+
+    fields = triple            # per-depth field views: the levels themselves
+
+    def diff(self, a, b):
+        return tuple([x - y for x, y in zip(fa, fb)]
+                     for fa, fb in zip(self.triple(a), self.triple(b)))
+
+    def sup_norm(self, y, p, k_lo=0):
+        _require_finite(*y)
+        return max(
+            float(np.einsum("n,n->", self.tree.state_probs(k_lo + k),
+                            np.abs(lev) ** p)) ** (1 / p)
+            for k, lev in enumerate(y))
+
+    def norms(self, p, y, z, v, k_lo=0):
+        _require_finite(*z, *v)
+        probs, dt = self.tree.state_probs, self.grid.dt
+        mp = math.sqrt(sum(
+            float(np.einsum("n,n->", probs(k_lo + k),
+                            np.einsum("nd,nd->n", lev, lev))) * dt
+            for k, lev in enumerate(z)))
+        lp = sum(
+            float(np.einsum("n,n->", probs(k_lo + k),
+                            np.einsum("nm,m->n", np.abs(lev) ** p,
+                                      self.intensities))) * dt
+            for k, lev in enumerate(v)) ** (1 / p)
+        return self.sup_norm(y, p, k_lo), mp, lp
+
+    def class_d(self, y):
+        """Class-D estimator: deterministic-time rules only, each exact."""
+        _require_finite(*y)
+        return max(float(np.einsum("n,n->", self.tree.state_probs(k),
+                                   np.abs(lev)))
+                   for k, lev in enumerate(y))
+
+    def tail_bound(self, problem, n):
+        """E[|xi| 1{|xi|>n} + int |f(s,0,0,0)| 1{|f(s,0,0,0)|>n} ds] and its
+        SE (exact here, so 0)."""
+        N, dt = self.grid.steps, self.grid.dt
+        probs = self.tree.state_probs
+        xi = problem.terminal(self.context(problem, N))
+        total = float(np.einsum("n,n->", probs(N),
+                                np.abs(xi) * (np.abs(xi) > n)))
+        for k in range(N):
+            f0 = problem.generator.zero_section(self.context(problem, k))
+            total += float(np.einsum("n,n->", probs(k),
+                                     np.abs(f0) * (np.abs(f0) > n))) * dt
+        return total, 0.0
+
+    def functionals(self, problem, p, sol):
+        self.tree._require_explicit("a path functional")
 
 
-def _constant_tree_solution(problem, tree, k_lo, k_hi, init):
-    y0c, z0c, v0c = (float(x) for x in init)
-    d, m = tree.d, tree.marks.m
-    return Solution(
-        kind="tree", grid=problem.grid, fingerprint=problem.fingerprint(),
-        y0=y0c, tree=tree,
-        y_levels=[np.full(tree.n_states(k), y0c) for k in range(k_lo, k_hi + 1)],
-        z_levels=[np.full((tree.n_states(k), d), z0c) for k in range(k_lo, k_hi)],
-        v_levels=[np.full((tree.n_states(k), m), v0c) for k in range(k_lo, k_hi)])
+class _Tree(_PathEstimators, _Lattice):
+    """An explicit tree: the lattice recursion, with every estimator read
+    from the root-to-leaf paths by the leaf sweep (exact path
+    probabilities)."""
+
+    estimator = "tree"
+
+    @functools.cached_property
+    def sweep(self):
+        return _LeafSweep(self.tree)
+
+    @property
+    def weights(self):
+        return self.sweep.weights
+
+    @property
+    def n_paths(self):
+        return self.tree.n_leaves
+
+    def _expect(self, per_path):
+        return np.einsum("n,n->", self.weights, per_path)
+
+    def _sup_abs(self, y, k_lo=0):
+        _require_finite(*y)
+        return self.sweep.fold(np.maximum, [np.abs(lev) for lev in y], k_lo)
+
+    def _z_sq(self, z, k_lo=0):
+        _require_finite(*z)
+        return self.sweep.row_reduce(
+            z, lambda block: np.einsum("njd,njd->n", block, block), k_lo)
+
+    def _v_p(self, v, p, k_lo=0):
+        _require_finite(*v)
+        return self.sweep.row_reduce([np.abs(lev) ** p for lev in v],
+                                     self._sum_v_lambda, k_lo)
+
+    def _depth_sum(self, levels):
+        return self.sweep.fold(np.add, list(levels))
+
+    def _at_depth(self, level, depth):
+        return self.sweep.at_depth(level, depth)
+
+    def class_d(self, y):
+        """Class-D estimator over the grid times and the |Y_T|-quantile
+        hitting rules (``StoppingFamily.default_for``), exact per rule."""
+        _require_finite(*y)
+        sweep = self.sweep
+        abs_levels = [np.abs(lev) for lev in y]
+        last = len(abs_levels) - 1
+        family = StoppingFamily.for_terminal(
+            self.grid, sweep.at_depth(abs_levels[last], last))
+        best = 0.0
+        for rule in family.rules:
+            stopped = (sweep.at_depth(abs_levels[rule.node], rule.node)
+                       if rule.kind == "time"
+                       else sweep.first_hit(abs_levels, rule.level))
+            best = max(best, float(np.einsum("n,n->", sweep.weights, stopped)))
+        return best
 
 
-def _constant_path_solution(problem, batch, k_lo, k_hi, init):
-    y0c, z0c, v0c = (float(x) for x in init)
-    n, d, m = batch.n_paths, problem.d, problem.marks.m
-    steps = k_hi - k_lo
-    return Solution(
-        kind="paths", grid=problem.grid, fingerprint=problem.fingerprint(),
-        y0=y0c, batch=batch,
-        y_paths=np.full((n, steps + 1), y0c),
-        z_paths=np.full((n, steps, d), z0c),
-        v_paths=np.full((n, steps, m), v0c))
+class _PathBatch(_PathEstimators):
+    """A simulated path batch: E[. | F_k] by least-squares regression on the
+    state at t_k, with each step's basis built once for every solve on the
+    batch. Solutions are (n, K[, d|m]) path arrays."""
+
+    kind, estimator, tree = "paths", "mc", None
+
+    def __init__(self, problem, batch, degree):
+        if batch.grid.to_json_dict() != problem.grid.to_json_dict():
+            raise ValueError("batch was simulated on a different grid")
+        if not (batch.has_brownian and batch.has_jumps):
+            raise ValueError("batch must carry both noises")
+        if degree < 0:
+            raise ValueError("basis degree must be >= 0")
+        self.batch, self.degree, self.grid = batch, degree, problem.grid
+        self.d, self.m = problem.d, problem.marks.m
+        self.intensities = problem.marks.intensities
+        self.n_paths = batch.n_paths
+        self.weights = np.full(self.n_paths, 1.0 / self.n_paths)
+        self._p_jump = -np.expm1(-self.intensities * self.grid.dt)   # (m,)
+        self._norm_v = self._p_jump * (1.0 - self._p_jump)
+        self._bases = {}
+
+    @functools.cached_property
+    def _states(self):
+        return self.batch.state_paths()     # (n, N+1, d), (n, N+1, m)
+
+    def context(self, problem, k):
+        bvals, counts = self._states
+        return problem.context(self.grid.nodes[k], bvals[:, k, :],
+                               counts[:, k, :])
+
+    def _basis(self, k):
+        if k not in self._bases:
+            bvals, counts = self._states
+            states = np.concatenate((bvals[:, k, :], counts[:, k, :]), axis=1)
+            self._bases[k] = _StepBasis(states, self.degree, step=k)
+        return self._bases[k]
+
+    def project(self, y_next, k):
+        """(E[Y_{k+1} | F_k], Z_k, V_k), fitted jointly from the stacked
+        targets Y, Y dB/dt and Y (1{jump} - p) / (p (1 - p))."""
+        n, d, dt = self.n_paths, self.d, self.grid.dt
+        counts = self._states[1]
+        jump = ((counts[:, k + 1] - counts[:, k]) > 0).astype(float)
+        targets = np.empty((n, 1 + d + self.m))
+        targets[:, 0] = y_next
+        targets[:, 1:1 + d] = (y_next[:, None]
+                               * self.batch.brownian_increments[:, k, :] / dt)
+        targets[:, 1 + d:] = (y_next[:, None] * (jump - self._p_jump)
+                              / self._norm_v)
+        if k == 0:
+            # every path carries the same state at t_0: the projection given
+            # trivial information is the plain mean
+            fitted = np.broadcast_to(targets.mean(axis=0), targets.shape)
+        else:
+            fitted = self._basis(k).fit(targets)
+        return fitted[:, 0], fitted[:, 1:1 + d], fitted[:, 1 + d:]
+
+    def empty(self, problem, k_lo, k_hi):
+        n, steps = self.n_paths, k_hi - k_lo
+        return Solution(
+            kind="paths", grid=problem.grid, fingerprint=problem.fingerprint(),
+            y0=math.nan, batch=self.batch,
+            y_paths=np.empty((n, steps + 1)),
+            z_paths=np.empty((n, steps, self.d)),
+            v_paths=np.empty((n, steps, self.m)),
+            diagnostics={"basis_degree": self.degree})
+
+    def triple(self, sol):
+        return sol.y_paths, sol.z_paths, sol.v_paths
+
+    def fields(self, sol):
+        """Per-depth views: the columns of each path array."""
+        return tuple(list(np.moveaxis(a, 1, 0)) for a in self.triple(sol))
+
+    def diff(self, a, b):
+        return tuple(x - y for x, y in zip(self.triple(a), self.triple(b)))
+
+    def _expect(self, per_path):
+        return np.mean(per_path)
+
+    def _sup_abs(self, y, k_lo=0):
+        _require_finite(y)
+        return np.max(np.abs(y), axis=1)
+
+    def _z_sq(self, z, k_lo=0):
+        _require_finite(z)
+        return np.einsum("njd,njd->n", z, z)
+
+    def _v_p(self, v, p, k_lo=0):
+        _require_finite(v)
+        return self._sum_v_lambda(np.abs(v) ** p)
+
+    def _depth_sum(self, levels):
+        return functools.reduce(np.add, levels, np.zeros(self.n_paths))
+
+    def _at_depth(self, level, depth):
+        return level
+
+    def class_d(self, y):
+        """Class-D estimator over ``StoppingFamily.default_for``."""
+        _require_finite(y)
+        sample = ProcessSample(y, self.grid)
+        return class_d_norm(sample, StoppingFamily.default_for(sample))
+
+    def tail_bound(self, problem, n):
+        """The clamp-tail bound of ``_Lattice.tail_bound`` and its standard
+        error, as a sample mean."""
+        N, dt = self.grid.steps, self.grid.dt
+        xi = problem.terminal(self.context(problem, N))
+        per_path = np.abs(xi) * (np.abs(xi) > n)
+        for k in range(N):
+            f0 = problem.generator.zero_section(self.context(problem, k))
+            per_path = per_path + np.abs(f0) * (np.abs(f0) > n) * dt
+        return (float(per_path.mean()),
+                float(per_path.std(ddof=1) / math.sqrt(per_path.size)))
+
+
+def _setup(problem, method, tree=None, batch=None, node_cap=None,
+           n_paths=10_000, seed=0, basis_degree=2):
+    """The representation a solve runs on (the one place that picks it);
+    builds the scenario tree or simulates the batch when none is given."""
+    if method == "mc":
+        if batch is None:
+            batch = simulate_paths(problem.grid, problem.marks, problem.d,
+                                   n_paths, seed)
+        return _PathBatch(problem, batch, basis_degree)
+    if method != "tree":
+        raise ValueError(f"method must be 'tree' or 'mc', got {method!r}")
+    if tree is None:
+        tree = build_scenario_tree(problem.grid, problem.marks, problem.d,
+                                   node_cap=node_cap)
+    return (_Tree if tree.explicit else _Lattice)(problem, tree)
+
+
+def _represent(solution, problem):
+    """The representation a solution lives on (for its estimators)."""
+    method = {"tree": "tree", "paths": "mc"}[solution.kind]
+    return _setup(problem, method, solution.tree, solution.batch)
+
+
+_SETUP_KEYS = ("node_cap", "n_paths", "seed", "basis_degree")
+
+
+def _prepare(problem, method, tree, batch, picard_kwargs):
+    """Set-up for entry points that run several solves on one
+    representation: (representation, the remaining ``_picard`` keywords).
+    ``check_assumptions`` defaults to False here and runs once."""
+    kwargs = dict(picard_kwargs)
+    if kwargs.pop("check_assumptions", False):
+        _check_assumptions(problem, kwargs.get("seed", 0))
+    setup = {key: kwargs.pop(key) for key in _SETUP_KEYS if key in kwargs}
+    return _setup(problem, method, tree, batch, **setup), kwargs
+
+
+# ---------------------------------------------------------------------------
+# the backward loop
+# ---------------------------------------------------------------------------
+
+def _backward(rep, problem, k_lo, k_hi, terminal_values, frozen=None,
+              max_inner=100_000):
+    """Backward induction over depths [k_lo, k_hi], fields indexed from
+    k_lo. The driver sees the per-depth (Z, V) views ``frozen``, when given,
+    in place of the step's own projections (the Picard inner problem)."""
+    gen = problem.generator
+    dt = problem.grid.dt
+    kappa_dt = gen.lipschitz_kappa * dt
+    if kappa_dt >= 1.0:
+        raise StepSizeError(
+            f"kappa*dt = {kappa_dt:g} >= 1; refine the grid "
+            f"(kappa={gen.lipschitz_kappa:g}, dt={dt:g})")
+    sol = rep.empty(problem, k_lo, k_hi)
+    ys, zs, vs = rep.fields(sol)
+    term = np.asarray(terminal_values, dtype=float)
+    if term.shape != ys[-1].shape:
+        raise ValueError(
+            f"terminal values shaped {term.shape} do not match the "
+            f"{ys[-1].shape[0]} states at depth {k_hi}")
+    ys[-1][...] = term
+
+    for k in range(k_hi - 1, k_lo - 1, -1):
+        j = k - k_lo
+        cond_mean, z, v = rep.project(ys[j + 1], k)
+        z_arg, v_arg = (z, v) if frozen is None else (frozen[0][j],
+                                                      frozen[1][j])
+        ys[j][...] = _solve_implicit(
+            cond_mean, gen.bind(rep.context(problem, k), z_arg, v_arg),
+            dt, kappa_dt, max_inner)
+        zs[j][...] = z
+        vs[j][...] = v
+    sol.y0 = float(ys[0][0])
+    return sol
+
+
+def _solve(rep, problem, max_inner):
+    N = problem.grid.steps
+    return _backward(rep, problem, 0, N,
+                     problem.terminal(rep.context(problem, N)),
+                     max_inner=max_inner)
+
+
+def solve_tree(problem, tree, max_inner=100_000):
+    """Exact backward induction on the scenario tree (the oracle solver)."""
+    return _solve(_setup(problem, "tree", tree=tree), problem, max_inner)
+
+
+def solve_mc_regression(problem, batch, basis_degree=2, max_inner=100_000):
+    """Least-squares Monte Carlo backward solver on a simulated path batch."""
+    return _solve(_setup(problem, "mc", batch=batch,
+                         basis_degree=basis_degree), problem, max_inner)
 
 
 # ---------------------------------------------------------------------------
 # Picard iteration
 # ---------------------------------------------------------------------------
 
-def picard_solve(problem, method="tree", tree=None, batch=None, tol=1e-9,
-                 max_iter=25, q=None, init=(0.0, 0.0, 0.0), basis_degree=2,
-                 n_paths=10_000, seed=0, max_inner=100_000,
-                 k_hi=None, k_lo=0, terminal_values=None,
-                 check_assumptions=True, node_cap=None):
-    """Picard iteration freezing (z, v) at the previous iterate.
+def _check_assumptions(problem, seed):
+    rep = check_lipschitz(problem.generator, problem, n_pairs=64, seed=seed)
+    if not rep["passed"]:
+        raise ValueError(
+            "declared Lipschitz modulus violated: measured "
+            f"{rep['kappa_hat']:.6g} > kappa={problem.generator.lipschitz_kappa:g} "
+            f"(worst pair {rep['worst_pair']}); pass check_assumptions=False "
+            "to override")
 
-    Each iteration solves the inner problem whose driver sees frozen (z, v)
-    fields (so it depends on y only); (Y^0, Z^0, V^0) default to (0, 0, 0).
-    Returns (Solution, PicardTrace); on non-contraction the trace carries
-    diverged=True with the measured ratios and subdivision advice instead of
-    raising, so callers can act on the report.
-    """
-    if method not in ("tree", "mc"):
-        raise ValueError(f"method must be 'tree' or 'mc', got {method!r}")
-    if check_assumptions:
-        rep = check_lipschitz(problem.generator, problem, n_pairs=64, seed=seed)
-        if not rep["passed"]:
-            raise ValueError(
-                "declared Lipschitz modulus violated: measured "
-                f"{rep['kappa_hat']:.6g} > kappa={problem.generator.lipschitz_kappa:g} "
-                f"(worst pair {rep['worst_pair']}); pass check_assumptions=False "
-                "to override")
+
+def _constant(rep, problem, k_lo, k_hi, init):
+    """The constant (Y, Z, V) = init over depths [k_lo, k_hi]."""
+    sol = rep.empty(problem, k_lo, k_hi)
+    for views, value in zip(rep.fields(sol), init):
+        for view in views:
+            view[...] = float(value)
+    sol.y0 = float(init[0])
+    return sol
+
+
+def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
+            init=(0.0, 0.0, 0.0), max_inner=100_000, k_hi=None, k_lo=0,
+            terminal_values=None):
+    """The Picard iteration of ``picard_solve`` on a given representation."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if q is None:
         q = picard_q(problem.generator.growth_alpha)
     N = problem.grid.steps
     k_hi = N if k_hi is None else k_hi
+    if terminal_values is None:
+        if k_hi != N:
+            raise ValueError("sub-range solves need explicit terminal values")
+        terminal_values = problem.terminal(rep.context(problem, N))
 
-    if terminal_values is None and k_hi != N:
-        raise ValueError("sub-range solves need explicit terminal values")
-
-    if method == "tree":
-        if tree is None:
-            tree = build_scenario_tree(problem.grid, problem.marks, problem.d,
-                                       node_cap=node_cap)
-        _check_tree_matches(problem, tree)
-        if terminal_values is None:
-            terminal_values = problem.terminal(_tree_context(problem, tree, k_hi))
-        meter = _DistanceMeter(problem, q, tree=tree, k_lo=k_lo)
-        prev = _constant_tree_solution(problem, tree, k_lo, k_hi, init)
-
-        def sweep(frozen):
-            y, z, v = _tree_backward(problem, tree, k_hi, k_lo, terminal_values,
-                                     frozen=frozen, max_inner=max_inner)
-            return Solution(kind="tree", grid=problem.grid,
-                            fingerprint=problem.fingerprint(),
-                            y0=float(y[0][0]), tree=tree,
-                            y_levels=y, z_levels=z, v_levels=v)
-
-        def frozen_of(sol):
-            return (sol.z_levels, sol.v_levels)
-    else:
-        if batch is None:
-            batch = simulate_paths(problem.grid, problem.marks, problem.d,
-                                   n_paths, seed)
-        state_cache = batch.state_paths()
-        basis_cache = {}
-        if terminal_values is None:
-            bvals, counts = state_cache
-            ctx_T = problem.context(problem.grid.nodes[k_hi],
-                                    bvals[:, k_hi], counts[:, k_hi])
-            terminal_values = problem.terminal(ctx_T)
-        meter = _DistanceMeter(problem, q)
-        prev = _constant_path_solution(problem, batch, k_lo, k_hi, init)
-
-        def sweep(frozen):
-            Y, Z, V = _mc_backward(problem, batch, basis_degree, k_hi, k_lo,
-                                   terminal_values, frozen=frozen,
-                                   max_inner=max_inner,
-                                   basis_cache=basis_cache,
-                                   state_cache=state_cache)
-            return Solution(kind="paths", grid=problem.grid,
-                            fingerprint=problem.fingerprint(),
-                            y0=float(Y[0, 0]), batch=batch,
-                            y_paths=Y, z_paths=Z, v_paths=V,
-                            diagnostics={"basis_degree": basis_degree})
-
-        def frozen_of(sol):
-            return (sol.z_paths, sol.v_paths)
-
+    prev = _constant(rep, problem, k_lo, k_hi, init)
     trace = PicardTrace(q=q)
-    cur = None
     for it in range(1, max_iter + 1):
-        cur = sweep(frozen_of(prev))
+        cur = _backward(rep, problem, k_lo, k_hi, terminal_values,
+                        frozen=rep.fields(prev)[1:], max_inner=max_inner)
         trace.n_iter = it
-        trace.record(*meter.distance(cur, prev))
+        trace.record(*rep.norms(q, *rep.diff(cur, prev), k_lo=k_lo))
         if trace.dist[-1] <= tol:
             trace.converged = True
             break
@@ -815,6 +933,28 @@ def picard_solve(problem, method="tree", tree=None, batch=None, tol=1e-9,
                          "iterations")
     cur.diagnostics["picard"] = trace.to_json_dict()
     return cur, trace
+
+
+def picard_solve(problem, method="tree", tree=None, batch=None, tol=1e-9,
+                 max_iter=25, q=None, init=(0.0, 0.0, 0.0), basis_degree=2,
+                 n_paths=10_000, seed=0, max_inner=100_000,
+                 k_hi=None, k_lo=0, terminal_values=None,
+                 check_assumptions=True, node_cap=None):
+    """Picard iteration freezing (z, v) at the previous iterate.
+
+    Each iteration solves the inner problem whose driver sees frozen (z, v)
+    fields (so it depends on y only); (Y^0, Z^0, V^0) default to (0, 0, 0).
+    Returns (Solution, PicardTrace); on non-contraction the trace carries
+    diverged=True with the measured ratios and subdivision advice instead of
+    raising, so callers can act on the report.
+    """
+    if check_assumptions:
+        _check_assumptions(problem, seed)
+    rep = _setup(problem, method, tree, batch, node_cap=node_cap,
+                 n_paths=n_paths, seed=seed, basis_degree=basis_degree)
+    return _picard(rep, problem, tol=tol, max_iter=max_iter, q=q, init=init,
+                   max_inner=max_inner, k_hi=k_hi, k_lo=k_lo,
+                   terminal_values=terminal_values)
 
 
 # ---------------------------------------------------------------------------
@@ -846,6 +986,19 @@ def subdivide_horizon(T, kappa, q, c_emp, safety=0.5):
                            kappa * c_emp * (T / k) ** expo)
 
 
+def _join(rep, problem, pieces):
+    """One solution over [0, N] from ascending (k_lo, sub-range solution)
+    pieces; a piece's last Y is the next piece's terminal value, so the
+    boundaries agree by construction."""
+    out = rep.empty(problem, 0, problem.grid.steps)
+    for k_lo, piece in pieces:
+        for dst, src in zip(rep.fields(out), rep.fields(piece)):
+            for j, values in enumerate(src):
+                dst[k_lo + j][...] = values
+    out.y0 = float(rep.fields(out)[0][0][0])
+    return out
+
+
 def chained_solve(problem, plan, method="tree", tree=None, batch=None,
                   **picard_kwargs):
     """Solve backward interval by interval along a subdivision plan.
@@ -864,16 +1017,7 @@ def chained_solve(problem, plan, method="tree", tree=None, batch=None,
             f"grid steps {N} not divisible by {K} intervals; "
             "choose N as a multiple of the plan size")
     step = N // K
-    picard_kwargs.setdefault("check_assumptions", False)
-
-    if method == "tree" and tree is None:
-        tree = build_scenario_tree(problem.grid, problem.marks, problem.d,
-                                   node_cap=picard_kwargs.pop("node_cap", None))
-    elif method == "mc" and batch is None:
-        batch = simulate_paths(problem.grid, problem.marks, problem.d,
-                               picard_kwargs.get("n_paths", 10_000),
-                               picard_kwargs.get("seed", 0))
-    picard_kwargs.pop("node_cap", None)
+    rep, kwargs = _prepare(problem, method, tree, batch, picard_kwargs)
 
     terminal_values = None
     traces = []
@@ -881,41 +1025,17 @@ def chained_solve(problem, plan, method="tree", tree=None, batch=None,
     for i in range(K - 1, -1, -1):
         k_lo, k_hi = i * step, (i + 1) * step
         try:
-            sol_i, tr_i = picard_solve(problem, method, tree=tree, batch=batch,
-                                       k_hi=k_hi, k_lo=k_lo,
-                                       terminal_values=terminal_values,
-                                       **picard_kwargs)
+            sol_i, tr_i = _picard(rep, problem, k_hi=k_hi, k_lo=k_lo,
+                                  terminal_values=terminal_values, **kwargs)
         except Exception as e:
             e.args = ((f"interval {i} [{plan.breakpoints[i]:g}, "
                        f"{plan.breakpoints[i + 1]:g}]: {e}"),)
             raise
         traces.append(tr_i)
-        pieces.append((k_lo, k_hi, sol_i))
-        terminal_values = (sol_i.y_levels[0] if method == "tree"
-                           else sol_i.y_paths[:, 0])
+        pieces.append((k_lo, sol_i))
+        terminal_values = rep.fields(sol_i)[0][0]
 
-    # assemble ascending; interval boundaries agree by construction
-    pieces.sort(key=lambda p: p[0])
-    if method == "tree":
-        y_levels, z_levels, v_levels = [], [], []
-        for k_lo, k_hi, sol_i in pieces:
-            y_levels.extend(sol_i.y_levels[:-1])
-            z_levels.extend(sol_i.z_levels)
-            v_levels.extend(sol_i.v_levels)
-        y_levels.append(pieces[-1][2].y_levels[-1])
-        out = Solution(kind="tree", grid=problem.grid,
-                       fingerprint=problem.fingerprint(),
-                       y0=float(y_levels[0][0]), tree=tree,
-                       y_levels=y_levels, z_levels=z_levels, v_levels=v_levels)
-    else:
-        Y = np.concatenate([s.y_paths[:, :-1] for _, _, s in pieces]
-                           + [pieces[-1][2].y_paths[:, -1:]], axis=1)
-        Z = np.concatenate([s.z_paths for _, _, s in pieces], axis=1)
-        V = np.concatenate([s.v_paths for _, _, s in pieces], axis=1)
-        out = Solution(kind="paths", grid=problem.grid,
-                       fingerprint=problem.fingerprint(),
-                       y0=float(Y[0, 0]), batch=batch,
-                       y_paths=Y, z_paths=Z, v_paths=V)
+    out = _join(rep, problem, pieces[::-1])
     out.diagnostics["subdivision_plan"] = plan.to_json_dict()
     out.diagnostics["intervals_converged"] = [t.converged for t in traces]
     return out, traces
@@ -925,59 +1045,6 @@ def chained_solve(problem, plan, method="tree", tree=None, batch=None,
 # truncation ladder
 # ---------------------------------------------------------------------------
 
-def _class_d_distance(sol_a, sol_b, tree=None):
-    """Class-D estimator of the distance between two Y samples."""
-    grid = sol_a.grid
-    if sol_a.kind == "paths":
-        diff = sol_a.y_paths - sol_b.y_paths
-        sample = ProcessSample(diff, grid)
-        return class_d_norm(sample, StoppingFamily.default_for(sample))
-    ydiff = [x - y for x, y in zip(sol_a.y_levels, sol_b.y_levels)]
-    if tree is not None and tree.explicit:
-        _require_finite(*ydiff)
-        sweep = _LeafSweep(tree)
-        abs_levels = [np.abs(lev) for lev in ydiff]
-        last = len(abs_levels) - 1
-        family = StoppingFamily.for_terminal(
-            grid, sweep.at_depth(abs_levels[last], last))
-        best = 0.0
-        for rule in family.rules:
-            stopped = (sweep.at_depth(abs_levels[rule.node], rule.node)
-                       if rule.kind == "time"
-                       else sweep.first_hit(abs_levels, rule.level))
-            best = max(best, float(np.einsum("n,n->", sweep.weights, stopped)))
-        return best
-    # implicit lattice: deterministic-time rules only (exact)
-    return max(float(np.einsum("n,n->", tree.state_probs(k), np.abs(lev)))
-               for k, lev in enumerate(ydiff))
-
-
-def _ladder_tail_bound(problem, n, tree=None, batch=None, state_cache=None):
-    """E[|xi| 1{|xi|>n} + int |f(s,0,0,0)| 1{|f(s,0,0,0)|>n} ds] and its SE."""
-    N = problem.grid.steps
-    dt = problem.grid.dt
-    if tree is not None:
-        ctx_T = _tree_context(problem, tree, N)
-        xi = problem.terminal(ctx_T)
-        total = float(np.einsum("n,n->", tree.state_probs(N),
-                                np.abs(xi) * (np.abs(xi) > n)))
-        for k in range(N):
-            f0 = problem.generator.zero_section(_tree_context(problem, tree, k))
-            total += float(np.einsum("n,n->", tree.state_probs(k),
-                                     np.abs(f0) * (np.abs(f0) > n))) * dt
-        return total, 0.0
-    bvals, counts = state_cache if state_cache is not None else batch.state_paths()
-    ctx_T = problem.context(problem.grid.horizon, bvals[:, -1], counts[:, -1])
-    xi = problem.terminal(ctx_T)
-    per_path = np.abs(xi) * (np.abs(xi) > n)
-    for k in range(N):
-        ctx_k = problem.context(problem.grid.nodes[k], bvals[:, k], counts[:, k])
-        f0 = problem.generator.zero_section(ctx_k)
-        per_path = per_path + np.abs(f0) * (np.abs(f0) > n) * dt
-    return (float(per_path.mean()),
-            float(per_path.std(ddof=1) / math.sqrt(per_path.size)))
-
-
 def truncation_ladder_solve(problem, n_list, method="tree", tree=None,
                             batch=None, tol=1e-3, **picard_kwargs):
     """Solve the ladder of clamped problems and check the class-D Cauchy bound.
@@ -985,39 +1052,25 @@ def truncation_ladder_solve(problem, n_list, method="tree", tree=None,
     For each pair (n_lo, n_hi) the measured class-D distance between the two
     solutions is reported against the clamp-tail bound at n_lo. Ladder-Cauchy
     is declared when the last consecutive pair has both below tol. The final
-    Solution is the largest-n solve.
+    Solution is the largest-n solve. Every rung runs on one representation.
     """
     n_list = [float(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or any(
             n <= 0 for n in n_list):
         raise ValueError("n_list must be strictly increasing and positive")
-    picard_kwargs.setdefault("check_assumptions", False)
-    state_cache = None
-    if method == "tree" and tree is None:
-        tree = build_scenario_tree(problem.grid, problem.marks, problem.d,
-                                   node_cap=picard_kwargs.pop("node_cap", None))
-    elif method == "mc" and batch is None:
-        batch = simulate_paths(problem.grid, problem.marks, problem.d,
-                               picard_kwargs.get("n_paths", 10_000),
-                               picard_kwargs.get("seed", 0))
-    picard_kwargs.pop("node_cap", None)
-    if batch is not None:
-        state_cache = batch.state_paths()
+    rep, kwargs = _prepare(problem, method, tree, batch, picard_kwargs)
 
     levels, solutions = [], []
     for n in n_list:
-        truncated = truncate_problem(problem, n)
-        sol, tr = picard_solve(truncated, method, tree=tree, batch=batch,
-                               **picard_kwargs)
+        sol, tr = _picard(rep, truncate_problem(problem, n), **kwargs)
         levels.append({"n": n, "y0": sol.y0, "converged": tr.converged})
         solutions.append(sol)
 
     pairs = []
-    for i in range(len(n_list)):
+    for i in range(len(n_list) - 1):
+        bound, se = rep.tail_bound(problem, n_list[i])
         for j in range(i + 1, len(n_list)):
-            measured = _class_d_distance(solutions[j], solutions[i], tree=tree)
-            bound, se = _ladder_tail_bound(problem, n_list[i], tree=tree,
-                                           batch=batch, state_cache=state_cache)
+            measured = rep.class_d(rep.diff(solutions[j], solutions[i])[0])
             pairs.append({"n_lo": n_list[i], "n_hi": n_list[j],
                           "measured_d_norm": measured, "bound": bound,
                           "bound_se": se,
@@ -1048,6 +1101,7 @@ def bsde_residual_max(solution, problem):
     """
     if solution.kind != "tree":
         raise ValueError("residual diagnostic is defined on tree solutions")
+    rep = _represent(solution, problem)
     tree = solution.tree
     N, b = tree.grid.steps, tree.branching
     dt = tree.grid.dt
@@ -1068,8 +1122,8 @@ def bsde_residual_max(solution, problem):
         v_k = np.repeat(solution.v_levels[k], b, axis=0)
         db = np.tile(tree.sign_vectors, (n_k, 1)) * sqrt_dt
         j_ind = np.tile(j_branch, (n_k, 1))
-        ctx = _tree_context(problem, tree, k)
-        f_k = np.repeat(problem.generator(ctx, solution.y_levels[k],
+        f_k = np.repeat(problem.generator(rep.context(problem, k),
+                                          solution.y_levels[k],
                                           solution.z_levels[k],
                                           solution.v_levels[k]), b)
         resid = (y_k1 - y_k + f_k * dt
@@ -1082,18 +1136,7 @@ def bsde_residual_max(solution, problem):
 def solution_norms(solution, problem, p=None):
     """S^p / M^p / L^p norms of a Solution, with the estimator tag."""
     p = problem.p if p is None else p
-    if solution.kind == "paths":
-        sp, mp, lp = _sample_norms(problem, p, solution.y_paths,
-                                   solution.z_paths, solution.v_paths)
-        return {"sp": sp, "mp": mp, "lp": lp, "p": p, "estimator": "mc",
-                "n_paths": solution.y_paths.shape[0]}
-    tree = solution.tree
-    sweep = _LeafSweep(tree) if tree.explicit else None
-    sp, mp, lp = _sample_norms(problem, p, solution.y_levels,
-                               solution.z_levels, solution.v_levels,
-                               sweep=sweep, tree=tree)
-    if sweep is not None:
-        return {"sp": sp, "mp": mp, "lp": lp, "p": p, "estimator": "tree",
-                "n_paths": int(sweep.weights.size)}
-    return {"sp": sp, "mp": mp, "lp": lp, "p": p,
-            "estimator": "tree-marginal", "n_paths": None}
+    rep = _represent(solution, problem)
+    sp, mp, lp = rep.norms(p, *rep.triple(solution))
+    return {"sp": sp, "mp": mp, "lp": lp, "p": p, "estimator": rep.estimator,
+            "n_paths": rep.n_paths}

@@ -79,6 +79,18 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("seed", False),
     ("n_paths", 0),
     ("basis_degree", -1),
+    ("picard.tol", "x"),
+    ("picard.max_iter", 0),
+    ("picard.q", 5.0),
+    ("subdivide.enabled", "yes"),
+    ("subdivide.safety", 1.5),
+    ("subdivide.c_emp", -1.0),
+    ("subdivide.q", 2.0),
+    ("subdivide.pilot_max_iter", 0),
+    ("ladder.tol", -1.0),
+    ("verify.ceiling", "abc"),
+    ("verify.suite", "ci13"),
+    ("problem.generator.p", "two"),
 ])
 def test_bad_field_rejected_with_its_path(tmp_path, capsys, field, value):
     cfg = copy.deepcopy(BASE)
@@ -86,7 +98,7 @@ def test_bad_field_rejected_with_its_path(tmp_path, capsys, field, value):
     *parents, leaf = field.split(".")
     node = cfg
     for key in parents:
-        node = node[key]
+        node = node.setdefault(key, {})
     node[leaf] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg, indent=1))
@@ -94,6 +106,66 @@ def test_bad_field_rejected_with_its_path(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert f"{path}:" in err and f": {field}: " in err
     assert "Traceback" not in err
+
+
+def test_error_line_follows_the_dotted_path(tmp_path, capsys):
+    # "q" appears under picard first; the bad one is subdivide.q
+    cfg = {**copy.deepcopy(BASE), "picard": {"q": 1.5},
+           "subdivide": {"enabled": True, "q": 5.0}}
+    path = tmp_path / "cfg.json"
+    text = json.dumps(cfg, indent=1)
+    path.write_text(text)
+    line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                if row.strip() == '"q": 5.0')
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert f"{path}:{line}: subdivide.q: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, built", [
+    ("tree", {"build_scenario_tree": 1, "simulate_paths": 0}),
+    ("mc", {"build_scenario_tree": 0, "simulate_paths": 1}),
+])
+def test_solve_sets_up_through_the_cli_constructors(tmp_path, monkeypatch,
+                                                    method, built):
+    # the benchmark times set-up by wrapping these two cli names: the run
+    # must build its tree or batch through them, once
+    calls = dict.fromkeys(built, 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    path, _ = _cfg(tmp_path, method=method, grid_steps=4, n_paths=500)
+    assert cli.main(["solve", "--config", str(path)]) == 0
+    assert calls == built
+
+
+def test_verify_reuses_its_solve_and_passes_max_iter(tmp_path, monkeypatch):
+    # the verify solve is the uniqueness experiment's (0, 0, 0) start, and
+    # picard.max_iter reaches the (10, 1, 1) start: after one iteration the
+    # two starts still differ by their frozen (z, v) term, so uniqueness
+    # fails (25 iterations, the old fixed count, bring them together)
+    from jumpbsde import solver
+    sweeps = []
+    backward = solver._backward
+
+    def counted(*args, **kwargs):
+        sweeps.append(1)
+        return backward(*args, **kwargs)
+    monkeypatch.setattr(solver, "_backward", counted)
+    path, _ = _cfg(
+        tmp_path, grid_steps=6, picard={"max_iter": 1},
+        problem={**copy.deepcopy(BASE["problem"]),
+                 "generator": {"form": "zv-coupled",
+                               "params": {"cz": 0.3, "cv": 0.3}},
+                 "terminal": {"form": "brownian-functional",
+                              "params": {"kind": "square"}}})
+    assert cli.main(["verify", "--config", str(path)]) == 3
+    out = tmp_path / "out"
+    body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
+    assert body["uniqueness"]["passed"] is False
+    assert body["uniqueness"]["max_pairwise_sq_distance"] > 1e-6
+    assert len(sweeps) == 1 + 1
 
 
 @pytest.mark.parametrize("overrides", [

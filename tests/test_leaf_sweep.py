@@ -18,8 +18,8 @@ import jumpbsde as jb
 from jumpbsde.estimates import solution_functionals, uniqueness_experiment
 from jumpbsde.norms import (ProcessSample, StoppingFamily, class_d_norm,
                             mp_norm, sp_norm)
-from jumpbsde.solver import (Solution, _class_d_distance, _DistanceMeter,
-                             _LeafSweep, bsde_residual_max, solution_norms)
+from jumpbsde.solver import (Solution, _LeafSweep, _setup, bsde_residual_max,
+                             solution_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +183,11 @@ def test_full_range_functionals_bit_for_bit(case):
     q = case["q"]
     with mock.patch.object(_LeafSweep, "CHUNK_ROWS", case["rows"]):
         # Picard distances and solution norms
-        meter = _DistanceMeter(problem, q, tree=tree)
+        rep = _setup(problem, "tree", tree)
         diffs = [[x - y for x, y in zip(getattr(a, f), getattr(b, f))]
                  for f in ("y_levels", "z_levels", "v_levels")]
-        _assert_same(meter.distance(a, b), _ref_norms(problem, q, *diffs, tree))
+        _assert_same(rep.norms(q, *rep.diff(a, b)),
+                     _ref_norms(problem, q, *diffs, tree))
         norms = solution_norms(a, problem, q)
         _assert_same([norms["sp"], norms["mp"], norms["lp"]],
                      _ref_norms(problem, q, a.y_levels, a.z_levels,
@@ -199,7 +200,7 @@ def test_full_range_functionals_bit_for_bit(case):
         for key in want:
             _assert_same(got[key], want[key])
         # class-D distance, time and first-hit rules
-        _assert_same(_class_d_distance(a, b, tree=tree),
+        _assert_same(rep.class_d(rep.diff(a, b)[0]),
                      _ref_class_d(a, b, tree))
         # residual diagnostic
         _assert_same(bsde_residual_max(a, problem), _ref_residual(a, problem))
@@ -224,8 +225,8 @@ def test_sub_range_distances_bit_for_bit(case, data):
     diffs = [[x - y for x, y in zip(getattr(a, f), getattr(b_, f))]
              for f in ("y_levels", "z_levels", "v_levels")]
     with mock.patch.object(_LeafSweep, "CHUNK_ROWS", case["rows"]):
-        meter = _DistanceMeter(problem, case["q"], tree=tree, k_lo=k_lo)
-        _assert_same(meter.distance(a, b_),
+        rep = _setup(problem, "tree", tree)
+        _assert_same(rep.norms(case["q"], *rep.diff(a, b_), k_lo=k_lo),
                      _ref_norms(problem, case["q"], *diffs, tree, k_lo))
 
 

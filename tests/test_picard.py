@@ -174,6 +174,50 @@ def test_chained_split_composes_exactly():
                for a, b in zip(s1.y_levels, s2.y_levels))
 
 
+def test_chained_mc_on_one_batch_matches_interval_solves():
+    # K=2 on one shared batch representation, bit for bit the same as two
+    # interval solves that each set up their own
+    prob = _coupled_problem(0.4, 0.4, 1.0, 8)
+    batch = jb.simulate_paths(prob.grid, prob.marks, 1, 2000, seed=11)
+    plan = jb.SubdivisionPlan(np.array([0.0, 0.5, 1.0]), 1.5, 0.8, 1.0,
+                              0.9, 0.2)
+    kw = {"tol": 1e-10, "max_iter": 15, "check_assumptions": False}
+    sol, traces = jb.chained_solve(prob, plan, "mc", batch=batch, **kw)
+    hi, tr_hi = jb.picard_solve(prob, "mc", batch=batch, k_lo=4, k_hi=8, **kw)
+    lo, tr_lo = jb.picard_solve(prob, "mc", batch=batch, k_lo=0, k_hi=4,
+                                terminal_values=hi.y_paths[:, 0], **kw)
+    assert [t.dist for t in traces] == [tr_hi.dist, tr_lo.dist]
+    assert np.array_equal(sol.y_paths, np.concatenate(
+        (lo.y_paths[:, :-1], hi.y_paths), axis=1))
+    assert np.array_equal(sol.z_paths, np.concatenate(
+        (lo.z_paths, hi.z_paths), axis=1))
+    assert np.array_equal(sol.v_paths, np.concatenate(
+        (lo.v_paths, hi.v_paths), axis=1))
+    assert sol.y0 == lo.y0
+
+
+def test_ladder_mc_rungs_match_standalone_solves(monkeypatch):
+    # every rung runs on one batch representation, which builds each step's
+    # regression basis once; each rung's y0 is the standalone solve's
+    prob = _coupled_problem(0.4, 0.4, 1.0, 10, term_kind="exp")
+    batch = jb.simulate_paths(prob.grid, prob.marks, 1, 3000, seed=5)
+    from jumpbsde import solver
+    built = []
+    basis = solver._StepBasis
+
+    def counted(states, degree, step):
+        built.append(step)
+        return basis(states, degree, step)
+    monkeypatch.setattr(solver, "_StepBasis", counted)
+    rep = jb.truncation_ladder_solve(prob, [1, 2, 8], "mc", batch=batch)
+    assert sorted(built) == list(range(1, 10))
+    for lev in rep.levels:
+        sol, _ = jb.picard_solve(jb.truncate_problem(prob, lev["n"]), "mc",
+                                 batch=batch, check_assumptions=False)
+        assert sol.y0 == lev["y0"]
+    assert len({lev["y0"] for lev in rep.levels}) == 3
+
+
 def test_chained_requires_divisible_grid():
     prob = _coupled_problem(0.5, 0.5, 1.0, 7)
     plan = jb.SubdivisionPlan(np.array([0.0, 0.5, 1.0]), 1.5, 0.5, 1.0,
