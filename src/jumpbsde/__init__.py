@@ -18,14 +18,15 @@ from .integrals import (IntegralResult, RandomField, brownian_integral,
 from .norms import (ProcessSample, StoppingFamily, StoppingRule, class_d_norm,
                     mp_norm, sp_norm, uniform_integrability_profile)
 from .generators import (BSDEProblem, GeneratorSpec, StateContext,
-                         TerminalSpec, check_growth, check_integrability,
-                         check_lipschitz, make_generator, make_problem,
-                         make_terminal, q_n, truncate_problem)
+                         TerminalSpec, check_growth, check_lipschitz,
+                         make_generator, make_problem, make_terminal, q_n,
+                         truncate_problem)
 from .solver import (LadderReport, PicardTrace, Solution, SubdivisionPlan,
                      bsde_residual_max, chained_solve, picard_q, picard_solve,
                      solution_norms, solve_mc_regression, solve_tree,
                      subdivide_horizon, truncation_ladder_solve)
-from .estimates import (EstimateReport, ci_suite, uniqueness_experiment,
-                        verify_full_estimate, verify_zv_estimate)
+from .estimates import (EstimateReport, check_integrability, ci_suite,
+                        uniqueness_experiment, verify_full_estimate,
+                        verify_zv_estimate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,6 +16,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -98,11 +99,18 @@ def _is_int(x):
 
 
 def _is_real(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # a finite JSON number: Infinity and NaN parse, but are no data
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
 
 
 def _is_picard_q(x):
     return x is None or (_is_real(x) and 1.0 < x < 2.0)
+
+
+def _is_reals(x, ok=lambda v: True):
+    return (isinstance(x, list) and len(x) >= 1
+            and all(_is_real(v) and ok(v) for v in x))
 
 
 def _require(ok, path, message):
@@ -125,19 +133,34 @@ def validate_config(raw):
                           f"must be a positive real, got {prob['horizon']!r}")
     if not (_is_int(prob["dim"]) and prob["dim"] >= 1):
         raise ConfigError("problem.dim", "must be a positive integer")
-    if prob["marks"]["marks"] is None or prob["marks"]["intensities"] is None:
-        raise ConfigError("problem.marks", "marks and intensities are required")
-    if prob["generator"]["form"] not in GENERATOR_FORMS:
-        raise ConfigError("problem.generator.form",
-                          f"unknown form {prob['generator']['form']!r}; "
-                          f"known: {sorted(GENERATOR_FORMS)}")
-    if prob["terminal"]["form"] not in TERMINAL_FORMS:
-        raise ConfigError("problem.terminal.form",
-                          f"unknown form {prob['terminal']['form']!r}; "
-                          f"known: {sorted(TERMINAL_FORMS)}")
-    p = prob["generator"]["p"]
+    marks, intensities = prob["marks"]["marks"], prob["marks"]["intensities"]
+    _require(isinstance(marks, list) and len(marks) >= 1
+             and all(_is_reals(mark) and any(mark) for mark in marks)
+             and len({len(mark) for mark in marks}) == 1,
+             "problem.marks.marks", "must be a non-empty list of non-zero "
+             "marks, each a list of reals of one length")
+    _require(_is_reals(intensities, lambda v: v > 0)
+             and len(intensities) == len(marks), "problem.marks.intensities",
+             "must list one positive real per mark")
+    gen, term = prob["generator"], prob["terminal"]
+    for path, spec, forms in (("problem.generator", gen, GENERATOR_FORMS),
+                              ("problem.terminal", term, TERMINAL_FORMS)):
+        _require(isinstance(spec["form"], str) and spec["form"] in forms,
+                 f"{path}.form", f"unknown form {spec['form']!r}; "
+                                 f"known: {sorted(forms)}")
+        _require(isinstance(spec["params"], dict), f"{path}.params",
+                 "must be an object")
+    p = gen["p"]
     _require(_is_real(p) and p >= 1, "problem.generator.p",
              "must be a real >= 1")
+    for key, ok, domain in (
+            ("kappa", lambda x: x >= 0, "a non-negative real"),
+            ("alpha", lambda x: 0 < x < 1, "a real in (0, 1)"),
+            ("gamma", lambda x: x >= 0, "a non-negative real")):
+        _require(gen[key] is None or (_is_real(gen[key]) and ok(gen[key])),
+                 f"problem.generator.{key}", f"must be null or {domain}")
+    _require(_is_real(gen["g"]) and gen["g"] >= 0, "problem.generator.g",
+             "must be a non-negative real")
     if cfg["method"] not in ("tree", "mc"):
         raise ConfigError("method", "must be 'tree' or 'mc'")
     if not (_is_int(cfg["grid_steps"]) and cfg["grid_steps"] >= 1):
@@ -176,12 +199,12 @@ def validate_config(raw):
     _require(ver["suite"] in (None, "ci12"), "verify.suite",
              "must be null or 'ci12'")
     n_list = cfg["ladder"]["n_list"]
-    if n_list is not None:
-        if (not isinstance(n_list, list) or len(n_list) < 1
-                or any(not isinstance(x, (int, float)) or x <= 0 for x in n_list)
-                or any(b <= a for a, b in zip(n_list, n_list[1:]))):
-            raise ConfigError("ladder.n_list",
-                              "must be an increasing list of positive reals")
+    _require(n_list is None or (
+        _is_reals(n_list, lambda v: v > 0)
+        and all(b > a for a, b in zip(n_list, n_list[1:]))),
+        "ladder.n_list", "must be an increasing list of positive reals")
+    _require(cfg["out_dir"] is None or isinstance(cfg["out_dir"], str),
+             "out_dir", "must be null or a string")
     return cfg
 
 

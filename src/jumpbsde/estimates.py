@@ -1,4 +1,5 @@
-"""Empirical verification of the a priori inequalities and uniqueness.
+"""Empirical verification of the integrability hypothesis, the a priori
+inequalities and uniqueness.
 
 The inequalities bound the solution norms by a constant times a data term;
 the constant exists but has no usable closed form, so verification means a
@@ -7,7 +8,9 @@ not comparison with a formula. On tree solutions every expectation is exact
 (a leaf sweep with path probabilities); on path batches they are sample
 means. The running sup of |Y| uses the recorded grid values: the discrete
 scheme has no intra-step Y values, jumps being absorbed into the step
-transition.
+transition. The data terms |f(t_k, ., 0, 0, 0)| and |xi| come from one table
+per representation (``solver._data_levels``), which ``check_integrability``
+also integrates.
 """
 
 import math
@@ -16,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import make_generator, make_problem, make_terminal
-from .norms import abs_pow
+from .norms import _wmean, abs_pow
 from .randomness import build_scenario_tree, make_mark_space
-from .solver import (_picard, _prepare, _represent, _setup, picard_solve,
-                     solve_tree)
+from .solver import (_data_levels, _diff, _picard, _prepare, _represent,
+                     _setup, solve_tree)
 
 __all__ = [
     "EstimateReport",
+    "check_integrability",
     "verify_zv_estimate",
     "verify_full_estimate",
     "uniqueness_experiment",
@@ -71,16 +75,40 @@ def solution_functionals(solution, problem, p):
     return _represent(solution, problem).functionals(problem, p, solution)
 
 
-def _expect(w, arr):
-    return float(np.einsum("n,n->", w, arr))
+def check_integrability(problem, n_paths=10_000, seed=0, method="mc",
+                        tree=None):
+    """Estimates of E|xi| and E int |f(s,0,0,0)| ds with standard errors.
+
+    method="tree" evaluates both exactly from the marginal state
+    probabilities of the tree (the recombined lattice unless an explicit
+    tree is given), with zero SE; method="mc" takes sample means over a
+    simulated batch of ``n_paths`` paths.
+    """
+    rep = _setup(problem, method, tree, n_paths=n_paths, seed=seed)
+    data, dt = _data_levels(rep, problem), problem.grid.dt
+    xi_mean, xi_se = rep.integrate(data, lambda levels: levels[-1])
+    f0_mean, f0_se = rep.integrate(data, lambda levels: sum(levels[:-1]) * dt)
+    out = {"xi_abs_mean": xi_mean, "xi_abs_se": xi_se,
+           "f0_integral_mean": f0_mean, "f0_integral_se": f0_se}
+    if method == "mc":
+        return {**out, "estimator": "mc", "n_paths": n_paths, "seed": seed}
+    return {**out, "estimator": "tree",
+            "n_paths": rep.tree.n_states(problem.grid.steps)}
 
 
-def _implied(lhs, rhs_core):
+def _report(name, lhs, rhs_core, problem, p, ceiling):
+    """The EstimateReport of lhs <= C rhs_core; rhs_core = 0 < lhs is
+    possible only via numerical error and is flagged anomalous."""
     if rhs_core > 0:
-        return lhs / rhs_core, False
-    if lhs == 0.0:
-        return 0.0, False
-    return math.inf, True  # possible only via numerical error
+        implied, anomalous = lhs / rhs_core, False
+    else:
+        implied, anomalous = (0.0, False) if lhs == 0.0 else (math.inf, True)
+    return EstimateReport(
+        name=name, lhs=lhs, rhs_core=rhs_core, implied_constant=implied,
+        p=p, kappa=problem.generator.lipschitz_kappa,
+        horizon=problem.grid.horizon, fingerprint=problem.fingerprint(),
+        ceiling=ceiling, passed=(not anomalous) and implied <= ceiling,
+        anomalous=anomalous)
 
 
 def verify_zv_estimate(solution, problem, p=None, ceiling=DEFAULT_CEILING):
@@ -91,15 +119,9 @@ def verify_zv_estimate(solution, problem, p=None, ceiling=DEFAULT_CEILING):
         raise ValueError("p must be positive")
     fn = solution_functionals(solution, problem, p)
     w = fn["weights"]
-    lhs = _expect(w, abs_pow(np.sqrt(fn["int_z_sq"]), p) + fn["int_v_p"])
-    rhs = _expect(w, abs_pow(fn["sup_abs_y"], p) + abs_pow(fn["int_f0_abs"], p))
-    implied, anomalous = _implied(lhs, rhs)
-    return EstimateReport(
-        name="zv-vs-y", lhs=lhs, rhs_core=rhs, implied_constant=implied,
-        p=p, kappa=problem.generator.lipschitz_kappa,
-        horizon=problem.grid.horizon, fingerprint=problem.fingerprint(),
-        ceiling=ceiling, passed=(not anomalous) and implied <= ceiling,
-        anomalous=anomalous)
+    lhs = _wmean(w, abs_pow(np.sqrt(fn["int_z_sq"]), p) + fn["int_v_p"])
+    rhs = _wmean(w, abs_pow(fn["sup_abs_y"], p) + abs_pow(fn["int_f0_abs"], p))
+    return _report("zv-vs-y", lhs, rhs, problem, p, ceiling)
 
 
 def verify_full_estimate(solution, problem, p=None, ceiling=DEFAULT_CEILING):
@@ -110,16 +132,10 @@ def verify_full_estimate(solution, problem, p=None, ceiling=DEFAULT_CEILING):
         raise ValueError("full estimate requires p > 1")
     fn = solution_functionals(solution, problem, p)
     w = fn["weights"]
-    lhs = _expect(w, abs_pow(fn["sup_abs_y"], p)
-                  + abs_pow(np.sqrt(fn["int_z_sq"]), p) + fn["int_v_p"])
-    rhs = _expect(w, abs_pow(fn["xi_abs"], p) + abs_pow(fn["int_f0_abs"], p))
-    implied, anomalous = _implied(lhs, rhs)
-    return EstimateReport(
-        name="full-vs-data", lhs=lhs, rhs_core=rhs, implied_constant=implied,
-        p=p, kappa=problem.generator.lipschitz_kappa,
-        horizon=problem.grid.horizon, fingerprint=problem.fingerprint(),
-        ceiling=ceiling, passed=(not anomalous) and implied <= ceiling,
-        anomalous=anomalous)
+    lhs = _wmean(w, abs_pow(fn["sup_abs_y"], p)
+                 + abs_pow(np.sqrt(fn["int_z_sq"]), p) + fn["int_v_p"])
+    rhs = _wmean(w, abs_pow(fn["xi_abs"], p) + abs_pow(fn["int_f0_abs"], p))
+    return _report("full-vs-data", lhs, rhs, problem, p, ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +150,8 @@ def uniqueness_experiment(problem, method="tree", perturbations=None,
 
     Tree solves are deterministic: pass iff the max pairwise S^q distance is
     <= 2 tol. MC solves compare Y_0 within 2 tol + 3 SE, the SE estimated
-    from independent-seed replicates of the first configuration. Any inner
+    from replicates of the first configuration on independent batches of the
+    run's size and basis degree (seeds batch seed + 1000 + r). Any inner
     divergence makes the experiment inconclusive. ``_first_run`` is the
     (Solution, PicardTrace) of the first perturbation when the caller has
     already solved it on the same tree or batch with the same keywords.
@@ -165,18 +182,17 @@ def uniqueness_experiment(problem, method="tree", perturbations=None,
             a, b = runs[i][1], runs[j][1]
             max_dy0 = max(max_dy0, abs(a.y0 - b.y0))
             max_pair = max(max_pair,
-                           rep.sup_norm(rep.diff(a, b)[0], q_used))
+                           rep.sup_norm(_diff(a, b)[0], q_used))
 
     se_y0 = 0.0
     if method == "mc":
-        seed0 = picard_kwargs.get("seed", 0)
-        reps = []
+        y0s = []
         for r in range(se_reps):
-            sol_r, _ = picard_solve(problem, "mc", tol=tol, q=q,
-                                    **{**picard_kwargs,
-                                       "seed": seed0 + 1000 + r})
-            reps.append(sol_r.y0)
-        se_y0 = float(np.std(reps, ddof=1))
+            rep_r = _setup(problem, "mc", n_paths=rep.n_paths,
+                           seed=rep.batch.seed + 1000 + r,
+                           basis_degree=rep.degree)
+            y0s.append(_picard(rep_r, problem, tol=tol, q=q, **kwargs)[0].y0)
+        se_y0 = float(np.std(y0s, ddof=1))
         passed = max_dy0 <= 2 * tol + 3 * se_y0
     else:
         passed = max_pair <= 2 * tol

@@ -16,15 +16,16 @@ built-in form is its bound map on every row, bit for bit. Any other driver
 (custom, or truncated by truncate_problem) is bound generically: every
 evaluation goes through GeneratorSpec.__call__ on all rows.
 
-The Lipschitz/growth/integrability checks are empirical reports over sampled
-argument clouds, not proofs. The remainder bound sup_{|y|<=r}|f(t,y,0,0) -
+The Lipschitz/growth checks are empirical reports over sampled argument
+clouds, not proofs. The remainder bound sup_{|y|<=r}|f(t,y,0,0) -
 f(t,0,0,0)| <= kappa r holds automatically for Lipschitz drivers and is not
-checked separately.
+checked separately. The integrability check reads the zero section and the
+terminal on a noise representation, so it lives with the solvers' estimators
+(estimates.check_integrability).
 """
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +42,6 @@ __all__ = [
     "truncate_problem",
     "check_lipschitz",
     "check_growth",
-    "check_integrability",
     "make_generator",
     "make_terminal",
     "make_problem",
@@ -307,52 +307,6 @@ def check_growth(spec, problem, n_points=256, seed=0):
                                        "z": z[i].tolist(), "v": v[i].tolist()}
     return {"max_ratio": max_ratio, "passed": max_ratio <= 1 + 1e-9,
             "worst_point": worst}
-
-
-def check_integrability(problem, n_paths=10_000, seed=0, method="mc", tree=None):
-    """Sample estimates of E|xi| and E int |f(s,0,0,0)| ds with standard errors.
-
-    method="tree" evaluates both exactly with node probabilities (zero SE).
-    """
-    from .randomness import simulate_paths, build_scenario_tree  # cycle-free
-
-    if method == "tree":
-        if tree is None:
-            tree = build_scenario_tree(problem.grid, problem.marks, problem.d,
-                                       node_cap=None)
-        lev = tree.levels[-1]
-        ctx = problem.context(problem.grid.horizon,
-                              tree.brownian_values(problem.grid.steps),
-                              lev.jump_counts.astype(float))
-        xi_mean = float(np.einsum("n,n->", lev.probs,
-                                  np.abs(problem.terminal(ctx))))
-        f0 = 0.0
-        for k in range(problem.grid.steps):
-            ctx_k = problem.context(problem.grid.nodes[k],
-                                    tree.brownian_values(k),
-                                    tree.levels[k].jump_counts.astype(float))
-            f0 += float(np.einsum("n,n->", tree.levels[k].probs,
-                                  np.abs(problem.generator.zero_section(ctx_k))))
-        return {"xi_abs_mean": xi_mean, "xi_abs_se": 0.0,
-                "f0_integral_mean": f0 * problem.grid.dt, "f0_integral_se": 0.0,
-                "estimator": "tree", "n_paths": tree.n_states(problem.grid.steps)}
-
-    batch = simulate_paths(problem.grid, problem.marks, problem.d, n_paths, seed)
-    bvals, counts = batch.state_paths()
-    ctx_T = problem.context(problem.grid.horizon, bvals[:, -1], counts[:, -1])
-    xi_abs = np.abs(problem.terminal(ctx_T))
-    f0_int = np.zeros(n_paths)
-    for k in range(problem.grid.steps):
-        ctx_k = problem.context(problem.grid.nodes[k], bvals[:, k], counts[:, k])
-        f0_int += np.abs(problem.generator.zero_section(ctx_k))
-    f0_int *= problem.grid.dt
-    return {
-        "xi_abs_mean": float(xi_abs.mean()),
-        "xi_abs_se": float(xi_abs.std(ddof=1) / math.sqrt(n_paths)),
-        "f0_integral_mean": float(f0_int.mean()),
-        "f0_integral_se": float(f0_int.std(ddof=1) / math.sqrt(n_paths)),
-        "estimator": "mc", "n_paths": n_paths, "seed": seed,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,13 @@ the representation's estimator of E[. | info_k] differs: ``_Lattice`` sums
 over the tree's recombined states with exact branch weights (``_Tree``, an
 explicit tree, adds the leaf sweep over root-to-leaf paths); ``_PathBatch``
 regresses on the simulated state, one basis per step kept for every solve on
-the batch. A representation also lays out its solutions and owns the
-estimators read from them. ``_setup`` builds the tree or the batch and picks
-the representation for every entry point below.
+the batch. Solutions have one layout on both: per-depth lists of arrays over
+the lattice states or the paths (``Solution``). A representation owns the
+estimators read from them; its table of the problem data, |f(t_k, ., 0, 0,
+0)| and |xi| on its states (``_data_levels``), feeds the estimate
+functionals, the clamp-tail bound and ``estimates.check_integrability``.
+``_setup`` builds the tree or the batch and picks the representation for
+every entry point below.
 
 The Picard engine re-solves with (z, v) frozen at the previous iterate -- the
 inner problem's driver depends on y only -- and records successive distances
@@ -66,20 +70,23 @@ __all__ = [
 
 @dataclass
 class Solution:
-    """Adapted triple (Y, Z, V) on a tree lattice or a path batch."""
+    """Adapted triple (Y, Z, V) on a tree lattice or a path batch.
+
+    One layout for both: ``y[j]``, ``z[j]`` and ``v[j]`` hold the fields at
+    depth ``k_lo + j`` (``k_lo`` is 0 except on a chained solve's interval)
+    on every lattice state, shaped (n_k,), (n_k, d), (n_k, m), or on every
+    path, shaped (n,), (n, d), (n, m). Y has one more depth than Z and V.
+    """
 
     kind: str                      # "tree" | "paths"
     grid: object
     fingerprint: str
     y0: float
     tree: object = None
-    y_levels: list = None          # per depth: (n_k,)
-    z_levels: list = None          # per depth < N: (n_k, d)
-    v_levels: list = None          # per depth < N: (n_k, m)
     batch: object = None
-    y_paths: np.ndarray = None     # (n, N+1)
-    z_paths: np.ndarray = None     # (n, N, d)
-    v_paths: np.ndarray = None     # (n, N, m)
+    y: list = None
+    z: list = None
+    v: list = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -461,13 +468,29 @@ def _require_finite(*arrays):
 class _PathEstimators:
     """Estimators read from per-path functionals of the fields, for the path
     batch (uniform weights) and the explicit tree (leaf probabilities). A
-    subclass gives ``weights``, ``_expect`` and the per-path reductions, each
-    of which checks that its field, starting at depth ``k_lo``, is finite.
+    subclass gives ``weights``, ``_expect``, ``_at_depth`` and the two
+    per-path reductions of per-depth levels starting at depth ``k_lo``:
+    ``_fold`` (a left-to-right ufunc over depths) and ``_rows`` (a row-wise
+    reduction of the (paths, depths[, width]) block).
     """
 
     def _sum_v_lambda(self, v_pow):
         """Per-path sum over depths and marks of |V|^p lambda."""
         return np.einsum("njm,m->n", v_pow, self.intensities)
+
+    def _sup_abs(self, y, k_lo=0):
+        _require_finite(*y)
+        return self._fold(np.maximum, [np.abs(lev) for lev in y], k_lo)
+
+    def _z_sq(self, z, k_lo=0):
+        _require_finite(*z)
+        return self._rows(z, lambda block: np.einsum("njd,njd->n", block,
+                                                     block), k_lo)
+
+    def _v_p(self, v, p, k_lo=0):
+        _require_finite(*v)
+        return self._rows([np.abs(lev) ** p for lev in v], self._sum_v_lambda,
+                          k_lo)
 
     def sup_norm(self, y, p, k_lo=0):
         """S^p of one Y field."""
@@ -483,24 +506,23 @@ class _PathEstimators:
 
     def functionals(self, problem, p, sol):
         """Per-path functionals of the a priori estimates, with weights."""
-        y, z, v = self.triple(sol)
         N, dt = self.grid.steps, self.grid.dt
-        zero = problem.generator.zero_section
-        f0 = self._depth_sum(np.abs(zero(self.context(problem, k)))
-                             for k in range(N))
-        return {"weights": self.weights, "sup_abs_y": self._sup_abs(y),
-                "int_z_sq": self._z_sq(z) * dt,
-                "int_v_p": self._v_p(v, p) * dt, "int_f0_abs": f0 * dt,
-                "xi_abs": self._at_depth(np.abs(self.fields(sol)[0][-1]), N)}
+        f0 = _data_levels(self, problem)[:-1]
+        return {"weights": self.weights, "sup_abs_y": self._sup_abs(sol.y),
+                "int_z_sq": self._z_sq(sol.z) * dt,
+                "int_v_p": self._v_p(sol.v, p) * dt,
+                "int_f0_abs": self._fold(np.add, f0) * dt,
+                "xi_abs": self._at_depth(np.abs(sol.y[-1]), N)}
 
 
 class _Lattice:
     """The recombined state lattice of a scenario tree: E[. | F_k] and the
     Z / V projections are exact branch-weighted sums over each state's
-    children, and solutions are per-depth level lists. Without an explicit
-    tree the estimators are the exact marginal ones."""
+    children. Without an explicit tree the estimators are the exact marginal
+    ones, each an expectation ``_mean`` over one depth's states."""
 
     kind, estimator, batch, n_paths = "tree", "tree-marginal", None, None
+    diagnostics = {}
 
     def __init__(self, problem, tree):
         if tree.grid.to_json_dict() != problem.grid.to_json_dict():
@@ -508,6 +530,7 @@ class _Lattice:
         if tree.d != problem.d or tree.marks.m != problem.marks.m:
             raise ValueError("tree dimensions do not match the problem")
         self.tree, self.grid = tree, tree.grid
+        self.n_states = tree.n_states
         self.intensities = problem.marks.intensities
         b, d, m = tree.branching, tree.d, tree.marks.m
         sqrt_dt = math.sqrt(self.grid.dt)
@@ -530,76 +553,45 @@ class _Lattice:
                 np.einsum("nb,bd->nd", yc, self._wz),
                 np.einsum("nb,bm->nm", yc, self._wv))
 
-    def empty(self, problem, k_lo, k_hi):
-        n = self.tree.n_states
-        return Solution(
-            kind="tree", grid=problem.grid, fingerprint=problem.fingerprint(),
-            y0=math.nan, tree=self.tree,
-            y_levels=[np.empty(n(k)) for k in range(k_lo, k_hi + 1)],
-            z_levels=[np.empty((n(k), problem.d)) for k in range(k_lo, k_hi)],
-            v_levels=[np.empty((n(k), problem.marks.m))
-                      for k in range(k_lo, k_hi)])
+    def _mean(self, level, k):
+        """E[level] over the states at depth k."""
+        return float(np.einsum("n,n->", self.tree.state_probs(k), level))
 
-    def triple(self, sol):
-        """The (Y, Z, V) fields in the layout the estimators read."""
-        return sol.y_levels, sol.z_levels, sol.v_levels
-
-    fields = triple            # per-depth field views: the levels themselves
-
-    def diff(self, a, b):
-        return tuple([x - y for x, y in zip(fa, fb)]
-                     for fa, fb in zip(self.triple(a), self.triple(b)))
+    def integrate(self, levels, combine):
+        """E[combine(levels)] for a linear ``combine`` of the levels at
+        depths 0, 1, ...: ``combine`` of their exact means, with SE 0."""
+        return combine([self._mean(lev, k) for k, lev in enumerate(levels)]), 0.0
 
     def sup_norm(self, y, p, k_lo=0):
         _require_finite(*y)
-        return max(
-            float(np.einsum("n,n->", self.tree.state_probs(k_lo + k),
-                            np.abs(lev) ** p)) ** (1 / p)
-            for k, lev in enumerate(y))
+        return max(self._mean(np.abs(lev) ** p, k_lo + k) ** (1 / p)
+                   for k, lev in enumerate(y))
 
     def norms(self, p, y, z, v, k_lo=0):
         _require_finite(*z, *v)
-        probs, dt = self.tree.state_probs, self.grid.dt
+        dt = self.grid.dt
         mp = math.sqrt(sum(
-            float(np.einsum("n,n->", probs(k_lo + k),
-                            np.einsum("nd,nd->n", lev, lev))) * dt
+            self._mean(np.einsum("nd,nd->n", lev, lev), k_lo + k) * dt
             for k, lev in enumerate(z)))
         lp = sum(
-            float(np.einsum("n,n->", probs(k_lo + k),
-                            np.einsum("nm,m->n", np.abs(lev) ** p,
-                                      self.intensities))) * dt
+            self._mean(np.einsum("nm,m->n", np.abs(lev) ** p,
+                                 self.intensities), k_lo + k) * dt
             for k, lev in enumerate(v)) ** (1 / p)
         return self.sup_norm(y, p, k_lo), mp, lp
 
     def class_d(self, y):
         """Class-D estimator: deterministic-time rules only, each exact."""
         _require_finite(*y)
-        return max(float(np.einsum("n,n->", self.tree.state_probs(k),
-                                   np.abs(lev)))
-                   for k, lev in enumerate(y))
-
-    def tail_bound(self, problem, n):
-        """E[|xi| 1{|xi|>n} + int |f(s,0,0,0)| 1{|f(s,0,0,0)|>n} ds] and its
-        SE (exact here, so 0)."""
-        N, dt = self.grid.steps, self.grid.dt
-        probs = self.tree.state_probs
-        xi = problem.terminal(self.context(problem, N))
-        total = float(np.einsum("n,n->", probs(N),
-                                np.abs(xi) * (np.abs(xi) > n)))
-        for k in range(N):
-            f0 = problem.generator.zero_section(self.context(problem, k))
-            total += float(np.einsum("n,n->", probs(k),
-                                     np.abs(f0) * (np.abs(f0) > n))) * dt
-        return total, 0.0
+        return max(self._mean(np.abs(lev), k) for k, lev in enumerate(y))
 
     def functionals(self, problem, p, sol):
         self.tree._require_explicit("a path functional")
 
 
 class _Tree(_PathEstimators, _Lattice):
-    """An explicit tree: the lattice recursion, with every estimator read
-    from the root-to-leaf paths by the leaf sweep (exact path
-    probabilities)."""
+    """An explicit tree: the lattice recursion, with every estimator but
+    ``integrate`` read from the root-to-leaf paths by the leaf sweep (exact
+    path probabilities)."""
 
     estimator = "tree"
 
@@ -618,22 +610,11 @@ class _Tree(_PathEstimators, _Lattice):
     def _expect(self, per_path):
         return np.einsum("n,n->", self.weights, per_path)
 
-    def _sup_abs(self, y, k_lo=0):
-        _require_finite(*y)
-        return self.sweep.fold(np.maximum, [np.abs(lev) for lev in y], k_lo)
+    def _fold(self, ufunc, levels, k_lo=0):
+        return self.sweep.fold(ufunc, levels, k_lo)
 
-    def _z_sq(self, z, k_lo=0):
-        _require_finite(*z)
-        return self.sweep.row_reduce(
-            z, lambda block: np.einsum("njd,njd->n", block, block), k_lo)
-
-    def _v_p(self, v, p, k_lo=0):
-        _require_finite(*v)
-        return self.sweep.row_reduce([np.abs(lev) ** p for lev in v],
-                                     self._sum_v_lambda, k_lo)
-
-    def _depth_sum(self, levels):
-        return self.sweep.fold(np.add, list(levels))
+    def _rows(self, levels, reduce, k_lo=0):
+        return self.sweep.row_reduce(levels, reduce, k_lo)
 
     def _at_depth(self, level, depth):
         return self.sweep.at_depth(level, depth)
@@ -659,7 +640,8 @@ class _Tree(_PathEstimators, _Lattice):
 class _PathBatch(_PathEstimators):
     """A simulated path batch: E[. | F_k] by least-squares regression on the
     state at t_k, with each step's basis built once for every solve on the
-    batch. Solutions are (n, K[, d|m]) path arrays."""
+    batch. A depth's level holds one value per path; the (n, N, .) einsums
+    run on the levels restacked into one contiguous block."""
 
     kind, estimator, tree = "paths", "mc", None
 
@@ -675,9 +657,13 @@ class _PathBatch(_PathEstimators):
         self.intensities = problem.marks.intensities
         self.n_paths = batch.n_paths
         self.weights = np.full(self.n_paths, 1.0 / self.n_paths)
+        self.diagnostics = {"basis_degree": degree}
         self._p_jump = -np.expm1(-self.intensities * self.grid.dt)   # (m,)
         self._norm_v = self._p_jump * (1.0 - self._p_jump)
         self._bases = {}
+
+    def n_states(self, k):
+        return self.n_paths
 
     @functools.cached_property
     def _states(self):
@@ -715,64 +701,71 @@ class _PathBatch(_PathEstimators):
             fitted = self._basis(k).fit(targets)
         return fitted[:, 0], fitted[:, 1:1 + d], fitted[:, 1 + d:]
 
-    def empty(self, problem, k_lo, k_hi):
-        n, steps = self.n_paths, k_hi - k_lo
-        return Solution(
-            kind="paths", grid=problem.grid, fingerprint=problem.fingerprint(),
-            y0=math.nan, batch=self.batch,
-            y_paths=np.empty((n, steps + 1)),
-            z_paths=np.empty((n, steps, self.d)),
-            v_paths=np.empty((n, steps, self.m)),
-            diagnostics={"basis_degree": self.degree})
-
-    def triple(self, sol):
-        return sol.y_paths, sol.z_paths, sol.v_paths
-
-    def fields(self, sol):
-        """Per-depth views: the columns of each path array."""
-        return tuple(list(np.moveaxis(a, 1, 0)) for a in self.triple(sol))
-
-    def diff(self, a, b):
-        return tuple(x - y for x, y in zip(self.triple(a), self.triple(b)))
+    def integrate(self, levels, combine):
+        """The sample mean of combine(levels) over the paths, and its SE."""
+        per_path = combine(levels)
+        return (float(per_path.mean()),
+                float(per_path.std(ddof=1) / math.sqrt(per_path.size)))
 
     def _expect(self, per_path):
         return np.mean(per_path)
 
-    def _sup_abs(self, y, k_lo=0):
-        _require_finite(y)
-        return np.max(np.abs(y), axis=1)
+    def _fold(self, ufunc, levels, k_lo=0):
+        return functools.reduce(ufunc, levels)
 
-    def _z_sq(self, z, k_lo=0):
-        _require_finite(z)
-        return np.einsum("njd,njd->n", z, z)
-
-    def _v_p(self, v, p, k_lo=0):
-        _require_finite(v)
-        return self._sum_v_lambda(np.abs(v) ** p)
-
-    def _depth_sum(self, levels):
-        return functools.reduce(np.add, levels, np.zeros(self.n_paths))
+    def _rows(self, levels, reduce, k_lo=0):
+        return reduce(np.stack(levels, axis=1))
 
     def _at_depth(self, level, depth):
         return level
 
     def class_d(self, y):
         """Class-D estimator over ``StoppingFamily.default_for``."""
-        _require_finite(y)
-        sample = ProcessSample(y, self.grid)
+        _require_finite(*y)
+        sample = ProcessSample(np.stack(y, axis=1), self.grid)
         return class_d_norm(sample, StoppingFamily.default_for(sample))
 
-    def tail_bound(self, problem, n):
-        """The clamp-tail bound of ``_Lattice.tail_bound`` and its standard
-        error, as a sample mean."""
-        N, dt = self.grid.steps, self.grid.dt
-        xi = problem.terminal(self.context(problem, N))
-        per_path = np.abs(xi) * (np.abs(xi) > n)
-        for k in range(N):
-            f0 = problem.generator.zero_section(self.context(problem, k))
-            per_path = per_path + np.abs(f0) * (np.abs(f0) > n) * dt
-        return (float(per_path.mean()),
-                float(per_path.std(ddof=1) / math.sqrt(per_path.size)))
+
+def _empty(rep, problem, k_lo, k_hi):
+    """A solution on ``rep`` over depths [k_lo, k_hi], its fields unset."""
+    n = rep.n_states
+    return Solution(
+        kind=rep.kind, grid=problem.grid, fingerprint=problem.fingerprint(),
+        y0=math.nan, tree=rep.tree, batch=rep.batch,
+        y=[np.empty(n(k)) for k in range(k_lo, k_hi + 1)],
+        z=[np.empty((n(k), problem.d)) for k in range(k_lo, k_hi)],
+        v=[np.empty((n(k), problem.marks.m)) for k in range(k_lo, k_hi)],
+        diagnostics=dict(rep.diagnostics))
+
+
+def _diff(a, b):
+    """Per-depth (Y, Z, V) differences of two solutions on one
+    representation."""
+    return tuple([x - y for x, y in zip(fa, fb)]
+                 for fa, fb in ((a.y, b.y), (a.z, b.z), (a.v, b.v)))
+
+
+def _data_levels(rep, problem):
+    """|f(t_k, ., 0, 0, 0)| at depths k < N, then |xi| at depth N, on the
+    states of ``rep``: the data of the integrability hypothesis."""
+    N = rep.grid.steps
+    zero = problem.generator.zero_section
+    return ([np.abs(zero(rep.context(problem, k))) for k in range(N)]
+            + [np.abs(problem.terminal(rep.context(problem, N)))])
+
+
+def _clamp_tail(rep, data, n):
+    """E[|xi| 1{|xi|>n} + int |f(s,0,0,0)| 1{|f(s,0,0,0)|>n} ds] and its SE,
+    from ``_data_levels``."""
+    dt = rep.grid.dt
+
+    def total(levels):
+        out = levels[-1]
+        for f0 in levels[:-1]:
+            out = out + f0 * dt
+        return out
+
+    return rep.integrate([a * (a > n) for a in data], total)
 
 
 def _setup(problem, method, tree=None, batch=None, node_cap=None,
@@ -819,8 +812,9 @@ def _prepare(problem, method, tree, batch, picard_kwargs):
 def _backward(rep, problem, k_lo, k_hi, terminal_values, frozen=None,
               max_inner=100_000):
     """Backward induction over depths [k_lo, k_hi], fields indexed from
-    k_lo. The driver sees the per-depth (Z, V) views ``frozen``, when given,
-    in place of the step's own projections (the Picard inner problem)."""
+    k_lo. The driver sees the (Z, V) fields of the solution ``frozen``, when
+    given, in place of the step's own projections (the Picard inner
+    problem)."""
     gen = problem.generator
     dt = problem.grid.dt
     kappa_dt = gen.lipschitz_kappa * dt
@@ -828,26 +822,25 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, frozen=None,
         raise StepSizeError(
             f"kappa*dt = {kappa_dt:g} >= 1; refine the grid "
             f"(kappa={gen.lipschitz_kappa:g}, dt={dt:g})")
-    sol = rep.empty(problem, k_lo, k_hi)
-    ys, zs, vs = rep.fields(sol)
+    sol = _empty(rep, problem, k_lo, k_hi)
     term = np.asarray(terminal_values, dtype=float)
-    if term.shape != ys[-1].shape:
+    if term.shape != sol.y[-1].shape:
         raise ValueError(
             f"terminal values shaped {term.shape} do not match the "
-            f"{ys[-1].shape[0]} states at depth {k_hi}")
-    ys[-1][...] = term
+            f"{sol.y[-1].shape[0]} states at depth {k_hi}")
+    sol.y[-1][...] = term
 
     for k in range(k_hi - 1, k_lo - 1, -1):
         j = k - k_lo
-        cond_mean, z, v = rep.project(ys[j + 1], k)
-        z_arg, v_arg = (z, v) if frozen is None else (frozen[0][j],
-                                                      frozen[1][j])
-        ys[j][...] = _solve_implicit(
+        cond_mean, z, v = rep.project(sol.y[j + 1], k)
+        z_arg, v_arg = (z, v) if frozen is None else (frozen.z[j],
+                                                      frozen.v[j])
+        sol.y[j][...] = _solve_implicit(
             cond_mean, gen.bind(rep.context(problem, k), z_arg, v_arg),
             dt, kappa_dt, max_inner)
-        zs[j][...] = z
-        vs[j][...] = v
-    sol.y0 = float(ys[0][0])
+        sol.z[j][...] = z
+        sol.v[j][...] = v
+    sol.y0 = float(sol.y[0][0])
     return sol
 
 
@@ -885,10 +878,10 @@ def _check_assumptions(problem, seed):
 
 def _constant(rep, problem, k_lo, k_hi, init):
     """The constant (Y, Z, V) = init over depths [k_lo, k_hi]."""
-    sol = rep.empty(problem, k_lo, k_hi)
-    for views, value in zip(rep.fields(sol), init):
-        for view in views:
-            view[...] = float(value)
+    sol = _empty(rep, problem, k_lo, k_hi)
+    for levels, value in zip((sol.y, sol.z, sol.v), init):
+        for level in levels:
+            level[...] = float(value)
     sol.y0 = float(init[0])
     return sol
 
@@ -912,9 +905,9 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
     trace = PicardTrace(q=q)
     for it in range(1, max_iter + 1):
         cur = _backward(rep, problem, k_lo, k_hi, terminal_values,
-                        frozen=rep.fields(prev)[1:], max_inner=max_inner)
+                        frozen=prev, max_inner=max_inner)
         trace.n_iter = it
-        trace.record(*rep.norms(q, *rep.diff(cur, prev), k_lo=k_lo))
+        trace.record(*rep.norms(q, *_diff(cur, prev), k_lo=k_lo))
         if trace.dist[-1] <= tol:
             trace.converged = True
             break
@@ -990,12 +983,12 @@ def _join(rep, problem, pieces):
     """One solution over [0, N] from ascending (k_lo, sub-range solution)
     pieces; a piece's last Y is the next piece's terminal value, so the
     boundaries agree by construction."""
-    out = rep.empty(problem, 0, problem.grid.steps)
+    out = _empty(rep, problem, 0, problem.grid.steps)
     for k_lo, piece in pieces:
-        for dst, src in zip(rep.fields(out), rep.fields(piece)):
-            for j, values in enumerate(src):
-                dst[k_lo + j][...] = values
-    out.y0 = float(rep.fields(out)[0][0][0])
+        for dst, src in ((out.y, piece.y), (out.z, piece.z),
+                         (out.v, piece.v)):
+            dst[k_lo:k_lo + len(src)] = src
+    out.y0 = float(out.y[0][0])
     return out
 
 
@@ -1033,7 +1026,7 @@ def chained_solve(problem, plan, method="tree", tree=None, batch=None,
             raise
         traces.append(tr_i)
         pieces.append((k_lo, sol_i))
-        terminal_values = rep.fields(sol_i)[0][0]
+        terminal_values = sol_i.y[0]
 
     out = _join(rep, problem, pieces[::-1])
     out.diagnostics["subdivision_plan"] = plan.to_json_dict()
@@ -1067,10 +1060,11 @@ def truncation_ladder_solve(problem, n_list, method="tree", tree=None,
         solutions.append(sol)
 
     pairs = []
+    data = _data_levels(rep, problem)
     for i in range(len(n_list) - 1):
-        bound, se = rep.tail_bound(problem, n_list[i])
+        bound, se = _clamp_tail(rep, data, n_list[i])
         for j in range(i + 1, len(n_list)):
-            measured = rep.class_d(rep.diff(solutions[j], solutions[i])[0])
+            measured = rep.class_d(_diff(solutions[j], solutions[i])[0])
             pairs.append({"n_lo": n_list[i], "n_hi": n_list[j],
                           "measured_d_norm": measured, "bound": bound,
                           "bound_se": se,
@@ -1116,16 +1110,15 @@ def bsde_residual_max(solution, problem):
     worst = 0.0
     for k in range(N):
         n_k = tree.n_states(k)
-        y_k = np.repeat(solution.y_levels[k], b)
-        y_k1 = solution.y_levels[k + 1][tree.children[k]].ravel()
-        z_k = np.repeat(solution.z_levels[k], b, axis=0)
-        v_k = np.repeat(solution.v_levels[k], b, axis=0)
+        y_k = np.repeat(solution.y[k], b)
+        y_k1 = solution.y[k + 1][tree.children[k]].ravel()
+        z_k = np.repeat(solution.z[k], b, axis=0)
+        v_k = np.repeat(solution.v[k], b, axis=0)
         db = np.tile(tree.sign_vectors, (n_k, 1)) * sqrt_dt
         j_ind = np.tile(j_branch, (n_k, 1))
         f_k = np.repeat(problem.generator(rep.context(problem, k),
-                                          solution.y_levels[k],
-                                          solution.z_levels[k],
-                                          solution.v_levels[k]), b)
+                                          solution.y[k], solution.z[k],
+                                          solution.v[k]), b)
         resid = (y_k1 - y_k + f_k * dt
                  - np.einsum("nd,nd->n", z_k, db)
                  - np.einsum("nm,nm->n", v_k, j_ind - p_mark))
@@ -1137,6 +1130,6 @@ def solution_norms(solution, problem, p=None):
     """S^p / M^p / L^p norms of a Solution, with the estimator tag."""
     p = problem.p if p is None else p
     rep = _represent(solution, problem)
-    sp, mp, lp = rep.norms(p, *rep.triple(solution))
+    sp, mp, lp = rep.norms(p, solution.y, solution.z, solution.v)
     return {"sp": sp, "mp": mp, "lp": lp, "p": p, "estimator": rep.estimator,
             "n_paths": rep.n_paths}

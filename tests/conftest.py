@@ -1,6 +1,18 @@
+import os
+
 import pytest
 
 import jumpbsde as jb
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _children_import_this_package():
+    """Child processes (``python -m jumpbsde.cli``) import the package the
+    tests import, also when pytest itself put ``src`` on the path."""
+    src = os.path.dirname(os.path.dirname(jb.__file__))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -97,9 +97,9 @@ def test_criterion_3_martingale_representation():
     prob_b = jb.make_problem(1.0, 8, 1, marks, gen, term_b)
     tree = jb.build_scenario_tree(prob_b.grid, marks, 1)
     sol_b = jb.solve_tree(prob_b, tree)
-    z_err = max(float(np.max(np.abs(lv - 1.0))) for lv in sol_b.z_levels)
+    z_err = max(float(np.max(np.abs(lv - 1.0))) for lv in sol_b.z)
     assert z_err < 1e-12
-    assert all(np.all(lv == 0.0) for lv in sol_b.v_levels)
+    assert all(np.all(lv == 0.0) for lv in sol_b.v)
 
     # xi = compensated count: V = 1 (fp rounding), Z = 0 bitwise; |Y0| is the
     # one-jump-per-step lumping bias, shrinking at first order under halving
@@ -110,9 +110,9 @@ def test_criterion_3_martingale_representation():
         prob_j = jb.make_problem(1.0, N, 1, marks, gen, term_j)
         tree_j = jb.build_scenario_tree(prob_j.grid, marks, 1, node_cap=None)
         sol_j = jb.solve_tree(prob_j, tree_j)
-        v_err = max(float(np.max(np.abs(lv - 1.0))) for lv in sol_j.v_levels)
+        v_err = max(float(np.max(np.abs(lv - 1.0))) for lv in sol_j.v)
         assert v_err < 1e-12
-        assert all(np.all(lv == 0.0) for lv in sol_j.z_levels)
+        assert all(np.all(lv == 0.0) for lv in sol_j.z)
         y0[N] = abs(sol_j.y0)
     assert 1.7 <= y0[8] / y0[16] <= 2.3
     _report(3, "martingale representation on the tree",

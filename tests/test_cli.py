@@ -2,11 +2,14 @@
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jumpbsde import cli
 
@@ -91,21 +94,107 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("verify.ceiling", "abc"),
     ("verify.suite", "ci13"),
     ("problem.generator.p", "two"),
+    ("out_dir", 5),
+    ("out_dir", True),
+    ("out_dir", [1]),
+    ("problem.generator.kappa", [1]),
+    ("problem.generator.kappa", {}),
+    ("problem.generator.kappa", True),
+    ("problem.generator.kappa", "abc"),
+    ("problem.generator.alpha", "x"),
+    ("problem.generator.gamma", [1]),
+    ("problem.generator.g", [1]),
+    ("problem.generator.params", [1]),
+    ("problem.generator.form", [1]),
+    ("problem.terminal.params", "x"),
+    ("problem.marks.intensities", {"a": 1}),
+    ("problem.marks.marks", [[True]]),
+    ("problem.marks.marks", "x"),
+    ("ladder.n_list", [True, 4]),
+    ("problem.horizon", math.inf),
 ])
 def test_bad_field_rejected_with_its_path(tmp_path, capsys, field, value):
+    _assert_rejected_at(tmp_path / "cfg.json", capsys, field, value)
+
+
+def _assert_rejected_at(path, capsys, field, value):
     cfg = copy.deepcopy(BASE)
-    cfg["out_dir"] = str(tmp_path / "out")
+    cfg["out_dir"] = str(path.parent / "out")
     *parents, leaf = field.split(".")
     node = cfg
     for key in parents:
         node = node.setdefault(key, {})
     node[leaf] = value
-    path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg, indent=1))
     assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{path}:" in err and f": {field}: " in err
     assert "Traceback" not in err
+
+
+# every config leaf (and each form's params object) with the JSON types its
+# domain accepts; "number" covers integers and reals, never booleans
+LEAF_TYPES = {
+    "schema": {"string"},
+    "problem.horizon": {"number"},
+    "problem.dim": {"number"},
+    "problem.marks.marks": {"array"},
+    "problem.marks.intensities": {"array"},
+    "problem.generator.form": {"string"},
+    "problem.generator.params": {"object"},
+    "problem.generator.kappa": {"null", "number"},
+    "problem.generator.p": {"number"},
+    "problem.generator.alpha": {"null", "number"},
+    "problem.generator.gamma": {"null", "number"},
+    "problem.generator.g": {"number"},
+    "problem.terminal.form": {"string"},
+    "problem.terminal.params": {"object"},
+    "method": {"string"},
+    "grid_steps": {"number"},
+    "node_cap": {"null", "number"},
+    "n_paths": {"number"},
+    "basis_degree": {"number"},
+    "seed": {"number"},
+    "picard.tol": {"number"},
+    "picard.max_iter": {"number"},
+    "picard.q": {"null", "number"},
+    "subdivide.enabled": {"boolean"},
+    "subdivide.safety": {"number"},
+    "subdivide.c_emp": {"null", "number"},
+    "subdivide.q": {"null", "number"},
+    "subdivide.pilot_max_iter": {"number"},
+    "ladder.n_list": {"null", "array"},
+    "ladder.tol": {"number"},
+    "verify.ceiling": {"number"},
+    "verify.suite": {"null", "string"},
+    "out_dir": {"null", "string"},
+}
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10, 10),
+                     st.floats(-1e3, 1e3), st.text(max_size=4))
+JSON_VALUES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                        st.floats(allow_nan=False)),
+    "string": st.text(max_size=8),
+    "array": st.lists(_SCALARS, max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), _SCALARS, max_size=3),
+}
+
+
+@st.composite
+def _rejected_leaf(draw):
+    field = draw(st.sampled_from(sorted(LEAF_TYPES)))
+    kind = draw(st.sampled_from(sorted(set(JSON_VALUES) - LEAF_TYPES[field])))
+    return field, draw(JSON_VALUES[kind])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_rejected_leaf())
+def test_mistyped_leaf_rejected_with_its_path(tmp_path, capsys, case):
+    # a value of a JSON type outside the leaf's domain never starts a run
+    _assert_rejected_at(tmp_path / "cfg.json", capsys, *case)
 
 
 def test_error_line_follows_the_dotted_path(tmp_path, capsys):
@@ -138,6 +227,22 @@ def test_solve_sets_up_through_the_cli_constructors(tmp_path, monkeypatch,
     path, _ = _cfg(tmp_path, method=method, grid_steps=4, n_paths=500)
     assert cli.main(["solve", "--config", str(path)]) == 0
     assert calls == built
+
+
+def test_mc_uniqueness_replicates_use_the_run_batch(tmp_path, monkeypatch):
+    # the standard-error replicates simulate batches of the configured size
+    # at seeds seed + 1000 + r; the run's own batch is built through the cli
+    from jumpbsde import solver
+    batches = []
+    simulate = solver.simulate_paths
+
+    def recorded(grid, marks, d, n_paths, seed, *args, **kwargs):
+        batches.append((n_paths, seed))
+        return simulate(grid, marks, d, n_paths, seed, *args, **kwargs)
+    monkeypatch.setattr(solver, "simulate_paths", recorded)
+    path, _ = _cfg(tmp_path, method="mc", grid_steps=4, n_paths=300)
+    assert cli.main(["verify", "--config", str(path)]) in (0, 3)
+    assert batches == [(300, 1007), (300, 1008), (300, 1009), (300, 1010)]
 
 
 def test_verify_reuses_its_solve_and_passes_max_iter(tmp_path, monkeypatch):

@@ -50,9 +50,9 @@ def test_brownian_instance_half_constant():
     sol = jb.Solution(
         kind="paths", grid=grid, fingerprint=prob.fingerprint(),
         y0=0.0, batch=batch,
-        y_paths=bvals[:, :, 0],
-        z_paths=np.ones((n, N, 1)),
-        v_paths=np.zeros((n, N, 1)))
+        y=[bvals[:, k, 0] for k in range(N + 1)],
+        z=[np.ones((n, 1)) for _ in range(N)],
+        v=[np.zeros((n, 1)) for _ in range(N)])
     rep = jb.verify_zv_estimate(sol, prob, 2.0)
     assert 0.50 <= rep.implied_constant <= 0.60
     assert rep.passed
@@ -119,9 +119,9 @@ def test_anomalous_lhs_without_rhs_fails():
     batch = jb.simulate_paths(grid, marks, 1, 50, seed=1)
     broken = jb.Solution(kind="paths", grid=grid,
                          fingerprint=prob.fingerprint(), y0=0.0, batch=batch,
-                         y_paths=np.zeros((50, 5)),
-                         z_paths=np.ones((50, 4, 1)),
-                         v_paths=np.zeros((50, 4, 1)))
+                         y=[np.zeros(50) for _ in range(5)],
+                         z=[np.ones((50, 1)) for _ in range(4)],
+                         v=[np.zeros((50, 1)) for _ in range(4)])
     rep = jb.verify_zv_estimate(broken, prob, 2.0)
     assert rep.anomalous and not rep.passed
 

@@ -18,8 +18,8 @@ import jumpbsde as jb
 from jumpbsde.estimates import solution_functionals, uniqueness_experiment
 from jumpbsde.norms import (ProcessSample, StoppingFamily, class_d_norm,
                             mp_norm, sp_norm)
-from jumpbsde.solver import (Solution, _LeafSweep, _setup, bsde_residual_max,
-                             solution_norms)
+from jumpbsde.solver import (Solution, _LeafSweep, _diff, _setup,
+                             bsde_residual_max, solution_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +47,9 @@ def _ref_functionals(solution, problem, p):
     grid, marks, tree = problem.grid, problem.marks, solution.tree
     dt, N = grid.dt, grid.steps
     _, idx, w = tree.enumerate_paths()
-    y = _paths(solution.y_levels, idx)
-    z = _paths(solution.z_levels, idx)
-    v = _paths(solution.v_levels, idx)
+    y = _paths(solution.y, idx)
+    z = _paths(solution.z, idx)
+    v = _paths(solution.v, idx)
     f0 = np.zeros(y.shape[0])
     for k in range(N):
         ctx = problem.context(grid.nodes[k], tree.brownian_values(k),
@@ -69,7 +69,7 @@ def _ref_functionals(solution, problem, p):
 
 def _ref_class_d(sol_a, sol_b, tree):
     _, idx, w = tree.enumerate_paths()
-    diff = [x - y for x, y in zip(sol_a.y_levels, sol_b.y_levels)]
+    diff = [x - y for x, y in zip(sol_a.y, sol_b.y)]
     sample = ProcessSample(_paths(diff, idx), sol_a.grid, w)
     return class_d_norm(sample, StoppingFamily.default_for(sample))
 
@@ -85,10 +85,10 @@ def _ref_residual(solution, problem):
     worst = 0.0
     for k in range(N):
         digit = (ids // (b ** (N - 1 - k))) % b
-        y_k = solution.y_levels[k][idx[:, k]]
-        y_k1 = solution.y_levels[k + 1][idx[:, k + 1]]
-        z_k = solution.z_levels[k][idx[:, k]]
-        v_k = solution.v_levels[k][idx[:, k]]
+        y_k = solution.y[k][idx[:, k]]
+        y_k1 = solution.y[k + 1][idx[:, k + 1]]
+        z_k = solution.z[k][idx[:, k]]
+        v_k = solution.v[k][idx[:, k]]
         db = tree.sign_vectors[digit] * sqrt_dt
         jump = tree.branch_jump[digit]
         j_ind = np.zeros((ids.size, tree.marks.m))
@@ -96,9 +96,8 @@ def _ref_residual(solution, problem):
         j_ind[has, jump[has]] = 1.0
         ctx = problem.context(tree.grid.nodes[k], tree.brownian_values(k),
                               tree.levels[k].jump_counts.astype(float))
-        f_k = problem.generator(ctx, solution.y_levels[k],
-                                solution.z_levels[k],
-                                solution.v_levels[k])[idx[:, k]]
+        f_k = problem.generator(ctx, solution.y[k], solution.z[k],
+                                solution.v[k])[idx[:, k]]
         resid = (y_k1 - y_k + f_k * dt
                  - np.einsum("nd,nd->n", z_k, db)
                  - np.einsum("nm,nm->n", v_k, j_ind - p_mark))
@@ -145,11 +144,10 @@ def _solution(rng, problem, tree, k_lo=0, k_hi=None, coarse=False):
     y = _levels(rng, tree, k_lo, k_hi, coarse=coarse)
     return Solution(kind="tree", grid=problem.grid,
                     fingerprint=problem.fingerprint(), y0=float(y[0][0]),
-                    tree=tree, y_levels=y,
-                    z_levels=_levels(rng, tree, k_lo, k_hi - 1, problem.d,
-                                     coarse),
-                    v_levels=_levels(rng, tree, k_lo, k_hi - 1,
-                                     problem.marks.m, coarse))
+                    tree=tree, y=y,
+                    z=_levels(rng, tree, k_lo, k_hi - 1, problem.d, coarse),
+                    v=_levels(rng, tree, k_lo, k_hi - 1, problem.marks.m,
+                              coarse))
 
 
 @st.composite
@@ -185,13 +183,12 @@ def test_full_range_functionals_bit_for_bit(case):
         # Picard distances and solution norms
         rep = _setup(problem, "tree", tree)
         diffs = [[x - y for x, y in zip(getattr(a, f), getattr(b, f))]
-                 for f in ("y_levels", "z_levels", "v_levels")]
-        _assert_same(rep.norms(q, *rep.diff(a, b)),
+                 for f in ("y", "z", "v")]
+        _assert_same(rep.norms(q, *_diff(a, b)),
                      _ref_norms(problem, q, *diffs, tree))
         norms = solution_norms(a, problem, q)
         _assert_same([norms["sp"], norms["mp"], norms["lp"]],
-                     _ref_norms(problem, q, a.y_levels, a.z_levels,
-                                a.v_levels, tree))
+                     _ref_norms(problem, q, a.y, a.z, a.v, tree))
         assert norms["n_paths"] == tree.n_leaves
         # estimate functionals, every array
         got = solution_functionals(a, problem, q)
@@ -200,7 +197,7 @@ def test_full_range_functionals_bit_for_bit(case):
         for key in want:
             _assert_same(got[key], want[key])
         # class-D distance, time and first-hit rules
-        _assert_same(rep.class_d(rep.diff(a, b)[0]),
+        _assert_same(rep.class_d(_diff(a, b)[0]),
                      _ref_class_d(a, b, tree))
         # residual diagnostic
         _assert_same(bsde_residual_max(a, problem), _ref_residual(a, problem))
@@ -223,10 +220,10 @@ def test_sub_range_distances_bit_for_bit(case, data):
     a, b_ = (_solution(rng, problem, tree, k_lo, k_hi, case["coarse"])
              for _ in range(2))
     diffs = [[x - y for x, y in zip(getattr(a, f), getattr(b_, f))]
-             for f in ("y_levels", "z_levels", "v_levels")]
+             for f in ("y", "z", "v")]
     with mock.patch.object(_LeafSweep, "CHUNK_ROWS", case["rows"]):
         rep = _setup(problem, "tree", tree)
-        _assert_same(rep.norms(case["q"], *rep.diff(a, b_), k_lo=k_lo),
+        _assert_same(rep.norms(case["q"], *_diff(a, b_), k_lo=k_lo),
                      _ref_norms(problem, case["q"], *diffs, tree, k_lo))
 
 
@@ -242,7 +239,7 @@ def test_uniqueness_distance_bit_for_bit():
                             check_assumptions=False, init=init)[0]
             for init in ((0.0, 0.0, 0.0), (10.0, 1.0, 1.0))]
     _, idx, w = tree.enumerate_paths()
-    diff = [x - y for x, y in zip(runs[0].y_levels, runs[1].y_levels)]
+    diff = [x - y for x, y in zip(runs[0].y, runs[1].y)]
     want = sp_norm(ProcessSample(_paths(diff, idx), problem.grid, w), res["q"])
     assert want > 0.0
     _assert_same(res["max_pairwise_sq_distance"], want)

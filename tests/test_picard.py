@@ -43,8 +43,8 @@ def test_affine_coupled_fixed_point():
     assert all(r < 1 for r in tr.ratios)
     for k in range(9):
         expect = tree.brownian_values(k)[:, 0] + 0.25 * (1.0 - prob.grid.nodes[k])
-        assert np.allclose(sol.y_levels[k], expect, atol=1e-13)
-    assert max(float(np.max(np.abs(lv - 1.0))) for lv in sol.z_levels) < 1e-12
+        assert np.allclose(sol.y[k], expect, atol=1e-13)
+    assert max(float(np.max(np.abs(lv - 1.0))) for lv in sol.z) < 1e-12
 
 
 def test_geometric_envelope_short_horizon():
@@ -77,7 +77,7 @@ def test_perturbed_initialization_same_fixed_point():
     tree = jb.build_scenario_tree(prob.grid, marks, 1)
     s0, _ = jb.picard_solve(prob, "tree", tree=tree)
     s1, _ = jb.picard_solve(prob, "tree", tree=tree, init=(10.0, 1.0, 1.0))
-    assert all(np.array_equal(a, b) for a, b in zip(s0.y_levels, s1.y_levels))
+    assert all(np.array_equal(a, b) for a, b in zip(s0.y, s1.y))
 
 
 def test_mc_picard_converges():
@@ -151,8 +151,8 @@ def test_chained_k1_identical_to_picard():
     s1, _ = jb.chained_solve(prob, plan, "tree", tree=tree, tol=1e-10)
     s2, _ = jb.picard_solve(prob, "tree", tree=tree, tol=1e-10,
                             check_assumptions=False)
-    assert all(np.array_equal(a, b) for a, b in zip(s1.y_levels, s2.y_levels))
-    assert all(np.array_equal(a, b) for a, b in zip(s1.z_levels, s2.z_levels))
+    assert all(np.array_equal(a, b) for a, b in zip(s1.y, s2.y))
+    assert all(np.array_equal(a, b) for a, b in zip(s1.z, s2.z))
 
 
 def test_chained_split_composes_exactly():
@@ -171,7 +171,7 @@ def test_chained_split_composes_exactly():
                             check_assumptions=False)
     assert abs(s2.y0 - s1.y0) <= 1e-10
     assert all(np.allclose(a, b, atol=1e-10)
-               for a, b in zip(s1.y_levels, s2.y_levels))
+               for a, b in zip(s1.y, s2.y))
 
 
 def test_chained_mc_on_one_batch_matches_interval_solves():
@@ -185,14 +185,11 @@ def test_chained_mc_on_one_batch_matches_interval_solves():
     sol, traces = jb.chained_solve(prob, plan, "mc", batch=batch, **kw)
     hi, tr_hi = jb.picard_solve(prob, "mc", batch=batch, k_lo=4, k_hi=8, **kw)
     lo, tr_lo = jb.picard_solve(prob, "mc", batch=batch, k_lo=0, k_hi=4,
-                                terminal_values=hi.y_paths[:, 0], **kw)
+                                terminal_values=hi.y[0], **kw)
     assert [t.dist for t in traces] == [tr_hi.dist, tr_lo.dist]
-    assert np.array_equal(sol.y_paths, np.concatenate(
-        (lo.y_paths[:, :-1], hi.y_paths), axis=1))
-    assert np.array_equal(sol.z_paths, np.concatenate(
-        (lo.z_paths, hi.z_paths), axis=1))
-    assert np.array_equal(sol.v_paths, np.concatenate(
-        (lo.v_paths, hi.v_paths), axis=1))
+    assert np.array_equal(sol.y, lo.y[:-1] + hi.y)
+    assert np.array_equal(sol.z, lo.z + hi.z)
+    assert np.array_equal(sol.v, lo.v + hi.v)
     assert sol.y0 == lo.y0
 
 

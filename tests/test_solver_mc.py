@@ -23,9 +23,9 @@ def test_constant_terminal():
     prob = _problem({}, "constant", {"value": 3.0})
     batch = jb.simulate_paths(prob.grid, prob.marks, 1, 4000, seed=1)
     sol = jb.solve_mc_regression(prob, batch)
-    assert np.allclose(sol.y_paths, 3.0, atol=1e-9)
-    assert mp_norm(ProcessSample(sol.z_paths, prob.grid), 2.0) < 0.5
-    assert float(np.mean(np.abs(sol.v_paths))) < 0.5
+    assert np.allclose(sol.y, 3.0, atol=1e-9)
+    assert mp_norm(ProcessSample(np.stack(sol.z, axis=1), prob.grid), 2.0) < 0.5
+    assert float(np.mean(np.abs(sol.v))) < 0.5
 
 
 def test_ode_oracle():
@@ -87,9 +87,9 @@ def test_deterministic_given_batch():
     batch = jb.simulate_paths(prob.grid, prob.marks, 1, 3000, seed=5)
     s1 = jb.solve_mc_regression(prob, batch)
     s2 = jb.solve_mc_regression(prob, batch)
-    assert np.array_equal(s1.y_paths, s2.y_paths)
-    assert np.array_equal(s1.z_paths, s2.z_paths)
-    assert np.array_equal(s1.v_paths, s2.v_paths)
+    assert np.array_equal(s1.y, s2.y)
+    assert np.array_equal(s1.z, s2.z)
+    assert np.array_equal(s1.v, s2.v)
 
 
 def test_grid_mismatch_rejected():

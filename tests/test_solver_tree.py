@@ -22,9 +22,9 @@ def test_constant_terminal_exact():
     prob = _problem("affine", {}, "constant", {"value": 2.0})
     tree = jb.build_scenario_tree(prob.grid, prob.marks, 1)
     sol = jb.solve_tree(prob, tree)
-    assert all(np.all(lv == 2.0) for lv in sol.y_levels)
-    assert all(np.all(lv == 0.0) for lv in sol.z_levels)
-    assert all(np.all(lv == 0.0) for lv in sol.v_levels)
+    assert all(np.all(lv == 2.0) for lv in sol.y)
+    assert all(np.all(lv == 0.0) for lv in sol.z)
+    assert all(np.all(lv == 0.0) for lv in sol.v)
 
 
 def test_brownian_terminal_martingale_representation():
@@ -32,10 +32,10 @@ def test_brownian_terminal_martingale_representation():
     tree = jb.build_scenario_tree(prob.grid, prob.marks, 1)
     sol = jb.solve_tree(prob, tree)
     for k in range(prob.grid.steps + 1):
-        assert np.allclose(sol.y_levels[k], tree.brownian_values(k)[:, 0],
+        assert np.allclose(sol.y[k], tree.brownian_values(k)[:, 0],
                            atol=1e-13)
-    assert max(float(np.max(np.abs(lv - 1.0))) for lv in sol.z_levels) < 1e-12
-    assert all(np.all(lv == 0.0) for lv in sol.v_levels)  # bitwise zero
+    assert max(float(np.max(np.abs(lv - 1.0))) for lv in sol.z) < 1e-12
+    assert all(np.all(lv == 0.0) for lv in sol.v)  # bitwise zero
 
 
 def test_ode_oracle_and_first_order_convergence():
@@ -60,8 +60,8 @@ def test_compensated_count_terminal():
                         N=N, lam=2.0)
         tree = jb.build_scenario_tree(prob.grid, prob.marks, 1, node_cap=None)
         sol = jb.solve_tree(prob, tree)
-        assert max(float(np.max(np.abs(lv - 1.0))) for lv in sol.v_levels) < 1e-12
-        assert all(np.all(lv == 0.0) for lv in sol.z_levels)
+        assert max(float(np.max(np.abs(lv - 1.0))) for lv in sol.v) < 1e-12
+        assert all(np.all(lv == 0.0) for lv in sol.z)
         y0s[N] = abs(sol.y0)
     assert 1.7 <= y0s[8] / y0s[16] <= 2.3
 
@@ -76,13 +76,13 @@ def test_tower_property_small_trees():
         tree = jb.build_scenario_tree(prob.grid, prob.marks, 1)
         sol = jb.solve_tree(prob, tree)
         ids, idx, probs = tree.enumerate_paths()
-        xi = sol.y_levels[-1][idx[:, -1]]
+        xi = sol.y[-1][idx[:, -1]]
         for k in range(N + 1):
             # group paths by their lattice state at depth k
             for s in range(tree.n_states(k)):
                 sel = idx[:, k] == s
                 cond = float(np.dot(probs[sel], xi[sel]) / probs[sel].sum())
-                assert abs(cond - sol.y_levels[k][s]) < 1e-13
+                assert abs(cond - sol.y[k][s]) < 1e-13
 
 
 def test_linearity_bit_exact_scaling():
@@ -101,11 +101,11 @@ def test_linearity_bit_exact_scaling():
     s1 = jb.solve_tree(prob1, tree)
     s2 = jb.solve_tree(prob2, tree)
     assert all(np.array_equal(b, 2.0 * a)
-               for a, b in zip(s1.y_levels, s2.y_levels))
+               for a, b in zip(s1.y, s2.y))
     assert all(np.array_equal(b, 2.0 * a)
-               for a, b in zip(s1.z_levels, s2.z_levels))
+               for a, b in zip(s1.z, s2.z))
     assert all(np.array_equal(b, 2.0 * a)
-               for a, b in zip(s1.v_levels, s2.v_levels))
+               for a, b in zip(s1.v, s2.v))
 
 
 def test_bsde_residual_zero_on_affine():
@@ -144,4 +144,4 @@ def test_implicit_lattice_solve_matches_explicit():
     t2 = jb.build_scenario_tree(prob.grid, prob.marks, 1, node_cap=None)
     s1 = jb.solve_tree(prob, t1)
     s2 = jb.solve_tree(prob, t2)
-    assert all(np.array_equal(a, b) for a, b in zip(s1.y_levels, s2.y_levels))
+    assert all(np.array_equal(a, b) for a, b in zip(s1.y, s2.y))
