@@ -5,10 +5,11 @@ One self-describing JSON config per run; the only flags are --config, --seed
 (override) and --out (override). Reports are written as
 {"header": {timestamp, tool}, "body": {...}} with the body fully determined
 by the config: regenerating from the embedded config is byte-identical
-outside the header. Exit codes: 0 success, 1 config/input error,
-2 divergence report, 3 verification failure, 4 solver failure (a
-rank-deficient regression, a per-step fixed point that does not converge,
-or an iterate that overflows).
+outside the header. Exit codes: 0 success, 1 config/input error (also a
+driver that breaks its declared kappa), 2 divergence report,
+3 verification failure, 4 solver failure (a rank-deficient regression, a
+per-step fixed point that does not converge, or an iterate that
+overflows).
 """
 
 import argparse
@@ -16,7 +17,6 @@ import csv
 import datetime
 import hashlib
 import json
-import math
 import os
 import re
 import sys
@@ -28,7 +28,8 @@ from .estimates import (DEFAULT_CEILING, ci_suite, ci_suite_csv_rows,
                         uniqueness_experiment, verify_full_estimate,
                         verify_zv_estimate)
 from .generators import (CONFIG_SCHEMA_ID, GENERATOR_FORMS, TERMINAL_FORMS,
-                         make_generator, make_problem, make_terminal)
+                         _is_real, _read_params, make_generator, make_problem,
+                         make_terminal)
 from .norms import norm_report
 from .randomness import build_scenario_tree, make_mark_space, simulate_paths
 from .solver import (chained_solve, picard_q, picard_solve, solution_norms,
@@ -98,12 +99,6 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_real(x):
-    # a finite JSON number: Infinity and NaN parse, but are no data
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
-
-
 def _is_picard_q(x):
     return x is None or (_is_real(x) and 1.0 < x < 2.0)
 
@@ -150,6 +145,11 @@ def validate_config(raw):
                                  f"known: {sorted(forms)}")
         _require(isinstance(spec["params"], dict), f"{path}.params",
                  "must be an object")
+        _, schema = forms[spec["form"]]
+        try:
+            _read_params(schema, spec["params"], prob["dim"], len(marks))
+        except ConfigError as e:
+            raise ConfigError(f"{path}.{e.path}", e.message) from e
     p = gen["p"]
     _require(_is_real(p) and p >= 1, "problem.generator.p",
              "must be a real >= 1")
@@ -218,11 +218,19 @@ def load_config(path):
     try:
         return validate_config(raw)
     except ConfigError as e:
-        line = _locate_key(text, e.path)
-        if line is not None:
-            raise ConfigError(f"{path}:{line}: {e.path}",
-                              str(e).split(": ", 1)[-1]) from e
-        raise
+        raise _at_line(path, e, text) from e
+
+
+def _at_line(path, error, text=None):
+    """``error`` with its dotted config path prefixed by ``path:line``, when
+    the config text (read from ``path`` unless given) has that key."""
+    if text is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    line = _locate_key(text, error.path)
+    if line is None:
+        return error
+    return ConfigError(f"{path}:{line}: {error.path}", error.message)
 
 
 # an object key, a string value, or a bracket
@@ -554,7 +562,10 @@ def main(argv=None):
             cfg["seed"] = args.seed
         if args.out is not None:
             cfg["out_dir"] = args.out
-        code, body, files = COMMANDS[args.command](cfg)
+        try:
+            code, body, files = COMMANDS[args.command](cfg)
+        except ConfigError as e:
+            raise _at_line(args.config, e) from e
     except (ConfigError, ValueError, ResourceLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -30,4 +30,5 @@ class ConfigError(ValueError):
 
     def __init__(self, path, message):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")

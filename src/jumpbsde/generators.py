@@ -12,9 +12,11 @@ driver through GeneratorSpec.bind(ctx, z, v), a y-only map. The built-in forms
 are written once, in that bound form: binding computes their (z, v) term a
 single time, and the bound map evaluates any subset of rows, so the fixed
 point can stop evaluating the rows that have settled. f(ctx, y, z, v) of a
-built-in form is its bound map on every row, bit for bit. Any other driver
-(custom, or truncated by truncate_problem) is bound generically: every
-evaluation goes through GeneratorSpec.__call__ on all rows.
+built-in form is its bound map on every row, bit for bit. truncate_problem
+writes the truncated driver in the same bound form around the base driver's
+bound map, so a truncated built-in form is bound once per step too. A custom
+driver is bound generically: every evaluation goes through
+GeneratorSpec.__call__ on all rows, and so does its truncation.
 
 The Lipschitz/growth checks are empirical reports over sampled argument
 clouds, not proofs. The remainder bound sup_{|y|<=r}|f(t,y,0,0) -
@@ -26,11 +28,13 @@ terminal on a noise representation, so it lives with the solvers' estimators
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
+from .errors import ConfigError
 from .randomness import TimeGrid, MarkSpace
 
 __all__ = [
@@ -105,11 +109,12 @@ class GeneratorSpec:
     def bind(self, ctx, z, v):
         """The y-only driver y -> f(ctx, y, z, v) with (ctx, z, v) held fixed.
 
-        ``bound(y)`` evaluates every row. A built-in form's bound map has
-        ``row_wise`` set: ``bound(y[rows], rows)`` then evaluates those rows
-        only and gives the bits of ``bound(y)[rows]``. The fast path lives on
-        the form's ``f``, not on the spec, so replacing ``f`` (as
-        truncate_problem does) falls back to the generic path.
+        ``bound(y)`` evaluates every row. The bound map of a built-in form,
+        and of its truncation by truncate_problem, has ``row_wise`` set:
+        ``bound(y[rows], rows)`` then evaluates those rows only and gives the
+        bits of ``bound(y)[rows]``. The fast path lives on the form's ``f``,
+        not on the spec: the bound map of a custom ``f``, and of its
+        truncation, goes through ``__call__`` on every row.
         """
         if isinstance(self.f, _Form):
             return self.f.bind(ctx, z, v)
@@ -199,18 +204,28 @@ def truncate_problem(problem, n):
     The driver becomes f(t,y,z,v) - f(t,0,0,0) + q_n(f(t,0,0,0)): increments
     in (y,z,v) are untouched, so the Lipschitz modulus carries over exactly,
     and the truncated data are bounded (square-integrable sub-problem).
+    Binding it binds the base driver and evaluates the zero section once per
+    (ctx, z, v); the bound map is row-wise when the base's is.
     """
     if n <= 0:
         raise ValueError(f"truncation level must be positive, got {n}")
     base_gen = problem.generator
     base_term = problem.terminal
 
-    def f_trunc(ctx, y, z, v, _f=base_gen.f):
+    def bind_zv(ctx, z, v):
+        base = base_gen.bind(ctx, z, v)
         zero = base_gen.zero_section(ctx)
-        return (np.asarray(_f(ctx, y, z, v), dtype=float)
-                - zero + q_n(zero, n))
+        qz = q_n(zero, n)
 
-    gen = replace(base_gen, f=f_trunc, name=f"truncated({base_gen.name})",
+        def f_of_y(y, rows=None):
+            f = base(y) if rows is None else base(y, rows)
+            return f - _take(zero, rows) + _take(qz, rows)
+
+        return f_of_y
+
+    row_wise = isinstance(base_gen.f, _Form) and base_gen.f.row_wise
+    gen = replace(base_gen, f=_Form(bind_zv, row_wise=row_wise),
+                  name=f"truncated({base_gen.name})",
                   params={"base": base_gen.params or {}, "n": float(n)})
     term = replace(base_term,
                    fn=lambda ctx, _t=base_term.fn: q_n(np.asarray(_t(ctx)), n),
@@ -314,20 +329,23 @@ def check_growth(spec, problem, n_points=256, seed=0):
 # ---------------------------------------------------------------------------
 
 class _Form:
-    """A built-in driver written once, in its bound form.
+    """A driver written once, in its bound form.
 
     ``bind_zv(ctx, z, v)`` computes the (z, v) term and returns the map
     ``f_of_y(y, rows=None)``, where ``y`` holds the rows ``rows`` (all rows
     when None). Calling the form as f(ctx, y, z, v) binds and evaluates every
     row, so both routes share one formula and one floating-point association.
+    ``row_wise`` is False only for a truncation of a custom driver, whose
+    bound map evaluates all rows at once.
     """
 
-    def __init__(self, bind_zv):
+    def __init__(self, bind_zv, row_wise=True):
         self._bind_zv = bind_zv
+        self.row_wise = row_wise
 
     def bind(self, ctx, z, v):
         f_of_y = self._bind_zv(ctx, z, v)
-        f_of_y.row_wise = True
+        f_of_y.row_wise = self.row_wise
         return f_of_y
 
     def __call__(self, ctx, y, z, v):
@@ -338,11 +356,58 @@ def _take(values, rows):
     return values if rows is None else values[rows]
 
 
+def _is_real(x):
+    # a finite JSON number: Infinity and NaN parse, but are no data
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+# a form's params schema maps each key to (kind, default). A kind is REAL (a
+# finite real), DIM_D or DIM_M (a list of d or m finite reals; the default
+# fills every entry), or a tuple of the values the entry may take.
+REAL, DIM_D, DIM_M = "real", "d", "m"
+
+
+def _read_params(schema, params, d, m):
+    """Each entry of a form's ``params``, checked against its schema and
+    converted, with the defaults filled in. A bad entry raises ConfigError
+    at ``params.<key>``."""
+    if not isinstance(params, dict):
+        raise ConfigError("params", "must be an object")
+    unknown = sorted(set(params) - set(schema))
+    if unknown:
+        raise ConfigError(f"params.{unknown[0]}",
+                          f"unknown key rejected; known: {sorted(schema)}")
+    out = {}
+    for key, (kind, default) in schema.items():
+        value = params.get(key, default)
+        if kind == REAL:
+            ok = _is_real(value)
+            domain = "a finite real"
+            value = float(value) if ok else value
+        elif kind in (DIM_D, DIM_M):
+            size = d if kind == DIM_D else m
+            if key not in params:
+                value = [default] * size
+            elif isinstance(value, np.ndarray) and value.ndim == 1:
+                value = value.tolist()
+            ok = (isinstance(value, (list, tuple)) and len(value) == size
+                  and all(map(_is_real, value)))
+            domain = (f"a list of {size} finite reals, one per "
+                      + ("Brownian dimension" if kind == DIM_D else "mark"))
+            value = np.array(value, dtype=float) if ok else value
+        else:
+            ok = any(type(value) is type(c) and value == c for c in kind)
+            domain = f"one of {list(kind)}"
+        if not ok:
+            raise ConfigError(f"params.{key}", f"must be {domain}, "
+                                               f"got {value!r}")
+        out[key] = value
+    return out
+
+
 def _affine(params, marks, p, d):
-    a = float(params.get("a", 0.0))
-    const = float(params.get("const", 0.0))
-    b = np.asarray(params.get("b", [0.0] * d), dtype=float).reshape(d)
-    c = np.asarray(params.get("c", [0.0] * marks.m), dtype=float).reshape(marks.m)
+    a, const, b, c = (params[k] for k in ("a", "const", "b", "c"))
     c_lam = c * marks.intensities
 
     def bind_zv(ctx, z, v):
@@ -363,9 +428,7 @@ def _affine(params, marks, p, d):
 
 
 def _lipschitz_smooth(params, marks, p, d):
-    ay = float(params.get("ay", 1.0))
-    bz = np.asarray(params.get("bz", [0.0] * d), dtype=float).reshape(d)
-    cv = float(params.get("cv", 0.0))
+    ay, bz, cv = (params[k] for k in ("ay", "bz", "cv"))
 
     def bind_zv(ctx, z, v):
         zb, vn = z @ bz, cv * ctx.section_norm(v)
@@ -380,9 +443,7 @@ def _lipschitz_smooth(params, marks, p, d):
 
 
 def _zv_coupled(params, marks, p, d):
-    cy = float(params.get("cy", 0.0))
-    cz = float(params.get("cz", 0.0))
-    cv = float(params.get("cv", 0.0))
+    cy, cz, cv = (params[k] for k in ("cy", "cz", "cv"))
 
     def bind_zv(ctx, z, v):
         zn = cz * np.sqrt(np.einsum("...d,...d->...", z, z))
@@ -397,10 +458,14 @@ def _zv_coupled(params, marks, p, d):
     return _Form(bind_zv), kappa, bool(cz or cv)
 
 
+# name -> (build function, params schema)
 GENERATOR_FORMS = {
-    "affine": _affine,
-    "lipschitz-smooth": _lipschitz_smooth,
-    "zv-coupled": _zv_coupled,
+    "affine": (_affine, {"a": (REAL, 0.0), "const": (REAL, 0.0),
+                         "b": (DIM_D, 0.0), "c": (DIM_M, 0.0)}),
+    "lipschitz-smooth": (_lipschitz_smooth, {
+        "ay": (REAL, 1.0), "bz": (DIM_D, 0.0), "cv": (REAL, 0.0)}),
+    "zv-coupled": (_zv_coupled, {"cy": (REAL, 0.0), "cz": (REAL, 0.0),
+                                 "cv": (REAL, 0.0)}),
 }
 
 
@@ -410,7 +475,9 @@ def make_generator(form, params, marks, d, p=2.0, kappa=None,
     if form not in GENERATOR_FORMS:
         raise ValueError(
             f"unknown generator form {form!r}; known: {sorted(GENERATOR_FORMS)}")
-    f, kappa_form, dep = GENERATOR_FORMS[form](dict(params or {}), marks, p, d)
+    build, schema = GENERATOR_FORMS[form]
+    f, kappa_form, dep = build(_read_params(schema, params or {}, d, marks.m),
+                               marks, p, d)
     return GeneratorSpec(f=f, lipschitz_kappa=float(kappa if kappa is not None
                                                     else kappa_form),
                          p=float(p), growth_alpha=alpha, growth_gamma=gamma,
@@ -419,33 +486,27 @@ def make_generator(form, params, marks, d, p=2.0, kappa=None,
 
 
 def _terminal_constant(params, marks, d):
-    value = float(params.get("value", 0.0))
+    value = params["value"]
     return lambda ctx: np.full(ctx.n, value)
 
 
+_REDUCERS = {
+    "linear": lambda u: u,
+    "square": lambda u: u * u,
+    "abs": np.abs,
+    "exp": np.exp,
+}
+
+
 def _terminal_brownian(params, marks, d):
-    kind = params.get("kind", "linear")
-    w = np.asarray(params.get("weights", [1.0] * d), dtype=float).reshape(d)
-    scale = float(params.get("scale", 1.0))
-    shift = float(params.get("shift", 0.0))
-    reducers = {
-        "linear": lambda u: u,
-        "square": lambda u: u * u,
-        "abs": np.abs,
-        "exp": np.exp,
-    }
-    if kind not in reducers:
-        raise ValueError(f"unknown brownian-functional kind {kind!r}")
-    red = reducers[kind]
+    red = _REDUCERS[params["kind"]]
+    w, scale, shift = (params[k] for k in ("weights", "scale", "shift"))
     return lambda ctx: scale * red(ctx.brownian @ w) + shift
 
 
 def _terminal_jump_count(params, marks, d):
-    u = np.asarray(params.get("weights", [1.0] * marks.m),
-                   dtype=float).reshape(marks.m)
-    scale = float(params.get("scale", 1.0))
-    shift = float(params.get("shift", 0.0))
-    compensated = bool(params.get("compensated", False))
+    u, scale, shift, compensated = (
+        params[k] for k in ("weights", "scale", "shift", "compensated"))
 
     def fn(ctx):
         comp = float(u @ marks.intensities) * ctx.t if compensated else 0.0
@@ -455,12 +516,8 @@ def _terminal_jump_count(params, marks, d):
 
 
 def _terminal_state_linear(params, marks, d):
-    bw = np.asarray(params.get("brownian_weights", [1.0] * d),
-                    dtype=float).reshape(d)
-    bj = np.asarray(params.get("jump_weights", [0.0] * marks.m),
-                    dtype=float).reshape(marks.m)
-    shift = float(params.get("shift", 0.0))
-    compensated = bool(params.get("compensated", True))
+    bw, bj, shift, compensated = (params[k] for k in (
+        "brownian_weights", "jump_weights", "shift", "compensated"))
 
     def fn(ctx):
         comp = float(bj @ marks.intensities) * ctx.t if compensated else 0.0
@@ -469,11 +526,18 @@ def _terminal_state_linear(params, marks, d):
     return fn
 
 
+_FLAG = (False, True)
 TERMINAL_FORMS = {
-    "constant": _terminal_constant,
-    "brownian-functional": _terminal_brownian,
-    "jump-count": _terminal_jump_count,
-    "state-linear": _terminal_state_linear,
+    "constant": (_terminal_constant, {"value": (REAL, 0.0)}),
+    "brownian-functional": (_terminal_brownian, {
+        "kind": (tuple(_REDUCERS), "linear"), "weights": (DIM_D, 1.0),
+        "scale": (REAL, 1.0), "shift": (REAL, 0.0)}),
+    "jump-count": (_terminal_jump_count, {
+        "weights": (DIM_M, 1.0), "scale": (REAL, 1.0), "shift": (REAL, 0.0),
+        "compensated": (_FLAG, False)}),
+    "state-linear": (_terminal_state_linear, {
+        "brownian_weights": (DIM_D, 1.0), "jump_weights": (DIM_M, 0.0),
+        "shift": (REAL, 0.0), "compensated": (_FLAG, True)}),
 }
 
 
@@ -481,7 +545,8 @@ def make_terminal(form, params, marks, d, p=2.0):
     if form not in TERMINAL_FORMS:
         raise ValueError(
             f"unknown terminal form {form!r}; known: {sorted(TERMINAL_FORMS)}")
-    fn = TERMINAL_FORMS[form](dict(params or {}), marks, d)
+    build, schema = TERMINAL_FORMS[form]
+    fn = build(_read_params(schema, params or {}, d, marks.m), marks, d)
     return TerminalSpec(fn=fn, p=float(p), name=form, params=dict(params or {}))
 
 

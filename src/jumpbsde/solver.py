@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningError, NumericError, StepSizeError
+from .errors import (ConditioningError, ConfigError, NumericError,
+                     StepSizeError)
 from .generators import check_lipschitz, truncate_problem
 from .norms import (ProcessSample, StoppingFamily, class_d_norm, mp_from_sq,
                     sp_from_sup)
@@ -869,11 +870,12 @@ def solve_mc_regression(problem, batch, basis_degree=2, max_inner=100_000):
 def _check_assumptions(problem, seed):
     rep = check_lipschitz(problem.generator, problem, n_pairs=64, seed=seed)
     if not rep["passed"]:
-        raise ValueError(
-            "declared Lipschitz modulus violated: measured "
-            f"{rep['kappa_hat']:.6g} > kappa={problem.generator.lipschitz_kappa:g} "
-            f"(worst pair {rep['worst_pair']}); pass check_assumptions=False "
-            "to override")
+        # the declared constant is input the driver contradicts
+        raise ConfigError(
+            "problem.generator.kappa",
+            f"declared kappa={rep['declared']:g} is below the driver's "
+            f"measured Lipschitz modulus {rep['kappa_hat']:.6g} (worst pair "
+            f"{rep['worst_pair']})")
 
 
 def _constant(rep, problem, k_lo, k_hi, init):

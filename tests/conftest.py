@@ -1,8 +1,22 @@
 import os
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+from hypothesis.database import DirectoryBasedExampleDatabase
 
 import jumpbsde as jb
+
+# Hypothesis keeps its example database (failing examples replay from it)
+# and its other files in the user's cache directory, not in the checkout.
+_HYPOTHESIS_HOME = (os.environ.get("HYPOTHESIS_STORAGE_DIRECTORY")
+                    or os.path.join(os.environ.get("XDG_CACHE_HOME")
+                                    or os.path.expanduser("~/.cache"),
+                                    "jumpbsde", "hypothesis"))
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+settings.register_profile("jumpbsde", database=DirectoryBasedExampleDatabase(
+    os.path.join(_HYPOTHESIS_HOME, "examples")))
+settings.load_profile("jumpbsde")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -117,9 +117,14 @@ def test_bad_field_rejected_with_its_path(tmp_path, capsys, field, value):
     _assert_rejected_at(tmp_path / "cfg.json", capsys, field, value)
 
 
-def _assert_rejected_at(path, capsys, field, value):
+def _assert_rejected_at(path, capsys, field, value, form=None):
+    # ``form``: the form whose params entry ``field`` is, set with no other
+    # params
     cfg = copy.deepcopy(BASE)
     cfg["out_dir"] = str(path.parent / "out")
+    if form is not None:
+        section = field.split(".")[1]
+        cfg["problem"][section] = {"form": form, "params": {}}
     *parents, leaf = field.split(".")
     node = cfg
     for key in parents:
@@ -169,6 +174,31 @@ LEAF_TYPES = {
     "verify.suite": {"null", "string"},
     "out_dir": {"null", "string"},
 }
+# each form's params entries, with the JSON types their domain accepts
+_NUMBER, _ARRAY = {"number"}, {"array"}
+PARAM_TYPES = {
+    ("problem.generator", "affine"): {
+        "a": _NUMBER, "const": _NUMBER, "b": _ARRAY, "c": _ARRAY},
+    ("problem.generator", "lipschitz-smooth"): {
+        "ay": _NUMBER, "bz": _ARRAY, "cv": _NUMBER},
+    ("problem.generator", "zv-coupled"): {
+        "cy": _NUMBER, "cz": _NUMBER, "cv": _NUMBER},
+    ("problem.terminal", "constant"): {"value": _NUMBER},
+    ("problem.terminal", "brownian-functional"): {
+        "kind": {"string"}, "weights": _ARRAY, "scale": _NUMBER,
+        "shift": _NUMBER},
+    ("problem.terminal", "jump-count"): {
+        "weights": _ARRAY, "scale": _NUMBER, "shift": _NUMBER,
+        "compensated": {"boolean"}},
+    ("problem.terminal", "state-linear"): {
+        "brownian_weights": _ARRAY, "jump_weights": _ARRAY,
+        "shift": _NUMBER, "compensated": {"boolean"}},
+}
+# (field, form of a params entry or None, accepted JSON types)
+TYPED_FIELDS = ([(field, None, types) for field, types in LEAF_TYPES.items()]
+                + [(f"{section}.params.{key}", form, types)
+                   for (section, form), entries in PARAM_TYPES.items()
+                   for key, types in entries.items()])
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10, 10),
                      st.floats(-1e3, 1e3), st.text(max_size=4))
 JSON_VALUES = {
@@ -184,17 +214,37 @@ JSON_VALUES = {
 
 @st.composite
 def _rejected_leaf(draw):
-    field = draw(st.sampled_from(sorted(LEAF_TYPES)))
-    kind = draw(st.sampled_from(sorted(set(JSON_VALUES) - LEAF_TYPES[field])))
-    return field, draw(JSON_VALUES[kind])
+    field, form, types = draw(st.sampled_from(TYPED_FIELDS))
+    kind = draw(st.sampled_from(sorted(set(JSON_VALUES) - types)))
+    return field, draw(JSON_VALUES[kind]), form
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_rejected_leaf())
 def test_mistyped_leaf_rejected_with_its_path(tmp_path, capsys, case):
-    # a value of a JSON type outside the leaf's domain never starts a run
+    # a value of a JSON type outside the domain of a leaf or of a form's
+    # params entry never starts a run
     _assert_rejected_at(tmp_path / "cfg.json", capsys, *case)
+
+
+@pytest.mark.parametrize("field, form, value", [
+    ("problem.generator.params.a", "affine", [1, 2]),
+    ("problem.generator.params.bz", "lipschitz-smooth", "x"),
+    ("problem.generator.params.bz", "lipschitz-smooth", [0.5, 0.5]),
+    ("problem.generator.params.c", "affine", [True]),
+    ("problem.generator.params.cz", "zv-coupled", math.nan),
+    ("problem.generator.params.ay", "affine", 1.0),
+    ("problem.terminal.params.scale", "brownian-functional", {}),
+    ("problem.terminal.params.kind", "brownian-functional", [1]),
+    ("problem.terminal.params.kind", "brownian-functional", "cube"),
+    ("problem.terminal.params.compensated", "jump-count", 1),
+    ("problem.terminal.params.jump_weights", "state-linear", []),
+])
+def test_bad_params_entry_rejected_with_its_path(tmp_path, capsys, field,
+                                                 form, value):
+    # wrong type, wrong length, out of an enumeration, or unknown to the form
+    _assert_rejected_at(tmp_path / "cfg.json", capsys, field, value, form)
 
 
 def test_error_line_follows_the_dotted_path(tmp_path, capsys):
@@ -288,6 +338,24 @@ def test_solver_failure_exits_4(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert err.startswith("error: solver failure:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_broken_lipschitz_modulus_exits_1_at_kappa(tmp_path, capsys,
+                                                    command):
+    # f = 2 y against a declared kappa of 0.5: the config is wrong
+    problem = copy.deepcopy(BASE["problem"])
+    problem["generator"] = {"form": "affine", "params": {"a": 2},
+                            "kappa": 0.5}
+    path, _ = _cfg(tmp_path, problem=problem)
+    text = path.read_text()
+    line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                if row.strip() == '"kappa": 0.5')
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{path}:{line}: problem.generator.kappa: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["abc", True, -5, 2.5])

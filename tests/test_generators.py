@@ -145,20 +145,47 @@ def test_bound_form_matches_full_call_bit_for_bit(form, d, m, n, seed, data):
 
 @pytest.mark.parametrize("form", sorted(BUILT_IN_PARAMS))
 def test_truncated_and_custom_drivers_bind_generically(form):
-    spec, ctx, y, z, v = _bind_case(form, 2, 2, 30, seed=3)
-    term = jb.make_terminal("constant", {}, ctx.marks, d=2)
-    base = jb.make_problem(1.0, 4, 2, ctx.marks, spec, term)
-    truncated = jb.truncate_problem(base, 0.125).generator
-    custom = GeneratorSpec(f=lambda c, yy, zz, vv: spec.f(c, yy, zz, vv),
-                           lipschitz_kappa=spec.lipschitz_kappa)
-    for gen in (truncated, custom):
-        bound = gen.bind(ctx, z, v)
-        assert not getattr(bound, "row_wise", False)
-        assert _same_bits(bound(y), gen(ctx, y, z, v))
-    # the truncated driver keeps its clamp of the zero section
-    zero = spec.zero_section(ctx)
-    clamped = spec(ctx, y, z, v) - zero + q_n(zero, 0.125)
-    assert np.array_equal(truncated.bind(ctx, z, v)(y), clamped)
+    # a custom driver binds generically (every row, every time); a truncated
+    # driver is bound as its base is: row-wise over a built-in form, on every
+    # row over a custom one, with the bits of (f - f(0)) + q_n(f(0))
+    level = 0.125
+    for d in (1, 2):
+        for m in (1, 2):
+            spec, ctx, y, z, v = _bind_case(form, d, m, 100, seed=3 + d + m)
+            custom = GeneratorSpec(
+                f=lambda c, yy, zz, vv: spec.f(c, yy, zz, vv),
+                lipschitz_kappa=spec.lipschitz_kappa)
+            bound = custom.bind(ctx, z, v)
+            assert not getattr(bound, "row_wise", False)
+            assert _same_bits(bound(y), custom(ctx, y, z, v))
+
+            # unit magnitudes, where the association of the clamp shows in
+            # the last bit; a custom base whose zero section varies over
+            # the states
+            rng = np.random.default_rng(d + 2 * m)
+            y, z, v = (rng.normal(size=a.shape) for a in (y, z, v))
+            shifted = GeneratorSpec(
+                f=lambda c, yy, zz, vv: spec.f(c, yy + 3.0 * c.brownian[:, 0],
+                                               zz, vv),
+                lipschitz_kappa=spec.lipschitz_kappa)
+            rows = np.flatnonzero(rng.random(y.size) < 0.4)
+            term = jb.make_terminal("constant", {}, ctx.marks, d=d)
+            for base, row_wise in ((spec, True), (shifted, False)):
+                problem = jb.make_problem(1.0, 4, d, ctx.marks, base, term)
+                truncated = jb.truncate_problem(problem, level).generator
+                zero = np.asarray(base.f(ctx, np.zeros(y.size),
+                                         np.zeros_like(z), np.zeros_like(v)),
+                                  dtype=float)
+                expected = (np.asarray(base.f(ctx, y, z, v)) - zero
+                            + q_n(zero, level))
+                if form == "affine" or not row_wise:    # the clamp bites
+                    assert np.any(expected != base(ctx, y, z, v))
+                bound = truncated.bind(ctx, z, v)
+                assert getattr(bound, "row_wise", False) is row_wise
+                assert _same_bits(bound(y), expected)
+                assert _same_bits(truncated(ctx, y, z, v), expected)
+                if row_wise:
+                    assert _same_bits(bound(y[rows], rows), expected[rows])
 
 
 def test_tail_mean_decreasing_in_level():

@@ -279,3 +279,76 @@ def test_ladder_rejects_bad_levels():
         jb.truncation_ladder_solve(prob, [4, 2], "tree")
     with pytest.raises(ValueError):
         jb.truncation_ladder_solve(prob, [-1, 2], "tree")
+
+
+def _closure_truncation(problem, n):
+    """Reference truncation: a closure around the base driver that
+    re-evaluates the zero section on every call, so the fixed point sees
+    every row on every iteration."""
+    from dataclasses import replace
+    base_gen, base_term = problem.generator, problem.terminal
+
+    def f_trunc(ctx, y, z, v, _f=base_gen.f):
+        zero = base_gen.zero_section(ctx)
+        return (np.asarray(_f(ctx, y, z, v), dtype=float)
+                - zero + jb.q_n(zero, n))
+
+    gen = replace(base_gen, f=f_trunc, name=f"truncated({base_gen.name})",
+                  params={"base": base_gen.params or {}, "n": float(n)})
+    term = replace(base_term,
+                   fn=lambda ctx, _t=base_term.fn: jb.q_n(
+                       np.asarray(_t(ctx)), n),
+                   name=f"truncated({base_term.name})",
+                   params={"base": base_term.params or {}, "n": float(n)})
+    return replace(problem, generator=gen, terminal=term)
+
+
+def _ladder_drivers(marks):
+    # a built-in form whose zero section the clamps cut (const = 3), and a
+    # custom driver whose zero section varies over the states
+    smooth = jb.make_generator("lipschitz-smooth",
+                               {"ay": 0.5, "bz": [0.25], "cv": 0.25},
+                               marks=marks, d=1)
+    affine = jb.make_generator("affine", {"a": 0.5, "const": 3.0,
+                                          "b": [0.25], "c": [0.4]},
+                               marks=marks, d=1)
+    custom = jb.GeneratorSpec(
+        f=lambda ctx, y, z, v: (smooth.f(ctx, y, z, v)
+                                + 2.5 * np.sin(3.0 * ctx.brownian[:, 0])),
+        lipschitz_kappa=smooth.lipschitz_kappa)
+    return {"affine": affine, "custom": custom}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.parametrize("method", ["tree", "mc"])
+@pytest.mark.parametrize("driver", ["affine", "custom"])
+def test_ladder_bound_truncation_matches_closure_bit_for_bit(
+        monkeypatch, method, driver):
+    # the ladder over the bound truncated driver gives the rungs and the
+    # pair distances of the closure, bit for bit
+    from jumpbsde import solver
+    marks = jb.make_mark_space([[1.0]], [0.5])
+    term = jb.make_terminal("brownian-functional", {"kind": "exp"},
+                            marks=marks, d=1)
+    N = 30 if method == "tree" else 10
+    prob = jb.make_problem(1.0, N, 1, marks, _ladder_drivers(marks)[driver],
+                           term)
+    setup = ({"tree": jb.build_scenario_tree(prob.grid, marks, 1,
+                                             node_cap=None)}
+             if method == "tree" else
+             {"batch": jb.simulate_paths(prob.grid, marks, 1, 1500, seed=3)})
+    levels = [1, 2, 8]
+    bound = jb.truncation_ladder_solve(prob, levels, method, **setup)
+    monkeypatch.setattr(solver, "truncate_problem", _closure_truncation)
+    closure = jb.truncation_ladder_solve(prob, levels, method, **setup)
+    assert bound.to_json_dict() == closure.to_json_dict()
+    for a, b in zip(bound.solutions, closure.solutions):
+        for fa, fb in ((a.y, b.y), (a.z, b.z), (a.v, b.v)):
+            assert all(_same_bits(x, y) for x, y in zip(fa, fb))
+    # the clamps change the solution from rung to rung
+    assert len({lev["y0"] for lev in bound.levels}) == 3
