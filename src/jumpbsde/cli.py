@@ -511,7 +511,7 @@ def cmd_ladder(cfg):
                                      cfg["method"],
                                      tol=cfg["ladder"]["tol"],
                                      max_iter=cfg["picard"]["max_iter"],
-                                     **ctx)
+                                     check_assumptions=True, **ctx)
     body = {
         "schema": "jumpbsde/report/v1",
         "command": "ladder",

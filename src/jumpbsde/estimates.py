@@ -21,8 +21,8 @@ import numpy as np
 from .generators import make_generator, make_problem, make_terminal
 from .norms import _wmean, abs_pow
 from .randomness import build_scenario_tree, make_mark_space
-from .solver import (_data_levels, _diff, _picard, _prepare, _represent,
-                     _setup, solve_tree)
+from .solver import (_data_levels, _picard, _prepare, _represent, _setup,
+                     solve_tree)
 
 __all__ = [
     "EstimateReport",
@@ -182,7 +182,7 @@ def uniqueness_experiment(problem, method="tree", perturbations=None,
             a, b = runs[i][1], runs[j][1]
             max_dy0 = max(max_dy0, abs(a.y0 - b.y0))
             max_pair = max(max_pair,
-                           rep.sup_norm(_diff(a, b)[0], q_used))
+                           rep.sup_norm(map(np.subtract, a.y, b.y), q_used))
 
     se_y0 = 0.0
     if method == "mc":

@@ -287,7 +287,7 @@ def check_lipschitz(spec, problem, n_pairs=256, seed=0):
                 worst = {"t": float(t[i]), "y": (float(y1[i]), float(yb)),
                          "z": (z1[i].tolist(), zb.tolist()),
                          "v": (v1[i].tolist(), vb.tolist()),
-                         "df": fa - fb, "distance": dist}
+                         "df": fa - fb, "distance": float(dist)}
     return {"kappa_hat": kappa_hat, "declared": spec.lipschitz_kappa,
             "passed": kappa_hat <= spec.lipschitz_kappa * (1 + 1e-9),
             "worst_pair": worst}

@@ -365,25 +365,35 @@ def _force_unit_sum(probs):
     The solver's conditional expectations reduce branch values with this very
     einsum kernel; forcing the weight sum to 1 under the same reduction makes
     constants (times a power of two) reproduce bitwise through the recursion.
+    The largest weight takes the correction, or the next largest where the
+    sum steps over 1 (its spacing there being coarser than that weight's).
     """
     probs = probs.copy()
     ones = np.ones((1, probs.size))
-    for _ in range(10):
-        s = float(np.einsum("nb,b->n", ones, probs)[0])
-        if s == 1.0:
-            return probs
-        probs[np.argmax(probs)] += 1.0 - s
+    for rank in range(probs.size):
+        for _ in range(10):
+            s = float(np.einsum("nb,b->n", ones, probs)[0])
+            if s == 1.0:
+                return probs
+            probs[np.argsort(-probs, kind="stable")[rank]] += 1.0 - s
     raise AssertionError("branch probabilities failed to normalize exactly")
 
 
 @dataclass(frozen=True)
 class _Level:
-    """Distinct reachable states at one depth of the lattice."""
+    """Distinct reachable states at one depth of the lattice, in ascending
+    order of their codes (see ``codes``)."""
 
-    codes: np.ndarray        # (n_k,), sorted state codes
-    up_counts: np.ndarray    # (n_k, d)
-    jump_counts: np.ndarray  # (n_k, m)
+    up_counts: np.ndarray    # (n_k, d) int32
+    jump_counts: np.ndarray  # (n_k, m) int32
     probs: np.ndarray        # (n_k,)
+    base: int                # N + 1, the radix of the state codes
+
+    @property
+    def codes(self):
+        """State codes, derived: up-counts, then jump counts, in base N+1."""
+        digits = np.hstack((self.up_counts, self.jump_counts)).astype(np.int64)
+        return digits @ self.base ** np.arange(digits.shape[1])
 
 
 class ScenarioTree:
@@ -424,7 +434,7 @@ class ScenarioTree:
         return self.node_cap is not None and self.n_leaves <= self.node_cap
 
     def n_states(self, depth):
-        return self.levels[depth].codes.size
+        return self.levels[depth].probs.size
 
     def brownian_values(self, depth):
         """Brownian state per lattice node at a depth: (2u - k) sqrt(dt)."""
@@ -487,7 +497,7 @@ class ScenarioTree:
         return {"depth": depth, "brownian_signs": signs, "jump_history": jumps}
 
     def to_json_dict(self):
-        out = {
+        return {
             "grid": self.grid.to_json_dict(),
             "marks": self.marks.to_json_dict(),
             "d": self.d,
@@ -504,7 +514,6 @@ class ScenarioTree:
                 for lev in self.levels
             ],
         }
-        return out
 
 
 def build_scenario_tree(grid, marks, d, node_cap=DEFAULT_NODE_CAP):
@@ -552,41 +561,40 @@ def build_scenario_tree(grid, marks, d, node_cap=DEFAULT_NODE_CAP):
     branch_probs = _force_unit_sum(branch_probs)
 
     # recombined lattice: state = (up-counts per dim, jump counts per mark),
-    # coded in base N+1; child code = parent code + constant branch offset
+    # coded in base N+1; child code = parent code + constant branch offset,
+    # so a depth's child codes are b sorted runs (one per branch) that one
+    # stable argsort merges; the codes of one depth live only while building
     base = N + 1
-    place = base ** np.arange(d + m, dtype=object)
-    place = place.astype(np.int64)
+    place = (base ** np.arange(d + m, dtype=object)).astype(np.int64)
     up_inc = ((sign_vectors + 1.0) / 2.0).astype(np.int64)        # (b, d)
     jump_inc = np.zeros((b, m), dtype=np.int64)
     has_jump = branch_jump >= 0
     jump_inc[has_jump, branch_jump[has_jump]] = 1
     offsets = up_inc @ place[:d] + jump_inc @ place[d:]           # (b,)
 
-    levels = [_Level(np.zeros(1, dtype=np.int64),
-                     np.zeros((1, d), dtype=np.int64),
-                     np.zeros((1, m), dtype=np.int64),
-                     np.ones(1))]
+    codes = np.zeros(1, dtype=np.int64)
+    levels = [_Level(np.zeros((1, d), dtype=np.int32),
+                     np.zeros((1, m), dtype=np.int32), np.ones(1), base)]
     children = []
     for k in range(N):
-        lev = levels[k]
-        child_codes = lev.codes[:, None] + offsets[None, :]       # (n_k, b)
-        next_codes, inverse = np.unique(child_codes, return_inverse=True)
-        child_idx = inverse.reshape(child_codes.shape).astype(np.int64)
+        runs = (offsets[:, None] + codes[None, :]).ravel()        # (b n_k,)
+        order = np.argsort(runs, kind="stable")
+        ranked = runs[order]
+        fresh = np.ones(ranked.size, dtype=bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
+        codes = ranked[fresh]
+        rank = np.empty(runs.size, dtype=np.int64)
+        rank[order] = np.cumsum(fresh) - 1
+        child_idx = np.ascontiguousarray(rank.reshape(b, -1).T)  # (n_k, b)
         next_probs = np.bincount(
             child_idx.ravel(),
-            weights=(lev.probs[:, None] * branch_probs[None, :]).ravel(),
-            minlength=next_codes.size)
-        # decode states
-        rem = next_codes.copy()
-        digits = np.empty((next_codes.size, d + m), dtype=np.int64)
-        for i in range(d + m):
-            digits[:, i] = rem % base
-            rem //= base
-        lev_next = _Level(next_codes, digits[:, :d], digits[:, d:], next_probs)
-        for arr in (lev_next.codes, lev_next.up_counts, lev_next.jump_counts,
-                    lev_next.probs, child_idx):
+            weights=(levels[k].probs[:, None] * branch_probs[None, :]).ravel(),
+            minlength=codes.size)
+        digits = np.stack([codes // p % base for p in place],
+                          axis=1).astype(np.int32)
+        for arr in (digits, next_probs, child_idx):
             arr.setflags(write=False)
-        levels.append(lev_next)
+        levels.append(_Level(digits[:, :d], digits[:, d:], next_probs, base))
         children.append(child_idx)
 
     for arr in (sign_vectors, branch_jump, branch_probs):

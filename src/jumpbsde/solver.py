@@ -28,8 +28,10 @@ inner problem's driver depends on y only -- and records successive distances
 in the (S^q, M^q, L^q) sample norms. On explicit trees those norms are exact
 via a leaf sweep; on implicit lattices S^q is replaced by the exact
 sup-of-marginals lower bound and M^q by its q=2 form (L^q is a linear
-functional and stays exact). Non-contraction (three consecutive ratios >= 1)
-produces a divergence report advising horizon subdivision.
+functional and stays exact). The meter reads the differences of the two
+iterates lazily, one depth (lattice) or one field (tree, batch) at a time,
+and builds no third (Y, Z, V) copy. Non-contraction (three consecutive
+ratios >= 1) produces a divergence report advising horizon subdivision.
 
 Lattice reductions use einsum(optimize=False) rather than BLAS, so results
 are bit-stable across thread counts; per-path regression assembly reduces in
@@ -459,11 +461,14 @@ class _LeafSweep:
 # noise representations
 # ---------------------------------------------------------------------------
 
-def _require_finite(*arrays):
-    """Overflowed iterates are a solver failure, not a norm to report."""
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise NumericError("the solution is not finite (overflow in the "
-                           "backward induction)")
+def _finite(levels):
+    """The levels, each checked as it is read: overflowed iterates are a
+    solver failure, not a norm to report."""
+    for level in levels:
+        if not np.all(np.isfinite(level)):
+            raise NumericError("the solution is not finite (overflow in the "
+                               "backward induction)")
+        yield level
 
 
 class _PathEstimators:
@@ -475,30 +480,25 @@ class _PathEstimators:
     reduction of the (paths, depths[, width]) block).
     """
 
-    def _sum_v_lambda(self, v_pow):
-        """Per-path sum over depths and marks of |V|^p lambda."""
-        return np.einsum("njm,m->n", v_pow, self.intensities)
-
     def _sup_abs(self, y, k_lo=0):
-        _require_finite(*y)
-        return self._fold(np.maximum, [np.abs(lev) for lev in y], k_lo)
+        return self._fold(np.maximum, [np.abs(lev) for lev in _finite(y)],
+                          k_lo)
 
     def _z_sq(self, z, k_lo=0):
-        _require_finite(*z)
-        return self._rows(z, lambda block: np.einsum("njd,njd->n", block,
-                                                     block), k_lo)
+        return self._rows(list(_finite(z)), lambda block: np.einsum(
+            "njd,njd->n", block, block), k_lo)
 
     def _v_p(self, v, p, k_lo=0):
-        _require_finite(*v)
-        return self._rows([np.abs(lev) ** p for lev in v], self._sum_v_lambda,
-                          k_lo)
+        return self._rows([np.abs(lev) ** p for lev in _finite(v)],
+                          lambda block: np.einsum("njm,m->n", block,
+                                                  self.intensities), k_lo)
 
     def sup_norm(self, y, p, k_lo=0):
         """S^p of one Y field."""
         return sp_from_sup(self._sup_abs(y, k_lo), self.weights, p)
 
     def norms(self, p, y, z, v, k_lo=0):
-        """(S^p, M^p, L^p) of one (Y, Z, V) triple."""
+        """(S^p, M^p, L^p) of one (Y, Z, V) triple, each field read once."""
         dt = self.grid.dt
         z_sq, v_p = self._z_sq(z, k_lo), self._v_p(v, p, k_lo)
         return (self.sup_norm(y, p, k_lo),
@@ -564,26 +564,23 @@ class _Lattice:
         return combine([self._mean(lev, k) for k, lev in enumerate(levels)]), 0.0
 
     def sup_norm(self, y, p, k_lo=0):
-        _require_finite(*y)
         return max(self._mean(np.abs(lev) ** p, k_lo + k) ** (1 / p)
-                   for k, lev in enumerate(y))
+                   for k, lev in enumerate(_finite(y)))
 
     def norms(self, p, y, z, v, k_lo=0):
-        _require_finite(*z, *v)
         dt = self.grid.dt
         mp = math.sqrt(sum(
             self._mean(np.einsum("nd,nd->n", lev, lev), k_lo + k) * dt
-            for k, lev in enumerate(z)))
+            for k, lev in enumerate(_finite(z))))
         lp = sum(
             self._mean(np.einsum("nm,m->n", np.abs(lev) ** p,
                                  self.intensities), k_lo + k) * dt
-            for k, lev in enumerate(v)) ** (1 / p)
+            for k, lev in enumerate(_finite(v))) ** (1 / p)
         return self.sup_norm(y, p, k_lo), mp, lp
 
     def class_d(self, y):
-        """Class-D estimator: deterministic-time rules only, each exact."""
-        _require_finite(*y)
-        return max(self._mean(np.abs(lev), k) for k, lev in enumerate(y))
+        """Class-D estimator: deterministic times only, max_k E|Y_k|."""
+        return self.sup_norm(y, 1)
 
     def functionals(self, problem, p, sol):
         self.tree._require_explicit("a path functional")
@@ -623,9 +620,8 @@ class _Tree(_PathEstimators, _Lattice):
     def class_d(self, y):
         """Class-D estimator over the grid times and the |Y_T|-quantile
         hitting rules (``StoppingFamily.default_for``), exact per rule."""
-        _require_finite(*y)
         sweep = self.sweep
-        abs_levels = [np.abs(lev) for lev in y]
+        abs_levels = [np.abs(lev) for lev in _finite(y)]
         last = len(abs_levels) - 1
         family = StoppingFamily.for_terminal(
             self.grid, sweep.at_depth(abs_levels[last], last))
@@ -722,8 +718,7 @@ class _PathBatch(_PathEstimators):
 
     def class_d(self, y):
         """Class-D estimator over ``StoppingFamily.default_for``."""
-        _require_finite(*y)
-        sample = ProcessSample(np.stack(y, axis=1), self.grid)
+        sample = ProcessSample(np.stack(list(_finite(y)), axis=1), self.grid)
         return class_d_norm(sample, StoppingFamily.default_for(sample))
 
 
@@ -737,13 +732,6 @@ def _empty(rep, problem, k_lo, k_hi):
         z=[np.empty((n(k), problem.d)) for k in range(k_lo, k_hi)],
         v=[np.empty((n(k), problem.marks.m)) for k in range(k_lo, k_hi)],
         diagnostics=dict(rep.diagnostics))
-
-
-def _diff(a, b):
-    """Per-depth (Y, Z, V) differences of two solutions on one
-    representation."""
-    return tuple([x - y for x, y in zip(fa, fb)]
-                 for fa, fb in ((a.y, b.y), (a.z, b.z), (a.v, b.v)))
 
 
 def _data_levels(rep, problem):
@@ -909,7 +897,9 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
         cur = _backward(rep, problem, k_lo, k_hi, terminal_values,
                         frozen=prev, max_inner=max_inner)
         trace.n_iter = it
-        trace.record(*rep.norms(q, *_diff(cur, prev), k_lo=k_lo))
+        trace.record(*rep.norms(q, map(np.subtract, cur.y, prev.y),
+                                map(np.subtract, cur.z, prev.z),
+                                map(np.subtract, cur.v, prev.v), k_lo=k_lo))
         if trace.dist[-1] <= tol:
             trace.converged = True
             break
@@ -1066,7 +1056,8 @@ def truncation_ladder_solve(problem, n_list, method="tree", tree=None,
     for i in range(len(n_list) - 1):
         bound, se = _clamp_tail(rep, data, n_list[i])
         for j in range(i + 1, len(n_list)):
-            measured = rep.class_d(_diff(solutions[j], solutions[i])[0])
+            measured = rep.class_d(map(np.subtract, solutions[j].y,
+                                       solutions[i].y))
             pairs.append({"n_lo": n_list[i], "n_hi": n_list[j],
                           "measured_d_norm": measured, "bound": bound,
                           "bound_se": se,

@@ -340,20 +340,22 @@ def test_solver_failure_exits_4(tmp_path, capsys, overrides):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("command", ["solve", "verify", "ladder"])
 def test_broken_lipschitz_modulus_exits_1_at_kappa(tmp_path, capsys,
                                                     command):
     # f = 2 y against a declared kappa of 0.5: the config is wrong
     problem = copy.deepcopy(BASE["problem"])
     problem["generator"] = {"form": "affine", "params": {"a": 2},
                             "kappa": 0.5}
-    path, _ = _cfg(tmp_path, problem=problem)
+    path, _ = _cfg(tmp_path, problem=problem, ladder={"n_list": [1, 4]})
     text = path.read_text()
     line = next(i for i, row in enumerate(text.splitlines(), start=1)
                 if row.strip() == '"kappa": 0.5')
     assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{path}:{line}: problem.generator.kappa: " in err
+    # the worst pair prints plain numbers
+    assert "'distance': " in err and "np.float64" not in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -1,12 +1,16 @@
 """Driving-noise simulation and the scenario tree."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jumpbsde as jb
 from jumpbsde.errors import ResourceLimitError
+from jumpbsde.randomness import ScenarioTree
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +251,93 @@ def test_tree_expectation_helper(single_mark):
         b = tree.brownian_values(k)[:, 0]
         assert abs(tree.expectation(k, b)) < 1e-14
         assert abs(tree.expectation(k, b * b) - grid.nodes[k]) < 1e-13
+
+
+def test_branch_probabilities_sum_to_one_where_the_largest_overshoots():
+    # correcting the largest weight steps the sum over 1 and back; another
+    # weight takes the correction (this config used to raise AssertionError)
+    grid = jb.make_time_grid(3.0, 1)
+    marks = jb.make_mark_space([[1.0], [2.0], [3.0]],
+                               [1.0, 0.05, 1.2265415699282687])
+    tree = jb.build_scenario_tree(grid, marks, 1)
+    ones = np.ones((1, tree.branching))
+    assert float(np.einsum("nb,b->n", ones, tree.branch_probs)[0]) == 1.0
+
+
+def _unique_build(tree):
+    """The lattice of ``tree`` as ``np.unique`` over each depth's child codes
+    builds it: the reference the run-merging build must reproduce."""
+    N, d, m, b = tree.grid.steps, tree.d, tree.marks.m, tree.branching
+    base = N + 1
+    place = (base ** np.arange(d + m, dtype=object)).astype(np.int64)
+    up_inc = ((tree.sign_vectors + 1.0) / 2.0).astype(np.int64)
+    jump_inc = np.zeros((b, m), dtype=np.int64)
+    has_jump = tree.branch_jump >= 0
+    jump_inc[has_jump, tree.branch_jump[has_jump]] = 1
+    offsets = up_inc @ place[:d] + jump_inc @ place[d:]
+    codes, probs = np.zeros(1, dtype=np.int64), np.ones(1)
+    levels = [SimpleNamespace(codes=codes, up_counts=np.zeros((1, d)),
+                              jump_counts=np.zeros((1, m)), probs=probs)]
+    children = []
+    for _ in range(N):
+        child_codes = codes[:, None] + offsets[None, :]
+        codes, inverse = np.unique(child_codes, return_inverse=True)
+        child_idx = inverse.reshape(child_codes.shape).astype(np.int64)
+        probs = np.bincount(
+            child_idx.ravel(),
+            weights=(probs[:, None] * tree.branch_probs[None, :]).ravel(),
+            minlength=codes.size)
+        digits = (codes[:, None] // place) % base
+        levels.append(SimpleNamespace(codes=codes, up_counts=digits[:, :d],
+                                      jump_counts=digits[:, d:], probs=probs))
+        children.append(child_idx)
+    return ScenarioTree(tree.grid, tree.marks, d, tree.node_cap,
+                        tree.sign_vectors, tree.branch_jump, tree.branch_probs,
+                        levels, children)
+
+
+def _assert_same_lattice(d, m, N, intensities, horizon=1.0):
+    grid = jb.make_time_grid(horizon, N)
+    marks = jb.make_mark_space([[1.0 + i] for i in range(m)], intensities)
+    b = 2 ** d * (1 + m)
+    node_cap = 4096 if b ** N <= 4096 else None
+    tree = jb.build_scenario_tree(grid, marks, d, node_cap=node_cap)
+    ref = _unique_build(tree)
+    for k in range(N + 1):
+        got, want = tree.levels[k], ref.levels[k]
+        assert tree.n_states(k) == ref.n_states(k) == want.codes.size
+        assert np.array_equal(got.codes, want.codes)
+        assert np.array_equal(got.up_counts, want.up_counts)
+        assert np.array_equal(got.jump_counts, want.jump_counts)
+        assert got.up_counts.dtype == got.jump_counts.dtype == np.int32
+        assert got.probs.tobytes() == want.probs.tobytes()
+    for got, want in zip(tree.children, ref.children, strict=True):
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+    assert tree.to_json_dict() == ref.to_json_dict()
+    assert tree.explicit == (b ** N <= 4096)
+    if tree.explicit:
+        for got, want in zip(tree.enumerate_paths(), ref.enumerate_paths()):
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 3), st.integers(1, 10),
+       st.data())
+def test_lattice_build_matches_unique_reference(d, m, N, data):
+    # the b children runs of a depth are merged by one stable argsort; the
+    # states, children and probabilities are those np.unique gives
+    intensities = data.draw(st.lists(st.floats(0.05, 4.0), min_size=m,
+                                     max_size=m))
+    horizon = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
+    _assert_same_lattice(d, m, N, intensities, horizon)
+
+
+@pytest.mark.parametrize("d, m, N", [(1, 1, 150), (1, 1, 6), (2, 1, 4)],
+                         ids=["long-lattice", "tree-1-1", "tree-2-1"])
+def test_lattice_build_matches_unique_reference_examples(d, m, N):
+    # a long lattice, and two explicit trees whose histories are compared
+    _assert_same_lattice(d, m, N, [1.0] * m)
 
 
 def test_merge_batches_rejects_mismatch(unit_grid, single_mark):
