@@ -563,7 +563,8 @@ def build_scenario_tree(grid, marks, d, node_cap=DEFAULT_NODE_CAP):
     # recombined lattice: state = (up-counts per dim, jump counts per mark),
     # coded in base N+1; child code = parent code + constant branch offset,
     # so a depth's child codes are b sorted runs (one per branch) that one
-    # stable argsort merges; the codes of one depth live only while building
+    # stable argsort merges; the codes of one depth live only while building,
+    # and at most three b n_k-long temporaries at once (reused once read)
     base = N + 1
     place = (base ** np.arange(d + m, dtype=object)).astype(np.int64)
     up_inc = ((sign_vectors + 1.0) / 2.0).astype(np.int64)        # (b, d)
@@ -583,9 +584,12 @@ def build_scenario_tree(grid, marks, d, node_cap=DEFAULT_NODE_CAP):
         fresh = np.ones(ranked.size, dtype=bool)
         np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
         codes = ranked[fresh]
-        rank = np.empty(runs.size, dtype=np.int64)
-        rank[order] = np.cumsum(fresh) - 1
-        child_idx = np.ascontiguousarray(rank.reshape(b, -1).T)  # (n_k, b)
+        np.cumsum(fresh, out=ranked)
+        ranked -= 1
+        runs[order] = ranked
+        del order, ranked, fresh
+        child_idx = np.ascontiguousarray(runs.reshape(b, -1).T)  # (n_k, b)
+        del runs
         next_probs = np.bincount(
             child_idx.ravel(),
             weights=(levels[k].probs[:, None] * branch_probs[None, :]).ravel(),

@@ -14,8 +14,9 @@ One loop, ``_backward``, runs the scheme on a noise representation, and only
 the representation's estimator of E[. | info_k] differs: ``_Lattice`` sums
 over the tree's recombined states with exact branch weights (``_Tree``, an
 explicit tree, adds the leaf sweep over root-to-leaf paths); ``_PathBatch``
-regresses on the simulated state, one basis per step kept for every solve on
-the batch. Solutions have one layout on both: per-depth lists of arrays over
+regresses on the simulated state, one basis per step (its features and
+Gram) kept for every solve on the batch, the design refilled into one buffer
+per fit. Solutions have one layout on both: per-depth lists of arrays over
 the lattice states or the paths (``Solution``). A representation owns the
 estimators read from them; its table of the problem data, |f(t_k, ., 0, 0,
 0)| and |xi| on its states (``_data_levels``), feeds the estimate
@@ -30,14 +31,16 @@ via a leaf sweep; on implicit lattices S^q is replaced by the exact
 sup-of-marginals lower bound and M^q by its q=2 form (L^q is a linear
 functional and stays exact). The meter reads the differences of the two
 iterates lazily, one depth (lattice) or one field (tree, batch) at a time,
-and builds no third (Y, Z, V) copy. Non-contraction (three consecutive
-ratios >= 1) produces a divergence report advising horizon subdivision.
+and builds no third (Y, Z, V) copy (a batch fills one (paths, depths)
+block). Non-contraction (three consecutive ratios >= 1) produces a
+divergence report advising horizon subdivision.
 
 Lattice reductions use einsum(optimize=False) rather than BLAS, so results
 are bit-stable across thread counts; per-path regression assembly reduces in
 a fixed order for the same reason.
 """
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -195,6 +198,7 @@ def _fixpoint_iterations(kappa_dt, max_inner):
     return n
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt, max_inner):
     """Fixed point of y -> cond_mean + f(y) dt, vectorized over nodes.
 
@@ -205,7 +209,8 @@ def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt, max_inner):
     half of it (gathering a subset costs more than evaluating a few settled
     rows along). Other drivers see every row on every iteration. Either way
     the iterates are those of the whole-array iteration, which stops early
-    once two successive iterates are equal.
+    once two successive iterates are equal. Overflow raises NumericError
+    in the residual check or the meter, with no numpy warning.
     """
     n_iter = _fixpoint_iterations(kappa_dt, max_inner)
     row_wise = getattr(f_of_y, "row_wise", False)
@@ -246,22 +251,10 @@ def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt, max_inner):
 
 def _monomial_exponents(n_features, degree):
     """All exponent tuples with total degree <= degree, in a fixed order."""
-    out = [tuple([0] * n_features)]
-    frontier = [tuple([0] * n_features)]
-    for _ in range(degree):
-        new = []
-        seen = set()
-        for e in frontier:
-            for i in range(n_features):
-                cand = list(e)
-                cand[i] += 1
-                t = tuple(cand)
-                if t not in seen:
-                    seen.add(t)
-                    new.append(t)
-        frontier = new
-        out.extend(new)
-    return sorted(set(out), key=lambda e: (sum(e), e))
+    return sorted((tuple(c.count(i) for i in range(n_features))
+                   for t in range(degree + 1)
+                   for c in itertools.combinations_with_replacement(
+                       range(n_features), t)), key=lambda e: (sum(e), e))
 
 
 def _pivoted_columns(gram, rel_tol=1e-10):
@@ -297,44 +290,45 @@ class _StepBasis:
     einsum-assembled Gram, so the fit is the projection onto the design's
     numerical column span. An under-determined design (more columns than
     paths: the normal equations cannot have full rank) raises
-    ConditioningError naming the step.
+    ConditioningError naming the step. The basis keeps its standardized
+    features and the kept monomials' exponents and Gram, not the design.
     """
 
     def __init__(self, states, degree, step):
-        cols = []
-        for j in range(states.shape[1]):
-            col = states[:, j]
-            if col.max() == col.min():
-                continue
-            cols.append((col - col.mean()) / col.std())
-        self.step = step
-        if cols and degree >= 1:
-            feats = np.stack(cols, axis=1)
-            exps = _monomial_exponents(feats.shape[1], degree)
-            design = np.empty((states.shape[0], len(exps)))
-            for i, e in enumerate(exps):
-                col = np.ones(states.shape[0])
-                for j, power in enumerate(e):
-                    if power:
-                        col = col * feats[:, j] ** power
-                design[:, i] = col
-        else:
-            design = np.ones((states.shape[0], 1))
-        if design.shape[0] < design.shape[1]:
+        n = states.shape[0]
+        self.feats = [(col - col.mean()) / col.std() for col in states.T
+                      if degree >= 1 and col.max() != col.min()]
+        exps = _monomial_exponents(len(self.feats), degree)
+        if n < len(exps):
             raise ConditioningError(
                 step, f"regression normal equations at step {step} are "
-                      f"rank-deficient: {design.shape[1]} basis functions "
-                      f"for {design.shape[0]} paths")
+                      f"rank-deficient: {len(exps)} basis functions "
+                      f"for {n} paths")
+        design = self._fill(exps, np.empty((n, len(exps))))
         gram = np.einsum("ni,nj->ij", design, design, optimize=False)
         keep = _pivoted_columns(gram)
-        self.design = design[:, keep]
+        self.exps = [exps[i] for i in keep]
         self.gram = gram[np.ix_(keep, keep)]
 
-    def fit(self, targets):
-        """Least-squares fitted values for stacked targets (n, nt)."""
-        rhs = np.einsum("ni,nt->it", self.design, targets, optimize=False)
+    def _fill(self, exps, design):
+        """``design`` (n, len(exps)) filled with the monomials ``exps``
+        (a product from 1.0 or of x ** 1 has the same bits without them)."""
+        for i, e in enumerate(exps):
+            factors = [feat if power == 1 else feat ** power
+                       for feat, power in zip(self.feats, e) if power]
+            design[:, i] = (functools.reduce(np.multiply, factors)
+                            if factors else 1.0)
+        return design
+
+    def fit(self, targets, buf):
+        """Least-squares fitted values for stacked targets (n, nt); the
+        design is refilled into the head of the flat buffer ``buf``, column
+        by column (the layout ``design[:, keep]`` has)."""
+        n, k = targets.shape[0], len(self.exps)
+        design = self._fill(self.exps, buf[:n * k].reshape(k, n).T)
+        rhs = np.einsum("ni,nt->it", design, targets, optimize=False)
         beta = np.linalg.solve(self.gram, rhs)
-        return np.einsum("ni,it->nt", self.design, beta, optimize=False)
+        return np.einsum("ni,it->nt", design, beta, optimize=False)
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +475,15 @@ class _PathEstimators:
     """
 
     def _sup_abs(self, y, k_lo=0):
-        return self._fold(np.maximum, [np.abs(lev) for lev in _finite(y)],
+        return self._fold(np.maximum, (np.abs(lev) for lev in _finite(y)),
                           k_lo)
 
     def _z_sq(self, z, k_lo=0):
-        return self._rows(list(_finite(z)), lambda block: np.einsum(
+        return self._rows(_finite(z), lambda block: np.einsum(
             "njd,njd->n", block, block), k_lo)
 
     def _v_p(self, v, p, k_lo=0):
-        return self._rows([np.abs(lev) ** p for lev in _finite(v)],
+        return self._rows((np.abs(lev) ** p for lev in _finite(v)),
                           lambda block: np.einsum("njm,m->n", block,
                                                   self.intensities), k_lo)
 
@@ -609,10 +603,10 @@ class _Tree(_PathEstimators, _Lattice):
         return np.einsum("n,n->", self.weights, per_path)
 
     def _fold(self, ufunc, levels, k_lo=0):
-        return self.sweep.fold(ufunc, levels, k_lo)
+        return self.sweep.fold(ufunc, list(levels), k_lo)
 
     def _rows(self, levels, reduce, k_lo=0):
-        return self.sweep.row_reduce(levels, reduce, k_lo)
+        return self.sweep.row_reduce(list(levels), reduce, k_lo)
 
     def _at_depth(self, level, depth):
         return self.sweep.at_depth(level, depth)
@@ -637,8 +631,9 @@ class _Tree(_PathEstimators, _Lattice):
 class _PathBatch(_PathEstimators):
     """A simulated path batch: E[. | F_k] by least-squares regression on the
     state at t_k, with each step's basis built once for every solve on the
-    batch. A depth's level holds one value per path; the (n, N, .) einsums
-    run on the levels restacked into one contiguous block."""
+    batch; every fit refills its design into one buffer the batch owns. A
+    depth's level holds one value per path; the (n, depths, .) einsums run
+    on one block filled from the levels as they are read."""
 
     kind, estimator, tree = "paths", "mc", None
 
@@ -658,6 +653,8 @@ class _PathBatch(_PathEstimators):
         self._p_jump = -np.expm1(-self.intensities * self.grid.dt)   # (m,)
         self._norm_v = self._p_jump * (1.0 - self._p_jump)
         self._bases = {}
+        self._design_buf = np.empty(self.n_paths * len(
+            _monomial_exponents(self.d + self.m, degree)))
 
     def n_states(self, k):
         return self.n_paths
@@ -695,7 +692,7 @@ class _PathBatch(_PathEstimators):
             # trivial information is the plain mean
             fitted = np.broadcast_to(targets.mean(axis=0), targets.shape)
         else:
-            fitted = self._basis(k).fit(targets)
+            fitted = self._basis(k).fit(targets, self._design_buf)
         return fitted[:, 0], fitted[:, 1:1 + d], fitted[:, 1 + d:]
 
     def integrate(self, levels, combine):
@@ -710,15 +707,24 @@ class _PathBatch(_PathEstimators):
     def _fold(self, ufunc, levels, k_lo=0):
         return functools.reduce(ufunc, levels)
 
+    def _block(self, levels, depths):
+        """The (n, j[, width]) block of the j <= ``depths`` levels read."""
+        for j, lev in enumerate(levels):
+            if j == 0:
+                block = np.empty((self.n_paths, depths) + lev.shape[1:])
+            block[:, j] = lev
+        return block[:, :j + 1]
+
     def _rows(self, levels, reduce, k_lo=0):
-        return reduce(np.stack(levels, axis=1))
+        return reduce(self._block(levels, self.grid.steps - k_lo))
 
     def _at_depth(self, level, depth):
         return level
 
     def class_d(self, y):
         """Class-D estimator over ``StoppingFamily.default_for``."""
-        sample = ProcessSample(np.stack(list(_finite(y)), axis=1), self.grid)
+        sample = ProcessSample(self._block(_finite(y), self.grid.steps + 1),
+                               self.grid)
         return class_d_norm(sample, StoppingFamily.default_for(sample))
 
 

@@ -1,6 +1,7 @@
 """Driving-noise simulation and the scenario tree."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -338,6 +339,21 @@ def test_lattice_build_matches_unique_reference(d, m, N, data):
 def test_lattice_build_matches_unique_reference_examples(d, m, N):
     # a long lattice, and two explicit trees whose histories are compared
     _assert_same_lattice(d, m, N, [1.0] * m)
+
+
+def test_lattice_build_transient_memory_is_a_few_children_arrays():
+    # beside the lattice it keeps, the build holds at most 3.5 times the
+    # last depth's child indices in temporaries (b n_k-long codes, orders,
+    # ranks and branch weights)
+    grid = jb.make_time_grid(1.0, 16)
+    marks = jb.make_mark_space([[1.0], [2.0]], [0.7, 1.3])
+    tracemalloc.start()
+    try:
+        tree = jb.build_scenario_tree(grid, marks, 2, node_cap=None)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept <= 3.5 * tree.children[-1].nbytes
 
 
 def test_merge_batches_rejects_mismatch(unit_grid, single_mark):
