@@ -27,8 +27,9 @@ from .errors import (ConditioningError, ConfigError, NumericError,
 from .estimates import (DEFAULT_CEILING, ci_suite, ci_suite_csv_rows,
                         uniqueness_experiment, verify_full_estimate,
                         verify_zv_estimate)
-from .generators import (CONFIG_SCHEMA_ID, GENERATOR_FORMS, TERMINAL_FORMS,
-                         _is_real, _read_params, make_generator, make_problem,
+from .generators import (CONFIG_SCHEMA_ID, DIM_D, DIM_M, GENERATOR_FORMS,
+                         TERMINAL_FORMS, _is_real, _is_real_list,
+                         _one_of, _read_schema, make_generator, make_problem,
                          make_terminal)
 from .norms import norm_report
 from .randomness import build_scenario_tree, make_mark_space, simulate_paths
@@ -44,167 +45,93 @@ EXIT_DIVERGED = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_SOLVER = 4
 
-DEFAULT_CONFIG = {
-    "schema": CONFIG_SCHEMA_ID,
-    "problem": {
-        "horizon": None,        # required
-        "dim": 1,
-        "marks": {"marks": None, "intensities": None},   # required
-        "generator": {"form": None, "params": {}, "kappa": None, "p": 2.0,
-                      "alpha": None, "gamma": None, "g": 0.0},
-        "terminal": {"form": None, "params": {}},
-    },
-    "method": "tree",
-    "grid_steps": None,        # required
-    "node_cap": 10_000_000,    # JSON null disables the cap (lattice-only)
-    "n_paths": 10_000,
-    "basis_degree": 2,
-    "seed": 0,
-    "picard": {"tol": 1e-9, "max_iter": 25, "q": None},
-    "subdivide": {"enabled": False, "safety": 0.5, "c_emp": None, "q": None,
-                  "pilot_max_iter": 8},
-    "ladder": {"n_list": None, "tol": 1e-3},
-    "verify": {"ceiling": DEFAULT_CEILING, "suite": None},
-    "out_dir": None,
-}
-
 
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
 
-def _merge_defaults(default, given, path):
-    """Recursive merge rejecting unknown keys."""
-    if not isinstance(given, dict):
-        raise ConfigError(path, f"expected an object, got {type(given).__name__}")
-    out = {}
-    for key, dval in default.items():
-        sub = f"{path}.{key}" if path else key
-        if key in given:
-            if isinstance(dval, dict) and not key == "params":
-                out[key] = _merge_defaults(dval, given[key], sub)
-            else:
-                out[key] = given[key]
-        else:
-            out[key] = json.loads(json.dumps(dval))  # deep copy
-    unknown = set(given) - set(default)
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}" if path
-                          else sorted(unknown)[0], "unknown key rejected")
-    return out
+# the run config's schema (read by generators._read_schema): each leaf is
+# (kind, default); a required field's default, None, lies outside its domain.
+# An integer's type is int: true and false are ints too, but not counts.
+_POSITIVE_INT = (lambda x: type(x) is int and x >= 1, "a positive integer")
+_POSITIVE_REAL = (lambda x: _is_real(x) and x > 0, "a positive real")
+_NONNEG_REAL = (lambda x: _is_real(x) and x >= 0, "a non-negative real")
+_NULL_OR_NONNEG_REAL = (lambda x: x is None or _NONNEG_REAL[0](x),
+                        "null or a non-negative real")
+_PICARD_Q = (lambda x: x is None or (_is_real(x) and 1 < x < 2),
+             "null or a real in (1, 2)")
+_MARKS = (lambda x: (isinstance(x, list) and len(x) >= 1
+                     and all(_is_real_list(mark) and any(mark) for mark in x)
+                     and len({len(mark) for mark in x}) == 1),
+          "a non-empty list of non-zero marks, each a list of reals of one "
+          "length")
+_INTENSITIES = (lambda x: _is_real_list(x, lambda v: v > 0),
+                "a list of one positive real per mark")
+_OBJECT = (lambda x: isinstance(x, dict), "an object")
 
-
-def _is_int(x):
-    # bool is a subclass of int, but true/false are not counts
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_picard_q(x):
-    return x is None or (_is_real(x) and 1.0 < x < 2.0)
-
-
-def _is_reals(x, ok=lambda v: True):
-    return (isinstance(x, list) and len(x) >= 1
-            and all(_is_real(v) and ok(v) for v in x))
-
-
-def _require(ok, path, message):
-    if not ok:
-        raise ConfigError(path, message)
+DEFAULT_CONFIG = {
+    "schema": (_one_of([CONFIG_SCHEMA_ID], repr(CONFIG_SCHEMA_ID)), None),
+    "problem": {
+        "horizon": (_POSITIVE_REAL, None),
+        "dim": (_POSITIVE_INT, 1),
+        "marks": {"marks": (_MARKS, None), "intensities": (_INTENSITIES, None)},
+        "generator": {
+            "form": (_one_of(sorted(GENERATOR_FORMS)), None),
+            "params": (_OBJECT, {}), "kappa": (_NULL_OR_NONNEG_REAL, None),
+            "p": ((lambda x: _is_real(x) and x >= 1, "a real >= 1"), 2.0),
+            "alpha": ((lambda x: x is None or (_is_real(x) and 0 < x < 1),
+                       "null or a real in (0, 1)"), None),
+            "gamma": (_NULL_OR_NONNEG_REAL, None), "g": (_NONNEG_REAL, 0.0)},
+        "terminal": {"form": (_one_of(sorted(TERMINAL_FORMS)), None),
+                     "params": (_OBJECT, {})},
+    },
+    "method": (_one_of(["tree", "mc"], "'tree' or 'mc'"), "tree"),
+    "grid_steps": (_POSITIVE_INT, None),
+    # JSON null disables the cap (lattice-only)
+    "node_cap": ((lambda x: x is None or _POSITIVE_INT[0](x),
+                  "a positive integer or null"), 10_000_000),
+    "n_paths": (_POSITIVE_INT, 10_000),
+    "basis_degree": ((lambda x: type(x) is int and x >= 0,
+                      "a non-negative integer"), 2),
+    "seed": ((lambda x: type(x) is int, "an integer"), 0),
+    "picard": {"tol": (_NONNEG_REAL, 1e-9), "max_iter": (_POSITIVE_INT, 25),
+               "q": (_PICARD_Q, None)},
+    "subdivide": {
+        "enabled": (_one_of([False, True], "true or false"), False),
+        "safety": ((lambda x: _is_real(x) and 0 < x < 1, "a real in (0, 1)"),
+                   0.5),
+        "c_emp": ((lambda x: x is None or _POSITIVE_REAL[0](x),
+                   "null or a positive real"), None),
+        "q": (_PICARD_Q, None), "pilot_max_iter": (_POSITIVE_INT, 8)},
+    "ladder": {
+        "n_list": ((lambda x: x is None or (
+            _is_real_list(x, lambda v: v > 0)
+            and all(b > a for a, b in zip(x, x[1:]))),
+            "an increasing list of positive reals"), None),
+        "tol": (_NONNEG_REAL, 1e-3)},
+    "verify": {"ceiling": (_POSITIVE_REAL, DEFAULT_CEILING),
+               "suite": (_one_of([None, "ci12"], "null or 'ci12'"), None)},
+    "out_dir": ((lambda x: x is None or isinstance(x, str),
+                 "null or a string"), None),
+}
 
 
 def validate_config(raw):
-    """Merge with defaults, reject unknown keys, check field domains."""
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    if raw.get("schema") != CONFIG_SCHEMA_ID:
-        raise ConfigError("schema",
-                          f"must be {CONFIG_SCHEMA_ID!r}, got {raw.get('schema')!r}")
-    cfg = _merge_defaults(DEFAULT_CONFIG, raw, "")
-
+    """``raw`` read against DEFAULT_CONFIG, then the checks that span
+    fields: one intensity per mark, and each form's params read against
+    that form's schema."""
+    cfg = _read_schema(DEFAULT_CONFIG, raw, "")
     prob = cfg["problem"]
-    if not (_is_real(prob["horizon"]) and prob["horizon"] > 0):
-        raise ConfigError("problem.horizon",
-                          f"must be a positive real, got {prob['horizon']!r}")
-    if not (_is_int(prob["dim"]) and prob["dim"] >= 1):
-        raise ConfigError("problem.dim", "must be a positive integer")
     marks, intensities = prob["marks"]["marks"], prob["marks"]["intensities"]
-    _require(isinstance(marks, list) and len(marks) >= 1
-             and all(_is_reals(mark) and any(mark) for mark in marks)
-             and len({len(mark) for mark in marks}) == 1,
-             "problem.marks.marks", "must be a non-empty list of non-zero "
-             "marks, each a list of reals of one length")
-    _require(_is_reals(intensities, lambda v: v > 0)
-             and len(intensities) == len(marks), "problem.marks.intensities",
-             "must list one positive real per mark")
-    gen, term = prob["generator"], prob["terminal"]
-    for path, spec, forms in (("problem.generator", gen, GENERATOR_FORMS),
-                              ("problem.terminal", term, TERMINAL_FORMS)):
-        _require(isinstance(spec["form"], str) and spec["form"] in forms,
-                 f"{path}.form", f"unknown form {spec['form']!r}; "
-                                 f"known: {sorted(forms)}")
-        _require(isinstance(spec["params"], dict), f"{path}.params",
-                 "must be an object")
-        _, schema = forms[spec["form"]]
-        try:
-            _read_params(schema, spec["params"], prob["dim"], len(marks))
-        except ConfigError as e:
-            raise ConfigError(f"{path}.{e.path}", e.message) from e
-    p = gen["p"]
-    _require(_is_real(p) and p >= 1, "problem.generator.p",
-             "must be a real >= 1")
-    for key, ok, domain in (
-            ("kappa", lambda x: x >= 0, "a non-negative real"),
-            ("alpha", lambda x: 0 < x < 1, "a real in (0, 1)"),
-            ("gamma", lambda x: x >= 0, "a non-negative real")):
-        _require(gen[key] is None or (_is_real(gen[key]) and ok(gen[key])),
-                 f"problem.generator.{key}", f"must be null or {domain}")
-    _require(_is_real(gen["g"]) and gen["g"] >= 0, "problem.generator.g",
-             "must be a non-negative real")
-    if cfg["method"] not in ("tree", "mc"):
-        raise ConfigError("method", "must be 'tree' or 'mc'")
-    if not (_is_int(cfg["grid_steps"]) and cfg["grid_steps"] >= 1):
-        raise ConfigError("grid_steps", "must be a positive integer")
-    if cfg["node_cap"] is not None and not (_is_int(cfg["node_cap"])
-                                           and cfg["node_cap"] >= 1):
-        raise ConfigError("node_cap", "must be a positive integer or null")
-    if not _is_int(cfg["seed"]):
-        raise ConfigError("seed", "must be an integer")
-    if not (_is_int(cfg["n_paths"]) and cfg["n_paths"] >= 1):
-        raise ConfigError("n_paths", "must be a positive integer")
-    if not (_is_int(cfg["basis_degree"]) and cfg["basis_degree"] >= 0):
-        raise ConfigError("basis_degree", "must be a non-negative integer")
-    pic, sub, ver = cfg["picard"], cfg["subdivide"], cfg["verify"]
-    _require(_is_real(pic["tol"]) and pic["tol"] >= 0, "picard.tol",
-             "must be a non-negative real")
-    _require(_is_int(pic["max_iter"]) and pic["max_iter"] >= 1,
-             "picard.max_iter", "must be a positive integer")
-    _require(_is_picard_q(pic["q"]), "picard.q",
-             "must be null or a real in (1, 2)")
-    _require(isinstance(sub["enabled"], bool), "subdivide.enabled",
-             "must be true or false")
-    _require(_is_real(sub["safety"]) and 0 < sub["safety"] < 1,
-             "subdivide.safety", "must be a real in (0, 1)")
-    _require(sub["c_emp"] is None or (_is_real(sub["c_emp"])
-                                      and sub["c_emp"] > 0),
-             "subdivide.c_emp", "must be null or a positive real")
-    _require(_is_picard_q(sub["q"]), "subdivide.q",
-             "must be null or a real in (1, 2)")
-    _require(_is_int(sub["pilot_max_iter"]) and sub["pilot_max_iter"] >= 1,
-             "subdivide.pilot_max_iter", "must be a positive integer")
-    _require(_is_real(cfg["ladder"]["tol"]) and cfg["ladder"]["tol"] >= 0,
-             "ladder.tol", "must be a non-negative real")
-    _require(_is_real(ver["ceiling"]) and ver["ceiling"] > 0,
-             "verify.ceiling", "must be a positive real")
-    _require(ver["suite"] in (None, "ci12"), "verify.suite",
-             "must be null or 'ci12'")
-    n_list = cfg["ladder"]["n_list"]
-    _require(n_list is None or (
-        _is_reals(n_list, lambda v: v > 0)
-        and all(b > a for a, b in zip(n_list, n_list[1:]))),
-        "ladder.n_list", "must be an increasing list of positive reals")
-    _require(cfg["out_dir"] is None or isinstance(cfg["out_dir"], str),
-             "out_dir", "must be null or a string")
+    if len(intensities) != len(marks):
+        raise ConfigError("problem.marks.intensities",
+                          f"must be {_INTENSITIES[1]}, got {intensities!r}")
+    dims = {DIM_D: prob["dim"], DIM_M: len(marks)}
+    for section, forms in (("generator", GENERATOR_FORMS),
+                           ("terminal", TERMINAL_FORMS)):
+        spec = prob[section]
+        _read_schema(forms[spec["form"]][1], spec["params"],
+                     f"problem.{section}.params", dims)
     return cfg
 
 
@@ -511,7 +438,7 @@ def cmd_ladder(cfg):
                                      cfg["method"],
                                      tol=cfg["ladder"]["tol"],
                                      max_iter=cfg["picard"]["max_iter"],
-                                     check_assumptions=True, **ctx)
+                                     **ctx)
     body = {
         "schema": "jumpbsde/report/v1",
         "command": "ladder",

@@ -26,6 +26,7 @@ terminal on a noise representation, so it lives with the solvers' estimators
 (estimates.check_integrability).
 """
 
+import copy
 import hashlib
 import json
 import math
@@ -362,48 +363,77 @@ def _is_real(x):
             and math.isfinite(x))
 
 
-# a form's params schema maps each key to (kind, default). A kind is REAL (a
-# finite real), DIM_D or DIM_M (a list of d or m finite reals; the default
-# fills every entry), or a tuple of the values the entry may take.
-REAL, DIM_D, DIM_M = "real", "d", "m"
+def _is_real_list(x, ok=lambda v: True, size=None):
+    """A non-empty list of finite reals v with ok(v), of ``size`` entries
+    when given."""
+    return (isinstance(x, (list, tuple)) and len(x) >= 1
+            and (size is None or len(x) == size)
+            and all(_is_real(v) and ok(v) for v in x))
+
+
+# A schema (the run config's and each form's params) maps each key to a
+# nested schema or to a leaf (kind, default). A kind is (check, domain):
+# check(value) tells whether the value lies in the domain, which a rejection
+# names as "must be <domain>, got <value>". DIM_D and DIM_M stand for a list
+# of d (or m) finite reals, whose default fills every entry.
+REAL = (_is_real, "a finite real")
+DIM_D, DIM_M = "d", "m"
+
+
+def _one_of(values, domain=None):
+    """The kind of a value equal to one of ``values``, and of its type."""
+    values = list(values)
+    return (lambda x: any(type(x) is type(c) and x == c for c in values),
+            domain or f"one of {values}")
+
+
+def _read_schema(schema, given, path, dims=None):
+    """``given`` read against ``schema``: defaults filled in, every leaf
+    checked, unknown keys rejected. A bad entry raises ConfigError at its
+    dotted path under ``path``. Values are kept as given, since report
+    bodies embed the config as given; ``dims`` maps DIM_D and DIM_M to d
+    and m."""
+    if not isinstance(given, dict):
+        raise ConfigError(path or "<root>", f"must be an object, got {given!r}")
+    out = {}
+    for key, entry in schema.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(entry, dict):
+            out[key] = _read_schema(entry, given.get(key, {}), sub, dims)
+            continue
+        kind, default = entry
+        if kind in (DIM_D, DIM_M):
+            size = dims[kind]
+            kind = (lambda x, n=size: _is_real_list(x, size=n),
+                    f"a list of {size} finite reals, one per "
+                    + ("Brownian dimension" if kind == DIM_D else "mark"))
+            default = [default] * size
+        check, domain = kind
+        value = given[key] if key in given else copy.deepcopy(default)
+        if not check(value):
+            raise ConfigError(sub, f"must be {domain}, got {value!r}")
+        out[key] = value
+    unknown = sorted(set(given) - set(schema))
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}" if path else unknown[0],
+                          f"unknown key rejected; known: {sorted(schema)}")
+    return out
 
 
 def _read_params(schema, params, d, m):
-    """Each entry of a form's ``params``, checked against its schema and
-    converted, with the defaults filled in. A bad entry raises ConfigError
-    at ``params.<key>``."""
-    if not isinstance(params, dict):
-        raise ConfigError("params", "must be an object")
-    unknown = sorted(set(params) - set(schema))
-    if unknown:
-        raise ConfigError(f"params.{unknown[0]}",
-                          f"unknown key rejected; known: {sorted(schema)}")
-    out = {}
-    for key, (kind, default) in schema.items():
-        value = params.get(key, default)
-        if kind == REAL:
-            ok = _is_real(value)
-            domain = "a finite real"
-            value = float(value) if ok else value
+    """Each entry of a form's ``params`` read against its schema, with the
+    defaults filled in; reals become floats and lists float arrays."""
+    if isinstance(params, dict):
+        params = {key: value.tolist()
+                  if isinstance(value, np.ndarray) and value.ndim == 1
+                  else value for key, value in params.items()}
+    read = _read_schema(schema, params, "params", {DIM_D: d, DIM_M: m})
+    for key, (kind, _) in schema.items():
+        if kind is REAL:
+            read[key] = float(read[key])
         elif kind in (DIM_D, DIM_M):
-            size = d if kind == DIM_D else m
-            if key not in params:
-                value = [default] * size
-            elif isinstance(value, np.ndarray) and value.ndim == 1:
-                value = value.tolist()
-            ok = (isinstance(value, (list, tuple)) and len(value) == size
-                  and all(map(_is_real, value)))
-            domain = (f"a list of {size} finite reals, one per "
-                      + ("Brownian dimension" if kind == DIM_D else "mark"))
-            value = np.array(value, dtype=float) if ok else value
-        else:
-            ok = any(type(value) is type(c) and value == c for c in kind)
-            domain = f"one of {list(kind)}"
-        if not ok:
-            raise ConfigError(f"params.{key}", f"must be {domain}, "
-                                               f"got {value!r}")
-        out[key] = value
-    return out
+            read[key] = np.array(read[key], dtype=float)
+    return read
 
 
 def _affine(params, marks, p, d):
@@ -526,11 +556,11 @@ def _terminal_state_linear(params, marks, d):
     return fn
 
 
-_FLAG = (False, True)
+_FLAG = _one_of((False, True))
 TERMINAL_FORMS = {
     "constant": (_terminal_constant, {"value": (REAL, 0.0)}),
     "brownian-functional": (_terminal_brownian, {
-        "kind": (tuple(_REDUCERS), "linear"), "weights": (DIM_D, 1.0),
+        "kind": (_one_of(_REDUCERS), "linear"), "weights": (DIM_D, 1.0),
         "scale": (REAL, 1.0), "shift": (REAL, 0.0)}),
     "jump-count": (_terminal_jump_count, {
         "weights": (DIM_M, 1.0), "scale": (REAL, 1.0), "shift": (REAL, 0.0),

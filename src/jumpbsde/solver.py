@@ -469,32 +469,32 @@ class _PathEstimators:
     """Estimators read from per-path functionals of the fields, for the path
     batch (uniform weights) and the explicit tree (leaf probabilities). A
     subclass gives ``weights``, ``_expect``, ``_at_depth`` and the two
-    per-path reductions of per-depth levels starting at depth ``k_lo``:
-    ``_fold`` (a left-to-right ufunc over depths) and ``_rows`` (a row-wise
-    reduction of the (paths, depths[, width]) block).
+    per-path reductions of per-depth levels over depths [k_lo, k_hi] (k_hi
+    is N unless given): ``_fold`` (a left-to-right ufunc over depths) and
+    ``_rows`` (a row-wise reduction of the (paths, depths[, width]) block).
     """
 
     def _sup_abs(self, y, k_lo=0):
         return self._fold(np.maximum, (np.abs(lev) for lev in _finite(y)),
                           k_lo)
 
-    def _z_sq(self, z, k_lo=0):
+    def _z_sq(self, z, k_lo=0, k_hi=None):
         return self._rows(_finite(z), lambda block: np.einsum(
-            "njd,njd->n", block, block), k_lo)
+            "njd,njd->n", block, block), k_lo, k_hi)
 
-    def _v_p(self, v, p, k_lo=0):
-        return self._rows((np.abs(lev) ** p for lev in _finite(v)),
-                          lambda block: np.einsum("njm,m->n", block,
-                                                  self.intensities), k_lo)
+    def _v_p(self, v, p, k_lo=0, k_hi=None):
+        return self._rows(
+            (np.abs(lev) ** p for lev in _finite(v)), lambda block: np.einsum(
+                "njm,m->n", block, self.intensities), k_lo, k_hi)
 
     def sup_norm(self, y, p, k_lo=0):
         """S^p of one Y field."""
         return sp_from_sup(self._sup_abs(y, k_lo), self.weights, p)
 
-    def norms(self, p, y, z, v, k_lo=0):
+    def norms(self, p, y, z, v, k_lo=0, k_hi=None):
         """(S^p, M^p, L^p) of one (Y, Z, V) triple, each field read once."""
         dt = self.grid.dt
-        z_sq, v_p = self._z_sq(z, k_lo), self._v_p(v, p, k_lo)
+        z_sq, v_p = self._z_sq(z, k_lo, k_hi), self._v_p(v, p, k_lo, k_hi)
         return (self.sup_norm(y, p, k_lo),
                 mp_from_sq(z_sq * dt, self.weights, p),
                 float(self._expect(v_p) * dt) ** (1 / p))
@@ -561,7 +561,7 @@ class _Lattice:
         return max(self._mean(np.abs(lev) ** p, k_lo + k) ** (1 / p)
                    for k, lev in enumerate(_finite(y)))
 
-    def norms(self, p, y, z, v, k_lo=0):
+    def norms(self, p, y, z, v, k_lo=0, k_hi=None):
         dt = self.grid.dt
         mp = math.sqrt(sum(
             self._mean(np.einsum("nd,nd->n", lev, lev), k_lo + k) * dt
@@ -605,7 +605,7 @@ class _Tree(_PathEstimators, _Lattice):
     def _fold(self, ufunc, levels, k_lo=0):
         return self.sweep.fold(ufunc, list(levels), k_lo)
 
-    def _rows(self, levels, reduce, k_lo=0):
+    def _rows(self, levels, reduce, k_lo=0, k_hi=None):
         return self.sweep.row_reduce(list(levels), reduce, k_lo)
 
     def _at_depth(self, level, depth):
@@ -715,8 +715,8 @@ class _PathBatch(_PathEstimators):
             block[:, j] = lev
         return block[:, :j + 1]
 
-    def _rows(self, levels, reduce, k_lo=0):
-        return reduce(self._block(levels, self.grid.steps - k_lo))
+    def _rows(self, levels, reduce, k_lo=0, k_hi=None):
+        return reduce(self._block(levels, (k_hi or self.grid.steps) - k_lo))
 
     def _at_depth(self, level, depth):
         return level
@@ -792,9 +792,10 @@ _SETUP_KEYS = ("node_cap", "n_paths", "seed", "basis_degree")
 def _prepare(problem, method, tree, batch, picard_kwargs):
     """Set-up for entry points that run several solves on one
     representation: (representation, the remaining ``_picard`` keywords).
-    ``check_assumptions`` defaults to False here and runs once."""
+    ``check_assumptions`` defaults to True, as in ``picard_solve``, and
+    runs once."""
     kwargs = dict(picard_kwargs)
-    if kwargs.pop("check_assumptions", False):
+    if kwargs.pop("check_assumptions", True):
         _check_assumptions(problem, kwargs.get("seed", 0))
     setup = {key: kwargs.pop(key) for key in _SETUP_KEYS if key in kwargs}
     return _setup(problem, method, tree, batch, **setup), kwargs
@@ -905,7 +906,8 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
         trace.n_iter = it
         trace.record(*rep.norms(q, map(np.subtract, cur.y, prev.y),
                                 map(np.subtract, cur.z, prev.z),
-                                map(np.subtract, cur.v, prev.v), k_lo=k_lo))
+                                map(np.subtract, cur.v, prev.v),
+                                k_lo=k_lo, k_hi=k_hi))
         if trace.dist[-1] <= tol:
             trace.converged = True
             break

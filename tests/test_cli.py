@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jumpbsde import cli
+from jumpbsde.generators import GENERATOR_FORMS, TERMINAL_FORMS
 
 BASE = {
     "schema": "jumpbsde/run-config/v1",
@@ -212,6 +214,25 @@ JSON_VALUES = {
 }
 
 
+def _leaf_paths(schema, path=""):
+    for key, entry in schema.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(entry, dict):
+            yield from _leaf_paths(entry, sub)
+        else:
+            yield sub
+
+
+def test_fuzzed_fields_are_every_leaf_of_the_schema():
+    # a new config key or params entry cannot escape the fuzz test below
+    assert set(LEAF_TYPES) == set(_leaf_paths(cli.DEFAULT_CONFIG))
+    assert ({key: set(entries) for key, entries in PARAM_TYPES.items()}
+            == {(section, form): set(schema)
+                for section, forms in (("problem.generator", GENERATOR_FORMS),
+                                       ("problem.terminal", TERMINAL_FORMS))
+                for form, (_, schema) in forms.items()})
+
+
 @st.composite
 def _rejected_leaf(draw):
     field, form, types = draw(st.sampled_from(TYPED_FIELDS))
@@ -245,6 +266,41 @@ def test_bad_params_entry_rejected_with_its_path(tmp_path, capsys, field,
                                                  form, value):
     # wrong type, wrong length, out of an enumeration, or unknown to the form
     _assert_rejected_at(tmp_path / "cfg.json", capsys, field, value, form)
+
+
+def test_resolved_defaults_are_pinned():
+    # report bodies embed the resolved config, so a default that turns from
+    # an integer into a real (or back) changes every body
+    want = {
+        "schema": "jumpbsde/run-config/v1",
+        "problem": {
+            "horizon": 1.0, "dim": 1,
+            "marks": {"marks": [[1.0]], "intensities": [1.0]},
+            "generator": {"form": "affine", "params": {"a": 0.5},
+                          "kappa": None, "p": 2.0, "alpha": None,
+                          "gamma": None, "g": 0.0},
+            "terminal": {"form": "constant", "params": {"value": 1.0}}},
+        "method": "tree", "grid_steps": 10, "node_cap": 10000000,
+        "n_paths": 10000, "basis_degree": 2, "seed": 7,
+        "picard": {"tol": 1e-9, "max_iter": 25, "q": None},
+        "subdivide": {"enabled": False, "safety": 0.5, "c_emp": None,
+                      "q": None, "pilot_max_iter": 8},
+        "ladder": {"n_list": None, "tol": 0.001},
+        "verify": {"ceiling": 1000.0, "suite": None},
+        "out_dir": None,
+    }
+    assert (json.dumps(cli.validate_config(copy.deepcopy(BASE)),
+                       sort_keys=True)
+            == json.dumps(want, sort_keys=True))
+
+
+def test_readme_run_config_example_is_a_resolved_config():
+    # the README example lists every key, each value inside its domain
+    readme = (pathlib.Path(__file__).resolve().parents[1]
+              / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Run config"):]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert cli.validate_config(copy.deepcopy(example)) == example
 
 
 def test_error_line_follows_the_dotted_path(tmp_path, capsys):
@@ -343,14 +399,20 @@ def test_solver_failure_exits_4(tmp_path, capsys, overrides):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["solve", "verify", "ladder"])
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", {}), ("verify", {}), ("ladder", {}),
+    # a given c_emp skips the pilot solve: the chained solve checks kappa
+    ("solve", {"grid_steps": 8,
+               "subdivide": {"enabled": True, "c_emp": 1.0}}),
+], ids=["solve", "verify", "ladder", "solve-subdivided"])
 def test_broken_lipschitz_modulus_exits_1_at_kappa(tmp_path, capsys,
-                                                    command):
+                                                    command, overrides):
     # f = 2 y against a declared kappa of 0.5: the config is wrong
     problem = copy.deepcopy(BASE["problem"])
     problem["generator"] = {"form": "affine", "params": {"a": 2},
                             "kappa": 0.5}
-    path, _ = _cfg(tmp_path, problem=problem, ladder={"n_list": [1, 4]})
+    path, _ = _cfg(tmp_path, problem=problem, ladder={"n_list": [1, 4]},
+                   **overrides)
     text = path.read_text()
     line = next(i for i, row in enumerate(text.splitlines(), start=1)
                 if row.strip() == '"kappa": 0.5')

@@ -169,6 +169,25 @@ def test_chained_distances_match_materialised_meter(method, node_cap):
                      4 - 2 * i)
 
 
+def test_chained_batch_meter_allocates_the_depths_it_reads():
+    # each interval's (Z, V) block holds that interval's depths, not the
+    # depths from its start to N
+    problem = _problem(1, 1, 12)
+    plan = jb.SubdivisionPlan(np.linspace(0.0, 1.0, 4), 1.5, 0.5, 1.0, 0.5,
+                              0.0)
+    blocks, block = [], solver._PathBatch._block
+
+    def spy(self, levels, depths):
+        out = block(self, levels, depths)
+        blocks.append((depths, out.shape[1]))
+        return out
+
+    with mock.patch.object(solver._PathBatch, "_block", spy):
+        jb.chained_solve(problem, plan, "mc", tol=0.0, max_iter=2,
+                         n_paths=300, seed=5)
+    assert blocks == [(4, 4)] * (3 * 2 * 2)
+
+
 @pytest.mark.parametrize("field", ["y", "z", "v"])
 @pytest.mark.parametrize("method, node_cap", [
     ("tree", None), ("tree", 10 ** 7), ("mc", None)],
