@@ -302,8 +302,10 @@ def cmd_solve(cfg):
                 problem, cfg["method"], tol=pic["tol"],
                 max_iter=sub["pilot_max_iter"], q=q, **ctx)
             r_hat = max(pilot_trace.ratios) if pilot_trace.ratios else 1.0
-            c_emp = r_hat / (problem.generator.lipschitz_kappa
-                             * problem.grid.horizon ** (1 - q / 2))
+            scale = (problem.generator.lipschitz_kappa
+                     * problem.grid.horizon ** (1 - q / 2))
+            # kappa = 0: the driver ignores (y, z, v), one interval will do
+            c_emp = r_hat / scale if scale > 0 else 0.0
         plan = subdivide_horizon(problem.grid.horizon,
                                  problem.generator.lipschitz_kappa, q,
                                  c_emp, sub["safety"])
@@ -312,9 +314,12 @@ def cmd_solve(cfg):
                 "grid_steps",
                 f"{problem.grid.steps} steps not divisible by the "
                 f"{plan.k_intervals}-interval plan; use a multiple")
+        # the pilot solve, when it ran, checked the declared kappa
         solution, traces = chained_solve(problem, plan, cfg["method"],
                                          tol=pic["tol"],
-                                         max_iter=pic["max_iter"], q=q, **ctx)
+                                         max_iter=pic["max_iter"], q=q,
+                                         check_assumptions=pilot_trace is None,
+                                         **ctx)
         converged = all(t.converged for t in traces)
         trace_dict = {"intervals": [t.to_json_dict() for t in traces]}
         plan_dict = plan.to_json_dict()

@@ -29,10 +29,14 @@ inner problem's driver depends on y only -- and records successive distances
 in the (S^q, M^q, L^q) sample norms. On explicit trees those norms are exact
 via a leaf sweep; on implicit lattices S^q is replaced by the exact
 sup-of-marginals lower bound and M^q by its q=2 form (L^q is a linear
-functional and stays exact). The meter reads the differences of the two
-iterates lazily, one depth (lattice) or one field (tree, batch) at a time,
-and builds no third (Y, Z, V) copy (a batch fills one (paths, depths)
-block). Non-contraction (three consecutive ratios >= 1) produces a
+functional and stays exact). The engine keeps one iterate and each sweep
+overwrites it in place, one depth at a time: the representation's meter
+(``_Meter``) takes that depth's differences before they are overwritten --
+per-depth scalars on the lattice, a running max and (paths, depths) blocks
+on a batch, the levels for the leaf sweep on an explicit tree -- and the
+solution norms read through the same meter. A depth whose inputs repeat the
+previous sweep's bit for bit (the settled tail below the terminal) is
+skipped. Non-contraction (three consecutive ratios >= 1) produces a
 divergence report advising horizon subdivision.
 
 Lattice reductions use einsum(optimize=False) rather than BLAS, so results
@@ -452,65 +456,245 @@ class _LeafSweep:
 
 
 # ---------------------------------------------------------------------------
-# noise representations
+# norm meters and noise representations
 # ---------------------------------------------------------------------------
+
+_NOT_FINITE = "the solution is not finite (overflow in the backward induction)"
+
 
 def _finite(levels):
     """The levels, each checked as it is read: overflowed iterates are a
     solver failure, not a norm to report."""
     for level in levels:
         if not np.all(np.isfinite(level)):
-            raise NumericError("the solution is not finite (overflow in the "
-                               "backward induction)")
+            raise NumericError(_NOT_FINITE)
         yield level
 
 
-class _PathEstimators:
-    """Estimators read from per-path functionals of the fields, for the path
-    batch (uniform weights) and the explicit tree (leaf probabilities). A
-    subclass gives ``weights``, ``_expect``, ``_at_depth`` and the two
-    per-path reductions of per-depth levels over depths [k_lo, k_hi] (k_hi
-    is N unless given): ``_fold`` (a left-to-right ufunc over depths) and
-    ``_rows`` (a row-wise reduction of the (paths, depths[, width]) block).
-    """
+def _ascending(terms):
+    """The values of a depth-keyed dict, in ascending depth order."""
+    return [terms[k] for k in sorted(terms)]
 
-    def _sup_abs(self, y, k_lo=0):
-        return self._fold(np.maximum, (np.abs(lev) for lev in _finite(y)),
-                          k_lo)
 
-    def _z_sq(self, z, k_lo=0, k_hi=None):
-        return self._rows(_finite(z), lambda block: np.einsum(
-            "njd,njd->n", block, block), k_lo, k_hi)
+class _Meter:
+    """The norms (S^p, M^p, L^p) of one (Y, Z, V) triple -- in a Picard
+    sweep, the difference of two iterates -- fed one depth at a time in any
+    order: ``y(k, level)`` gives Y at depth k, ``zv(k, z, v)`` Z and V, and
+    ``skip(k)`` says that all three are zero at depth k. A subclass keeps per
+    depth what its representation's norms reduce (``_y``, ``_zv``,
+    ``skip``) and reduces it in ascending depth order (``_sup``,
+    ``_mp_lp``), so the result does not depend on the feeding order. Every
+    level is checked for finiteness as it comes, but the verdict waits for
+    the result: an overflowed iterate is a solver failure, raised after any
+    error of the sweep that fed it."""
 
-    def _v_p(self, v, p, k_lo=0, k_hi=None):
-        return self._rows(
-            (np.abs(lev) ** p for lev in _finite(v)), lambda block: np.einsum(
-                "njm,m->n", block, self.intensities), k_lo, k_hi)
+    def __init__(self, rep, p, k_lo=0, k_hi=None):
+        self.rep, self.p, self.k_lo = rep, p, k_lo
+        self.k_hi = rep.grid.steps if k_hi is None else k_hi
+        self.finite = True
+
+    def _check(self, *levels):
+        self.finite = self.finite and all(np.all(np.isfinite(level))
+                                          for level in levels)
+        return self.finite
+
+    def y(self, k, level):
+        if self._check(level):
+            self._y(k, level)
+
+    def zv(self, k, z, v):
+        if self._check(z, v):
+            self._zv(k, z, v)
+
+    def feed(self, y, z=(), v=()):
+        """Feed per-depth fields from depth k_lo on; returns the meter."""
+        for k, level in enumerate(y, self.k_lo):
+            self.y(k, level)
+        for k, (z_k, v_k) in enumerate(zip(z, v), self.k_lo):
+            self.zv(k, z_k, v_k)
+        return self
+
+    def _verdict(self):
+        if not self.finite:
+            raise NumericError(_NOT_FINITE)
+
+    def sup(self):
+        """S^p of the Y levels fed."""
+        self._verdict()
+        return self._sup()
+
+    def norms(self):
+        """(S^p, M^p, L^p) of the fields fed."""
+        self._verdict()
+        return (self._sup(), *self._mp_lp())
+
+
+class _LatticeMeter(_Meter):
+    """Exact marginal terms, one scalar per depth and norm: the means over
+    the depth's states of |Y|^p (to the power 1/p), of |Z|^2 dt and of
+    sum_i lambda_i |V_i|^p dt. S^p is the max of the first (the
+    sup-of-marginals lower bound), M^p the root of the sum of the second
+    (its q=2 form) and L^p the p-th root of the sum of the third (exact)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.terms = {}, {}, {}            # depth -> S^p, M^p, L^p term
+
+    def _y(self, k, y):
+        p = self.p
+        self.terms[0][k] = self.rep._mean(np.abs(y) ** p, k) ** (1 / p)
+
+    def _zv(self, k, z, v):
+        rep, dt = self.rep, self.rep.grid.dt
+        self.terms[1][k] = rep._mean(np.einsum("nd,nd->n", z, z), k) * dt
+        self.terms[2][k] = rep._mean(np.einsum(
+            "nm,m->n", np.abs(v) ** self.p, rep.intensities), k) * dt
+
+    def skip(self, k):
+        for terms in self.terms:
+            terms[k] = 0.0
+
+    def _sup(self):
+        return max(_ascending(self.terms[0]))
+
+    def _mp_lp(self):
+        return (math.sqrt(sum(_ascending(self.terms[1]))),
+                sum(_ascending(self.terms[2])) ** (1 / self.p))
+
+
+class _PathMeter(_Meter):
+    """Norms of per-path functionals against the path weights: sup_k |Y_k|,
+    sum_k |Z_k|^2 and sum_k sum_i lambda_i |V_{k,i}|^p over each path's
+    depths (``per_path``)."""
+
+    def per_path(self):
+        """(sup_k |Y_k|, sum_k |Z_k|^2, sum_k lambda . |V_k|^p) per path."""
+        self._verdict()
+        return (self._sup_abs(), *self._z_sq_v_p())
+
+    def _sup(self):
+        return sp_from_sup(self._sup_abs(), self.rep.weights, self.p)
+
+    def _mp_lp(self):
+        rep, dt = self.rep, self.rep.grid.dt
+        z_sq, v_p = self._z_sq_v_p()
+        return (mp_from_sq(z_sq * dt, rep.weights, self.p),
+                float(rep._expect(v_p) * dt) ** (1 / self.p))
+
+
+class _TreeMeter(_PathMeter):
+    """Keeps the levels |Y_k|, Z_k and |V_k|^p; the leaf sweep reduces
+    them along the root-to-leaf paths."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.levels = {}, {}, {}
+
+    def _y(self, k, y):
+        self.levels[0][k] = np.abs(y)
+
+    def _zv(self, k, z, v):
+        self.levels[1][k] = z
+        self.levels[2][k] = np.abs(v) ** self.p
+
+    def skip(self, k):
+        n, tree = self.rep.n_states(k), self.rep.tree
+        self._y(k, np.zeros(n))
+        self._zv(k, np.zeros((n, tree.d)), np.zeros((n, tree.marks.m)))
+
+    def _sup_abs(self):
+        return self.rep.sweep.fold(np.maximum, _ascending(self.levels[0]),
+                                   self.k_lo)
+
+    def _z_sq_v_p(self):
+        sweep, lam = self.rep.sweep, self.rep.intensities
+        return (sweep.row_reduce(_ascending(self.levels[1]), lambda block:
+                                 np.einsum("njd,njd->n", block, block),
+                                 self.k_lo),
+                sweep.row_reduce(_ascending(self.levels[2]), lambda block:
+                                 np.einsum("njm,m->n", block, lam),
+                                 self.k_lo))
+
+
+class _BatchMeter(_PathMeter):
+    """A running max of |Y_k| per path (exact in any order: abs gives no
+    -0.0), and the (paths, depths, d) and (paths, depths, m) blocks of Z_k
+    and |V_k|^p over depths [k_lo, k_hi), column k - k_lo written when
+    depth k comes; the blocks are allocated at the first Z."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sup_abs = np.zeros(self.rep.n_paths)
+        self.blocks, self.depths = None, 0
+
+    def _y(self, k, y):
+        np.maximum(self.sup_abs, np.abs(y), out=self.sup_abs)
+
+    def _column(self, k):
+        if self.blocks is None:
+            shape = (self.rep.n_paths, self.k_hi - self.k_lo)
+            self.blocks = (np.empty(shape + (self.rep.d,)),
+                           np.empty(shape + (self.rep.m,)))
+        j = k - self.k_lo
+        self.depths = max(self.depths, j + 1)
+        return j
+
+    def _zv(self, k, z, v):
+        j = self._column(k)
+        self.blocks[0][:, j] = z
+        self.blocks[1][:, j] = np.abs(v) ** self.p
+
+    def skip(self, k):
+        j = self._column(k)
+        for block in self.blocks:
+            block[:, j] = 0.0
+
+    def _sup_abs(self):
+        return self.sup_abs
+
+    def _z_sq_v_p(self):
+        z, v = (block[:, :self.depths] for block in self.blocks)
+        return (np.einsum("njd,njd->n", z, z),
+                np.einsum("njm,m->n", v, self.rep.intensities))
+
+
+class _Representation:
+    """What the noise representations share: norms read through the meter
+    of the representation (``_meter``), which a Picard sweep also feeds."""
+
+    def meter(self, p, k_lo=0, k_hi=None):
+        return self._meter(self, p, k_lo, k_hi)
 
     def sup_norm(self, y, p, k_lo=0):
         """S^p of one Y field."""
-        return sp_from_sup(self._sup_abs(y, k_lo), self.weights, p)
+        return self.meter(p, k_lo).feed(y).sup()
 
     def norms(self, p, y, z, v, k_lo=0, k_hi=None):
         """(S^p, M^p, L^p) of one (Y, Z, V) triple, each field read once."""
-        dt = self.grid.dt
-        z_sq, v_p = self._z_sq(z, k_lo, k_hi), self._v_p(v, p, k_lo, k_hi)
-        return (self.sup_norm(y, p, k_lo),
-                mp_from_sq(z_sq * dt, self.weights, p),
-                float(self._expect(v_p) * dt) ** (1 / p))
+        return self.meter(p, k_lo, k_hi).feed(y, z, v).norms()
+
+
+class _PathEstimators(_Representation):
+    """Estimators read from per-path functionals of the fields, for the path
+    batch (uniform weights) and the explicit tree (leaf probabilities). A
+    subclass gives ``weights``, ``_expect``, ``_at_depth``, a path meter and
+    ``_fold`` (a per-path left-to-right ufunc over the levels of depths
+    k_lo, k_lo + 1, ...)."""
 
     def functionals(self, problem, p, sol):
         """Per-path functionals of the a priori estimates, with weights."""
         N, dt = self.grid.steps, self.grid.dt
+        sup_abs, z_sq, v_p = self.meter(p).feed(sol.y, sol.z, sol.v).per_path()
+        z_sq *= dt
+        v_p *= dt
         f0 = _data_levels(self, problem)[:-1]
-        return {"weights": self.weights, "sup_abs_y": self._sup_abs(sol.y),
-                "int_z_sq": self._z_sq(sol.z) * dt,
-                "int_v_p": self._v_p(sol.v, p) * dt,
+        return {"weights": self.weights, "sup_abs_y": sup_abs,
+                "int_z_sq": z_sq, "int_v_p": v_p,
                 "int_f0_abs": self._fold(np.add, f0) * dt,
                 "xi_abs": self._at_depth(np.abs(sol.y[-1]), N)}
 
 
-class _Lattice:
+class _Lattice(_Representation):
     """The recombined state lattice of a scenario tree: E[. | F_k] and the
     Z / V projections are exact branch-weighted sums over each state's
     children. Without an explicit tree the estimators are the exact marginal
@@ -518,6 +702,7 @@ class _Lattice:
 
     kind, estimator, batch, n_paths = "tree", "tree-marginal", None, None
     diagnostics = {}
+    _meter = _LatticeMeter
 
     def __init__(self, problem, tree):
         if tree.grid.to_json_dict() != problem.grid.to_json_dict():
@@ -557,21 +742,6 @@ class _Lattice:
         depths 0, 1, ...: ``combine`` of their exact means, with SE 0."""
         return combine([self._mean(lev, k) for k, lev in enumerate(levels)]), 0.0
 
-    def sup_norm(self, y, p, k_lo=0):
-        return max(self._mean(np.abs(lev) ** p, k_lo + k) ** (1 / p)
-                   for k, lev in enumerate(_finite(y)))
-
-    def norms(self, p, y, z, v, k_lo=0, k_hi=None):
-        dt = self.grid.dt
-        mp = math.sqrt(sum(
-            self._mean(np.einsum("nd,nd->n", lev, lev), k_lo + k) * dt
-            for k, lev in enumerate(_finite(z))))
-        lp = sum(
-            self._mean(np.einsum("nm,m->n", np.abs(lev) ** p,
-                                 self.intensities), k_lo + k) * dt
-            for k, lev in enumerate(_finite(v))) ** (1 / p)
-        return self.sup_norm(y, p, k_lo), mp, lp
-
     def class_d(self, y):
         """Class-D estimator: deterministic times only, max_k E|Y_k|."""
         return self.sup_norm(y, 1)
@@ -586,6 +756,7 @@ class _Tree(_PathEstimators, _Lattice):
     path probabilities)."""
 
     estimator = "tree"
+    _meter = _TreeMeter
 
     @functools.cached_property
     def sweep(self):
@@ -604,9 +775,6 @@ class _Tree(_PathEstimators, _Lattice):
 
     def _fold(self, ufunc, levels, k_lo=0):
         return self.sweep.fold(ufunc, list(levels), k_lo)
-
-    def _rows(self, levels, reduce, k_lo=0, k_hi=None):
-        return self.sweep.row_reduce(list(levels), reduce, k_lo)
 
     def _at_depth(self, level, depth):
         return self.sweep.at_depth(level, depth)
@@ -632,10 +800,10 @@ class _PathBatch(_PathEstimators):
     """A simulated path batch: E[. | F_k] by least-squares regression on the
     state at t_k, with each step's basis built once for every solve on the
     batch; every fit refills its design into one buffer the batch owns. A
-    depth's level holds one value per path; the (n, depths, .) einsums run
-    on one block filled from the levels as they are read."""
+    depth's level holds one value per path."""
 
     kind, estimator, tree = "paths", "mc", None
+    _meter = _BatchMeter
 
     def __init__(self, problem, batch, degree):
         if batch.grid.to_json_dict() != problem.grid.to_json_dict():
@@ -707,24 +875,15 @@ class _PathBatch(_PathEstimators):
     def _fold(self, ufunc, levels, k_lo=0):
         return functools.reduce(ufunc, levels)
 
-    def _block(self, levels, depths):
-        """The (n, j[, width]) block of the j <= ``depths`` levels read."""
-        for j, lev in enumerate(levels):
-            if j == 0:
-                block = np.empty((self.n_paths, depths) + lev.shape[1:])
-            block[:, j] = lev
-        return block[:, :j + 1]
-
-    def _rows(self, levels, reduce, k_lo=0, k_hi=None):
-        return reduce(self._block(levels, (k_hi or self.grid.steps) - k_lo))
-
     def _at_depth(self, level, depth):
         return level
 
     def class_d(self, y):
         """Class-D estimator over ``StoppingFamily.default_for``."""
-        sample = ProcessSample(self._block(_finite(y), self.grid.steps + 1),
-                               self.grid)
+        block = np.empty((self.n_paths, self.grid.steps + 1))
+        for k, level in enumerate(_finite(y)):
+            block[:, k] = level
+        sample = ProcessSample(block, self.grid)
         return class_d_norm(sample, StoppingFamily.default_for(sample))
 
 
@@ -805,12 +964,30 @@ def _prepare(problem, method, tree, batch, picard_kwargs):
 # the backward loop
 # ---------------------------------------------------------------------------
 
-def _backward(rep, problem, k_lo, k_hi, terminal_values, frozen=None,
-              max_inner=100_000):
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
+              meter=None, settled=None, max_inner=100_000):
     """Backward induction over depths [k_lo, k_hi], fields indexed from
-    k_lo. The driver sees the (Z, V) fields of the solution ``frozen``, when
-    given, in place of the step's own projections (the Picard inner
-    problem)."""
+    k_lo; returns the solution.
+
+    Without ``iterate`` it fills a new solution, and the driver sees each
+    step's own projections (Z_k, V_k). With it, this is one Picard sweep
+    over ``iterate``, in place: at depth k it projects the new Y_{k+1},
+    solves the step with the iterate's own (Z_k, V_k) -- the previous
+    sweep's -- frozen in the driver, passes the differences new - old to
+    ``meter`` and writes (Y_k, Z_k, V_k) over the old values.
+
+    ``settled`` (None on a first sweep, whose start is no sweep's output)
+    flags per depth whether the previous sweep left Y bitwise unchanged; the
+    sweep updates it to its own flags. A depth whose Y_{k+1} this sweep and
+    the previous one both left unchanged has the previous sweep's inputs
+    bit for bit -- Y_{k+1}, the frozen (Z_k, V_k) projected from that same
+    Y_{k+1}, and the context -- and so its outputs: it is skipped, and the
+    meter records zero differences (``meter.skip``).
+    """
     gen = problem.generator
     dt = problem.grid.dt
     kappa_dt = gen.lipschitz_kappa * dt
@@ -818,22 +995,36 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, frozen=None,
         raise StepSizeError(
             f"kappa*dt = {kappa_dt:g} >= 1; refine the grid "
             f"(kappa={gen.lipschitz_kappa:g}, dt={dt:g})")
-    sol = _empty(rep, problem, k_lo, k_hi)
+    sol = _empty(rep, problem, k_lo, k_hi) if iterate is None else iterate
     term = np.asarray(terminal_values, dtype=float)
     if term.shape != sol.y[-1].shape:
         raise ValueError(
             f"terminal values shaped {term.shape} do not match the "
             f"{sol.y[-1].shape[0]} states at depth {k_hi}")
+    if meter is not None:
+        meter.y(k_hi, term - sol.y[-1])
+    unchanged = settled is not None and _same_bits(term, sol.y[-1])
     sol.y[-1][...] = term
 
     for k in range(k_hi - 1, k_lo - 1, -1):
         j = k - k_lo
+        if settled is not None:
+            skip = unchanged and settled[j + 1]
+            settled[j + 1] = unchanged
+            if skip:
+                meter.skip(k)          # and Y_k stays unchanged
+                continue
         cond_mean, z, v = rep.project(sol.y[j + 1], k)
-        z_arg, v_arg = (z, v) if frozen is None else (frozen.z[j],
-                                                      frozen.v[j])
-        sol.y[j][...] = _solve_implicit(
-            cond_mean, gen.bind(rep.context(problem, k), z_arg, v_arg),
-            dt, kappa_dt, max_inner)
+        frozen = (z, v) if iterate is None else (sol.z[j], sol.v[j])
+        y = _solve_implicit(cond_mean,
+                            gen.bind(rep.context(problem, k), *frozen),
+                            dt, kappa_dt, max_inner)
+        if meter is not None:
+            meter.y(k, y - sol.y[j])
+            meter.zv(k, z - sol.z[j], v - sol.v[j])
+        if settled is not None:
+            unchanged = _same_bits(y, sol.y[j])
+        sol.y[j][...] = y
         sol.z[j][...] = z
         sol.v[j][...] = v
     sol.y0 = float(sol.y[0][0])
@@ -886,7 +1077,11 @@ def _constant(rep, problem, k_lo, k_hi, init):
 def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
             init=(0.0, 0.0, 0.0), max_inner=100_000, k_hi=None, k_lo=0,
             terminal_values=None):
-    """The Picard iteration of ``picard_solve`` on a given representation."""
+    """The Picard iteration of ``picard_solve`` on a given representation.
+
+    It owns one iterate, the constant ``init``, which every sweep
+    (``_backward``) overwrites in place while its meter takes each depth's
+    differences before they are overwritten."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if q is None:
@@ -898,16 +1093,17 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
             raise ValueError("sub-range solves need explicit terminal values")
         terminal_values = problem.terminal(rep.context(problem, N))
 
-    prev = _constant(rep, problem, k_lo, k_hi, init)
+    sol = _constant(rep, problem, k_lo, k_hi, init)
+    settled = None
     trace = PicardTrace(q=q)
     for it in range(1, max_iter + 1):
-        cur = _backward(rep, problem, k_lo, k_hi, terminal_values,
-                        frozen=prev, max_inner=max_inner)
+        meter = rep.meter(q, k_lo, k_hi)
+        _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=sol,
+                  meter=meter, settled=settled, max_inner=max_inner)
+        if settled is None:
+            settled = np.zeros(k_hi - k_lo + 1, dtype=bool)
         trace.n_iter = it
-        trace.record(*rep.norms(q, map(np.subtract, cur.y, prev.y),
-                                map(np.subtract, cur.z, prev.z),
-                                map(np.subtract, cur.v, prev.v),
-                                k_lo=k_lo, k_hi=k_hi))
+        trace.record(*meter.norms())
         if trace.dist[-1] <= tol:
             trace.converged = True
             break
@@ -920,12 +1116,11 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
                 f"{sub_T:g}; subdivide the horizon (subdivide_horizon + "
                 "chained_solve) and retry")
             break
-        prev = cur
     else:
         trace.message = (f"tolerance {tol:g} not reached in {max_iter} "
                          "iterations")
-    cur.diagnostics["picard"] = trace.to_json_dict()
-    return cur, trace
+    sol.diagnostics["picard"] = trace.to_json_dict()
+    return sol, trace
 
 
 def picard_solve(problem, method="tree", tree=None, batch=None, tol=1e-9,
@@ -959,12 +1154,13 @@ def subdivide_horizon(T, kappa, q, c_emp, safety=0.5):
 
     The contraction constant has no usable closed form; c_emp is either
     user-supplied or calibrated from a pilot run's measured ratio via
-    c_emp = r / (kappa * T^(1-q/2)).
+    c_emp = r / (kappa * T^(1-q/2)). A calibrated c_emp of 0 (no measured
+    contraction: every ratio 0) gives the one-interval plan.
     """
     if not 1.0 < q < 2.0:
         raise ValueError(f"q must lie in (1,2), got {q}")
-    if c_emp <= 0:
-        raise ValueError("c_emp must be positive")
+    if c_emp < 0:
+        raise ValueError("c_emp must be non-negative")
     if not 0.0 < safety < 1.0:
         raise ValueError("safety must lie in (0,1)")
     expo = 1.0 - q / 2.0

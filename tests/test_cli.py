@@ -490,6 +490,47 @@ def test_solve_with_subdivision(tmp_path):
     assert len(body["subdivision_plan"]["breakpoints"]) == 15   # K = 14
 
 
+@pytest.mark.parametrize("generator", [
+    # Z and V vanish, so every pilot ratio is 0
+    {"form": "affine", "params": {"a": 0.5}},
+    # kappa = 0: the calibration has nothing to divide by
+    {"form": "affine", "params": {"const": 0.5}, "kappa": 0},
+], ids=["zero-ratios", "zero-kappa"])
+def test_zero_calibrated_c_emp_gives_one_interval(tmp_path, capsys,
+                                                  generator):
+    path, _ = _cfg(tmp_path, grid_steps=8, subdivide={"enabled": True},
+                   problem={**copy.deepcopy(BASE["problem"]),
+                            "generator": generator})
+    assert cli.main(["solve", "--config", str(path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    out = tmp_path / "out"
+    body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
+    plan = body["subdivision_plan"]
+    assert plan["c_emp"] == 0.0 and plan["interval_bound"] == 0.0
+    assert plan["breakpoints"] == [0.0, 1.0] and body["converged"]
+
+
+def test_subdivided_solve_checks_lipschitz_once(tmp_path, monkeypatch):
+    # the pilot solve that calibrates c_emp checks the declared kappa; the
+    # chained solve after it does not check it again
+    from jumpbsde import solver
+    calls, check = [], solver.check_lipschitz
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+    monkeypatch.setattr(solver, "check_lipschitz", counted)
+    path, _ = _cfg(
+        tmp_path, grid_steps=8, subdivide={"enabled": True},
+        problem={**copy.deepcopy(BASE["problem"]),
+                 "generator": {"form": "zv-coupled",
+                               "params": {"cz": 0.3, "cv": 0.3}},
+                 "terminal": {"form": "brownian-functional",
+                              "params": {"kind": "square"}}})
+    assert cli.main(["solve", "--config", str(path)]) == 0
+    assert len(calls) == 1
+
+
 def test_verify_trivial_passes(tmp_path):
     path, _ = _cfg(tmp_path, grid_steps=6)
     assert cli.main(["verify", "--config", str(path)]) == 0

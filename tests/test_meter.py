@@ -1,12 +1,14 @@
-"""The Picard meter reads the difference of two iterates lazily.
+"""The Picard meter takes each depth's difference before it is overwritten.
 
-``_picard`` hands a representation's ``norms`` the per-depth differences of
-its last two iterates as lazy iterables, never as a third (Y, Z, V) copy.
-The reference here is the meter that materialised that copy: it builds the
-three difference lists and reduces them with the marginal sums (implicit
-lattice) or the path formulas (explicit tree, path batch). Every recorded
-distance must match it bit for bit. The last test bounds the memory an
-implicit-lattice solve and its lattice hold.
+``_picard`` keeps one iterate; each sweep (``_backward``) hands the
+representation's meter the differences new - old of one depth at a time,
+just before it writes the new fields over the old, and never builds a second
+or third (Y, Z, V) copy. ``norms`` reads through the same meter. The
+reference here is the meter that materialised the difference: it builds the
+three difference lists from two recorded iterates and reduces them with the
+marginal sums (implicit lattice) or the path formulas (explicit tree, path
+batch). Every recorded distance must match it bit for bit. The last tests
+bound the memory an implicit-lattice solve and its lattice hold.
 """
 
 import math
@@ -102,14 +104,20 @@ def _assert_same(got, want):
 INIT = (0.5, -0.25, 0.125)
 
 
+def _copy(sol):
+    return Solution(**{**vars(sol), **{f: [lev.copy() for lev in getattr(
+        sol, f)] for f in "yzv"}})
+
+
 def _metered(run):
     """``run()`` with every iterate ``_backward`` returns recorded, as
-    (k_lo, solution) in call order."""
+    (k_lo, copy of the solution) in call order: a Picard sweep overwrites
+    its one iterate in place, so each is copied as the sweep returns."""
     seen, backward = [], solver._backward
 
     def spy(rep, problem, k_lo, *args, **kwargs):
         sol = backward(rep, problem, k_lo, *args, **kwargs)
-        seen.append((k_lo, sol))
+        seen.append((k_lo, _copy(sol)))
         return sol
 
     with mock.patch.object(solver, "_backward", spy):
@@ -175,14 +183,14 @@ def test_chained_batch_meter_allocates_the_depths_it_reads():
     problem = _problem(1, 1, 12)
     plan = jb.SubdivisionPlan(np.linspace(0.0, 1.0, 4), 1.5, 0.5, 1.0, 0.5,
                               0.0)
-    blocks, block = [], solver._PathBatch._block
+    blocks, reduce = [], solver._BatchMeter._z_sq_v_p
 
-    def spy(self, levels, depths):
-        out = block(self, levels, depths)
-        blocks.append((depths, out.shape[1]))
-        return out
+    def spy(self):
+        # (depths allocated, depths read) of the Z block, then the V block
+        blocks.extend((block.shape[1], self.depths) for block in self.blocks)
+        return reduce(self)
 
-    with mock.patch.object(solver._PathBatch, "_block", spy):
+    with mock.patch.object(solver._BatchMeter, "_z_sq_v_p", spy):
         jb.chained_solve(problem, plan, "mc", tol=0.0, max_iter=2,
                          n_paths=300, seed=5)
     assert blocks == [(4, 4)] * (3 * 2 * 2)
@@ -238,3 +246,21 @@ def test_lattice_solve_holds_two_iterates_and_a_compact_lattice():
     assert trace.converged
     one = sum(lev.nbytes for f in (sol.y, sol.z, sol.v) for lev in f)
     assert peak <= 2.25 * one
+
+
+def test_lattice_picard_holds_one_iterate():
+    # the sweep overwrites its one iterate in place: beside it, only one
+    # depth's projections and differences and the meter's scalars are live
+    problem = _problem(1, 1, 80)
+    tree = jb.build_scenario_tree(problem.grid, problem.marks, 1,
+                                  node_cap=None)
+    tracemalloc.start()
+    try:
+        sol, trace = jb.picard_solve(problem, "tree", tree=tree,
+                                     check_assumptions=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.converged
+    one = sum(lev.nbytes for f in (sol.y, sol.z, sol.v) for lev in f)
+    assert peak <= 1.35 * one
