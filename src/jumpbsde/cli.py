@@ -496,9 +496,11 @@ def main(argv=None):
             cfg["out_dir"] = args.out
         try:
             code, body, files = COMMANDS[args.command](cfg)
+        except ResourceLimitError as e:
+            raise _at_line(args.config, ConfigError(e.setting, str(e))) from e
         except ConfigError as e:
             raise _at_line(args.config, e) from e
-    except (ConfigError, ValueError, ResourceLimitError) as e:
+    except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConditioningError, NumericError) as e:

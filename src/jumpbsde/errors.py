@@ -6,7 +6,12 @@ conditions a caller may want to branch on (resource caps, solver failures).
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured size cap would be exceeded (e.g. explicit tree node count)."""
+    """A configured size cap would be exceeded (e.g. explicit tree node count);
+    carries the name of the run setting that bounds the size."""
+
+    def __init__(self, setting, message):
+        self.setting = setting
+        super().__init__(message)
 
 
 class StepSizeError(ValueError):

@@ -384,8 +384,8 @@ class _Level:
     """Distinct reachable states at one depth of the lattice, in ascending
     order of their codes (see ``codes``)."""
 
-    up_counts: np.ndarray    # (n_k, d) int32
-    jump_counts: np.ndarray  # (n_k, m) int32
+    up_counts: np.ndarray    # (n_k, d), np.min_scalar_type(N)
+    jump_counts: np.ndarray  # (n_k, m), same dtype
     probs: np.ndarray        # (n_k,)
     base: int                # N + 1, the radix of the state codes
 
@@ -418,7 +418,9 @@ class ScenarioTree:
         self.branch_jump = branch_jump        # (b,) -1 = no jump, else mark index
         self.branch_probs = branch_probs      # (b,), exact unit sum
         self.levels = levels                  # list of _Level, length N+1
-        self.children = children              # per depth: (n_k, b) indices
+        # per depth k: (n_k, b) C-contiguous indices into depth k+1, in the
+        # narrowest unsigned dtype that holds them
+        self.children = children
 
     @property
     def branching(self):
@@ -454,6 +456,7 @@ class ScenarioTree:
     def _require_explicit(self, what):
         if not self.explicit:
             raise ResourceLimitError(
+                "node_cap",
                 f"{what} requires explicit node enumeration: "
                 f"{self.n_leaves} leaves exceed the node cap "
                 f"({self.node_cap if self.node_cap is not None else 'disabled'})"
@@ -532,11 +535,13 @@ def build_scenario_tree(grid, marks, d, node_cap=DEFAULT_NODE_CAP):
     b = (2 ** d) * (1 + m)
     if node_cap is not None and b ** N > node_cap:
         raise ResourceLimitError(
+            "node_cap",
             f"scenario tree would have {b ** N} leaf nodes "
             f"({b}^{N}), exceeding the node cap {node_cap}"
         )
     if (N + 1) ** (d + m) > 2 ** 62:
         raise ResourceLimitError(
+            "grid_steps",
             f"state coding overflows: (N+1)^(d+m) = {(N + 1) ** (d + m)}"
         )
 
@@ -573,29 +578,34 @@ def build_scenario_tree(grid, marks, d, node_cap=DEFAULT_NODE_CAP):
     jump_inc[has_jump, branch_jump[has_jump]] = 1
     offsets = up_inc @ place[:d] + jump_inc @ place[d:]           # (b,)
 
+    count_dtype = np.min_scalar_type(N)
     codes = np.zeros(1, dtype=np.int64)
-    levels = [_Level(np.zeros((1, d), dtype=np.int32),
-                     np.zeros((1, m), dtype=np.int32), np.ones(1), base)]
+    levels = [_Level(np.zeros((1, d), dtype=count_dtype),
+                     np.zeros((1, m), dtype=count_dtype), np.ones(1), base)]
     children = []
     for k in range(N):
         runs = (offsets[:, None] + codes[None, :]).ravel()        # (b n_k,)
         order = np.argsort(runs, kind="stable")
         ranked = runs[order]
+        del runs
         fresh = np.ones(ranked.size, dtype=bool)
         np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
         codes = ranked[fresh]
         np.cumsum(fresh, out=ranked)
         ranked -= 1
-        runs[order] = ranked
+        # the ranks go straight into the narrowest unsigned dtype that holds
+        # the next depth's indices: no b n_k-long int64 child table is built
+        child = np.empty(ranked.size, dtype=np.min_scalar_type(codes.size - 1))
+        child[order] = ranked
         del order, ranked, fresh
-        child_idx = np.ascontiguousarray(runs.reshape(b, -1).T)  # (n_k, b)
-        del runs
+        child_idx = np.ascontiguousarray(child.reshape(b, -1).T)  # (n_k, b)
+        del child
         next_probs = np.bincount(
             child_idx.ravel(),
             weights=(levels[k].probs[:, None] * branch_probs[None, :]).ravel(),
             minlength=codes.size)
         digits = np.stack([codes // p % base for p in place],
-                          axis=1).astype(np.int32)
+                          axis=1).astype(count_dtype)
         for arr in (digits, next_probs, child_idx):
             arr.setflags(write=False)
         levels.append(_Level(digits[:, :d], digits[:, d:], next_probs, base))

@@ -364,6 +364,10 @@ class _LeafSweep:
     def __init__(self, tree):
         tree._require_explicit("a path functional")
         self.tree = tree
+        # the sweep gathers through the child tables thousands of times, and
+        # numpy gathers with intp indices fastest; an explicit tree has few
+        # states, so the copy is small
+        self.children = [c.astype(np.intp) for c in tree.children]
         b = tree.branching
         self._chunk_depth = 0
         while b ** (self._chunk_depth + 1) <= self.CHUNK_ROWS:
@@ -381,11 +385,11 @@ class _LeafSweep:
         CHUNK_ROWS prefixes at depth k_hi; above c the single ancestor state
         is given.
         """
-        tree, b = self.tree, self.tree.branching
+        children, b = self.children, self.tree.branching
         c = max(0, k_hi - self._chunk_depth)
-        top = [np.zeros(1, dtype=np.int64)]
+        top = [np.zeros(1, dtype=np.intp)]
         for k in range(c):
-            top.append(tree.children[k][top[k]].ravel())
+            top.append(children[k][top[k]].ravel())
         for i in range(b ** c):
             states = [top[j][[i // b ** (c - j)]] for j in range(k_first, c)]
             s = top[c][i:i + 1]
@@ -393,7 +397,7 @@ class _LeafSweep:
                 if j >= k_first:
                     states.append(s)
                 if j < k_hi:
-                    s = tree.children[j][s].ravel()
+                    s = children[j][s].ravel()
             yield states
 
     def _per_path(self, k_first, k_hi, per_subtree):
@@ -618,9 +622,14 @@ class _TreeMeter(_PathMeter):
 
 class _BatchMeter(_PathMeter):
     """A running max of |Y_k| per path (exact in any order: abs gives no
-    -0.0), and the (paths, depths, d) and (paths, depths, m) blocks of Z_k
-    and |V_k|^p over depths [k_lo, k_hi), column k - k_lo written when
-    depth k comes; the blocks are allocated at the first Z."""
+    -0.0), and the depth-major (depths, paths, d) and (depths, paths, m)
+    blocks of Z_k and |V_k|^p over depths [k_lo, k_hi): depth k fills row
+    k - k_lo, one contiguous write; the blocks are allocated at the first Z.
+    The reduction reads them a chunk of paths at a time, as the contiguous
+    (paths, depths, width) transpose the per-path einsums take, whose
+    per-path results do not depend on the chunking."""
+
+    CHUNK_ROWS = 1 << 10       # most paths in one transposed chunk
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -630,9 +639,9 @@ class _BatchMeter(_PathMeter):
     def _y(self, k, y):
         np.maximum(self.sup_abs, np.abs(y), out=self.sup_abs)
 
-    def _column(self, k):
+    def _row(self, k):
         if self.blocks is None:
-            shape = (self.rep.n_paths, self.k_hi - self.k_lo)
+            shape = (self.k_hi - self.k_lo, self.rep.n_paths)
             self.blocks = (np.empty(shape + (self.rep.d,)),
                            np.empty(shape + (self.rep.m,)))
         j = k - self.k_lo
@@ -640,22 +649,31 @@ class _BatchMeter(_PathMeter):
         return j
 
     def _zv(self, k, z, v):
-        j = self._column(k)
-        self.blocks[0][:, j] = z
-        self.blocks[1][:, j] = np.abs(v) ** self.p
+        j = self._row(k)
+        self.blocks[0][j] = z
+        self.blocks[1][j] = np.abs(v) ** self.p
 
     def skip(self, k):
-        j = self._column(k)
+        j = self._row(k)
         for block in self.blocks:
-            block[:, j] = 0.0
+            block[j] = 0.0
 
     def _sup_abs(self):
         return self.sup_abs
 
     def _z_sq_v_p(self):
-        z, v = (block[:, :self.depths] for block in self.blocks)
-        return (np.einsum("njd,njd->n", z, z),
-                np.einsum("njm,m->n", v, self.rep.intensities))
+        n, lam = self.rep.n_paths, self.rep.intensities
+        z_sq, v_p = np.empty(n), np.empty(n)
+        for a in range(0, n, self.CHUNK_ROWS):
+            rows = slice(a, a + self.CHUNK_ROWS)
+            z = self._chunk(0, rows)
+            z_sq[rows] = np.einsum("njd,njd->n", z, z)
+            v_p[rows] = np.einsum("njm,m->n", self._chunk(1, rows), lam)
+        return z_sq, v_p
+
+    def _chunk(self, i, rows):
+        return np.ascontiguousarray(
+            self.blocks[i][:self.depths, rows].transpose(1, 0, 2))
 
 
 class _Representation:

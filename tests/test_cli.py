@@ -434,6 +434,32 @@ def test_bad_node_cap_rejected_with_its_path(tmp_path, capsys, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, key, overrides, message", [
+    ("solve", "node_cap", {"grid_steps": 3, "node_cap": 1},
+     "scenario tree would have 64 leaf nodes (4^3), exceeding the node cap 1"),
+    ("verify", "node_cap", {"grid_steps": 4, "node_cap": None},
+     "a path functional requires explicit node enumeration: 256 leaves "
+     "exceed the node cap (disabled)"),
+    # 20 marks: (8 + 1)^(1 + 20) > 2^62
+    ("solve", "grid_steps",
+     {"grid_steps": 8, "node_cap": None,
+      "problem": {**BASE["problem"],
+                  "marks": {"marks": [[1.0 + i] for i in range(20)],
+                            "intensities": [0.05] * 20}}},
+     "state coding overflows"),
+], ids=["node-cap", "path-functional", "state-coding"])
+def test_tree_over_its_caps_exits_1_at_the_cap(tmp_path, capsys, command,
+                                               key, overrides, message):
+    path, _ = _cfg(tmp_path, **overrides)
+    line = next(i for i, row in enumerate(path.read_text().splitlines(),
+                                          start=1)
+                if row.strip().startswith(f'"{key}": '))
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: {key}: {message}")
+    assert "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_iterate_exits_4(tmp_path, capsys):
     # every per-step fixed point converges, but the Z projection of Y values

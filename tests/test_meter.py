@@ -159,6 +159,14 @@ def test_picard_distances_match_materialised_meter(rep_name, method, d, m, N,
                  _ref_norms(problem, sol, 1.5, sol.y, sol.z, sol.v))
 
 
+def test_batch_meter_reduces_chunks_of_paths_bit_for_bit(monkeypatch):
+    # 400 paths in chunks of 64, the last one short: the per-path sums do
+    # not depend on how the paths are chunked
+    monkeypatch.setattr(solver._BatchMeter, "CHUNK_ROWS", 64)
+    test_picard_distances_match_materialised_meter("_PathBatch", "mc", 2, 2,
+                                                   5, None)
+
+
 @pytest.mark.parametrize("method, node_cap", [
     ("tree", None), ("tree", 10 ** 7), ("mc", None)],
     ids=["lattice", "tree", "batch"])
@@ -187,7 +195,7 @@ def test_chained_batch_meter_allocates_the_depths_it_reads():
 
     def spy(self):
         # (depths allocated, depths read) of the Z block, then the V block
-        blocks.extend((block.shape[1], self.depths) for block in self.blocks)
+        blocks.extend((block.shape[0], self.depths) for block in self.blocks)
         return reduce(self)
 
     with mock.patch.object(solver._BatchMeter, "_z_sq_v_p", spy):
@@ -225,8 +233,8 @@ def test_non_finite_difference_raises(method, node_cap, field):
 
 def test_lattice_solve_holds_two_iterates_and_a_compact_lattice():
     # the meter holds one depth's difference beside the two iterates, and
-    # the lattice keeps per state its children (int64), its probability and
-    # int32 counts: no state codes
+    # the lattice keeps per state its children (uint8 or uint16 below 65 536
+    # states a depth), its probability and uint8 counts: no state codes
     problem = _problem(1, 1, 80)
     tree = jb.build_scenario_tree(problem.grid, problem.marks, 1,
                                   node_cap=None)
@@ -235,7 +243,7 @@ def test_lattice_solve_holds_two_iterates_and_a_compact_lattice():
                 if isinstance(a, np.ndarray))
             + sum(c.nbytes for c in tree.children))
     b, d, m = tree.branching, 1, 1
-    assert kept <= (8 * b + 8 + 4 * (d + m)) * states
+    assert kept <= (2 * b + 8 + (d + m)) * states
     tracemalloc.start()
     try:
         sol, trace = jb.picard_solve(problem, "tree", tree=tree,

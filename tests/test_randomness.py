@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import jumpbsde as jb
 from jumpbsde.errors import ResourceLimitError
 from jumpbsde.randomness import ScenarioTree
+from test_meter import _problem
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +311,14 @@ def _assert_same_lattice(d, m, N, intensities, horizon=1.0):
         assert np.array_equal(got.codes, want.codes)
         assert np.array_equal(got.up_counts, want.up_counts)
         assert np.array_equal(got.jump_counts, want.jump_counts)
-        assert got.up_counts.dtype == got.jump_counts.dtype == np.int32
+        assert (got.up_counts.dtype == got.jump_counts.dtype
+                == np.min_scalar_type(N))
         assert got.probs.tobytes() == want.probs.tobytes()
-    for got, want in zip(tree.children, ref.children, strict=True):
-        assert got.dtype == np.int64 and got.flags.c_contiguous
+    for k, (got, want) in enumerate(zip(tree.children, ref.children,
+                                        strict=True)):
+        # the narrowest unsigned dtype that holds the next depth's indices
+        assert got.dtype == np.min_scalar_type(tree.n_states(k + 1) - 1)
+        assert got.flags.c_contiguous
         assert np.array_equal(got, want)
     assert tree.to_json_dict() == ref.to_json_dict()
     assert tree.explicit == (b ** N <= 4096)
@@ -343,8 +348,8 @@ def test_lattice_build_matches_unique_reference_examples(d, m, N):
 
 def test_lattice_build_transient_memory_is_a_few_children_arrays():
     # beside the lattice it keeps, the build holds at most 3.5 times the
-    # last depth's child indices in temporaries (b n_k-long codes, orders,
-    # ranks and branch weights)
+    # last depth's child indices, counted as int64, in temporaries (b n_k-long
+    # codes, orders, ranks and branch weights); the kept table is narrower
     grid = jb.make_time_grid(1.0, 16)
     marks = jb.make_mark_space([[1.0], [2.0]], [0.7, 1.3])
     tracemalloc.start()
@@ -353,7 +358,64 @@ def test_lattice_build_transient_memory_is_a_few_children_arrays():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - kept <= 3.5 * tree.children[-1].nbytes
+    b, n_last = tree.branching, tree.n_states(15)
+    assert tree.children[-1].shape == (n_last, b)
+    assert peak - kept <= 3.5 * 8 * b * n_last
+
+
+def _int64_tree(tree):
+    """``tree`` with int64 C-contiguous copies of its child tables: the
+    layout the narrow tables replaced."""
+    return ScenarioTree(tree.grid, tree.marks, tree.d, tree.node_cap,
+                        tree.sign_vectors, tree.branch_jump, tree.branch_probs,
+                        tree.levels,
+                        [np.ascontiguousarray(c, dtype=np.int64)
+                         for c in tree.children])
+
+
+def _assert_same_solve(problem, tree):
+    # a Picard solve reads the narrow tables as the int64 ones, bit for bit
+    runs = [jb.picard_solve(problem, "tree", tree=t, tol=0.0, max_iter=4,
+                            check_assumptions=False)
+            for t in (tree, _int64_tree(tree))]
+    (sol, trace), (ref, ref_trace) = runs
+    for f in "yzv":
+        for got, want in zip(getattr(sol, f), getattr(ref, f), strict=True):
+            assert got.tobytes() == want.tobytes()
+    assert repr(trace.to_json_dict()) == repr(ref_trace.to_json_dict())
+    return sol, ref
+
+
+@pytest.mark.parametrize("d, m, N", [(1, 1, 20), (2, 2, 5)])
+def test_narrow_child_tables_solve_the_lattice_bit_for_bit(d, m, N):
+    # d = m = 1, N = 20 switches from uint8 to uint16 children after depth
+    # 14; d = m = 2, N = 5 after depth 3
+    problem = _problem(d, m, N)
+    tree = jb.build_scenario_tree(problem.grid, problem.marks, d,
+                                  node_cap=None)
+    assert not tree.explicit
+    assert {c.dtype for c in tree.children} == {np.dtype(np.uint8),
+                                                np.dtype(np.uint16)}
+    _assert_same_solve(problem, tree)
+
+
+def test_narrow_child_tables_on_an_explicit_tree():
+    # the leaf sweep, path enumeration and the branch residual read the
+    # narrow tables as the int64 ones; 12^4 leaves, and uint16 children
+    # after depth 2
+    problem = _problem(2, 2, 4)
+    tree = jb.build_scenario_tree(problem.grid, problem.marks, 2)
+    assert tree.explicit
+    assert {c.dtype for c in tree.children} == {np.dtype(np.uint8),
+                                                np.dtype(np.uint16)}
+    sol, ref = _assert_same_solve(problem, tree)
+    assert (repr(jb.solution_norms(sol, problem))
+            == repr(jb.solution_norms(ref, problem)))
+    for got, want in zip(tree.enumerate_paths(),
+                         _int64_tree(tree).enumerate_paths(), strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert (jb.bsde_residual_max(sol, problem).hex()
+            == jb.bsde_residual_max(ref, problem).hex())
 
 
 def test_merge_batches_rejects_mismatch(unit_grid, single_mark):
