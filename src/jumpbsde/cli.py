@@ -149,15 +149,19 @@ def load_config(path):
 
 
 def _at_line(path, error, text=None):
-    """``error`` with its dotted config path prefixed by ``path:line``, when
-    the config text (read from ``path`` unless given) has that key."""
+    """``error`` with its dotted config path prefixed by the config file:
+    by ``path:line`` when the config text (read from ``path`` unless given)
+    has that key, else by ``path`` alone, and the setting, which then holds
+    its default value, is marked ``(default)``."""
     if text is None:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     line = _locate_key(text, error.path)
-    if line is None:
-        return error
-    return ConfigError(f"{path}:{line}: {error.path}", error.message)
+    if line is not None:
+        return ConfigError(f"{path}:{line}: {error.path}", error.message)
+    if error.path == "<root>":          # the config itself is not an object
+        return ConfigError(f"{path}: {error.path}", error.message)
+    return ConfigError(f"{path}: {error.path} (default)", error.message)
 
 
 # an object key, a string value, or a bracket

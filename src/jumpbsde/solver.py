@@ -14,15 +14,16 @@ One loop, ``_backward``, runs the scheme on a noise representation, and only
 the representation's estimator of E[. | info_k] differs: ``_Lattice`` sums
 over the tree's recombined states with exact branch weights (``_Tree``, an
 explicit tree, adds the leaf sweep over root-to-leaf paths); ``_PathBatch``
-regresses on the simulated state, one basis per step (its features and
-Gram) kept for every solve on the batch, the design refilled into one buffer
-per fit. Solutions have one layout on both: per-depth lists of arrays over
-the lattice states or the paths (``Solution``). A representation owns the
-estimators read from them; its table of the problem data, |f(t_k, ., 0, 0,
-0)| and |xi| on its states (``_data_levels``), feeds the estimate
-functionals, the clamp-tail bound and ``estimates.check_integrability``.
-``_setup`` builds the tree or the batch and picks the representation for
-every entry point below.
+regresses on the simulated state, which it keeps once, step-major, with one
+basis per step (each feature's column, mean and std, and the Gram) kept for
+every solve on the batch; each fit standardizes the step's state columns
+again and refills the design into one buffer. Solutions have one layout on
+both: per-depth lists of arrays over the lattice states or the paths
+(``Solution``). A representation owns the estimators read from them; its
+table of the problem data, |f(t_k, ., 0, 0, 0)| and |xi| on its states
+(``_data_levels``), feeds the estimate functionals, the clamp-tail bound and
+``estimates.check_integrability``. ``_setup`` builds the tree or the batch
+and picks the representation for every entry point below.
 
 The Picard engine re-solves with (z, v) frozen at the previous iterate -- the
 inner problem's driver depends on y only -- and records successive distances
@@ -285,22 +286,34 @@ def _pivoted_columns(gram, rel_tol=1e-10):
     return sorted(selected)
 
 
+def _columns(states):
+    """The columns of the state blocks at one step, in block order."""
+    return [block[:, j] for block in states for j in range(block.shape[1])]
+
+
 class _StepBasis:
     """Per-step polynomial design over standardized state features.
 
-    Exactly-constant features carry no information beyond the intercept and
-    are dropped; numerically collinear monomials (squares of binary count
-    features and the like) are removed by rank-revealing selection on the
-    einsum-assembled Gram, so the fit is the projection onto the design's
-    numerical column span. An under-determined design (more columns than
-    paths: the normal equations cannot have full rank) raises
-    ConditioningError naming the step. The basis keeps its standardized
-    features and the kept monomials' exponents and Gram, not the design.
+    ``states`` is the state at the step as a sequence of (n, w) blocks of any
+    real dtype (a batch passes its Brownian values and its jump counts);
+    their columns, in order, are the candidate features. Exactly-constant
+    features carry no information beyond the intercept and are dropped;
+    numerically collinear monomials (squares of binary count features and
+    the like) are removed by rank-revealing selection on the einsum-assembled
+    Gram, so the fit is the projection onto the design's numerical column
+    span. An under-determined design (more columns than paths: the normal
+    equations cannot have full rank) raises ConditioningError naming the
+    step. The basis keeps no per-path array: per kept feature its column,
+    mean and std (``feats``), and the kept monomials' exponents and Gram.
+    Every fit standardizes the columns of the states it is given again,
+    with the same elementwise ops on the same scalars, so the design has the
+    bits of the one the basis was built on.
     """
 
     def __init__(self, states, degree, step):
-        n = states.shape[0]
-        self.feats = [(col - col.mean()) / col.std() for col in states.T
+        n = states[0].shape[0]
+        self.feats = [(j, col.mean(), col.std())
+                      for j, col in enumerate(_columns(states))
                       if degree >= 1 and col.max() != col.min()]
         exps = _monomial_exponents(len(self.feats), degree)
         if n < len(exps):
@@ -308,28 +321,32 @@ class _StepBasis:
                 step, f"regression normal equations at step {step} are "
                       f"rank-deficient: {len(exps)} basis functions "
                       f"for {n} paths")
-        design = self._fill(exps, np.empty((n, len(exps))))
+        design = self._fill(exps, states, np.empty((n, len(exps))))
         gram = np.einsum("ni,nj->ij", design, design, optimize=False)
         keep = _pivoted_columns(gram)
         self.exps = [exps[i] for i in keep]
         self.gram = gram[np.ix_(keep, keep)]
 
-    def _fill(self, exps, design):
-        """``design`` (n, len(exps)) filled with the monomials ``exps``
-        (a product from 1.0 or of x ** 1 has the same bits without them)."""
+    def _fill(self, exps, states, design):
+        """``design`` (n, len(exps)) filled with the monomials ``exps`` of
+        the standardized features of ``states`` (a product from 1.0 or of
+        x ** 1 has the same bits without them)."""
+        cols = _columns(states)
+        feats = [(cols[j] - mean) / std for j, mean, std in self.feats]
         for i, e in enumerate(exps):
             factors = [feat if power == 1 else feat ** power
-                       for feat, power in zip(self.feats, e) if power]
+                       for feat, power in zip(feats, e) if power]
             design[:, i] = (functools.reduce(np.multiply, factors)
                             if factors else 1.0)
         return design
 
-    def fit(self, targets, buf):
-        """Least-squares fitted values for stacked targets (n, nt); the
-        design is refilled into the head of the flat buffer ``buf``, column
-        by column (the layout ``design[:, keep]`` has)."""
+    def fit(self, states, targets, buf):
+        """Least-squares fitted values for stacked targets (n, nt) on the
+        states the basis was built on; the design is refilled into the head
+        of the flat buffer ``buf``, column by column (the layout
+        ``design[:, keep]`` has)."""
         n, k = targets.shape[0], len(self.exps)
-        design = self._fill(self.exps, buf[:n * k].reshape(k, n).T)
+        design = self._fill(self.exps, states, buf[:n * k].reshape(k, n).T)
         rhs = np.einsum("ni,nt->it", design, targets, optimize=False)
         beta = np.linalg.solve(self.gram, rhs)
         return np.einsum("ni,it->nt", design, beta, optimize=False)
@@ -817,8 +834,10 @@ class _Tree(_PathEstimators, _Lattice):
 class _PathBatch(_PathEstimators):
     """A simulated path batch: E[. | F_k] by least-squares regression on the
     state at t_k, with each step's basis built once for every solve on the
-    batch; every fit refills its design into one buffer the batch owns. A
-    depth's level holds one value per path."""
+    batch; every fit refills its design into one buffer the batch owns. The
+    batch keeps the state at every node once, step-major (``_states``), so a
+    step's state is one contiguous slice. A depth's level holds one value
+    per path."""
 
     kind, estimator, tree = "paths", "mc", None
     _meter = _BatchMeter
@@ -847,26 +866,38 @@ class _PathBatch(_PathEstimators):
 
     @functools.cached_property
     def _states(self):
-        return self.batch.state_paths()     # (n, N+1, d), (n, N+1, m)
+        """Brownian values (N+1, n, d) and per-mark jump counts (N+1, n, m)
+        at every node, the values of ``PathBatch.state_paths`` step-major;
+        the counts in the narrowest unsigned dtype that holds the largest."""
+        batch, n, m = self.batch, self.n_paths, self.m
+        bvals = np.zeros((self.grid.steps + 1, n, self.d))
+        np.cumsum(batch.brownian_increments.transpose(1, 0, 2), axis=0,
+                  out=bvals[1:])
+        path_of = np.repeat(np.arange(n), np.diff(batch.jump_offsets))
+        totals = np.bincount(path_of * m + batch.jump_mark_idx,
+                             minlength=n * m)
+        counts = np.zeros(bvals.shape[:2] + (m,),
+                          np.min_scalar_type(totals.max(initial=0)))
+        # a jump in step j is counted from node j+1 on (never decreasing)
+        np.add.at(counts, (batch.jump_steps + 1, path_of,
+                           batch.jump_mark_idx), 1)
+        np.cumsum(counts, axis=0, dtype=counts.dtype, out=counts)
+        return bvals, counts
+
+    def _step(self, k):
+        """The state blocks at node k: Brownian values, jump counts."""
+        return [block[k] for block in self._states]
 
     def context(self, problem, k):
-        bvals, counts = self._states
-        return problem.context(self.grid.nodes[k], bvals[:, k, :],
-                               counts[:, k, :])
-
-    def _basis(self, k):
-        if k not in self._bases:
-            bvals, counts = self._states
-            states = np.concatenate((bvals[:, k, :], counts[:, k, :]), axis=1)
-            self._bases[k] = _StepBasis(states, self.degree, step=k)
-        return self._bases[k]
+        bvals, counts = self._step(k)
+        return problem.context(self.grid.nodes[k], bvals, counts.astype(float))
 
     def project(self, y_next, k):
         """(E[Y_{k+1} | F_k], Z_k, V_k), fitted jointly from the stacked
         targets Y, Y dB/dt and Y (1{jump} - p) / (p (1 - p))."""
         n, d, dt = self.n_paths, self.d, self.grid.dt
         counts = self._states[1]
-        jump = ((counts[:, k + 1] - counts[:, k]) > 0).astype(float)
+        jump = counts[k + 1] != counts[k]     # no unsigned subtraction
         targets = np.empty((n, 1 + d + self.m))
         targets[:, 0] = y_next
         targets[:, 1:1 + d] = (y_next[:, None]
@@ -878,7 +909,10 @@ class _PathBatch(_PathEstimators):
             # trivial information is the plain mean
             fitted = np.broadcast_to(targets.mean(axis=0), targets.shape)
         else:
-            fitted = self._basis(k).fit(targets, self._design_buf)
+            states = self._step(k)
+            if k not in self._bases:
+                self._bases[k] = _StepBasis(states, self.degree, step=k)
+            fitted = self._bases[k].fit(states, targets, self._design_buf)
         return fitted[:, 0], fitted[:, 1:1 + d], fitted[:, 1 + d:]
 
     def integrate(self, levels, combine):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import settings
@@ -63,3 +64,16 @@ def hand_batch(grid, marks, events, d=1, increments=None):
     if increments is not None:
         data["brownian_increments"] = increments
     return jb.PathBatch.from_json_dict(data)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` run under tracemalloc: (its result, the bytes
+    it left allocated, its peak bytes), both counted from the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept - base, peak - base

@@ -460,6 +460,29 @@ def test_tree_over_its_caps_exits_1_at_the_cap(tmp_path, capsys, command,
     assert "Traceback" not in err
 
 
+def test_an_error_at_a_default_setting_names_the_file(tmp_path, capsys):
+    # no node_cap key: its default 10 000 000 is below 4^12 leaves, and the
+    # key has no line to point at
+    path, cfg = _cfg(tmp_path, grid_steps=12)
+    assert "node_cap" not in cfg
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: {path}: node_cap (default): scenario tree would have "
+        "16777216 leaf nodes (4^12), exceeding the node cap 10000000")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_that_is_not_an_object_names_the_file(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: <root>: must be an object")
+    assert "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_iterate_exits_4(tmp_path, capsys):
     # every per-step fixed point converges, but the Z projection of Y values

@@ -7,7 +7,6 @@ for bit, with subtree blocks from one row up to the whole tree.
 """
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,6 +19,7 @@ from jumpbsde.norms import (ProcessSample, StoppingFamily, class_d_norm,
                             mp_norm, sp_norm)
 from jumpbsde.solver import (Solution, _LeafSweep, _setup, bsde_residual_max,
                              solution_norms)
+from conftest import traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +258,6 @@ def test_functionals_memory_has_no_depth_factor():
     tree = jb.build_scenario_tree(problem.grid, problem.marks, 1)
     sol = jb.solve_tree(problem, tree)
     unit = 8 * tree.n_leaves
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn = solution_functionals(sol, problem, 1.5)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    fn, _, peak = traced_peak(solution_functionals, sol, problem, 1.5)
     assert len(fn) == 6 and all(a.size == tree.n_leaves for a in fn.values())
     assert peak < 8 * unit

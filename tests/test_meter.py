@@ -12,7 +12,6 @@ bound the memory an implicit-lattice solve and its lattice hold.
 """
 
 import math
-import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -25,6 +24,7 @@ from jumpbsde.errors import NumericError
 from jumpbsde.norms import (ProcessSample, mp_from_sq, mp_norm, sp_from_sup,
                             sp_norm)
 from jumpbsde.solver import Solution, _setup
+from conftest import traced_peak
 
 
 def _problem(d, m, N):
@@ -244,13 +244,8 @@ def test_lattice_solve_holds_two_iterates_and_a_compact_lattice():
             + sum(c.nbytes for c in tree.children))
     b, d, m = tree.branching, 1, 1
     assert kept <= (2 * b + 8 + (d + m)) * states
-    tracemalloc.start()
-    try:
-        sol, trace = jb.picard_solve(problem, "tree", tree=tree,
-                                     check_assumptions=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (sol, trace), _, peak = traced_peak(jb.picard_solve, problem, "tree",
+                                        tree=tree, check_assumptions=False)
     assert trace.converged
     one = sum(lev.nbytes for f in (sol.y, sol.z, sol.v) for lev in f)
     assert peak <= 2.25 * one
@@ -262,13 +257,8 @@ def test_lattice_picard_holds_one_iterate():
     problem = _problem(1, 1, 80)
     tree = jb.build_scenario_tree(problem.grid, problem.marks, 1,
                                   node_cap=None)
-    tracemalloc.start()
-    try:
-        sol, trace = jb.picard_solve(problem, "tree", tree=tree,
-                                     check_assumptions=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (sol, trace), _, peak = traced_peak(jb.picard_solve, problem, "tree",
+                                        tree=tree, check_assumptions=False)
     assert trace.converged
     one = sum(lev.nbytes for f in (sol.y, sol.z, sol.v) for lev in f)
     assert peak <= 1.35 * one

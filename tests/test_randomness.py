@@ -1,7 +1,6 @@
 """Driving-noise simulation and the scenario tree."""
 
 import math
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 import jumpbsde as jb
 from jumpbsde.errors import ResourceLimitError
 from jumpbsde.randomness import ScenarioTree
+from conftest import traced_peak
 from test_meter import _problem
 
 
@@ -352,12 +352,8 @@ def test_lattice_build_transient_memory_is_a_few_children_arrays():
     # codes, orders, ranks and branch weights); the kept table is narrower
     grid = jb.make_time_grid(1.0, 16)
     marks = jb.make_mark_space([[1.0], [2.0]], [0.7, 1.3])
-    tracemalloc.start()
-    try:
-        tree = jb.build_scenario_tree(grid, marks, 2, node_cap=None)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    tree, kept, peak = traced_peak(jb.build_scenario_tree, grid, marks, 2,
+                                   node_cap=None)
     b, n_last = tree.branching, tree.n_states(15)
     assert tree.children[-1].shape == (n_last, b)
     assert peak - kept <= 3.5 * 8 * b * n_last

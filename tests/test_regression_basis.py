@@ -1,13 +1,16 @@
-"""The regression basis of a path batch keeps features, not designs.
+"""The regression basis of a path batch keeps no per-path array.
 
-A step's ``_StepBasis`` keeps its standardized feature columns, the kept
-monomials and their Gram; every ``fit`` refills the design into a buffer
-that the batch owns and reuses. The reference here is the basis that cached
-each step's design matrix: the fitted values must match it bit for bit. The
-memory tests bound what the bases and a whole Monte Carlo solve hold.
+A step's ``_StepBasis`` keeps, per kept feature, its state column and the
+mean and std that standardize it, the kept monomials and their Gram; every
+``fit`` standardizes the columns of the step's states again and refills the
+design into a buffer that the batch owns and reuses. The reference here is
+the basis that cached each step's design matrix: the fitted values must
+match it bit for bit. The batch keeps its states once, step-major, with the
+jump counts in the narrowest unsigned dtype; a solve on it must match, bit
+for bit, the same solve on the path-major float64 states of
+``PathBatch.state_paths``. The memory tests bound what the bases and a whole
+Monte Carlo solve hold.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ import jumpbsde as jb
 from jumpbsde import solver
 from jumpbsde.errors import ConditioningError
 from jumpbsde.solver import _monomial_exponents, _pivoted_columns, _setup
+from conftest import hand_batch, traced_peak
 
 
 class _CachedDesignBasis:
@@ -56,15 +60,24 @@ class _CachedDesignBasis:
 
 
 def _states(rng, n, d, m, constant, binary):
-    """Brownian values then jump counts at one step; column ``constant`` (if
-    any) is constant, and the counts are 0/1 when ``binary``."""
-    states = np.empty((n, d + m))
-    states[:, :d] = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0)
-    counts = rng.random((n, m)) < 0.3 if binary else rng.poisson(1.5, (n, m))
-    states[:, d:] = counts
+    """Brownian values (n, d) and uint8 jump counts (n, m) at one step, as a
+    batch passes them; column ``constant`` (if any) of the two side by side
+    is constant, and the counts are 0/1 when ``binary``."""
+    bvals = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0)
+    counts = (rng.random((n, m)) < 0.3 if binary
+              else rng.poisson(1.5, (n, m))).astype(np.uint8)
     if constant is not None:
-        states[:, constant % (d + m)] = rng.integers(-2, 3)
-    return states
+        j = constant % (d + m)
+        if j < d:
+            bvals[:, j] = rng.integers(-2, 3)
+        else:
+            counts[:, j - d] = rng.integers(0, 3)
+    return bvals, counts
+
+
+def _side_by_side(states):
+    """The state blocks as one float64 (n, d + m) matrix."""
+    return np.concatenate([block.astype(float) for block in states], axis=1)
 
 
 def _buffer(n, d, m, degree):
@@ -72,12 +85,26 @@ def _buffer(n, d, m, degree):
     return np.empty(n * len(_monomial_exponents(d + m, degree)))
 
 
+def _arrays(value):
+    """The arrays in an attribute value, nested lists and tuples included."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+
+
 def _assert_same_fit(states, degree, targets, buf):
     got = solver._StepBasis(states, degree, step=3)
-    want = _CachedDesignBasis(states, degree, step=3)
+    want = _CachedDesignBasis(_side_by_side(states), degree, step=3)
     assert got.gram.tobytes() == want.gram.tobytes()
     assert len(got.exps) == want.design.shape[1]
-    assert got.fit(targets, buf).tobytes() == want.fit(targets).tobytes()
+    assert (got.fit(states, targets, buf).tobytes()
+            == want.fit(targets).tobytes())
+    # no attribute of the basis holds a per-path array
+    n = targets.shape[0]
+    assert not [a.shape for value in vars(got).values()
+                for a in _arrays(value) if n in a.shape]
     return got
 
 
@@ -109,8 +136,7 @@ def test_constant_features_are_not_kept():
     states = _states(rng, 200, 2, 1, 1, binary=False)
     basis = _assert_same_fit(states, 3, rng.standard_normal((200, 4)),
                              _buffer(200, 2, 1, 3))
-    assert len(basis.feats) == 2
-    assert all(f.ndim == 1 and f.flags.c_contiguous for f in basis.feats)
+    assert [j for j, _, _ in basis.feats] == [0, 2]
 
 
 def test_one_buffer_serves_bases_of_different_widths():
@@ -121,12 +147,13 @@ def test_one_buffer_serves_bases_of_different_widths():
     wide = _states(rng, n, d, m, None, binary=False)
     narrow = _states(rng, n, d, m, 3, binary=True)
     bases = [(s, solver._StepBasis(s, degree, step=1),
-              _CachedDesignBasis(s, degree, step=1)) for s in (wide, narrow)]
+              _CachedDesignBasis(_side_by_side(s), degree, step=1))
+             for s in (wide, narrow)]
     assert len(bases[0][1].exps) > len(bases[1][1].exps)
     for _ in range(2):
-        for _, got, want in bases + bases[::-1]:
+        for states, got, want in bases + bases[::-1]:
             targets = rng.standard_normal((n, 1 + d + m))
-            assert (got.fit(targets, buf).tobytes()
+            assert (got.fit(states, targets, buf).tobytes()
                     == want.fit(targets).tobytes())
 
 
@@ -155,27 +182,91 @@ def _problem(d, m, N):
 
 
 @pytest.mark.parametrize("d, m", [(1, 1), (2, 2)])
-def test_mc_solve_holds_features_and_one_design(d, m):
+def test_mc_solve_holds_step_major_states_and_one_design(d, m):
     n, N, degree = 4000, 20, 2
     problem = _problem(d, m, N)
     batch = jb.simulate_paths(problem.grid, problem.marks, d, n, 0)
     rep = _setup(problem, "mc", batch=batch, basis_degree=degree)
-    tracemalloc.start()
-    try:
-        sol, trace = solver._picard(rep, problem)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (sol, trace), _, peak = traced_peak(solver._picard, rep, problem)
     assert trace.converged
-    # the bases hold the features and the Grams, no design
-    grams = sum(b.gram.nbytes for b in rep._bases.values())
-    held = sum(f.nbytes for b in rep._bases.values() for f in b.feats)
-    assert held <= N * n * (d + m) * 8
-    # two iterates, the state paths, the features, one meter block and the
-    # design buffer, with the per-step fit temporaries as slack
+    # two iterates, the states (float64 Brownian values, uint8 counts), the
+    # Grams, one meter block and the design buffer, with the per-step fit
+    # temporaries as slack: the bases hold no features
     one = sum(lev.nbytes for f in (sol.y, sol.z, sol.v) for lev in f)
-    states = sum(a.nbytes for a in rep._states)
+    states = (N + 1) * n * (8 * d + m)
+    grams = sum(b.gram.nbytes for b in rep._bases.values())
     n_cols = len(_monomial_exponents(d + m, degree))
-    bound = (2 * one + states + held + grams + N * n * max(d, m) * 8
+    bound = (2 * one + states + grams + N * n * max(d, m) * 8
              + n * n_cols * 8 + 6 * n * (1 + d + m) * 8)
     assert peak <= bound
+    assert [a.dtype for a in rep._states] == [np.float64, np.uint8]
+    assert sum(a.nbytes for a in rep._states) == states
+
+
+# ---------------------------------------------------------------------------
+# narrow jump counts
+# ---------------------------------------------------------------------------
+
+def _path_major(problem, batch):
+    """The batch's representation on the path-major float64 states of
+    ``PathBatch.state_paths``: its step slices are strided views."""
+    rep = _setup(problem, "mc", batch=batch)
+    bvals, counts = batch.state_paths()
+    rep._states = (bvals.transpose(1, 0, 2), counts.transpose(1, 0, 2))
+    return rep
+
+
+def _assert_same_solve(problem, batch):
+    """Picard on the batch's own states equals, bit for bit, Picard on the
+    path-major float64 states; returns the batch's representation."""
+    rep = _setup(problem, "mc", batch=batch)
+    sol, trace = solver._picard(rep, problem)
+    want_sol, want_trace = solver._picard(_path_major(problem, batch), problem)
+    for field in ("y", "z", "v"):
+        assert ([lev.tobytes() for lev in getattr(sol, field)]
+                == [lev.tobytes() for lev in getattr(want_sol, field)])
+    assert trace.to_json_dict() == want_trace.to_json_dict()
+    bvals, counts = batch.state_paths()
+    assert np.array_equal(rep._states[0], bvals.transpose(1, 0, 2))
+    assert np.array_equal(rep._states[1], counts.transpose(1, 0, 2))
+    return rep
+
+
+def _hand_batch(problem, rng, n, per_path):
+    """A hand batch of n paths with per_path[i] jumps on path i, at sorted
+    uniform times with uniform marks, and normal Brownian increments."""
+    grid, m = problem.grid, problem.marks.m
+    events = [[[float(t), int(rng.integers(m))]
+               for t in np.sort(rng.uniform(0.0, grid.horizon, k))]
+              for k in per_path]
+    inc = rng.standard_normal((n, grid.steps, problem.d)) * np.sqrt(grid.dt)
+    return hand_batch(grid, problem.marks, events, d=problem.d,
+                      increments=inc.tolist())
+
+
+def test_counts_past_255_take_uint16():
+    rng = np.random.default_rng(3)
+    problem = _problem(1, 1, 10)
+    per_path = [300] + list(rng.poisson(1.5, 59))
+    rep = _assert_same_solve(problem, _hand_batch(problem, rng, 60, per_path))
+    counts = rep._states[1]
+    assert counts.dtype == np.uint16 and counts[-1, 0, 0] == 300
+
+
+def test_a_batch_without_jumps_drops_the_count_feature():
+    rng = np.random.default_rng(4)
+    problem = _problem(1, 1, 10)
+    rep = _assert_same_solve(problem, _hand_batch(problem, rng, 60, [0] * 60))
+    assert rep._states[1].dtype == np.uint8 and not rep._states[1].any()
+    # the count column is constant: every basis keeps the Brownian one only
+    assert len(rep._bases) == 9
+    assert all([j for j, _, _ in b.feats] == [0] for b in rep._bases.values())
+
+
+@pytest.mark.parametrize("d, m", [(1, 1), (2, 2)])
+def test_simulated_batches_match_float_counts(d, m):
+    problem = _problem(d, m, 8)
+    batch = jb.simulate_paths(problem.grid, problem.marks, d, 2000, 5)
+    rep = _assert_same_solve(problem, batch)
+    assert rep._states[1].dtype == np.uint8
+    assert rep._states[0].shape == (9, 2000, d)
