@@ -6,10 +6,10 @@ One self-describing JSON config per run; the only flags are --config, --seed
 {"header": {timestamp, tool}, "body": {...}} with the body fully determined
 by the config: regenerating from the embedded config is byte-identical
 outside the header. Exit codes: 0 success, 1 config/input error (also a
-driver that breaks its declared kappa), 2 divergence report,
-3 verification failure, 4 solver failure (a rank-deficient regression, a
-per-step fixed point that does not converge, or an iterate that
-overflows).
+driver that breaks its declared kappa or its declared alpha growth bound),
+2 divergence report, 3 verification failure, 4 solver failure (a
+rank-deficient regression, a per-step fixed point that does not converge,
+or an iterate that overflows).
 """
 
 import argparse

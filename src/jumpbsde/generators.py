@@ -82,7 +82,9 @@ class GeneratorSpec:
 
     lipschitz_kappa bounds |df| by kappa(|dy| + |dz| + ||dv||); growth_gamma /
     growth_alpha / g describe the sublinear (z, v)-increment bound when
-    supplied (report-only). Evaluation must be pure and reentrant.
+    supplied; the solvers check both before they solve (``check_lipschitz``,
+    and ``check_growth`` when alpha and gamma are given). Evaluation must be
+    pure and reentrant.
     """
 
     f: callable

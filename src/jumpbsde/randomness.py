@@ -381,19 +381,69 @@ def _force_unit_sum(probs):
 
 @dataclass(frozen=True)
 class _Level:
-    """Distinct reachable states at one depth of the lattice, in ascending
-    order of their codes (see ``codes``)."""
+    """The reachable states at depth k of the lattice, a product grid: the
+    jump-count rows j with sum(j) <= k, ordered by (j_m, ..., j_1), times
+    the full up-count cube {0..k}^d, ordered by (u_d, ..., u_1). State
+    index = row * (k+1)^d + cube index, the ascending order of the state
+    codes (``codes``). Only the probabilities are kept per state; the
+    counts follow from the index."""
 
-    up_counts: np.ndarray    # (n_k, d), np.min_scalar_type(N)
-    jump_counts: np.ndarray  # (n_k, m), same dtype
-    probs: np.ndarray        # (n_k,)
+    probs: np.ndarray        # (n_k,), n_k = R_k (k+1)^d
+    rows: np.ndarray         # (R_k, m) jump counts, np.min_scalar_type(N)
+    # (R_k, 1+m) intp: a row's row at depth k+1 after no jump, mark 1, ...,
+    # mark m; None at the last depth
+    next_rows: np.ndarray | None
+    depth: int
+    d: int
     base: int                # N + 1, the radix of the state codes
 
     @property
+    def shape(self):
+        """The grid of the states: (R_k,) + (k+1,) * d."""
+        return self.rows.shape[:1] + (self.depth + 1,) * self.d
+
+    @property
+    def cube_counts(self):
+        """((k+1)^d, d) up-counts u_1..u_d of the cube's cells, in order."""
+        cube = np.indices(self.shape[1:], dtype=self.rows.dtype)
+        return cube[::-1].reshape(self.d, -1).T
+
+    def per_cell(self, cells):
+        """(n_k, ...) per-state values from per-cube-cell ``cells``, the same
+        in every row."""
+        out = np.empty((len(self.rows),) + cells.shape, dtype=cells.dtype)
+        out[...] = cells
+        return out.reshape((-1,) + cells.shape[1:])
+
+    @property
+    def up_counts(self):
+        """(n_k, d) up-counts u_1..u_d, derived from the state index."""
+        return self.per_cell(self.cube_counts)
+
+    @property
+    def jump_counts(self):
+        """(n_k, m) per-mark jump counts, derived from the state index."""
+        return np.repeat(self.rows, (self.depth + 1) ** self.d, axis=0)
+
+    @property
     def codes(self):
-        """State codes, derived: up-counts, then jump counts, in base N+1."""
+        """State codes, derived: up-counts, then jump counts, in base N+1.
+        The benchmark's traced mode counts a depth's states by their size."""
         digits = np.hstack((self.up_counts, self.jump_counts)).astype(np.int64)
         return digits @ self.base ** np.arange(digits.shape[1])
+
+
+def _up_increments(sign_vectors, m):
+    """Per sign vector, in branch order, its up-increments e in the cube's
+    axis order (e_d, ..., e_1)."""
+    return [tuple(int(s > 0) for s in signs[::-1])
+            for signs in sign_vectors[::1 + m]]
+
+
+def _cube_slices(up_inc, side):
+    """Per sign vector, the slices of a side^d cube that shift it by the
+    sign's up-increments."""
+    return [tuple(slice(e, e + side) for e in inc) for inc in up_inc]
 
 
 class ScenarioTree:
@@ -406,10 +456,18 @@ class ScenarioTree:
     lattice, which is what backward induction uses; full node enumeration
     (histories, leaf probabilities) is available when branching^N is at most
     the node cap. Immutable after construction.
+
+    Each depth of the lattice is a grid of jump rows times an up-count cube
+    (``_Level``), so a state's children follow from its index: the child
+    along branch (sign s, jump outcome o) lies in the parent row's row after
+    o, at the parent's cube cell shifted by the sign's up-increments.
+    ``gather_children`` reads a level at the children by one row gather per
+    jump outcome and one cube slice per sign; ``child_table`` is the index
+    table it implies, built on demand.
     """
 
     def __init__(self, grid, marks, d, node_cap, sign_vectors, branch_jump,
-                 branch_probs, levels, children):
+                 branch_probs, levels):
         self.grid = grid
         self.marks = marks
         self.d = d
@@ -418,9 +476,7 @@ class ScenarioTree:
         self.branch_jump = branch_jump        # (b,) -1 = no jump, else mark index
         self.branch_probs = branch_probs      # (b,), exact unit sum
         self.levels = levels                  # list of _Level, length N+1
-        # per depth k: (n_k, b) C-contiguous indices into depth k+1, in the
-        # narrowest unsigned dtype that holds them
-        self.children = children
+        self._up_inc = _up_increments(sign_vectors, marks.m)
 
     @property
     def branching(self):
@@ -441,7 +497,27 @@ class ScenarioTree:
     def brownian_values(self, depth):
         """Brownian state per lattice node at a depth: (2u - k) sqrt(dt)."""
         lev = self.levels[depth]
-        return (2.0 * lev.up_counts - depth) * math.sqrt(self.grid.dt)
+        return lev.per_cell((2.0 * lev.cube_counts - depth)
+                            * math.sqrt(self.grid.dt))
+
+    def gather_children(self, k, values):
+        """(n_k, b) C-contiguous: a level ``values`` at depth k+1 read at
+        each depth-k state's children, in branch order."""
+        lev, n_jump = self.levels[k], 1 + self.marks.m
+        grid = values.reshape(self.levels[k + 1].shape)
+        out = np.empty(lev.shape + (len(self._up_inc), n_jump),
+                       dtype=values.dtype)
+        cubes = _cube_slices(self._up_inc, k + 1)
+        for o in range(n_jump):
+            rows = grid[lev.next_rows[:, o]]
+            for s, cube in enumerate(cubes):
+                out[..., s, o] = rows[(slice(None),) + cube]
+        return out.reshape(-1, self.branching)
+
+    def child_table(self, k):
+        """(n_k, b) intp indices into depth k+1 of each state's children."""
+        return self.gather_children(
+            k, np.arange(self.n_states(k + 1), dtype=np.intp))
 
     def state_probs(self, depth):
         return self.levels[depth].probs
@@ -476,7 +552,7 @@ class ScenarioTree:
         probs = np.ones(n_hist)
         for k in range(N):
             digit = (ids // (b ** (N - 1 - k))) % b
-            state_idx[:, k + 1] = self.children[k][state_idx[:, k], digit]
+            state_idx[:, k + 1] = self.child_table(k)[state_idx[:, k], digit]
             probs *= self.branch_probs[digit]
         return ids, state_idx, probs
 
@@ -565,53 +641,39 @@ def build_scenario_tree(grid, marks, d, node_cap=DEFAULT_NODE_CAP):
             row += 1
     branch_probs = _force_unit_sum(branch_probs)
 
-    # recombined lattice: state = (up-counts per dim, jump counts per mark),
-    # coded in base N+1; child code = parent code + constant branch offset,
-    # so a depth's child codes are b sorted runs (one per branch) that one
-    # stable argsort merges; the codes of one depth live only while building,
-    # and at most three b n_k-long temporaries at once (reused once read)
+    # recombined lattice: each depth is a grid of jump rows times the
+    # up-count cube (see _Level); the next depth's rows are the distinct
+    # rows one jump outcome reaches, coded in base N+1 (j_m most significant)
     base = N + 1
-    place = (base ** np.arange(d + m, dtype=object)).astype(np.int64)
-    up_inc = ((sign_vectors + 1.0) / 2.0).astype(np.int64)        # (b, d)
-    jump_inc = np.zeros((b, m), dtype=np.int64)
-    has_jump = branch_jump >= 0
-    jump_inc[has_jump, branch_jump[has_jump]] = 1
-    offsets = up_inc @ place[:d] + jump_inc @ place[d:]           # (b,)
-
     count_dtype = np.min_scalar_type(N)
-    codes = np.zeros(1, dtype=np.int64)
-    levels = [_Level(np.zeros((1, d), dtype=count_dtype),
-                     np.zeros((1, m), dtype=count_dtype), np.ones(1), base)]
-    children = []
+    place = base ** np.arange(m, dtype=np.int64)
+    jump_inc = np.vstack((np.zeros((1, m), dtype=np.int64),
+                          np.eye(m, dtype=np.int64)))             # (1+m, m)
+    up_inc = _up_increments(sign_vectors, m)
+    rows, probs = np.zeros((1, m), dtype=count_dtype), np.ones(1)
+    levels = []
     for k in range(N):
-        runs = (offsets[:, None] + codes[None, :]).ravel()        # (b n_k,)
-        order = np.argsort(runs, kind="stable")
-        ranked = runs[order]
-        del runs
-        fresh = np.ones(ranked.size, dtype=bool)
-        np.not_equal(ranked[1:], ranked[:-1], out=fresh[1:])
-        codes = ranked[fresh]
-        np.cumsum(fresh, out=ranked)
-        ranked -= 1
-        # the ranks go straight into the narrowest unsigned dtype that holds
-        # the next depth's indices: no b n_k-long int64 child table is built
-        child = np.empty(ranked.size, dtype=np.min_scalar_type(codes.size - 1))
-        child[order] = ranked
-        del order, ranked, fresh
-        child_idx = np.ascontiguousarray(child.reshape(b, -1).T)  # (n_k, b)
-        del child
-        next_probs = np.bincount(
-            child_idx.ravel(),
-            weights=(levels[k].probs[:, None] * branch_probs[None, :]).ravel(),
-            minlength=codes.size)
-        digits = np.stack([codes // p % base for p in place],
-                          axis=1).astype(count_dtype)
-        for arr in (digits, next_probs, child_idx):
+        reached = (rows[:, None, :] + jump_inc) @ place           # (R_k, 1+m)
+        codes = np.unique(reached)
+        next_rows = np.searchsorted(codes, reached)
+        # slice-adds on the next depth's grid, branch by branch: jump
+        # outcome mark m, ..., mark 1, no jump, then signs by descending
+        # up-increments, so each child sums its parents' weights in
+        # ascending parent index, the order of a bincount over the children
+        cur = probs.reshape((len(rows),) + (k + 1,) * d)
+        nxt = np.zeros((codes.size,) + (k + 2,) * d)
+        cubes = _cube_slices(up_inc, k + 1)
+        for o in range(m, -1, -1):
+            for s, cube in enumerate(cubes):
+                nxt[(next_rows[:, o],) + cube] += (
+                    cur * branch_probs[s * (1 + m) + o])
+        for arr in (probs, rows, next_rows):
             arr.setflags(write=False)
-        levels.append(_Level(digits[:, :d], digits[:, d:], next_probs, base))
-        children.append(child_idx)
-
-    for arr in (sign_vectors, branch_jump, branch_probs):
+        levels.append(_Level(probs, rows, next_rows, k, d, base))
+        rows = (codes[:, None] // place % base).astype(count_dtype)
+        probs = nxt.reshape(-1)
+    for arr in (probs, rows, sign_vectors, branch_jump, branch_probs):
         arr.setflags(write=False)
+    levels.append(_Level(probs, rows, None, N, d, base))
     return ScenarioTree(grid, marks, d, node_cap, sign_vectors, branch_jump,
-                        branch_probs, levels, children)
+                        branch_probs, levels)

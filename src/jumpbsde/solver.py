@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import (ConditioningError, ConfigError, NumericError,
                      StepSizeError)
-from .generators import check_lipschitz, truncate_problem
+from .generators import check_growth, check_lipschitz, truncate_problem
 from .norms import (ProcessSample, StoppingFamily, class_d_norm, mp_from_sq,
                     sp_from_sup)
 from .randomness import build_scenario_tree, simulate_paths
@@ -381,10 +381,9 @@ class _LeafSweep:
     def __init__(self, tree):
         tree._require_explicit("a path functional")
         self.tree = tree
-        # the sweep gathers through the child tables thousands of times, and
-        # numpy gathers with intp indices fastest; an explicit tree has few
-        # states, so the copy is small
-        self.children = [c.astype(np.intp) for c in tree.children]
+        # the sweep gathers through the child tables thousands of times; an
+        # explicit tree has few states, so the tables are small
+        self.children = [tree.child_table(k) for k in range(tree.grid.steps)]
         b = tree.branching
         self._chunk_depth = 0
         while b ** (self._chunk_depth + 1) <= self.CHUNK_ROWS:
@@ -732,8 +731,12 @@ class _PathEstimators(_Representation):
 class _Lattice(_Representation):
     """The recombined state lattice of a scenario tree: E[. | F_k] and the
     Z / V projections are exact branch-weighted sums over each state's
-    children. Without an explicit tree the estimators are the exact marginal
-    ones, each an expectation ``_mean`` over one depth's states."""
+    children. The children's values come from the lattice grid by slicing
+    (``ScenarioTree.gather_children``: a row gather per jump outcome, a cube
+    slice per sign), as the same C-contiguous (n_k, b) table a child-index
+    gather gives, so the three einsums reduce the same bits. Without an
+    explicit tree the estimators are the exact marginal ones, each an
+    expectation ``_mean`` over one depth's states."""
 
     kind, estimator, batch, n_paths = "tree", "tree-marginal", None, None
     diagnostics = {}
@@ -763,7 +766,7 @@ class _Lattice(_Representation):
 
     def project(self, y_next, k):
         """(E[Y_{k+1} | F_k], Z_k, V_k) from the level at depth k+1."""
-        yc = y_next[self.tree.children[k]]                   # (n_k, b)
+        yc = self.tree.gather_children(k, y_next)            # (n_k, b)
         return (np.einsum("nb,b->n", yc, self.tree.branch_probs),
                 np.einsum("nb,bd->nd", yc, self._wz),
                 np.einsum("nb,bm->nm", yc, self._wv))
@@ -1106,7 +1109,8 @@ def solve_mc_regression(problem, batch, basis_degree=2, max_inner=100_000):
 # ---------------------------------------------------------------------------
 
 def _check_assumptions(problem, seed):
-    rep = check_lipschitz(problem.generator, problem, n_pairs=64, seed=seed)
+    gen = problem.generator
+    rep = check_lipschitz(gen, problem, n_pairs=64, seed=seed)
     if not rep["passed"]:
         # the declared constant is input the driver contradicts
         raise ConfigError(
@@ -1114,6 +1118,16 @@ def _check_assumptions(problem, seed):
             f"declared kappa={rep['declared']:g} is below the driver's "
             f"measured Lipschitz modulus {rep['kappa_hat']:.6g} (worst pair "
             f"{rep['worst_pair']})")
+    if gen.growth_alpha is None or gen.growth_gamma is None:
+        return
+    rep = check_growth(gen, problem, n_points=64, seed=seed)
+    if not rep["passed"]:
+        raise ConfigError(
+            "problem.generator.alpha",
+            f"the driver's (z, v)-increment exceeds the declared growth "
+            f"bound gamma (g + |y| + |z| + ||v||)^alpha, alpha="
+            f"{gen.growth_alpha:g}, gamma={gen.growth_gamma:g}, by a factor "
+            f"{rep['max_ratio']:.6g} (worst point {rep['worst_point']})")
 
 
 def _constant(rep, problem, k_lo, k_hi, init):
@@ -1360,7 +1374,7 @@ def bsde_residual_max(solution, problem):
     for k in range(N):
         n_k = tree.n_states(k)
         y_k = np.repeat(solution.y[k], b)
-        y_k1 = solution.y[k + 1][tree.children[k]].ravel()
+        y_k1 = tree.gather_children(k, solution.y[k + 1]).ravel()
         z_k = np.repeat(solution.z[k], b, axis=0)
         v_k = np.repeat(solution.v[k], b, axis=0)
         db = np.tile(tree.sign_vectors, (n_k, 1)) * sqrt_dt

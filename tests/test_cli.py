@@ -425,6 +425,35 @@ def test_broken_lipschitz_modulus_exits_1_at_kappa(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "ladder"])
+def test_broken_growth_bound_exits_1_at_alpha(tmp_path, capsys, command):
+    # f = 0.5 y + z grows linearly in z against a declared
+    # 0.1 (g + |y| + |z| + ||v||)^0.5: the config is wrong
+    problem = copy.deepcopy(BASE["problem"])
+    problem["generator"] = {"form": "affine", "params": {"a": 0.5, "b": [1.0]},
+                            "alpha": 0.5, "gamma": 0.1}
+    path, _ = _cfg(tmp_path, problem=problem, ladder={"n_list": [1, 4]})
+    line = next(i for i, row in enumerate(path.read_text().splitlines(),
+                                          start=1)
+                if row.strip().startswith('"alpha": '))
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{path}:{line}: problem.generator.alpha: " in err
+    assert "exceeds the declared growth bound" in err
+    assert "'z': [" in err and "np.float64" not in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_kept_growth_bound_solves(tmp_path):
+    # f = 0.5 y has no (z, v)-increment: any declared (alpha, gamma) holds
+    problem = copy.deepcopy(BASE["problem"])
+    problem["generator"] = {**problem["generator"], "alpha": 0.5,
+                            "gamma": 0.1}
+    path, _ = _cfg(tmp_path, problem=problem)
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_OK
+
+
 @pytest.mark.parametrize("value", ["abc", True, -5, 2.5])
 def test_bad_node_cap_rejected_with_its_path(tmp_path, capsys, value):
     path, _ = _cfg(tmp_path, node_cap=value)

@@ -233,17 +233,16 @@ def test_non_finite_difference_raises(method, node_cap, field):
 
 def test_lattice_solve_holds_two_iterates_and_a_compact_lattice():
     # the meter holds one depth's difference beside the two iterates, and
-    # the lattice keeps per state its children (uint8 or uint16 below 65 536
-    # states a depth), its probability and uint8 counts: no state codes
+    # the lattice keeps per state only its probability; per depth it keeps
+    # its jump rows (uint8 counts, R_k = C(k+m, m) of them), their intp map
+    # to the next depth's rows and a few small objects
     problem = _problem(1, 1, 80)
-    tree = jb.build_scenario_tree(problem.grid, problem.marks, 1,
-                                  node_cap=None)
-    states = sum(tree.n_states(k) for k in range(81))
-    kept = (sum(a.nbytes for lev in tree.levels for a in vars(lev).values()
-                if isinstance(a, np.ndarray))
-            + sum(c.nbytes for c in tree.children))
-    b, d, m = tree.branching, 1, 1
-    assert kept <= (2 * b + 8 + (d + m)) * states
+    tree, kept, _ = traced_peak(jb.build_scenario_tree, problem.grid,
+                                problem.marks, 1, node_cap=None)
+    m, depths = 1, range(81)
+    states = sum(tree.n_states(k) for k in depths)
+    rows = sum(math.comb(k + m, m) for k in depths)
+    assert kept <= 8 * states + (m + 8 * (1 + m)) * rows + 2048 * len(depths)
     (sol, trace), _, peak = traced_peak(jb.picard_solve, problem, "tree",
                                         tree=tree, check_assumptions=False)
     assert trace.converged

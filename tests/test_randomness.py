@@ -266,9 +266,27 @@ def test_branch_probabilities_sum_to_one_where_the_largest_overshoots():
     assert float(np.einsum("nb,b->n", ones, tree.branch_probs)[0]) == 1.0
 
 
+class _TableTree(ScenarioTree):
+    """A lattice that reads a level at the children through stored int64
+    child tables, the layout the grid of jump rows and up-count cubes
+    replaced."""
+
+    def __init__(self, tree, levels, tables):
+        super().__init__(tree.grid, tree.marks, tree.d, tree.node_cap,
+                         tree.sign_vectors, tree.branch_jump,
+                         tree.branch_probs, levels)
+        self.tables = tables
+
+    def child_table(self, k):
+        return self.tables[k]
+
+    def gather_children(self, k, values):
+        return values[self.tables[k]]
+
+
 def _unique_build(tree):
     """The lattice of ``tree`` as ``np.unique`` over each depth's child codes
-    builds it: the reference the run-merging build must reproduce."""
+    builds it: the reference the grid build must reproduce."""
     N, d, m, b = tree.grid.steps, tree.d, tree.marks.m, tree.branching
     base = N + 1
     place = (base ** np.arange(d + m, dtype=object)).astype(np.int64)
@@ -293,9 +311,7 @@ def _unique_build(tree):
         levels.append(SimpleNamespace(codes=codes, up_counts=digits[:, :d],
                                       jump_counts=digits[:, d:], probs=probs))
         children.append(child_idx)
-    return ScenarioTree(tree.grid, tree.marks, d, tree.node_cap,
-                        tree.sign_vectors, tree.branch_jump, tree.branch_probs,
-                        levels, children)
+    return _TableTree(tree, levels, children)
 
 
 def _assert_same_lattice(d, m, N, intensities, horizon=1.0):
@@ -314,66 +330,78 @@ def _assert_same_lattice(d, m, N, intensities, horizon=1.0):
         assert (got.up_counts.dtype == got.jump_counts.dtype
                 == np.min_scalar_type(N))
         assert got.probs.tobytes() == want.probs.tobytes()
-    for k, (got, want) in enumerate(zip(tree.children, ref.children,
-                                        strict=True)):
-        # the narrowest unsigned dtype that holds the next depth's indices
-        assert got.dtype == np.min_scalar_type(tree.n_states(k + 1) - 1)
-        assert got.flags.c_contiguous
-        assert np.array_equal(got, want)
+        # per state only the probability; per jump row its counts and its
+        # rows at depth k+1
+        n_rows = math.comb(k + m, m)
+        assert got.probs.shape == (n_rows * (k + 1) ** d,)
+        assert got.rows.shape == (n_rows, m)
+        assert (got.next_rows is None if k == N
+                else got.next_rows.shape == (n_rows, 1 + m))
+    for k in range(N):
+        table = tree.child_table(k)
+        assert table.dtype == np.intp and table.flags.c_contiguous
+        assert np.array_equal(table, ref.child_table(k))
+        values = np.arange(tree.n_states(k + 1)) * 0.5 - 1.0
+        gathered = tree.gather_children(k, values)
+        assert gathered.flags.c_contiguous
+        assert gathered.tobytes() == ref.gather_children(k, values).tobytes()
     assert tree.to_json_dict() == ref.to_json_dict()
     assert tree.explicit == (b ** N <= 4096)
     if tree.explicit:
-        for got, want in zip(tree.enumerate_paths(), ref.enumerate_paths()):
-            assert got.tobytes() == want.tobytes()
+        for got, want in zip(tree.enumerate_paths(), ref.enumerate_paths(),
+                             strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from([1, 2]), st.integers(1, 3), st.integers(1, 10),
-       st.data())
-def test_lattice_build_matches_unique_reference(d, m, N, data):
-    # the b children runs of a depth are merged by one stable argsort; the
-    # states, children and probabilities are those np.unique gives
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3]), st.data())
+def test_lattice_build_matches_unique_reference(d, m, data):
+    # each depth is a grid of jump rows times the up-count cube, filled by
+    # slice-adds; the states, children and probabilities are those np.unique
+    # gives over the child codes
+    N = data.draw(st.integers(1, 10 if d + m <= 3 else 6))
     intensities = data.draw(st.lists(st.floats(0.05, 4.0), min_size=m,
                                      max_size=m))
     horizon = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
     _assert_same_lattice(d, m, N, intensities, horizon)
 
 
-@pytest.mark.parametrize("d, m, N", [(1, 1, 150), (1, 1, 6), (2, 1, 4)],
-                         ids=["long-lattice", "tree-1-1", "tree-2-1"])
+@pytest.mark.parametrize("d, m, N", [
+    (1, 1, 150), (1, 1, 6), (2, 1, 4), (2, 1, 8), (1, 2, 9), (2, 2, 6),
+    (1, 3, 7), (3, 1, 3), (1, 3, 4), (3, 3, 4),
+], ids=["long-lattice", "tree-1-1", "tree-2-1", "lattice-2-1", "lattice-1-2",
+        "lattice-2-2", "lattice-1-3", "tree-3-1", "tree-1-3", "lattice-3-3"])
 def test_lattice_build_matches_unique_reference_examples(d, m, N):
-    # a long lattice, and two explicit trees whose histories are compared
-    _assert_same_lattice(d, m, N, [1.0] * m)
+    # a long lattice, lattices over every (d, m) up to 3, and explicit trees
+    # whose histories are compared
+    _assert_same_lattice(d, m, N, [0.7 + 0.6 * i for i in range(m)])
 
 
 def test_lattice_build_transient_memory_is_a_few_children_arrays():
-    # beside the lattice it keeps, the build holds at most 3.5 times the
-    # last depth's child indices, counted as int64, in temporaries (b n_k-long
-    # codes, orders, ranks and branch weights); the kept table is narrower
+    # beside the lattice it keeps, the build holds at most three grids of
+    # the last depth's size in temporaries: the grid it fills, one jump
+    # outcome's gathered slice and the weighted parent grid
     grid = jb.make_time_grid(1.0, 16)
     marks = jb.make_mark_space([[1.0], [2.0]], [0.7, 1.3])
     tree, kept, peak = traced_peak(jb.build_scenario_tree, grid, marks, 2,
                                    node_cap=None)
-    b, n_last = tree.branching, tree.n_states(15)
-    assert tree.children[-1].shape == (n_last, b)
-    assert peak - kept <= 3.5 * 8 * b * n_last
+    assert peak - kept <= 3 * 8 * tree.n_states(16)
 
 
-def _int64_tree(tree):
-    """``tree`` with int64 C-contiguous copies of its child tables: the
-    layout the narrow tables replaced."""
-    return ScenarioTree(tree.grid, tree.marks, tree.d, tree.node_cap,
-                        tree.sign_vectors, tree.branch_jump, tree.branch_probs,
-                        tree.levels,
-                        [np.ascontiguousarray(c, dtype=np.int64)
-                         for c in tree.children])
+def _gathered_tree(tree):
+    """``tree`` read through int64 copies of its child tables: the fancy
+    gathers the grid's slice copies replaced."""
+    return _TableTree(tree, tree.levels,
+                      [tree.child_table(k).astype(np.int64)
+                       for k in range(tree.grid.steps)])
 
 
 def _assert_same_solve(problem, tree):
-    # a Picard solve reads the narrow tables as the int64 ones, bit for bit
+    # a Picard solve reads the grid's slices as the table gathers, bit for
+    # bit
     runs = [jb.picard_solve(problem, "tree", tree=t, tol=0.0, max_iter=4,
                             check_assumptions=False)
-            for t in (tree, _int64_tree(tree))]
+            for t in (tree, _gathered_tree(tree))]
     (sol, trace), (ref, ref_trace) = runs
     for f in "yzv":
         for got, want in zip(getattr(sol, f), getattr(ref, f), strict=True):
@@ -383,32 +411,25 @@ def _assert_same_solve(problem, tree):
 
 
 @pytest.mark.parametrize("d, m, N", [(1, 1, 20), (2, 2, 5)])
-def test_narrow_child_tables_solve_the_lattice_bit_for_bit(d, m, N):
-    # d = m = 1, N = 20 switches from uint8 to uint16 children after depth
-    # 14; d = m = 2, N = 5 after depth 3
+def test_grid_slices_solve_the_lattice_bit_for_bit(d, m, N):
     problem = _problem(d, m, N)
     tree = jb.build_scenario_tree(problem.grid, problem.marks, d,
                                   node_cap=None)
     assert not tree.explicit
-    assert {c.dtype for c in tree.children} == {np.dtype(np.uint8),
-                                                np.dtype(np.uint16)}
     _assert_same_solve(problem, tree)
 
 
-def test_narrow_child_tables_on_an_explicit_tree():
+def test_grid_slices_on_an_explicit_tree():
     # the leaf sweep, path enumeration and the branch residual read the
-    # narrow tables as the int64 ones; 12^4 leaves, and uint16 children
-    # after depth 2
+    # grid as the table gathers; 12^4 leaves
     problem = _problem(2, 2, 4)
     tree = jb.build_scenario_tree(problem.grid, problem.marks, 2)
     assert tree.explicit
-    assert {c.dtype for c in tree.children} == {np.dtype(np.uint8),
-                                                np.dtype(np.uint16)}
     sol, ref = _assert_same_solve(problem, tree)
     assert (repr(jb.solution_norms(sol, problem))
             == repr(jb.solution_norms(ref, problem)))
     for got, want in zip(tree.enumerate_paths(),
-                         _int64_tree(tree).enumerate_paths(), strict=True):
+                         _gathered_tree(tree).enumerate_paths(), strict=True):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert (jb.bsde_residual_max(sol, problem).hex()
             == jb.bsde_residual_max(ref, problem).hex())
