@@ -353,13 +353,14 @@ def _assert_same_lattice(d, m, N, intensities, horizon=1.0):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=45, deadline=None)
 @given(st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3]), st.data())
 def test_lattice_build_matches_unique_reference(d, m, data):
     # each depth is a grid of jump rows times the up-count cube, filled by
     # slice-adds; the states, children and probabilities are those np.unique
-    # gives over the child codes
-    N = data.draw(st.integers(1, 10 if d + m <= 3 else 6))
+    # gives over the child codes (N up to 6 for d = 3 keeps the reference
+    # build small)
+    N = data.draw(st.integers(1, 10 if d <= 2 else 6))
     intensities = data.draw(st.lists(st.floats(0.05, 4.0), min_size=m,
                                      max_size=m))
     horizon = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
