@@ -111,16 +111,33 @@ def _report(name, lhs, rhs_core, problem, p, ceiling):
         anomalous=anomalous)
 
 
+def _expected_sum(weights, *terms):
+    """E[t_1 + t_2 + ...] of per-path terms, each a function giving a new
+    array: they are computed one at a time and added left to right into
+    one running sum."""
+    total = terms[0]()
+    for term in terms[1:]:
+        total += term()
+    return _wmean(weights, total)
+
+
+def _powered(term, p):
+    """A function giving |term()|^p."""
+    return lambda: abs_pow(term(), p)
+
+
 def verify_zv_estimate(solution, problem, p=None, ceiling=DEFAULT_CEILING):
     """E[(int |Z|^2)^{p/2} + int int |V|^p lambda ds] against
     E[sup |Y|^p + (int |f0|)^p]."""
     p = problem.p if p is None else p
     if p <= 0:
         raise ValueError("p must be positive")
-    fn = solution_functionals(solution, problem, p)
-    w = fn["weights"]
-    lhs = _wmean(w, abs_pow(np.sqrt(fn["int_z_sq"]), p) + fn["int_v_p"])
-    rhs = _wmean(w, abs_pow(fn["sup_abs_y"], p) + abs_pow(fn["int_f0_abs"], p))
+    rep = _represent(solution, problem)
+    fn, w = rep.functional_terms(problem, p, solution), rep.weights
+    lhs = _expected_sum(w, _powered(lambda: np.sqrt(fn["int_z_sq"]()), p),
+                        fn["int_v_p"])
+    rhs = _expected_sum(w, _powered(fn["sup_abs_y"], p),
+                        _powered(fn["int_f0_abs"], p))
     return _report("zv-vs-y", lhs, rhs, problem, p, ceiling)
 
 
@@ -130,11 +147,13 @@ def verify_full_estimate(solution, problem, p=None, ceiling=DEFAULT_CEILING):
     p = problem.p if p is None else p
     if p <= 1:
         raise ValueError("full estimate requires p > 1")
-    fn = solution_functionals(solution, problem, p)
-    w = fn["weights"]
-    lhs = _wmean(w, abs_pow(fn["sup_abs_y"], p)
-                 + abs_pow(np.sqrt(fn["int_z_sq"]), p) + fn["int_v_p"])
-    rhs = _wmean(w, abs_pow(fn["xi_abs"], p) + abs_pow(fn["int_f0_abs"], p))
+    rep = _represent(solution, problem)
+    fn, w = rep.functional_terms(problem, p, solution), rep.weights
+    lhs = _expected_sum(w, _powered(fn["sup_abs_y"], p),
+                        _powered(lambda: np.sqrt(fn["int_z_sq"]()), p),
+                        fn["int_v_p"])
+    rhs = _expected_sum(w, _powered(fn["xi_abs"], p),
+                        _powered(fn["int_f0_abs"], p))
     return _report("full-vs-data", lhs, rhs, problem, p, ceiling)
 
 

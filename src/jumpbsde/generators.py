@@ -27,6 +27,7 @@ terminal on a noise representation, so it lives with the solvers' estimators
 """
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -58,15 +59,25 @@ __all__ = [
 CONFIG_SCHEMA_ID = "jumpbsde/run-config/v1"
 
 
-@dataclass(frozen=True)
-class StateContext:
-    """Evaluation context: time plus the simulated state at that time."""
+def _built(state):
+    return state() if callable(state) else state
 
-    t: float
-    brownian: np.ndarray      # (n, d)
-    jump_counts: np.ndarray   # (n, m)
-    marks: MarkSpace
-    p: float
+
+class StateContext:
+    """Evaluation context: time plus the simulated state at that time.
+
+    ``brownian`` (n, d) and ``jump_counts`` (n, m) may each be given as a
+    function of no arguments that builds the array: it is built on its
+    first read and kept, so a driver that reads neither never builds them.
+    """
+
+    def __init__(self, t, brownian, jump_counts, marks, p):
+        self.t, self.marks, self.p = t, marks, p
+        self._given = brownian, jump_counts
+
+    brownian = functools.cached_property(lambda self: _built(self._given[0]))
+    jump_counts = functools.cached_property(
+        lambda self: _built(self._given[1]))
 
     @property
     def n(self):
@@ -168,8 +179,12 @@ class BSDEProblem:
         return self.generator.p
 
     def context(self, t, brownian, jump_counts):
-        return StateContext(float(t), np.atleast_2d(brownian),
-                            np.atleast_2d(jump_counts), self.marks, self.p)
+        """The context at time t; either state may be a function that builds
+        its (n, .) array (``StateContext``)."""
+        brownian, jump_counts = (s if callable(s) else np.atleast_2d(s)
+                                 for s in (brownian, jump_counts))
+        return StateContext(float(t), brownian, jump_counts, self.marks,
+                            self.p)
 
     def config_dict(self):
         gen = self.generator

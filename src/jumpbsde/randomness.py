@@ -13,6 +13,7 @@ All containers are immutable after construction and safe to share across
 threads.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace, field
 
@@ -455,7 +456,8 @@ class ScenarioTree:
     only, conditional expectations collapse exactly onto the recombined state
     lattice, which is what backward induction uses; full node enumeration
     (histories, leaf probabilities) is available when branching^N is at most
-    the node cap. Immutable after construction.
+    the node cap. Immutable after construction; the walk set of an explicit
+    tree (``walks``), derived from the lattice, is built on first use.
 
     Each depth of the lattice is a grid of jump rows times an up-count cube
     (``_Level``), so a state's children follow from its index: the child
@@ -538,6 +540,22 @@ class ScenarioTree:
                 f"({self.node_cap if self.node_cap is not None else 'disabled'})"
             )
 
+    @functools.cached_property
+    def walks(self):
+        """The walk set (states, probs) of all root-to-leaf paths, built on
+        first use and kept, so every reader of the tree shares one.
+
+        ``states[k]`` ((b^k,) intp) is the lattice state at depth k of every
+        length-k path prefix, in leaf-id order (that of
+        ``enumerate_paths``): prefix i's children are prefixes b i, ...,
+        b i + b - 1, so the prefixes below one prefix are one slice of each
+        deeper depth's states. They take under b / (b - 1) <= 4/3 times the
+        8 b^N bytes of one per-leaf float vector. ``probs`` ((b^N,)) are the
+        exact leaf probabilities, multiplied in enumerate_paths' order.
+        """
+        self._require_explicit("the walk set")
+        return _walk_set(self)
+
     def enumerate_paths(self):
         """All branch-index histories: (ids, state_idx, probs).
 
@@ -593,6 +611,18 @@ class ScenarioTree:
                 for lev in self.levels
             ],
         }
+
+
+def _walk_set(tree):
+    """``ScenarioTree.walks``: each depth's prefix states are its parents'
+    states read through the child table, in branch order."""
+    states, probs = [np.zeros(1, dtype=np.intp)], np.ones(1)
+    for k in range(tree.grid.steps):
+        states.append(tree.child_table(k)[states[k]].ravel())
+        probs = (probs[:, None] * tree.branch_probs).ravel()
+    for arr in states + [probs]:
+        arr.setflags(write=False)
+    return states, probs
 
 
 def build_scenario_tree(grid, marks, d, node_cap=DEFAULT_NODE_CAP):

@@ -54,8 +54,8 @@ import numpy as np
 from .errors import (ConditioningError, ConfigError, NumericError,
                      StepSizeError)
 from .generators import check_growth, check_lipschitz, truncate_problem
-from .norms import (ProcessSample, StoppingFamily, class_d_norm, mp_from_sq,
-                    sp_from_sup)
+from .norms import (ProcessSample, StoppingFamily, _wmean, class_d_norm,
+                    mp_from_sq, sp_from_sup)
 from .randomness import build_scenario_tree, simulate_paths
 
 __all__ = [
@@ -361,38 +361,34 @@ class _LeafSweep:
 
     A path functional reads one level array per depth along every
     root-to-leaf path. The sweep never builds the (b^N, N+1) table of path
-    states: it walks the tree one subtree at a time, carrying the prefix
-    states from depth to depth (``children[k][prefix].ravel()``), so every
-    per-path vector comes out in leaf-id order, the order of
-    ``ScenarioTree.enumerate_paths``. Exact reductions (max, first hit,
-    left-to-right sums) run as running values over the prefixes; einsum
-    reductions run on a contiguous (rows, depths[, width]) block per subtree,
-    whose per-row results do not depend on how the rows are chunked. Every
-    per-path vector therefore equals, bit for bit, the one the path table
-    gives, and memory stays O(b^N) floats instead of O(N b^N).
+    states: it reads the tree's walk set (``ScenarioTree.walks``: per depth,
+    the state of every path prefix, in leaf-id order), which every
+    representation on the tree shares with the leaf weights. It goes one
+    subtree at a time, whose prefixes at each depth are one slice of that
+    depth's walks, so every per-path vector comes out in leaf-id order, the
+    order of ``ScenarioTree.enumerate_paths``. Exact reductions (max, first
+    hit, left-to-right sums) run as running values over the prefixes; einsum
+    reductions run on a contiguous (rows, depths[, width]) block per
+    subtree, whose per-row results do not depend on how the rows are
+    chunked. Every per-path vector therefore equals, bit for bit, the one
+    the path table gives, and memory stays O(b^N) floats (the walk set takes
+    under 4/3 of a per-leaf float vector) instead of O(N b^N).
 
     Level lists start at depth ``k_lo`` (0 unless given); callers do
     elementwise work (abs, powers) on the levels, once per lattice node,
-    before the sweep expands them.
+    before the sweep expands them. A reduction that ends above the leaves
+    gives one value per prefix at its last depth; ``leaves`` repeats such a
+    vector to its leaves, and ``leaves=False`` leaves that to the caller.
     """
 
     CHUNK_ROWS = 1 << 14       # most prefixes in one subtree block
 
     def __init__(self, tree):
-        tree._require_explicit("a path functional")
-        self.tree = tree
-        # the sweep gathers through the child tables thousands of times; an
-        # explicit tree has few states, so the tables are small
-        self.children = [tree.child_table(k) for k in range(tree.grid.steps)]
-        b = tree.branching
+        self.walks, self.weights = tree.walks
+        self.b, self.n_steps = tree.branching, tree.grid.steps
         self._chunk_depth = 0
-        while b ** (self._chunk_depth + 1) <= self.CHUNK_ROWS:
+        while self.b ** (self._chunk_depth + 1) <= self.CHUNK_ROWS:
             self._chunk_depth += 1
-        # exact leaf probabilities, multiplied in enumerate_paths' order
-        w = np.ones(1)
-        for _ in range(tree.grid.steps):
-            w = (w[:, None] * tree.branch_probs).ravel()
-        self.weights = w
 
     def _subtrees(self, k_first, k_hi):
         """Prefix states at depths k_first..k_hi, one subtree at a time.
@@ -401,40 +397,38 @@ class _LeafSweep:
         CHUNK_ROWS prefixes at depth k_hi; above c the single ancestor state
         is given.
         """
-        children, b = self.children, self.tree.branching
-        c = max(0, k_hi - self._chunk_depth)
-        top = [np.zeros(1, dtype=np.intp)]
-        for k in range(c):
-            top.append(children[k][top[k]].ravel())
+        b, c = self.b, max(0, k_hi - self._chunk_depth)
         for i in range(b ** c):
-            states = [top[j][[i // b ** (c - j)]] for j in range(k_first, c)]
-            s = top[c][i:i + 1]
-            for j in range(c, k_hi + 1):
-                if j >= k_first:
-                    states.append(s)
-                if j < k_hi:
-                    s = children[j][s].ravel()
-            yield states
+            yield [walk[i // b ** (c - j):][:1] if j < c
+                   else walk[i * b ** (j - c):(i + 1) * b ** (j - c)]
+                   for j, walk in enumerate(self.walks[k_first:k_hi + 1],
+                                            k_first)]
 
-    def _per_path(self, k_first, k_hi, per_subtree):
-        """Per-path vector over all leaves, in leaf-id order.
+    def leaves(self, per_prefix, depth):
+        """Per-path vector from per-prefix values at ``depth``: the leaves
+        below a prefix share its value."""
+        if depth == self.n_steps:
+            return per_prefix
+        return np.repeat(per_prefix, self.b ** (self.n_steps - depth))
+
+    def _per_path(self, k_first, k_hi, per_subtree, leaves=True):
+        """Per-path vector over all leaves, in leaf-id order (per prefix at
+        depth k_hi without ``leaves``).
 
         ``per_subtree(states)`` maps one subtree's prefix states at depths
-        k_first..k_hi to a value per prefix at depth k_hi; the leaves below a
-        prefix share its value.
+        k_first..k_hi to a value per prefix at depth k_hi.
         """
-        b, n_steps = self.tree.branching, self.tree.grid.steps
-        out = np.empty(b ** k_hi)
+        out = np.empty(self.b ** k_hi)
         pos = 0
         for states in self._subtrees(k_first, k_hi):
             vals = per_subtree(states)
             out[pos:pos + vals.size] = vals
             pos += vals.size
-        return out if k_hi == n_steps else np.repeat(out, b ** (n_steps - k_hi))
+        return self.leaves(out, k_hi) if leaves else out
 
     def at_depth(self, level, depth):
         """Per-path value of one depth's level array."""
-        return self._per_path(depth, depth, lambda states: level[states[0]])
+        return self.leaves(level[self.walks[depth]], depth)
 
     def fold(self, ufunc, levels, k_lo=0):
         """Per-path left-to-right ``ufunc`` over depths: ``np.maximum`` gives
@@ -461,7 +455,7 @@ class _LeafSweep:
             return np.where(np.isnan(acc), val, acc)
         return self._per_path(0, len(levels) - 1, per_subtree)
 
-    def row_reduce(self, levels, reduce, k_lo=0):
+    def row_reduce(self, levels, reduce, k_lo=0, leaves=True):
         """Per-path ``reduce(block)`` where block[n, j] is path n's value of
         levels[j]: a row-wise reduction of the (rows, depths[, width]) path
         table, computed on one subtree's rows at a time."""
@@ -472,7 +466,8 @@ class _LeafSweep:
                 block.reshape((s.size, rows // s.size) + block.shape[1:])[
                     :, :, j] = lev[s][:, None]
             return reduce(block)
-        return self._per_path(k_lo, k_lo + len(levels) - 1, per_subtree)
+        return self._per_path(k_lo, k_lo + len(levels) - 1, per_subtree,
+                              leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -583,23 +578,21 @@ class _LatticeMeter(_Meter):
 
 
 class _PathMeter(_Meter):
-    """Norms of per-path functionals against the path weights: sup_k |Y_k|,
-    sum_k |Z_k|^2 and sum_k sum_i lambda_i |V_{k,i}|^p over each path's
-    depths (``per_path``)."""
-
-    def per_path(self):
-        """(sup_k |Y_k|, sum_k |Z_k|^2, sum_k lambda . |V_k|^p) per path."""
-        self._verdict()
-        return (self._sup_abs(), *self._z_sq_v_p())
+    """Norms of per-path functionals against the path weights: sup_k |Y_k|
+    (``_sup_abs``), sum_k |Z_k|^2 (``_z_sq``) and sum_k sum_i lambda_i
+    |V_{k,i}|^p (``_v_p``) over each path's depths."""
 
     def _sup(self):
         return sp_from_sup(self._sup_abs(), self.rep.weights, self.p)
 
     def _mp_lp(self):
         rep, dt = self.rep, self.rep.grid.dt
-        z_sq, v_p = self._z_sq_v_p()
-        return (mp_from_sq(z_sq * dt, rep.weights, self.p),
-                float(rep._expect(v_p) * dt) ** (1 / self.p))
+        return (self._mp(),
+                float(rep._expect(self._v_p()) * dt) ** (1 / self.p))
+
+    def _mp(self):
+        return mp_from_sq(self._z_sq() * self.rep.grid.dt, self.rep.weights,
+                          self.p)
 
 
 class _TreeMeter(_PathMeter):
@@ -626,14 +619,26 @@ class _TreeMeter(_PathMeter):
         return self.rep.sweep.fold(np.maximum, _ascending(self.levels[0]),
                                    self.k_lo)
 
-    def _z_sq_v_p(self):
-        sweep, lam = self.rep.sweep, self.rep.intensities
-        return (sweep.row_reduce(_ascending(self.levels[1]), lambda block:
-                                 np.einsum("njd,njd->n", block, block),
-                                 self.k_lo),
-                sweep.row_reduce(_ascending(self.levels[2]), lambda block:
-                                 np.einsum("njm,m->n", block, lam),
-                                 self.k_lo))
+    def _z_sq(self, leaves=True):
+        return self.rep.sweep.row_reduce(
+            _ascending(self.levels[1]),
+            lambda block: np.einsum("njd,njd->n", block, block), self.k_lo,
+            leaves)
+
+    def _v_p(self):
+        lam = self.rep.intensities
+        return self.rep.sweep.row_reduce(
+            _ascending(self.levels[2]),
+            lambda block: np.einsum("njm,m->n", block, lam), self.k_lo)
+
+    def _mp(self):
+        """``_PathMeter._mp``, with (sum_k |Z_k|^2 dt)^(p/2) taken once per
+        prefix at the last Z depth before it is repeated to the leaves
+        (elementwise ops give the same bits before or after the repeat)."""
+        rep, p = self.rep, self.p
+        z_pow = (self._z_sq(leaves=False) * rep.grid.dt) ** (p / 2.0)
+        last = self.k_lo + len(self.levels[1]) - 1
+        return _wmean(rep.weights, rep.sweep.leaves(z_pow, last)) ** (1.0 / p)
 
 
 class _BatchMeter(_PathMeter):
@@ -677,15 +682,21 @@ class _BatchMeter(_PathMeter):
     def _sup_abs(self):
         return self.sup_abs
 
-    def _z_sq_v_p(self):
-        n, lam = self.rep.n_paths, self.rep.intensities
-        z_sq, v_p = np.empty(n), np.empty(n)
+    def _z_sq(self):
+        return self._reduce(0, lambda z: np.einsum("njd,njd->n", z, z))
+
+    def _v_p(self):
+        lam = self.rep.intensities
+        return self._reduce(1, lambda v: np.einsum("njm,m->n", v, lam))
+
+    def _reduce(self, i, reduce):
+        """Per-path ``reduce`` of block i, a chunk of paths at a time."""
+        n = self.rep.n_paths
+        out = np.empty(n)
         for a in range(0, n, self.CHUNK_ROWS):
             rows = slice(a, a + self.CHUNK_ROWS)
-            z = self._chunk(0, rows)
-            z_sq[rows] = np.einsum("njd,njd->n", z, z)
-            v_p[rows] = np.einsum("njm,m->n", self._chunk(1, rows), lam)
-        return z_sq, v_p
+            out[rows] = reduce(self._chunk(i, rows))
+        return out
 
     def _chunk(self, i, rows):
         return np.ascontiguousarray(
@@ -707,6 +718,12 @@ class _Representation:
         """(S^p, M^p, L^p) of one (Y, Z, V) triple, each field read once."""
         return self.meter(p, k_lo, k_hi).feed(y, z, v).norms()
 
+    def functionals(self, problem, p, sol):
+        """Per-path functionals of the a priori estimates, with weights."""
+        terms = self.functional_terms(problem, p, sol)
+        return {"weights": self.weights,
+                **{name: term() for name, term in terms.items()}}
+
 
 class _PathEstimators(_Representation):
     """Estimators read from per-path functionals of the fields, for the path
@@ -715,17 +732,19 @@ class _PathEstimators(_Representation):
     ``_fold`` (a per-path left-to-right ufunc over the levels of depths
     k_lo, k_lo + 1, ...)."""
 
-    def functionals(self, problem, p, sol):
-        """Per-path functionals of the a priori estimates, with weights."""
+    def functional_terms(self, problem, p, sol):
+        """The per-path functionals of ``functionals`` but the weights, by
+        name, each as a function that computes it when called: a caller
+        can hold one per-path vector at a time."""
         N, dt = self.grid.steps, self.grid.dt
-        sup_abs, z_sq, v_p = self.meter(p).feed(sol.y, sol.z, sol.v).per_path()
-        z_sq *= dt
-        v_p *= dt
-        f0 = _data_levels(self, problem)[:-1]
-        return {"weights": self.weights, "sup_abs_y": sup_abs,
-                "int_z_sq": z_sq, "int_v_p": v_p,
-                "int_f0_abs": self._fold(np.add, f0) * dt,
-                "xi_abs": self._at_depth(np.abs(sol.y[-1]), N)}
+        meter = self.meter(p).feed(sol.y, sol.z, sol.v)
+        meter._verdict()
+        return {"sup_abs_y": meter._sup_abs,
+                "int_z_sq": lambda: meter._z_sq() * dt,
+                "int_v_p": lambda: meter._v_p() * dt,
+                "int_f0_abs": lambda: self._fold(
+                    np.add, _data_levels(self, problem)[:-1]) * dt,
+                "xi_abs": lambda: self._at_depth(np.abs(sol.y[-1]), N)}
 
 
 class _Lattice(_Representation):
@@ -761,8 +780,13 @@ class _Lattice(_Representation):
             self._wv[tree.branch_jump == -1, i] -= half_d
 
     def context(self, problem, k):
-        return problem.context(self.grid.nodes[k], self.tree.brownian_values(k),
-                               self.tree.levels[k].jump_counts.astype(float))
+        """The state context at depth k; its Brownian values and jump
+        counts are built if a reader asks for them (the terminal and the
+        zero section do, no built-in driver's ``bind`` does)."""
+        tree = self.tree
+        return problem.context(
+            self.grid.nodes[k], lambda: tree.brownian_values(k),
+            lambda: tree.levels[k].jump_counts.astype(float))
 
     def project(self, y_next, k):
         """(E[Y_{k+1} | F_k], Z_k, V_k) from the level at depth k+1."""
@@ -784,7 +808,7 @@ class _Lattice(_Representation):
         """Class-D estimator: deterministic times only, max_k E|Y_k|."""
         return self.sup_norm(y, 1)
 
-    def functionals(self, problem, p, sol):
+    def functional_terms(self, problem, p, sol):
         self.tree._require_explicit("a path functional")
 
 
@@ -892,8 +916,11 @@ class _PathBatch(_PathEstimators):
         return [block[k] for block in self._states]
 
     def context(self, problem, k):
+        """The state context at node k; the float jump counts are built if
+        a reader asks for them."""
         bvals, counts = self._step(k)
-        return problem.context(self.grid.nodes[k], bvals, counts.astype(float))
+        return problem.context(self.grid.nodes[k], bvals,
+                               lambda: counts.astype(float))
 
     def project(self, y_next, k):
         """(E[Y_{k+1} | F_k], Z_k, V_k), fitted jointly from the stacked

@@ -6,6 +6,7 @@ replaced: they build the full (b^N, K) path tables from
 for bit, with subtree blocks from one row up to the whole tree.
 """
 
+import json
 import math
 from unittest import mock
 
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jumpbsde as jb
-from jumpbsde.estimates import solution_functionals, uniqueness_experiment
+from jumpbsde import cli, randomness
+from jumpbsde.estimates import (solution_functionals, uniqueness_experiment,
+                                verify_full_estimate)
 from jumpbsde.norms import (ProcessSample, StoppingFamily, class_d_norm,
                             mp_norm, sp_norm)
 from jumpbsde.solver import (Solution, _LeafSweep, _setup, bsde_residual_max,
@@ -186,6 +189,8 @@ def test_full_range_functionals_bit_for_bit(case):
             for _ in range(2))
     q = case["q"]
     with mock.patch.object(_LeafSweep, "CHUNK_ROWS", case["rows"]):
+        # the tree builds its walk set at the first functional, here
+        assert "walks" not in vars(tree)
         # Picard distances and solution norms
         rep = _setup(problem, "tree", tree)
         diffs = [[x - y for x, y in zip(getattr(a, f), getattr(b, f))]
@@ -228,6 +233,7 @@ def test_sub_range_distances_bit_for_bit(case, data):
     diffs = [[x - y for x, y in zip(getattr(a, f), getattr(b_, f))]
              for f in ("y", "z", "v")]
     with mock.patch.object(_LeafSweep, "CHUNK_ROWS", case["rows"]):
+        assert "walks" not in vars(tree)
         rep = _setup(problem, "tree", tree)
         _assert_same(rep.norms(case["q"], *_lazy_diff(a, b_), k_lo=k_lo),
                      _ref_norms(problem, case["q"], *diffs, tree, k_lo))
@@ -261,3 +267,87 @@ def test_functionals_memory_has_no_depth_factor():
     fn, _, peak = traced_peak(solution_functionals, sol, problem, 1.5)
     assert len(fn) == 6 and all(a.size == tree.n_leaves for a in fn.values())
     assert peak < 8 * unit
+
+
+# ---------------------------------------------------------------------------
+# the shared walk set
+# ---------------------------------------------------------------------------
+
+def _walk_set_spy():
+    return mock.patch.object(randomness, "_walk_set",
+                             wraps=randomness._walk_set)
+
+
+def test_walk_set_enumerates_the_path_table():
+    problem = _problem(2, 1, 3)
+    tree = jb.build_scenario_tree(problem.grid, problem.marks, 2)
+    _, idx, want_probs = tree.enumerate_paths()
+    (walks, probs), b = tree.walks, tree.branching
+    for k, states in enumerate(walks):
+        assert states.dtype == np.intp
+        assert np.array_equal(np.repeat(states, b ** (3 - k)), idx[:, k])
+    _assert_same(probs, want_probs)
+    unit = 8 * tree.n_leaves
+    assert sum(states.nbytes for states in walks) <= 1.4 * unit
+
+
+def test_representations_and_sub_range_meters_share_one_walk_set():
+    # two representations on one tree, one metering a chained interval
+    # [k_lo, N] with k_lo > 0, read the one walk set the tree builds
+    N, k_lo, q = 4, 2, 1.5
+    problem = _problem(1, 2, N)
+    tree = jb.build_scenario_tree(problem.grid, problem.marks, 1)
+    rng = np.random.default_rng(11)
+    a, b_ = (_solution(rng, problem, tree) for _ in range(2))
+    c, d_ = (_solution(rng, problem, tree, k_lo) for _ in range(2))
+    with _walk_set_spy() as spy, \
+            mock.patch.object(_LeafSweep, "CHUNK_ROWS", 7):
+        full, sub = (_setup(problem, "tree", tree) for _ in range(2))
+        got_sub = sub.norms(q, *_lazy_diff(c, d_), k_lo=k_lo)
+        got_full = full.norms(q, *_lazy_diff(a, b_))
+    assert spy.call_count == 1
+    assert full.sweep.walks is sub.sweep.walks is tree.walks[0]
+    assert full.weights is sub.weights is tree.walks[1]
+    diffs = [[x - y for x, y in zip(getattr(c, f), getattr(d_, f))]
+             for f in "yzv"]
+    _assert_same(got_sub, _ref_norms(problem, q, *diffs, tree, k_lo))
+    diffs = [[x - y for x, y in zip(getattr(a, f), getattr(b_, f))]
+             for f in "yzv"]
+    _assert_same(got_full, _ref_norms(problem, q, *diffs, tree))
+
+
+def test_one_walk_set_per_tree_in_a_verify_run(tmp_path):
+    # the Picard solve, both estimates and the uniqueness experiment each
+    # read the path functionals of the verify run's one tree
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps({
+        "schema": "jumpbsde/run-config/v1", "method": "tree",
+        "grid_steps": 5, "problem": {
+            "horizon": 1.0, "dim": 1,
+            "marks": {"marks": [[1.0]], "intensities": [1.0]},
+            "generator": {"form": "lipschitz-smooth",
+                          "params": {"ay": 0.5, "bz": [0.25], "cv": 0.25},
+                          "p": 2.0},
+            "terminal": {"form": "state-linear",
+                         "params": {"brownian_weights": [1.0],
+                                    "jump_weights": [0.5],
+                                    "compensated": True}}}}))
+    with _walk_set_spy() as spy:
+        code = cli.main(["verify", "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert spy.call_count == 1
+
+
+def test_full_estimate_memory_is_a_few_leaf_vectors():
+    # 4^8 leaves: the estimate adds its per-path terms one at a time into
+    # one running sum, and the walk set it builds stays resident (its
+    # states and the leaf probabilities, under 2.4 vectors of 8 b^N bytes)
+    problem = _problem(1, 1, 8)
+    tree = jb.build_scenario_tree(problem.grid, problem.marks, 1)
+    sol = jb.solve_tree(problem, tree)
+    unit = 8 * tree.n_leaves
+    report, kept, peak = traced_peak(verify_full_estimate, sol, problem, 1.5)
+    assert report.lhs > 0 and report.rhs_core > 0
+    assert kept < 2.4 * unit
+    assert peak < 7 * unit

@@ -191,14 +191,14 @@ def test_chained_batch_meter_allocates_the_depths_it_reads():
     problem = _problem(1, 1, 12)
     plan = jb.SubdivisionPlan(np.linspace(0.0, 1.0, 4), 1.5, 0.5, 1.0, 0.5,
                               0.0)
-    blocks, reduce = [], solver._BatchMeter._z_sq_v_p
+    blocks, reduce = [], solver._BatchMeter._reduce
 
-    def spy(self):
-        # (depths allocated, depths read) of the Z block, then the V block
-        blocks.extend((block.shape[0], self.depths) for block in self.blocks)
-        return reduce(self)
+    def spy(self, i, fn):
+        # (depths allocated, depths read) of the block reduced: Z, then V
+        blocks.append((self.blocks[i].shape[0], self.depths))
+        return reduce(self, i, fn)
 
-    with mock.patch.object(solver._BatchMeter, "_z_sq_v_p", spy):
+    with mock.patch.object(solver._BatchMeter, "_reduce", spy):
         jb.chained_solve(problem, plan, "mc", tol=0.0, max_iter=2,
                          n_paths=300, seed=5)
     assert blocks == [(4, 4)] * (3 * 2 * 2)

@@ -16,6 +16,7 @@ import pytest
 
 import jumpbsde as jb
 from jumpbsde import solver
+from jumpbsde.randomness import ScenarioTree, _Level
 from jumpbsde.solver import _setup
 from test_meter import INIT, _problem
 from test_picard import _closure_truncation, _ladder_drivers
@@ -223,3 +224,35 @@ def test_settled_tail_is_skipped():
     want_sol, want_trace = _picard_ref(rep, problem, tol=1e-12)
     _assert_same_solution(sol, want_sol)
     _assert_same_trace(trace, want_trace)
+
+
+# ---------------------------------------------------------------------------
+# the state context
+# ---------------------------------------------------------------------------
+
+def test_lattice_sweep_builds_no_state_arrays_below_the_terminal():
+    # a built-in driver's bind reads neither the Brownian values nor the
+    # jump counts of a depth, so a Picard solve on the lattice builds them
+    # only for the terminal
+    N = 12
+    problem = _problem(1, 1, N)
+    rep = _setup(problem, "tree", node_cap=None)
+    built = []
+    brownian = ScenarioTree.brownian_values
+    counts = _Level.jump_counts.fget
+
+    def brownian_spy(tree, depth):
+        built.append(("brownian", depth))
+        return brownian(tree, depth)
+
+    def counts_spy(level):
+        built.append(("counts", level.depth))
+        return counts(level)
+
+    with mock.patch.object(ScenarioTree, "brownian_values", brownian_spy), \
+            mock.patch.object(_Level, "jump_counts", property(counts_spy)):
+        sol, trace = solver._picard(rep, problem, tol=1e-12)
+    assert trace.converged and trace.n_iter >= 2
+    assert sorted(set(built)) == [("brownian", N), ("counts", N)]
+    want_sol, _ = _picard_ref(rep, problem, tol=1e-12)
+    _assert_same_solution(sol, want_sol)
