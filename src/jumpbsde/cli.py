@@ -6,7 +6,8 @@ One self-describing JSON config per run; the only flags are --config, --seed
 {"header": {timestamp, tool}, "body": {...}} with the body fully determined
 by the config: regenerating from the embedded config is byte-identical
 outside the header. Exit codes: 0 success, 1 config/input error (also a
-driver that breaks its declared kappa or its declared alpha growth bound),
+driver that breaks its declared kappa or its declared alpha growth bound,
+and a grid too coarse for the driver's kappa),
 2 divergence report, 3 verification failure, 4 solver failure (a
 rank-deficient regression, a per-step fixed point that does not converge,
 or an iterate that overflows).
@@ -23,7 +24,7 @@ import sys
 
 from . import __version__
 from .errors import (ConditioningError, ConfigError, NumericError,
-                     ResourceLimitError)
+                     ResourceLimitError, StepSizeError)
 from .estimates import (DEFAULT_CEILING, ci_suite, ci_suite_csv_rows,
                         uniqueness_experiment, verify_full_estimate,
                         verify_zv_estimate)
@@ -90,7 +91,9 @@ DEFAULT_CONFIG = {
     # JSON null disables the cap (lattice-only)
     "node_cap": ((lambda x: x is None or _POSITIVE_INT[0](x),
                   "a positive integer or null"), 10_000_000),
-    "n_paths": (_POSITIVE_INT, 10_000),
+    # a batch's sample means carry a standard error
+    "n_paths": ((lambda x: type(x) is int and x >= 2, "an integer >= 2"),
+                10_000),
     "basis_degree": ((lambda x: type(x) is int and x >= 0,
                       "a non-negative integer"), 2),
     "seed": ((lambda x: type(x) is int, "an integer"), 0),
@@ -502,6 +505,8 @@ def main(argv=None):
             code, body, files = COMMANDS[args.command](cfg)
         except ResourceLimitError as e:
             raise _at_line(args.config, ConfigError(e.setting, str(e))) from e
+        except StepSizeError as e:
+            raise _at_line(args.config, ConfigError("grid_steps", str(e))) from e
         except ConfigError as e:
             raise _at_line(args.config, e) from e
     except (ConfigError, ValueError) as e:

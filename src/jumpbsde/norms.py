@@ -5,6 +5,12 @@ Monte Carlo batches use uniform weights, tree representations pass the exact
 path probabilities so the oracle-side values carry no sampling error. The
 class-D norm maximizes over a finite family of stopping rules and is a lower
 bound for the true supremum over all stopping times; it is reported as such.
+
+The solver builds no ``ProcessSample``: its path batch and explicit tree
+compute the same norms and the class-D estimator over
+``StoppingFamily.default_for`` along their walks, with ``sp_from_sup`` and
+the rules' definitions from here. ``ProcessSample`` and the functions that
+take one serve callers holding path arrays.
 """
 
 from dataclasses import dataclass

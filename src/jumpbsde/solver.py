@@ -33,12 +33,15 @@ sup-of-marginals lower bound and M^q by its q=2 form (L^q is a linear
 functional and stays exact). The engine keeps one iterate and each sweep
 overwrites it in place, one depth at a time: the representation's meter
 (``_Meter``) takes that depth's differences before they are overwritten --
-per-depth scalars on the lattice, a running max and (paths, depths) blocks
-on a batch, the levels for the leaf sweep on an explicit tree -- and the
-solution norms read through the same meter. A depth whose inputs repeat the
-previous sweep's bit for bit (the settled tail below the terminal) is
-skipped. Non-contraction (three consecutive ratios >= 1) produces a
-divergence report advising horizon subdivision.
+per-depth scalars on the lattice; on an explicit tree and a path batch the Z
+and |V|^p levels, which the representation's walk view (``sweep``: the leaf
+sweep's root-to-leaf paths, or a batch's paths, each its own walk) reduces
+along the walks, beside the |Y| levels on a tree and a running max of |Y| on
+a batch -- and the solution norms read through the same meter. The estimate
+functionals and the class-D estimator read through the walk view too. A
+depth whose inputs repeat the previous sweep's bit for bit (the settled tail
+below the terminal) is skipped. Non-contraction (three consecutive ratios
+>= 1) produces a divergence report advising horizon subdivision.
 
 Lattice reductions use einsum(optimize=False) rather than BLAS, so results
 are bit-stable across thread counts; per-path regression assembly reduces in
@@ -54,8 +57,7 @@ import numpy as np
 from .errors import (ConditioningError, ConfigError, NumericError,
                      StepSizeError)
 from .generators import check_growth, check_lipschitz, truncate_problem
-from .norms import (ProcessSample, StoppingFamily, _wmean, class_d_norm,
-                    mp_from_sq, sp_from_sup)
+from .norms import StoppingFamily, _wmean, sp_from_sup
 from .randomness import build_scenario_tree, simulate_paths
 
 __all__ = [
@@ -353,7 +355,7 @@ class _StepBasis:
 
 
 # ---------------------------------------------------------------------------
-# leaf sweep (explicit trees)
+# walk views: the leaf sweep (explicit trees) and the path batch's
 # ---------------------------------------------------------------------------
 
 class _LeafSweep:
@@ -379,6 +381,7 @@ class _LeafSweep:
     before the sweep expands them. A reduction that ends above the leaves
     gives one value per prefix at its last depth; ``leaves`` repeats such a
     vector to its leaves, and ``leaves=False`` leaves that to the caller.
+    ``_BatchSweep`` gives a path batch the same interface.
     """
 
     CHUNK_ROWS = 1 << 14       # most prefixes in one subtree block
@@ -404,6 +407,9 @@ class _LeafSweep:
                    for j, walk in enumerate(self.walks[k_first:k_hi + 1],
                                             k_first)]
 
+    def _n_walks(self, depth):
+        return self.b ** depth
+
     def leaves(self, per_prefix, depth):
         """Per-path vector from per-prefix values at ``depth``: the leaves
         below a prefix share its value."""
@@ -418,7 +424,7 @@ class _LeafSweep:
         ``per_subtree(states)`` maps one subtree's prefix states at depths
         k_first..k_hi to a value per prefix at depth k_hi.
         """
-        out = np.empty(self.b ** k_hi)
+        out = np.empty(self._n_walks(k_hi))
         pos = 0
         for states in self._subtrees(k_first, k_hi):
             vals = per_subtree(states)
@@ -460,14 +466,42 @@ class _LeafSweep:
         levels[j]: a row-wise reduction of the (rows, depths[, width]) path
         table, computed on one subtree's rows at a time."""
         def per_subtree(states):
-            rows = states[-1].size
+            cols = [lev[s] for lev, s in zip(levels, states)]
+            rows = len(cols[-1])
             block = np.empty((rows, len(levels)) + levels[0].shape[1:])
-            for j, (lev, s) in enumerate(zip(levels, states)):
-                block.reshape((s.size, rows // s.size) + block.shape[1:])[
-                    :, :, j] = lev[s][:, None]
+            for j, col in enumerate(cols):
+                block.reshape((len(col), rows // len(col)) + block.shape[1:])[
+                    :, :, j] = col[:, None]
             return reduce(block)
         return self._per_path(k_lo, k_lo + len(levels) - 1, per_subtree,
                               leaves)
+
+
+class _BatchSweep(_LeafSweep):
+    """The walk view of a path batch, with uniform weights: each path is its
+    own walk, so a level array already holds one value per walk (``leaves``
+    and ``at_depth`` give it back). The reductions run on chunks of at most
+    CHUNK_ROWS paths, which read one slice of each depth's level;
+    ``row_reduce`` stacks a chunk's contiguous (rows, depths[, width])
+    block."""
+
+    CHUNK_ROWS = 1 << 12       # most paths in one chunk
+
+    def __init__(self, n_paths):
+        self.weights = np.full(n_paths, 1.0 / n_paths)
+
+    def _n_walks(self, depth):
+        return self.weights.size
+
+    def _subtrees(self, k_first, k_hi):
+        for a in range(0, self.weights.size, self.CHUNK_ROWS):
+            yield [slice(a, a + self.CHUNK_ROWS)] * (k_hi - k_first + 1)
+
+    def leaves(self, per_path, depth):
+        return per_path
+
+    def at_depth(self, level, depth):
+        return level
 
 
 # ---------------------------------------------------------------------------
@@ -578,129 +612,80 @@ class _LatticeMeter(_Meter):
 
 
 class _PathMeter(_Meter):
-    """Norms of per-path functionals against the path weights: sup_k |Y_k|
-    (``_sup_abs``), sum_k |Z_k|^2 (``_z_sq``) and sum_k sum_i lambda_i
-    |V_{k,i}|^p (``_v_p``) over each path's depths."""
-
-    def _sup(self):
-        return sp_from_sup(self._sup_abs(), self.rep.weights, self.p)
-
-    def _mp_lp(self):
-        rep, dt = self.rep, self.rep.grid.dt
-        return (self._mp(),
-                float(rep._expect(self._v_p()) * dt) ** (1 / self.p))
-
-    def _mp(self):
-        return mp_from_sq(self._z_sq() * self.rep.grid.dt, self.rep.weights,
-                          self.p)
-
-
-class _TreeMeter(_PathMeter):
-    """Keeps the levels |Y_k|, Z_k and |V_k|^p; the leaf sweep reduces
-    them along the root-to-leaf paths."""
+    """Norms of per-path functionals against the path weights, reduced
+    along the walks of the representation's walk view (``rep.sweep``):
+    sup_k |Y_k| (``_sup_abs``), sum_k |Z_k|^2 (``_z_sq``) and sum_k sum_i
+    lambda_i |V_{k,i}|^p (``_v_p``) over each path's depths. It keeps the
+    levels Z_k and |V_k|^p; a subclass accumulates |Y_k| (``_y``)."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.levels = {}, {}, {}
-
-    def _y(self, k, y):
-        self.levels[0][k] = np.abs(y)
+        self.levels = {}, {}               # depth -> Z_k, |V_k|^p
 
     def _zv(self, k, z, v):
-        self.levels[1][k] = z
-        self.levels[2][k] = np.abs(v) ** self.p
+        self.levels[0][k] = z
+        self.levels[1][k] = np.abs(v) ** self.p
 
     def skip(self, k):
-        n, tree = self.rep.n_states(k), self.rep.tree
+        rep, n = self.rep, self.rep.n_states(k)
         self._y(k, np.zeros(n))
-        self._zv(k, np.zeros((n, tree.d)), np.zeros((n, tree.marks.m)))
-
-    def _sup_abs(self):
-        return self.rep.sweep.fold(np.maximum, _ascending(self.levels[0]),
-                                   self.k_lo)
+        self.levels[0][k], self.levels[1][k] = (np.zeros((n, rep.d)),
+                                                np.zeros((n, rep.m)))
 
     def _z_sq(self, leaves=True):
         return self.rep.sweep.row_reduce(
-            _ascending(self.levels[1]),
+            _ascending(self.levels[0]),
             lambda block: np.einsum("njd,njd->n", block, block), self.k_lo,
             leaves)
 
     def _v_p(self):
         lam = self.rep.intensities
         return self.rep.sweep.row_reduce(
-            _ascending(self.levels[2]),
+            _ascending(self.levels[1]),
             lambda block: np.einsum("njm,m->n", block, lam), self.k_lo)
 
-    def _mp(self):
-        """``_PathMeter._mp``, with (sum_k |Z_k|^2 dt)^(p/2) taken once per
-        prefix at the last Z depth before it is repeated to the leaves
-        (elementwise ops give the same bits before or after the repeat)."""
-        rep, p = self.rep, self.p
-        z_pow = (self._z_sq(leaves=False) * rep.grid.dt) ** (p / 2.0)
-        last = self.k_lo + len(self.levels[1]) - 1
-        return _wmean(rep.weights, rep.sweep.leaves(z_pow, last)) ** (1.0 / p)
+    def _sup(self):
+        return sp_from_sup(self._sup_abs(), self.rep.weights, self.p)
+
+    def _mp_lp(self):
+        """M^p, with (sum_k |Z_k|^2 dt)^(p/2) taken once per walk prefix at
+        the last Z depth before it is repeated to the leaves (elementwise
+        ops give the same bits before or after the repeat), and L^p."""
+        rep, p, dt = self.rep, self.p, self.rep.grid.dt
+        z_pow = (self._z_sq(leaves=False) * dt) ** (p / 2.0)
+        last = self.k_lo + len(self.levels[0]) - 1
+        return (_wmean(rep.weights, rep.sweep.leaves(z_pow, last)) ** (1 / p),
+                float(rep._expect(self._v_p()) * dt) ** (1 / p))
+
+
+class _TreeMeter(_PathMeter):
+    """Keeps the levels |Y_k|; the leaf sweep folds them along the paths."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.abs_y = {}
+
+    def _y(self, k, y):
+        self.abs_y[k] = np.abs(y)
+
+    def _sup_abs(self):
+        return self.rep.sweep.fold(np.maximum, _ascending(self.abs_y),
+                                   self.k_lo)
 
 
 class _BatchMeter(_PathMeter):
     """A running max of |Y_k| per path (exact in any order: abs gives no
-    -0.0), and the depth-major (depths, paths, d) and (depths, paths, m)
-    blocks of Z_k and |V_k|^p over depths [k_lo, k_hi): depth k fills row
-    k - k_lo, one contiguous write; the blocks are allocated at the first Z.
-    The reduction reads them a chunk of paths at a time, as the contiguous
-    (paths, depths, width) transpose the per-path einsums take, whose
-    per-path results do not depend on the chunking."""
-
-    CHUNK_ROWS = 1 << 10       # most paths in one transposed chunk
+    -0.0), where keeping the levels would add N floats per path."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.sup_abs = np.zeros(self.rep.n_paths)
-        self.blocks, self.depths = None, 0
 
     def _y(self, k, y):
         np.maximum(self.sup_abs, np.abs(y), out=self.sup_abs)
 
-    def _row(self, k):
-        if self.blocks is None:
-            shape = (self.k_hi - self.k_lo, self.rep.n_paths)
-            self.blocks = (np.empty(shape + (self.rep.d,)),
-                           np.empty(shape + (self.rep.m,)))
-        j = k - self.k_lo
-        self.depths = max(self.depths, j + 1)
-        return j
-
-    def _zv(self, k, z, v):
-        j = self._row(k)
-        self.blocks[0][j] = z
-        self.blocks[1][j] = np.abs(v) ** self.p
-
-    def skip(self, k):
-        j = self._row(k)
-        for block in self.blocks:
-            block[j] = 0.0
-
     def _sup_abs(self):
         return self.sup_abs
-
-    def _z_sq(self):
-        return self._reduce(0, lambda z: np.einsum("njd,njd->n", z, z))
-
-    def _v_p(self):
-        lam = self.rep.intensities
-        return self._reduce(1, lambda v: np.einsum("njm,m->n", v, lam))
-
-    def _reduce(self, i, reduce):
-        """Per-path ``reduce`` of block i, a chunk of paths at a time."""
-        n = self.rep.n_paths
-        out = np.empty(n)
-        for a in range(0, n, self.CHUNK_ROWS):
-            rows = slice(a, a + self.CHUNK_ROWS)
-            out[rows] = reduce(self._chunk(i, rows))
-        return out
-
-    def _chunk(self, i, rows):
-        return np.ascontiguousarray(
-            self.blocks[i][:self.depths, rows].transpose(1, 0, 2))
 
 
 class _Representation:
@@ -726,25 +711,46 @@ class _Representation:
 
 
 class _PathEstimators(_Representation):
-    """Estimators read from per-path functionals of the fields, for the path
-    batch (uniform weights) and the explicit tree (leaf probabilities). A
-    subclass gives ``weights``, ``_expect``, ``_at_depth``, a path meter and
-    ``_fold`` (a per-path left-to-right ufunc over the levels of depths
-    k_lo, k_lo + 1, ...)."""
+    """Estimators read from per-path functionals of the fields along the
+    walks of a walk view (``sweep``), for the path batch (each path its own
+    walk, uniform weights) and the explicit tree (root-to-leaf paths, leaf
+    probabilities). A subclass gives ``sweep``, ``_expect`` and a path
+    meter."""
+
+    @property
+    def weights(self):
+        return self.sweep.weights
 
     def functional_terms(self, problem, p, sol):
         """The per-path functionals of ``functionals`` but the weights, by
         name, each as a function that computes it when called: a caller
         can hold one per-path vector at a time."""
-        N, dt = self.grid.steps, self.grid.dt
+        N, dt, sweep = self.grid.steps, self.grid.dt, self.sweep
         meter = self.meter(p).feed(sol.y, sol.z, sol.v)
         meter._verdict()
         return {"sup_abs_y": meter._sup_abs,
                 "int_z_sq": lambda: meter._z_sq() * dt,
                 "int_v_p": lambda: meter._v_p() * dt,
-                "int_f0_abs": lambda: self._fold(
+                "int_f0_abs": lambda: sweep.fold(
                     np.add, _data_levels(self, problem)[:-1]) * dt,
-                "xi_abs": lambda: self._at_depth(np.abs(sol.y[-1]), N)}
+                "xi_abs": lambda: sweep.at_depth(np.abs(sol.y[-1]), N)}
+
+    def class_d(self, y):
+        """Class-D estimator: the max of E|Y_tau| over the grid times and
+        the |Y_T|-quantile hitting rules (``StoppingFamily.default_for``),
+        exact per rule on a tree and a sample mean on a batch."""
+        sweep = self.sweep
+        abs_levels = [np.abs(lev) for lev in _finite(y)]
+        last = len(abs_levels) - 1
+        family = StoppingFamily.for_terminal(
+            self.grid, sweep.at_depth(abs_levels[last], last))
+        best = 0.0
+        for rule in family.rules:
+            stopped = (sweep.at_depth(abs_levels[rule.node], rule.node)
+                       if rule.kind == "time"
+                       else sweep.first_hit(abs_levels, rule.level))
+            best = max(best, _wmean(sweep.weights, stopped))
+        return best
 
 
 class _Lattice(_Representation):
@@ -769,7 +775,8 @@ class _Lattice(_Representation):
         self.tree, self.grid = tree, tree.grid
         self.n_states = tree.n_states
         self.intensities = problem.marks.intensities
-        b, d, m = tree.branching, tree.d, tree.marks.m
+        self.d, self.m = tree.d, tree.marks.m
+        b, d, m = tree.branching, self.d, self.m
         sqrt_dt = math.sqrt(self.grid.dt)
         self._wz = (tree.branch_probs[:, None] * tree.sign_vectors
                     * (sqrt_dt / self.grid.dt))
@@ -825,37 +832,11 @@ class _Tree(_PathEstimators, _Lattice):
         return _LeafSweep(self.tree)
 
     @property
-    def weights(self):
-        return self.sweep.weights
-
-    @property
     def n_paths(self):
         return self.tree.n_leaves
 
     def _expect(self, per_path):
         return np.einsum("n,n->", self.weights, per_path)
-
-    def _fold(self, ufunc, levels, k_lo=0):
-        return self.sweep.fold(ufunc, list(levels), k_lo)
-
-    def _at_depth(self, level, depth):
-        return self.sweep.at_depth(level, depth)
-
-    def class_d(self, y):
-        """Class-D estimator over the grid times and the |Y_T|-quantile
-        hitting rules (``StoppingFamily.default_for``), exact per rule."""
-        sweep = self.sweep
-        abs_levels = [np.abs(lev) for lev in _finite(y)]
-        last = len(abs_levels) - 1
-        family = StoppingFamily.for_terminal(
-            self.grid, sweep.at_depth(abs_levels[last], last))
-        best = 0.0
-        for rule in family.rules:
-            stopped = (sweep.at_depth(abs_levels[rule.node], rule.node)
-                       if rule.kind == "time"
-                       else sweep.first_hit(abs_levels, rule.level))
-            best = max(best, float(np.einsum("n,n->", sweep.weights, stopped)))
-        return best
 
 
 class _PathBatch(_PathEstimators):
@@ -864,7 +845,7 @@ class _PathBatch(_PathEstimators):
     batch; every fit refills its design into one buffer the batch owns. The
     batch keeps the state at every node once, step-major (``_states``), so a
     step's state is one contiguous slice. A depth's level holds one value
-    per path."""
+    per path; at least 2 paths, so that sample means carry an SE."""
 
     kind, estimator, tree = "paths", "mc", None
     _meter = _BatchMeter
@@ -874,13 +855,16 @@ class _PathBatch(_PathEstimators):
             raise ValueError("batch was simulated on a different grid")
         if not (batch.has_brownian and batch.has_jumps):
             raise ValueError("batch must carry both noises")
+        if batch.n_paths < 2:
+            raise ValueError(f"a path batch needs at least 2 paths, got "
+                             f"{batch.n_paths}")
         if degree < 0:
             raise ValueError("basis degree must be >= 0")
         self.batch, self.degree, self.grid = batch, degree, problem.grid
         self.d, self.m = problem.d, problem.marks.m
         self.intensities = problem.marks.intensities
         self.n_paths = batch.n_paths
-        self.weights = np.full(self.n_paths, 1.0 / self.n_paths)
+        self.sweep = _BatchSweep(self.n_paths)
         self.diagnostics = {"basis_degree": degree}
         self._p_jump = -np.expm1(-self.intensities * self.grid.dt)   # (m,)
         self._norm_v = self._p_jump * (1.0 - self._p_jump)
@@ -953,20 +937,6 @@ class _PathBatch(_PathEstimators):
 
     def _expect(self, per_path):
         return np.mean(per_path)
-
-    def _fold(self, ufunc, levels, k_lo=0):
-        return functools.reduce(ufunc, levels)
-
-    def _at_depth(self, level, depth):
-        return level
-
-    def class_d(self, y):
-        """Class-D estimator over ``StoppingFamily.default_for``."""
-        block = np.empty((self.n_paths, self.grid.steps + 1))
-        for k, level in enumerate(_finite(y)):
-            block[:, k] = level
-        sample = ProcessSample(block, self.grid)
-        return class_d_norm(sample, StoppingFamily.default_for(sample))
 
 
 def _empty(rep, problem, k_lo, k_hi):

@@ -1,15 +1,18 @@
-"""The tree-verify benchmark workload reproduces its recorded report body.
+"""Benchmark workloads reproduce their recorded report bodies.
 
 ``perfbench/run.py`` gates every run on the observables recorded in
 ``perfbench/references.json``, the body hash among them. Running the
-tree-verify workload here, in-process through ``cli.main``, makes a bit
-change in any number of its body fail the ordinary test suite as well.
-Only ``perfbench/`` is read.
+tree-verify workload (explicit-tree path functionals) and the mc-ladder
+workload at seed 0 (the path batch's class-D distances) here, in-process
+through ``cli.main``, makes a bit change in any number of their bodies fail
+the ordinary test suite as well. Only ``perfbench/`` is read.
 """
 
 import json
 import pathlib
 import sys
+
+import pytest
 
 from jumpbsde import cli
 
@@ -20,8 +23,9 @@ import gate  # noqa: E402
 import workloads  # noqa: E402
 
 
-def test_tree_verify_body_matches_the_benchmark_reference(tmp_path, capsys):
-    command, cfg = workloads.make_run("tree-verify", 0)
+@pytest.mark.parametrize("workload", ["tree-verify", "mc-ladder"])
+def test_body_matches_the_benchmark_reference(tmp_path, capsys, workload):
+    command, cfg = workloads.make_run(workload, 0)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     code = cli.main([command, "--config", str(config), "--out",
@@ -30,6 +34,5 @@ def test_tree_verify_body_matches_the_benchmark_reference(tmp_path, capsys):
                   if line.endswith(".json"))
     body = json.loads(pathlib.Path(report).read_text())["body"]
     references = json.loads((PERFBENCH / "references.json").read_text())
-    reference = references["tree-verify"][workloads.reference_key(
-        "tree-verify", 0)]
+    reference = references[workload][workloads.reference_key(workload, 0)]
     assert gate.check(gate.observe(code, body), reference) == []

@@ -114,6 +114,7 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("problem.marks.marks", "x"),
     ("ladder.n_list", [True, 4]),
     ("problem.horizon", math.inf),
+    ("n_paths", 1),
 ])
 def test_bad_field_rejected_with_its_path(tmp_path, capsys, field, value):
     _assert_rejected_at(tmp_path / "cfg.json", capsys, field, value)
@@ -487,6 +488,24 @@ def test_tree_over_its_caps_exits_1_at_the_cap(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{line}: {key}: {message}")
     assert "Traceback" not in err
+
+
+def test_a_grid_too_coarse_for_kappa_exits_1_at_grid_steps(tmp_path,
+                                                            capsys):
+    # f = 50 y on 2 steps of a unit horizon: kappa*dt = 25, and the
+    # per-step fixed point is no contraction
+    problem = copy.deepcopy(BASE["problem"])
+    problem["generator"] = {"form": "affine", "params": {"a": 50.0}}
+    path, _ = _cfg(tmp_path, problem=problem, grid_steps=2)
+    line = next(i for i, row in enumerate(path.read_text().splitlines(),
+                                          start=1)
+                if row.strip().startswith('"grid_steps": '))
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: grid_steps: kappa*dt = 25 "
+                          ">= 1; refine the grid")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_an_error_at_a_default_setting_names_the_file(tmp_path, capsys):

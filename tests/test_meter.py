@@ -161,8 +161,8 @@ def test_picard_distances_match_materialised_meter(rep_name, method, d, m, N,
 
 def test_batch_meter_reduces_chunks_of_paths_bit_for_bit(monkeypatch):
     # 400 paths in chunks of 64, the last one short: the per-path sums do
-    # not depend on how the paths are chunked
-    monkeypatch.setattr(solver._BatchMeter, "CHUNK_ROWS", 64)
+    # not depend on how the batch's walk view chunks the paths
+    monkeypatch.setattr(solver._BatchSweep, "CHUNK_ROWS", 64)
     test_picard_distances_match_materialised_meter("_PathBatch", "mc", 2, 2,
                                                    5, None)
 
@@ -186,22 +186,23 @@ def test_chained_distances_match_materialised_meter(method, node_cap):
 
 
 def test_chained_batch_meter_allocates_the_depths_it_reads():
-    # each interval's (Z, V) block holds that interval's depths, not the
-    # depths from its start to N
+    # each interval's meter holds that interval's (Z, V) depths, 4 of the
+    # 12, not the depths from its start to N
     problem = _problem(1, 1, 12)
     plan = jb.SubdivisionPlan(np.linspace(0.0, 1.0, 4), 1.5, 0.5, 1.0, 0.5,
                               0.0)
-    blocks, reduce = [], solver._BatchMeter._reduce
+    held, mp_lp = [], solver._BatchMeter._mp_lp
 
-    def spy(self, i, fn):
-        # (depths allocated, depths read) of the block reduced: Z, then V
-        blocks.append((self.blocks[i].shape[0], self.depths))
-        return reduce(self, i, fn)
+    def spy(self):
+        # the depths of the Z levels, then of the V levels, reduced
+        held.extend(sorted(levels) for levels in self.levels)
+        return mp_lp(self)
 
-    with mock.patch.object(solver._BatchMeter, "_reduce", spy):
+    with mock.patch.object(solver._BatchMeter, "_mp_lp", spy):
         jb.chained_solve(problem, plan, "mc", tol=0.0, max_iter=2,
                          n_paths=300, seed=5)
-    assert blocks == [(4, 4)] * (3 * 2 * 2)
+    assert held == [list(range(k_lo, k_lo + 4))
+                    for k_lo in (8, 4, 0) for _ in range(2 * 2)]
 
 
 @pytest.mark.parametrize("field", ["y", "z", "v"])

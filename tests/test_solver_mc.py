@@ -66,6 +66,22 @@ def test_conditioning_error_under_determined():
     assert err.value.step == 3   # first regression step named
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_one_path_batch_is_rejected():
+    # one path has no sample SE: the clamp-tail bound and the integrability
+    # estimates would read NaN
+    prob = _problem({"a": 0.5}, "brownian-functional", {"kind": "linear"},
+                    N=4)
+    batch = jb.simulate_paths(prob.grid, prob.marks, 1, 1, seed=3)
+    with pytest.raises(ValueError, match="at least 2 paths, got 1"):
+        jb.check_integrability(prob, n_paths=1, method="mc")
+    with pytest.raises(ValueError, match="at least 2 paths, got 1"):
+        jb.truncation_ladder_solve(prob, [1, 4], "mc", batch=batch,
+                                   basis_degree=0)
+    assert jb.check_integrability(prob, n_paths=2, method="mc")[
+        "xi_abs_se"] >= 0.0
+
+
 def test_degenerate_features_are_dropped():
     # a batch whose Brownian part is identically zero: the constant features
     # drop out and the fit degrades to the remaining information
