@@ -8,7 +8,8 @@ by the config: regenerating from the embedded config is byte-identical
 outside the header. Exit codes: 0 success, 1 config/input error (also a
 driver that breaks its declared kappa or its declared alpha growth bound,
 and a grid too coarse for the driver's kappa),
-2 divergence report, 3 verification failure, 4 solver failure (a
+2 divergence report (also a ladder with a rung whose Picard iteration did
+not converge), 3 verification failure, 4 solver failure (a
 rank-deficient regression, a per-step fixed point that does not converge,
 or an iterate that overflows).
 """
@@ -470,7 +471,8 @@ def cmd_ladder(cfg):
                      repr(pair["measured_d_norm"]), repr(pair["bound"]),
                      repr(pair["bound_se"]), pair["within_bound"]])
     files.append(write_csv(out, f"ladder_{fp}.csv", rows))
-    return EXIT_OK, body, files
+    stopped = not all(lev["converged"] for lev in report.levels)
+    return EXIT_DIVERGED if stopped else EXIT_OK, body, files
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +522,9 @@ def main(argv=None):
     if args.command == "solve" and code == EXIT_DIVERGED:
         print("divergence reported; see the picard trace "
               "(consider subdivide.enabled)", file=sys.stderr)
+    elif args.command == "ladder" and code == EXIT_DIVERGED:
+        print("divergence reported: a rung's Picard iteration did not "
+              "converge; see the ladder levels", file=sys.stderr)
     return code
 
 

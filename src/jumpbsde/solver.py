@@ -40,8 +40,14 @@ along the walks, beside the |Y| levels on a tree and a running max of |Y| on
 a batch -- and the solution norms read through the same meter. The estimate
 functionals and the class-D estimator read through the walk view too. A
 depth whose inputs repeat the previous sweep's bit for bit (the settled tail
-below the terminal) is skipped. Non-contraction (three consecutive ratios
->= 1) produces a divergence report advising horizon subdivision.
+below the terminal) is skipped. On a tree the meter reduces each field only
+up to its live depth, the last one whose difference has a nonzero entry:
+the skipped tail and the set terminal meter zeros, and a max over
+non-negative values, or a sum with zero columns kept in place, ends there
+with the same bits, so a sweep reduces the b^K prefixes at that depth K
+and repeats them to the leaves only for the weighted means.
+Non-contraction (three consecutive ratios >= 1) produces a divergence
+report advising horizon subdivision.
 
 Lattice reductions use einsum(optimize=False) rather than BLAS, so results
 are bit-stable across thread counts; per-path regression assembly reduces in
@@ -57,7 +63,7 @@ import numpy as np
 from .errors import (ConditioningError, ConfigError, NumericError,
                      StepSizeError)
 from .generators import check_growth, check_lipschitz, truncate_problem
-from .norms import StoppingFamily, _wmean, sp_from_sup
+from .norms import StoppingFamily, _wmean, abs_pow
 from .randomness import build_scenario_tree, simulate_paths
 
 __all__ = [
@@ -380,7 +386,17 @@ class _LeafSweep:
     elementwise work (abs, powers) on the levels, once per lattice node,
     before the sweep expands them. A reduction that ends above the leaves
     gives one value per prefix at its last depth; ``leaves`` repeats such a
-    vector to its leaves, and ``leaves=False`` leaves that to the caller.
+    vector to its leaves (``row_reduce``, and ``fold`` with
+    ``leaves=False``, leave that to the caller).
+
+    A level list whose last depths are all zero -- a Picard sweep's
+    differences below the settled tail and at the set terminal -- has the
+    same row reductions per prefix at its last nonzero depth K (``live``)
+    as per leaf: a max over non-negative levels ends at K, and a sum block
+    keeps its full depth width with zero columns past K, so each row's
+    einsum reads the same operands in the same places. The path meter
+    reduces b^K prefix rows instead of b^N leaf rows, and elementwise work
+    on the result (powers) is done per prefix before ``leaves`` repeats it.
     ``_BatchSweep`` gives a path batch the same interface.
     """
 
@@ -436,7 +452,15 @@ class _LeafSweep:
         """Per-path value of one depth's level array."""
         return self.leaves(level[self.walks[depth]], depth)
 
-    def fold(self, ufunc, levels, k_lo=0):
+    def live(self, levels):
+        """How many leading levels a reduction that ignores a zero tail
+        reads: up to the last level with a nonzero entry, at least one."""
+        n = len(levels)
+        while n > 1 and not np.any(levels[n - 1]):
+            n -= 1
+        return n
+
+    def fold(self, ufunc, levels, k_lo=0, leaves=True):
         """Per-path left-to-right ``ufunc`` over depths: ``np.maximum`` gives
         the max of each path's row, ``np.add`` its sequential sum (the same
         bits as a sum from 0.0 for levels without -0.0)."""
@@ -445,7 +469,8 @@ class _LeafSweep:
             for lev, s in zip(levels[1:], states[1:]):
                 acc = ufunc(acc[:, None], lev[s].reshape(acc.size, -1)).ravel()
             return acc
-        return self._per_path(k_lo, k_lo + len(levels) - 1, per_subtree)
+        return self._per_path(k_lo, k_lo + len(levels) - 1, per_subtree,
+                              leaves)
 
     def first_hit(self, levels, threshold):
         """Per-path value at the first depth where it is >= threshold, else
@@ -461,20 +486,22 @@ class _LeafSweep:
             return np.where(np.isnan(acc), val, acc)
         return self._per_path(0, len(levels) - 1, per_subtree)
 
-    def row_reduce(self, levels, reduce, k_lo=0, leaves=True):
-        """Per-path ``reduce(block)`` where block[n, j] is path n's value of
-        levels[j]: a row-wise reduction of the (rows, depths[, width]) path
-        table, computed on one subtree's rows at a time."""
+    def row_reduce(self, levels, reduce, k_lo, live):
+        """Per-prefix ``reduce(block)`` where block[n, j] is prefix n's
+        value of levels[j]: a row-wise reduction of the (rows, depths[,
+        width]) path table, computed on one subtree's rows at a time. The
+        levels past the first ``live`` are read as zero, so the rows are the
+        prefixes at depth k_lo + live - 1, with zero columns past it."""
         def per_subtree(states):
             cols = [lev[s] for lev, s in zip(levels, states)]
             rows = len(cols[-1])
             block = np.empty((rows, len(levels)) + levels[0].shape[1:])
+            block[:, live:] = 0.0
             for j, col in enumerate(cols):
                 block.reshape((len(col), rows // len(col)) + block.shape[1:])[
                     :, :, j] = col[:, None]
             return reduce(block)
-        return self._per_path(k_lo, k_lo + len(levels) - 1, per_subtree,
-                              leaves)
+        return self._per_path(k_lo, k_lo + live - 1, per_subtree, False)
 
 
 class _BatchSweep(_LeafSweep):
@@ -496,6 +523,9 @@ class _BatchSweep(_LeafSweep):
     def _subtrees(self, k_first, k_hi):
         for a in range(0, self.weights.size, self.CHUNK_ROWS):
             yield [slice(a, a + self.CHUNK_ROWS)] * (k_hi - k_first + 1)
+
+    def live(self, levels):
+        return len(levels)     # no prefix to stop at: every depth is live
 
     def leaves(self, per_path, depth):
         return per_path
@@ -616,7 +646,12 @@ class _PathMeter(_Meter):
     along the walks of the representation's walk view (``rep.sweep``):
     sup_k |Y_k| (``_sup_abs``), sum_k |Z_k|^2 (``_z_sq``) and sum_k sum_i
     lambda_i |V_{k,i}|^p (``_v_p``) over each path's depths. It keeps the
-    levels Z_k and |V_k|^p; a subclass accumulates |Y_k| (``_y``)."""
+    levels Z_k and |V_k|^p; a subclass accumulates |Y_k| (``_y``).
+
+    Each functional comes per walk prefix at its live depth (``sweep.live``:
+    on a tree the last depth whose level has a nonzero entry), with that
+    depth. Powers are taken per prefix; only the weighted means run over
+    the leaves, in leaf order, so every norm keeps its bits."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -632,34 +667,44 @@ class _PathMeter(_Meter):
         self.levels[0][k], self.levels[1][k] = (np.zeros((n, rep.d)),
                                                 np.zeros((n, rep.m)))
 
-    def _z_sq(self, leaves=True):
-        return self.rep.sweep.row_reduce(
-            _ascending(self.levels[0]),
-            lambda block: np.einsum("njd,njd->n", block, block), self.k_lo,
-            leaves)
+    def _row_sums(self, levels, reduce):
+        """(per-prefix ``reduce`` of the path rows, the prefixes' depth)."""
+        levels, sweep = _ascending(levels), self.rep.sweep
+        live = sweep.live(levels)
+        return (sweep.row_reduce(levels, reduce, self.k_lo, live),
+                self.k_lo + live - 1)
+
+    def _z_sq(self):
+        return self._row_sums(
+            self.levels[0], lambda block: np.einsum("njd,njd->n", block, block))
 
     def _v_p(self):
         lam = self.rep.intensities
-        return self.rep.sweep.row_reduce(
-            _ascending(self.levels[1]),
-            lambda block: np.einsum("njm,m->n", block, lam), self.k_lo)
+        return self._row_sums(
+            self.levels[1], lambda block: np.einsum("njm,m->n", block, lam))
+
+    def _leaf_mean(self, per_prefix, depth):
+        """E of a per-prefix vector at ``depth``, over the leaves."""
+        rep = self.rep
+        return _wmean(rep.weights, rep.sweep.leaves(per_prefix, depth))
 
     def _sup(self):
-        return sp_from_sup(self._sup_abs(), self.rep.weights, self.p)
+        sup, depth = self._sup_abs()
+        return self._leaf_mean(abs_pow(sup, self.p), depth) ** (1 / self.p)
 
     def _mp_lp(self):
-        """M^p, with (sum_k |Z_k|^2 dt)^(p/2) taken once per walk prefix at
-        the last Z depth before it is repeated to the leaves (elementwise
-        ops give the same bits before or after the repeat), and L^p."""
+        """M^p, from (sum_k |Z_k|^2 dt)^(p/2) per walk prefix, and L^p."""
         rep, p, dt = self.rep, self.p, self.rep.grid.dt
-        z_pow = (self._z_sq(leaves=False) * dt) ** (p / 2.0)
-        last = self.k_lo + len(self.levels[0]) - 1
-        return (_wmean(rep.weights, rep.sweep.leaves(z_pow, last)) ** (1 / p),
-                float(rep._expect(self._v_p()) * dt) ** (1 / p))
+        z_sq, depth = self._z_sq()
+        mp = self._leaf_mean((z_sq * dt) ** (p / 2.0), depth) ** (1 / p)
+        v_p, depth = self._v_p()
+        v_p = rep.sweep.leaves(v_p, depth)
+        return mp, float(rep._expect(v_p) * dt) ** (1 / p)
 
 
 class _TreeMeter(_PathMeter):
-    """Keeps the levels |Y_k|; the leaf sweep folds them along the paths."""
+    """Keeps the levels |Y_k|; the leaf sweep folds them along the paths
+    up to the live depth."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -669,8 +714,10 @@ class _TreeMeter(_PathMeter):
         self.abs_y[k] = np.abs(y)
 
     def _sup_abs(self):
-        return self.rep.sweep.fold(np.maximum, _ascending(self.abs_y),
-                                   self.k_lo)
+        levels, sweep = _ascending(self.abs_y), self.rep.sweep
+        live = sweep.live(levels)
+        return (sweep.fold(np.maximum, levels[:live], self.k_lo, False),
+                self.k_lo + live - 1)
 
 
 class _BatchMeter(_PathMeter):
@@ -685,7 +732,7 @@ class _BatchMeter(_PathMeter):
         np.maximum(self.sup_abs, np.abs(y), out=self.sup_abs)
 
     def _sup_abs(self):
-        return self.sup_abs
+        return self.sup_abs, self.k_hi
 
 
 class _Representation:
@@ -728,9 +775,9 @@ class _PathEstimators(_Representation):
         N, dt, sweep = self.grid.steps, self.grid.dt, self.sweep
         meter = self.meter(p).feed(sol.y, sol.z, sol.v)
         meter._verdict()
-        return {"sup_abs_y": meter._sup_abs,
-                "int_z_sq": lambda: meter._z_sq() * dt,
-                "int_v_p": lambda: meter._v_p() * dt,
+        return {"sup_abs_y": lambda: sweep.leaves(*meter._sup_abs()),
+                "int_z_sq": lambda: sweep.leaves(*meter._z_sq()) * dt,
+                "int_v_p": lambda: sweep.leaves(*meter._v_p()) * dt,
                 "int_f0_abs": lambda: sweep.fold(
                     np.add, _data_levels(self, problem)[:-1]) * dt,
                 "xi_abs": lambda: sweep.at_depth(np.abs(sol.y[-1]), N)}
@@ -1303,8 +1350,10 @@ def truncation_ladder_solve(problem, n_list, method="tree", tree=None,
 
     For each pair (n_lo, n_hi) the measured class-D distance between the two
     solutions is reported against the clamp-tail bound at n_lo. Ladder-Cauchy
-    is declared when the last consecutive pair has both below tol. The final
-    Solution is the largest-n solve. Every rung runs on one representation.
+    is declared when every rung's Picard iteration converged and the last
+    consecutive pair has both below tol: a stopped rung's error would count
+    as a distance between the clamped problems. The final Solution is the
+    largest-n solve. Every rung runs on one representation.
     """
     n_list = [float(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or any(
@@ -1331,7 +1380,8 @@ def truncation_ladder_solve(problem, n_list, method="tree", tree=None,
                           "within_bound": measured <= bound + 3 * se})
     last = [p for p in pairs
             if (p["n_lo"], p["n_hi"]) == (n_list[-2], n_list[-1])]
-    cauchy = bool(last and last[0]["measured_d_norm"] <= tol
+    cauchy = bool(all(lev["converged"] for lev in levels)
+                  and last and last[0]["measured_d_norm"] <= tol
                   and last[0]["bound"] <= tol)
     return LadderReport(levels=levels, pairs=pairs, cauchy=cauchy, tol=tol,
                         solutions=solutions)

@@ -665,6 +665,29 @@ def test_ladder_command(tmp_path):
     assert all(b >= a for a, b in zip(y0, y0[1:]))
 
 
+def test_a_ladder_with_a_stopped_rung_exits_2(tmp_path, capsys):
+    # f = -2 lambda v, xi = N_T: the n = 8 rung's Picard ratios read >= 1
+    # three times, so the divergence rule stops it short of its fixed point;
+    # the pair distance is then that rung's error, not the ladder's
+    path, _ = _cfg(
+        tmp_path,
+        problem={**copy.deepcopy(BASE["problem"]),
+                 "generator": {"form": "affine", "params": {"c": [-2.0]}},
+                 "terminal": {"form": "jump-count", "params": {}}},
+        grid_steps=64,
+        node_cap=None,
+        ladder={"n_list": [8, 16]},
+    )
+    assert cli.main(["ladder", "--config", str(path)]) == cli.EXIT_DIVERGED
+    assert "did not converge" in capsys.readouterr().err
+    out = tmp_path / "out"
+    body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
+    ladder = body["ladder"]
+    assert [lev["converged"] for lev in ladder["levels"]] == [False, True]
+    assert ladder["pairs"][0]["measured_d_norm"] <= ladder["tol"]
+    assert ladder["cauchy"] is False
+
+
 def test_ladder_requires_increasing_n_list(tmp_path, capsys):
     path, _ = _cfg(tmp_path, ladder={"n_list": [4, 2, 1]})
     assert cli.main(["ladder", "--config", str(path)]) == 1

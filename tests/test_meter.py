@@ -7,11 +7,16 @@ or third (Y, Z, V) copy. ``norms`` reads through the same meter. The
 reference here is the meter that materialised the difference: it builds the
 three difference lists from two recorded iterates and reduces them with the
 marginal sums (implicit lattice) or the path formulas (explicit tree, path
-batch). Every recorded distance must match it bit for bit. The last tests
-bound the memory an implicit-lattice solve and its lattice hold.
+batch). Every recorded distance must match it bit for bit, also where the
+explicit-tree meter reduces only up to each field's live depth (the last
+depth whose difference is nonzero); spies count the prefix rows it reduces.
+The last tests bound the memory an implicit-lattice solve and its lattice
+hold.
 """
 
 import math
+import pathlib
+import sys
 from types import SimpleNamespace
 from unittest import mock
 
@@ -19,12 +24,17 @@ import numpy as np
 import pytest
 
 import jumpbsde as jb
-from jumpbsde import solver
+from jumpbsde import cli, solver
 from jumpbsde.errors import NumericError
 from jumpbsde.norms import (ProcessSample, mp_from_sq, mp_norm, sp_from_sup,
                             sp_norm)
 from jumpbsde.solver import Solution, _setup
 from conftest import traced_peak
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
 
 
 def _problem(d, m, N):
@@ -124,10 +134,15 @@ def _metered(run):
         return run(), seen
 
 
-def _check_trace(problem, trace, iterates, k_lo):
-    prev = SimpleNamespace(**{
-        f: [np.full_like(lev, c) for lev in getattr(iterates[0], f)]
-        for f, c in zip("yzv", INIT)})
+def _start(iterate, init=INIT):
+    """The constant Picard start ``init`` on the layout of ``iterate``."""
+    return SimpleNamespace(**{
+        f: [np.full_like(lev, c) for lev in getattr(iterate, f)]
+        for f, c in zip("yzv", init)})
+
+
+def _check_trace(problem, trace, iterates, k_lo, init=INIT):
+    prev = _start(iterates[0], init)
     assert trace.n_iter == len(iterates) >= 2
     for i, cur in enumerate(iterates):
         want = _ref_norms(problem, cur, trace.q, *_materialised(cur, prev),
@@ -226,6 +241,184 @@ def test_non_finite_difference_raises(method, node_cap, field):
         for meter in (lambda y: rep.sup_norm(y, 1.5), rep.class_d):
             with pytest.raises(NumericError, match="not finite"):
                 meter(lazy("y"))
+
+
+# ---------------------------------------------------------------------------
+# the live depth: explicit-tree sweeps reduce prefixes up to the last depth
+# whose difference is nonzero
+# ---------------------------------------------------------------------------
+
+def _live_depth(levels, k_lo):
+    """The last depth whose level has a nonzero entry (k_lo if none)."""
+    nonzero = [k for k, lev in enumerate(levels, k_lo) if np.any(lev)]
+    return max(nonzero, default=k_lo)
+
+
+def _live_depths(iterates, k_lo):
+    """Per sweep from ``INIT``, the live depths of its (Y, Z, V)
+    differences."""
+    prev, out = _start(iterates[0]), []
+    for cur in iterates:
+        out.append(tuple(_live_depth(levels, k_lo)
+                         for levels in _materialised(cur, prev)))
+        prev = cur
+    return out
+
+
+def _reduced_rows(run):
+    """``run()`` with the size of every per-prefix vector the leaf sweep's
+    ``fold`` and ``row_reduce`` return recorded, as (name, rows) in call
+    order: the rows of prefixes each reduction ran over."""
+    rows = []
+
+    def spy(name):
+        method = getattr(solver._LeafSweep, name)
+
+        def recorded(self, *args, **kwargs):
+            out = method(self, *args, **kwargs)
+            rows.append((name, out.size))
+            return out
+        return recorded
+
+    with mock.patch.object(solver._LeafSweep, "fold", spy("fold")), \
+            mock.patch.object(solver._LeafSweep, "row_reduce",
+                              spy("row_reduce")):
+        return run(), rows
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 16])
+@pytest.mark.parametrize("d, m, N", [(1, 1, 6), (2, 1, 4)])
+def test_converged_tree_distances_match_materialised_meter(
+        monkeypatch, chunk_rows, d, m, N):
+    # tol 0: the iteration runs until a sweep changes no bit, so the last
+    # sweeps meter zero tails down to all-zero differences (one live depth);
+    # with 16-row subtree blocks the live depth falls both within the root
+    # block and below it
+    if chunk_rows:
+        monkeypatch.setattr(solver._LeafSweep, "CHUNK_ROWS", chunk_rows)
+    problem = _problem(d, m, N)
+    kw = {"tol": 0.0, "max_iter": 25, "q": 1.5, "init": INIT,
+          "check_assumptions": False, "node_cap": 10 ** 7}
+    (_, trace), seen = _metered(lambda: jb.picard_solve(problem, "tree",
+                                                        **kw))
+    assert trace.converged and trace.dist[-1] == 0.0
+    iterates = [s for _, s in seen]
+    live_y = [k for k, _, _ in _live_depths(iterates, 0)]
+    assert live_y[0] == N and live_y[-1] == 0
+    if chunk_rows:
+        block = solver._LeafSweep(iterates[0].tree)._chunk_depth
+        assert min(live_y) <= block < max(live_y)
+    _check_trace(problem, trace, iterates, 0)
+
+
+def test_converged_chained_tree_distances_match_materialised_meter():
+    # each interval but the last to run meters a sub-range with k_lo > 0,
+    # down to all-zero differences
+    problem = _problem(1, 1, 6)
+    plan = jb.SubdivisionPlan(np.linspace(0.0, 1.0, 4), 1.5, 0.5, 1.0, 0.5,
+                              0.0)
+    kw = {"tol": 0.0, "max_iter": 25, "q": 1.5, "init": INIT,
+          "node_cap": 10 ** 7}
+    (_, traces), seen = _metered(lambda: jb.chained_solve(problem, plan,
+                                                          "tree", **kw))
+    for trace, k_lo in zip(traces, (4, 2, 0)):
+        assert trace.converged and trace.dist[-1] == 0.0
+        iterates = [s for lo, s in seen if lo == k_lo]
+        assert _live_depths(iterates, k_lo)[-1] == (k_lo,) * 3
+        _check_trace(problem, trace, iterates, k_lo)
+
+
+def test_meter_trims_a_zero_tail_holding_negative_zeros():
+    # a level of -0.0 is no live depth: its squares and |.|^p are +0.0, so
+    # the norms and the per-path functionals keep the path table's bits
+    problem = _problem(2, 1, 4)
+    rep = _setup(problem, "tree", node_cap=10 ** 7)
+    n, rng = rep.n_states, np.random.default_rng(11)
+    y = ([rng.standard_normal(n(k)) for k in range(3)]
+         + [np.zeros(n(3)), np.full(n(4), -0.0)])
+    z = ([rng.standard_normal((n(k), 2)) for k in range(2)]
+         + [np.full((n(k), 2), -0.0) for k in (2, 3)])
+    v = ([rng.standard_normal((n(k), 1)) for k in range(2)]
+         + [np.full((n(2), 1), -0.0), np.zeros((n(3), 1))])
+    z[1][0, 0] = v[1][-1, 0] = -0.0
+    assert [rep.sweep.live(levels) for levels in (y, z, v)] == [3, 2, 2]
+    _assert_same(rep.norms(1.5, y, z, v),
+                 _ref_tree(problem, rep.tree, 1.5, y, z, v, 0))
+    _, idx, _ = rep.tree.enumerate_paths()
+    zp, vp = (np.stack([lev[idx[:, k]] for k, lev in enumerate(levels)],
+                       axis=1) for levels in (z, v))
+    got = rep.functionals(problem, 1.5, SimpleNamespace(y=y, z=z, v=v))
+    dt, lam = problem.grid.dt, problem.marks.intensities
+    _assert_same(got["int_z_sq"], np.einsum("njd,njd->n", zp, zp) * dt)
+    _assert_same(got["int_v_p"],
+                 np.einsum("njm,m->n", np.abs(vp) ** 1.5, lam) * dt)
+    _assert_same(got["sup_abs_y"], np.max(np.abs(np.stack(
+        [lev[idx[:, k]] for k, lev in enumerate(y)], axis=1)), axis=1))
+
+
+def test_tree_sweeps_reduce_the_prefixes_at_their_live_depth():
+    # per sweep the meter folds |dY| and sums |dZ|^2 and |dV|^p over the
+    # b^K prefixes at each field's live depth K, not over the b^N leaves
+    problem = _problem(1, 1, 6)
+    kw = {"tol": 0.0, "max_iter": 25, "q": 1.5, "init": INIT,
+          "check_assumptions": False, "node_cap": 10 ** 7}
+    ((_, trace), seen), rows = _reduced_rows(lambda: _metered(
+        lambda: jb.picard_solve(problem, "tree", **kw)))
+    b = seen[0][1].tree.branching
+    want = [(name, b ** k) for live in _live_depths([s for _, s in seen], 0)
+            for name, k in zip(("fold", "row_reduce", "row_reduce"), live)]
+    assert len(rows) == 3 * trace.n_iter
+    assert rows == want
+
+
+# ---------------------------------------------------------------------------
+# the tree-verify benchmark workload's Picard runs
+# ---------------------------------------------------------------------------
+
+# the verify command's Picard starts: its solve, then the uniqueness
+# experiment's second start
+VERIFY_STARTS = [(0.0, 0.0, 0.0), (10.0, 1.0, 1.0)]
+
+
+def _tree_verify_run(init):
+    """The tree-verify workload's Picard solve from ``init``, with every
+    iterate recorded (``_metered``): (problem, trace, iterates)."""
+    _, raw = workloads.make_run("tree-verify", 0)
+    cfg = cli.validate_config(raw)
+    problem = cli._build_problem(cfg)
+    tree = cli._context_for(cfg, problem)["tree"]
+    pic = cfg["picard"]
+    (_, trace), seen = _metered(lambda: jb.picard_solve(
+        problem, cfg["method"], tree=tree, tol=pic["tol"],
+        max_iter=pic["max_iter"], q=pic["q"], init=init,
+        check_assumptions=False))
+    return problem, trace, [s for _, s in seen]
+
+
+@pytest.mark.parametrize("init", VERIFY_STARTS, ids=["solve", "second"])
+def test_tree_verify_distances_match_materialised_meter(init):
+    # the tree-verify report body holds no Picard distance, so a last-bit
+    # change of the explicit-tree meter shows here, not in its body hash
+    problem, trace, iterates = _tree_verify_run(init)
+    assert trace.converged and problem.grid.steps == 9
+    _check_trace(problem, trace, iterates, 0, init)
+
+
+def test_tree_verify_folds_few_leaf_rows():
+    # a host-independent guard against a silent return to full expansion:
+    # on tree-verify the settled tail and the set terminal leave the |dY|
+    # folds of its 9 + 8 sweeps 4^9 + 4^8 + ... rows, 699 044 of the
+    # 17 * 4^9 leaf rows they would expand without the live depth (15.7%)
+    folds, full = 0, 0
+    for init in VERIFY_STARTS:
+        (problem, trace, _), rows = _reduced_rows(
+            lambda: _tree_verify_run(init))
+        leaves = 4 ** problem.grid.steps
+        fold_rows = [r for name, r in rows if name == "fold"]
+        assert len(fold_rows) == trace.n_iter
+        folds += sum(fold_rows)
+        full += leaves * len(fold_rows)
+    assert folds <= 0.16 * full
 
 
 # ---------------------------------------------------------------------------
