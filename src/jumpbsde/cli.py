@@ -5,13 +5,16 @@ One self-describing JSON config per run; the only flags are --config, --seed
 (override) and --out (override). Reports are written as
 {"header": {timestamp, tool}, "body": {...}} with the body fully determined
 by the config: regenerating from the embedded config is byte-identical
-outside the header. Exit codes: 0 success, 1 config/input error (also a
+outside the header. Exit codes: 0 success; 1 config/input error (also a
 driver that breaks its declared kappa or its declared alpha growth bound,
-and a grid too coarse for the driver's kappa),
-2 divergence report (also a ladder with a rung whose Picard iteration did
-not converge), 3 verification failure, 4 solver failure (a
-rank-deficient regression, a per-step fixed point that does not converge,
-or an iterate that overflows).
+and a grid too coarse for the driver's kappa); 2 a Picard run whose
+solution the command reports did not converge, by the divergence rule or
+at picard.max_iter: the solve, each interval of a subdivided solve,
+verify's own solve (verify then skips the estimates) and its uniqueness
+starts, and each ladder rung, but not the subdivision pilot, a calibration
+run; else 3 a failed check; 4 solver failure (a rank-deficient regression,
+a per-step fixed point that does not converge, or an iterate that
+overflows). One rule, ``_exit_code``, gives 2, 3 and 0.
 """
 
 import argparse
@@ -232,11 +235,6 @@ def _embeddable(cfg):
     return {**cfg, "out_dir": None}
 
 
-def _config_fingerprint(cfg):
-    blob = json.dumps(_embeddable(cfg), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
 def write_report(out_dir, name, body):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
@@ -287,6 +285,30 @@ def _trace_csv_rows(trace):
     return rows
 
 
+def _report(cfg, command, body, tables=()):
+    """Write a command's report: ``body`` with the schema, the command and
+    the embedded config, as ``<command>_<fp>.json``, then each (suffix,
+    rows) table as ``<command>_<fp><suffix>.csv``; returns (body, files)."""
+    config = _embeddable(cfg)
+    blob = json.dumps(config, sort_keys=True)
+    out, fp = _out_dir(cfg), hashlib.sha256(blob.encode()).hexdigest()[:12]
+    body = {"schema": "jumpbsde/report/v1", "command": command,
+            "config": config, **body}
+    files = [write_report(out, f"{command}_{fp}.json", body)]
+    for suffix, rows in tables:
+        files.append(write_csv(out, f"{command}_{fp}{suffix}.csv", rows))
+    return body, files
+
+
+def _exit_code(converged, passed=True):
+    """The one exit rule: EXIT_DIVERGED when a Picard run whose solution
+    the command reports did not converge (``converged``: one flag per run),
+    else EXIT_VERIFY_FAILED when a check failed, else EXIT_OK."""
+    if not all(converged):
+        return EXIT_DIVERGED
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -296,9 +318,6 @@ def cmd_solve(cfg):
     problem = _build_problem(cfg)
     ctx = _context_for(cfg, problem)
     pic = cfg["picard"]
-    out = _out_dir(cfg)
-    fp = _config_fingerprint(cfg)
-    files = []
 
     sub = cfg["subdivide"]
     if sub["enabled"]:
@@ -306,6 +325,7 @@ def cmd_solve(cfg):
         c_emp = sub["c_emp"]
         pilot_trace = None
         if c_emp is None:
+            # a calibration run: its solution is not reported
             _, pilot_trace = picard_solve(
                 problem, cfg["method"], tol=pic["tol"],
                 max_iter=sub["pilot_max_iter"], q=q, **ctx)
@@ -328,7 +348,6 @@ def cmd_solve(cfg):
                                          max_iter=pic["max_iter"], q=q,
                                          check_assumptions=pilot_trace is None,
                                          **ctx)
-        converged = all(t.converged for t in traces)
         trace_dict = {"intervals": [t.to_json_dict() for t in traces]}
         plan_dict = plan.to_json_dict()
         csv_rows = [["interval", "iteration", "dist", "ratio"]]
@@ -336,20 +355,16 @@ def cmd_solve(cfg):
             for r in t.rows():
                 csv_rows.append([i, r["iteration"], repr(r["dist"]),
                                  "" if r["ratio"] is None else repr(r["ratio"])])
-        diverged = any(t.diverged for t in traces)
     else:
         solution, trace = picard_solve(problem, cfg["method"], tol=pic["tol"],
                                        max_iter=pic["max_iter"], q=pic["q"],
                                        **ctx)
-        converged, diverged = trace.converged, trace.diverged
+        traces = [trace]
         trace_dict = trace.to_json_dict()
         plan_dict = None
         csv_rows = _trace_csv_rows(trace)
 
-    body = {
-        "schema": "jumpbsde/report/v1",
-        "command": "solve",
-        "config": _embeddable(cfg),
+    body, files = _report(cfg, "solve", {
         "problem_fingerprint": problem.fingerprint(),
         "method": cfg["method"],
         "grid": problem.grid.to_json_dict(),
@@ -358,28 +373,18 @@ def cmd_solve(cfg):
         "norms": _norm_records(solution, problem, cfg["seed"]),
         "picard_trace": trace_dict,
         "subdivision_plan": plan_dict,
-        "converged": converged,
-        "diverged": diverged,
-    }
-    files.append(write_report(out, f"solve_{fp}.json", body))
-    files.append(write_csv(out, f"solve_{fp}_trace.csv", csv_rows))
-    return (EXIT_DIVERGED if diverged and not converged else EXIT_OK,
-            body, files)
+        "converged": all(t.converged for t in traces),
+        "diverged": any(t.diverged for t in traces),
+    }, [("_trace", csv_rows)])
+    return _exit_code([t.converged for t in traces]), body, files
 
 
 def cmd_verify(cfg):
     """Solve, then verify the a priori estimates and uniqueness."""
-    out = _out_dir(cfg)
-    fp = _config_fingerprint(cfg)
     ceiling = cfg["verify"]["ceiling"]
-    files = []
     if cfg["verify"]["suite"] == "ci12":
         records = ci_suite(ceiling=ceiling)
-        all_passed = all(r["zv"].passed and r["full"].passed for r in records)
-        body = {
-            "schema": "jumpbsde/report/v1",
-            "command": "verify",
-            "config": _embeddable(cfg),
+        body, files = _report(cfg, "verify", {
             "suite": "ci12",
             "records": [{"driver": r["driver"], "p": r["p"],
                          "horizon": r["horizon"],
@@ -388,24 +393,22 @@ def cmd_verify(cfg):
             "max_implied_constant": max(
                 max(r["zv"].implied_constant, r["full"].implied_constant)
                 for r in records),
-            "all_passed": all_passed,
-        }
-        files.append(write_report(out, f"verify_{fp}.json", body))
-        files.append(write_csv(out, f"verify_{fp}_suite.csv",
-                               ci_suite_csv_rows(records)))
-        return (EXIT_OK if all_passed else EXIT_VERIFY_FAILED, body, files)
+            "all_passed": all(r["zv"].passed and r["full"].passed
+                              for r in records),
+        }, [("_suite", ci_suite_csv_rows(records))])
+        return _exit_code([], body["all_passed"]), body, files
 
     problem = _build_problem(cfg)
     ctx = _context_for(cfg, problem)
     pic = cfg["picard"]
     solution, trace = picard_solve(problem, cfg["method"], tol=pic["tol"],
                                    max_iter=pic["max_iter"], q=pic["q"], **ctx)
-    if trace.diverged:
-        body = {"schema": "jumpbsde/report/v1", "command": "verify",
-                "config": _embeddable(cfg), "diverged": True,
-                "picard_trace": trace.to_json_dict()}
-        files.append(write_report(out, f"verify_{fp}.json", body))
-        return EXIT_DIVERGED, body, files
+    if not trace.converged:
+        # the estimates of an unconverged iterate verify nothing
+        body, files = _report(cfg, "verify", {
+            "converged": False, "diverged": trace.diverged,
+            "picard_trace": trace.to_json_dict()})
+        return _exit_code([trace.converged]), body, files
 
     zv = verify_zv_estimate(solution, problem, ceiling=ceiling)
     full = (verify_full_estimate(solution, problem, ceiling=ceiling)
@@ -414,29 +417,23 @@ def cmd_verify(cfg):
     uniq = uniqueness_experiment(problem, cfg["method"], tol=pic["tol"],
                                  q=pic["q"], max_iter=pic["max_iter"],
                                  _first_run=(solution, trace), **ctx)
-    all_passed = (zv.passed and (full is None or full.passed)
-                  and uniq["passed"] is True)
-    body = {
-        "schema": "jumpbsde/report/v1",
-        "command": "verify",
-        "config": _embeddable(cfg),
+    estimates = [zv] + ([full] if full else [])
+    rows = [["name", "lhs", "rhs_core", "implied_constant", "passed"]]
+    for est in estimates:
+        rows.append([est.name, repr(est.lhs), repr(est.rhs_core),
+                     repr(est.implied_constant), est.passed])
+    body, files = _report(cfg, "verify", {
         "problem_fingerprint": problem.fingerprint(),
         "y0": solution.y0,
         "zv_estimate": zv.to_json_dict(),
         "full_estimate": full.to_json_dict() if full else None,
         "uniqueness": {k: v for k, v in uniq.items() if k != "traces"},
-        "all_passed": all_passed,
-    }
-    files.append(write_report(out, f"verify_{fp}.json", body))
-    rows = [["name", "lhs", "rhs_core", "implied_constant", "passed"],
-            [zv.name, repr(zv.lhs), repr(zv.rhs_core),
-             repr(zv.implied_constant), zv.passed]]
-    if full:
-        rows.append([full.name, repr(full.lhs), repr(full.rhs_core),
-                     repr(full.implied_constant), full.passed])
-    files.append(write_csv(out, f"verify_{fp}_estimates.csv", rows))
-    files.append(append_estimate_log(out, [zv] + ([full] if full else [])))
-    return (EXIT_OK if all_passed else EXIT_VERIFY_FAILED, body, files)
+        "all_passed": (all(est.passed for est in estimates)
+                       and uniq["passed"] is True),
+    }, [("_estimates", rows)])
+    files.append(append_estimate_log(_out_dir(cfg), estimates))
+    return (_exit_code([t["converged"] for t in uniq["traces"]],
+                       body["all_passed"]), body, files)
 
 
 def cmd_ladder(cfg):
@@ -445,21 +442,11 @@ def cmd_ladder(cfg):
         raise ConfigError("ladder.n_list", "required for the ladder command")
     problem = _build_problem(cfg)
     ctx = _context_for(cfg, problem)
-    out = _out_dir(cfg)
-    fp = _config_fingerprint(cfg)
     report = truncation_ladder_solve(problem, cfg["ladder"]["n_list"],
                                      cfg["method"],
                                      tol=cfg["ladder"]["tol"],
                                      max_iter=cfg["picard"]["max_iter"],
                                      **ctx)
-    body = {
-        "schema": "jumpbsde/report/v1",
-        "command": "ladder",
-        "config": _embeddable(cfg),
-        "problem_fingerprint": problem.fingerprint(),
-        "ladder": report.to_json_dict(),
-    }
-    files = [write_report(out, f"ladder_{fp}.json", body)]
     rows = [["n", "y0", "converged"]]
     for lev in report.levels:
         rows.append([lev["n"], repr(lev["y0"]), lev["converged"]])
@@ -470,9 +457,11 @@ def cmd_ladder(cfg):
         rows.append([pair["n_lo"], pair["n_hi"],
                      repr(pair["measured_d_norm"]), repr(pair["bound"]),
                      repr(pair["bound_se"]), pair["within_bound"]])
-    files.append(write_csv(out, f"ladder_{fp}.csv", rows))
-    stopped = not all(lev["converged"] for lev in report.levels)
-    return EXIT_DIVERGED if stopped else EXIT_OK, body, files
+    body, files = _report(cfg, "ladder", {
+        "problem_fingerprint": problem.fingerprint(),
+        "ladder": report.to_json_dict(),
+    }, [("", rows)])
+    return _exit_code([lev["converged"] for lev in report.levels]), body, files
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +508,10 @@ def main(argv=None):
         return EXIT_SOLVER
     for f in files:
         print(f)
-    if args.command == "solve" and code == EXIT_DIVERGED:
-        print("divergence reported; see the picard trace "
-              "(consider subdivide.enabled)", file=sys.stderr)
-    elif args.command == "ladder" and code == EXIT_DIVERGED:
-        print("divergence reported: a rung's Picard iteration did not "
-              "converge; see the ladder levels", file=sys.stderr)
+    if code == EXIT_DIVERGED:
+        print("a reported Picard iteration did not converge; see the report "
+              "(consider picard.max_iter or subdivide.enabled)",
+              file=sys.stderr)
     return code
 
 

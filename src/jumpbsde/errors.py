@@ -19,7 +19,7 @@ class StepSizeError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """An inner iteration failed to converge within its configured budget."""
+    """An inner iteration failed to converge within its budget."""
 
 
 class ConditioningError(RuntimeError):

@@ -14,7 +14,7 @@ also integrates.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,13 +56,7 @@ class EstimateReport:
     anomalous: bool = False
 
     def to_json_dict(self):
-        return {
-            "name": self.name, "lhs": self.lhs, "rhs_core": self.rhs_core,
-            "implied_constant": self.implied_constant, "p": self.p,
-            "kappa": self.kappa, "horizon": self.horizon,
-            "fingerprint": self.fingerprint, "ceiling": self.ceiling,
-            "passed": self.passed, "anomalous": self.anomalous,
-        }
+        return asdict(self)
 
 
 def solution_functionals(solution, problem, p):

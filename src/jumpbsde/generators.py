@@ -104,7 +104,6 @@ class GeneratorSpec:
     growth_alpha: float | None = None
     growth_gamma: float | None = None
     g: float = 0.0
-    depends_on_zv: bool = True
     name: str = "custom"
     params: dict | None = None
 
@@ -139,11 +138,6 @@ class GeneratorSpec:
         n = ctx.n
         return self(ctx, np.zeros(n), np.zeros((n, ctx.brownian.shape[1])),
                     np.zeros((n, ctx.marks.m)))
-
-    def g_values(self, ctx):
-        if callable(self.g):
-            return np.broadcast_to(np.asarray(self.g(ctx), dtype=float), (ctx.n,))
-        return np.full(ctx.n, float(self.g))
 
 
 @dataclass(frozen=True)
@@ -329,7 +323,7 @@ def check_growth(spec, problem, n_points=256, seed=0):
         full = float(spec(ctx, y[i:i + 1], z[i:i + 1], v[i:i + 1])[0])
         frozen = float(spec(ctx, y[i:i + 1], np.zeros((1, problem.d)),
                             np.zeros((1, problem.marks.m)))[0])
-        load = (spec.g_values(ctx)[0] + abs(y[i])
+        load = (float(spec.g) + abs(y[i])
                 + float(np.linalg.norm(z[i]))
                 + float(problem.marks.section_norm(v[i], spec.p)))
         bound = spec.growth_gamma * load ** spec.growth_alpha
@@ -471,7 +465,7 @@ def _affine(params, marks, p, d):
     else:
         kappa_v = float(np.max(np.abs(c))) if marks.m else 0.0
     kappa = abs(a) + float(np.linalg.norm(b)) + kappa_v
-    return _Form(bind_zv), kappa, bool(np.any(b) or np.any(c))
+    return _Form(bind_zv), kappa
 
 
 def _lipschitz_smooth(params, marks, p, d):
@@ -486,7 +480,7 @@ def _lipschitz_smooth(params, marks, p, d):
         return f_of_y
 
     kappa = max(abs(ay), float(np.linalg.norm(bz)), abs(cv))
-    return _Form(bind_zv), kappa, bool(np.any(bz) or cv != 0)
+    return _Form(bind_zv), kappa
 
 
 def _zv_coupled(params, marks, p, d):
@@ -502,7 +496,7 @@ def _zv_coupled(params, marks, p, d):
         return f_of_y
 
     kappa = max(abs(cy), abs(cz), abs(cv))
-    return _Form(bind_zv), kappa, bool(cz or cv)
+    return _Form(bind_zv), kappa
 
 
 # name -> (build function, params schema)
@@ -523,13 +517,12 @@ def make_generator(form, params, marks, d, p=2.0, kappa=None,
         raise ValueError(
             f"unknown generator form {form!r}; known: {sorted(GENERATOR_FORMS)}")
     build, schema = GENERATOR_FORMS[form]
-    f, kappa_form, dep = build(_read_params(schema, params or {}, d, marks.m),
-                               marks, p, d)
+    f, kappa_form = build(_read_params(schema, params or {}, d, marks.m),
+                          marks, p, d)
     return GeneratorSpec(f=f, lipschitz_kappa=float(kappa if kappa is not None
                                                     else kappa_form),
                          p=float(p), growth_alpha=alpha, growth_gamma=gamma,
-                         g=g, depends_on_zv=dep, name=form,
-                         params=dict(params or {}))
+                         g=g, name=form, params=dict(params or {}))
 
 
 def _terminal_constant(params, marks, d):

@@ -6,11 +6,13 @@ path probabilities so the oracle-side values carry no sampling error. The
 class-D norm maximizes over a finite family of stopping rules and is a lower
 bound for the true supremum over all stopping times; it is reported as such.
 
-The solver builds no ``ProcessSample``: its path batch and explicit tree
-compute the same norms and the class-D estimator over
-``StoppingFamily.default_for`` along their walks, with ``sp_from_sup`` and
-the rules' definitions from here. ``ProcessSample`` and the functions that
-take one serve callers holding path arrays.
+The solver builds no ``ProcessSample`` and no stopping-family object: its
+path batch and explicit tree compute the same norms, and the class-D
+estimator over the rules of ``StoppingFamily.default_for``, along their
+walks with the walk view's ``fold`` (a first hit is the fold that keeps a
+path's value once it reaches the level), with ``sp_from_sup`` from here.
+``ProcessSample`` and the functions that take one serve callers holding
+path arrays.
 """
 
 from dataclasses import dataclass
@@ -140,10 +142,6 @@ class StoppingRule:
             return first
         raise ValueError(f"unknown stopping rule kind {self.kind!r}")
 
-    def label(self):
-        return (f"t[{self.node}]" if self.kind == "time"
-                else f"hit|Y|>={self.level:g}")
-
 
 @dataclass(frozen=True)
 class StoppingFamily:
@@ -161,12 +159,8 @@ class StoppingFamily:
     @classmethod
     def default_for(cls, sample):
         """All grid times plus hitting rules at |Y_T| quantiles (50/90/99%)."""
-        return cls.for_terminal(sample.grid, np.abs(sample.values[:, -1]))
-
-    @classmethod
-    def for_terminal(cls, grid, terminal):
-        """``default_for`` given the per-path terminal values |Y_T|."""
-        rules = [StoppingRule("time", node=j) for j in range(grid.steps + 1)]
+        terminal = np.abs(sample.values[:, -1])
+        rules = list(cls.deterministic(sample.grid).rules)
         for q in (0.5, 0.9, 0.99):
             lev = float(np.quantile(terminal, q))
             if lev > 0:

@@ -38,7 +38,8 @@ and |V|^p levels, which the representation's walk view (``sweep``: the leaf
 sweep's root-to-leaf paths, or a batch's paths, each its own walk) reduces
 along the walks, beside the |Y| levels on a tree and a running max of |Y| on
 a batch -- and the solution norms read through the same meter. The estimate
-functionals and the class-D estimator read through the walk view too. A
+functionals and the class-D estimator read through the walk view too: a
+first hit of |Y| is a ``fold``, with no stopping-family object. A
 depth whose inputs repeat the previous sweep's bit for bit (the settled tail
 below the terminal) is skipped. On a tree the meter reduces each field only
 up to its live depth, the last one whose difference has a nonzero entry:
@@ -63,7 +64,7 @@ import numpy as np
 from .errors import (ConditioningError, ConfigError, NumericError,
                      StepSizeError)
 from .generators import check_growth, check_lipschitz, truncate_problem
-from .norms import StoppingFamily, _wmean, abs_pow
+from .norms import _wmean, abs_pow
 from .randomness import build_scenario_tree, simulate_paths
 
 __all__ = [
@@ -178,11 +179,7 @@ class LadderReport:
     pairs: list                    # per (n_lo, n_hi): measured vs bound
     cauchy: bool
     tol: float
-    solutions: list = field(repr=False, default_factory=list)
-
-    @property
-    def final_solution(self):
-        return self.solutions[-1]
+    solutions: list = field(repr=False, default_factory=list)  # per n
 
     def to_json_dict(self):
         return {"levels": self.levels, "pairs": self.pairs,
@@ -200,19 +197,23 @@ def picard_q(alpha=None, eps=0.05):
 # inner fixed point (shared by both representations)
 # ---------------------------------------------------------------------------
 
-def _fixpoint_iterations(kappa_dt, max_inner):
+# the per-step fixed point's budget: binds only for kappa*dt within ~4e-4 of 1
+_MAX_INNER = 100_000
+
+
+def _fixpoint_iterations(kappa_dt):
     if kappa_dt == 0.0:
         return 1
     n = int(math.ceil(-53.0 * math.log(2.0) / math.log(kappa_dt))) + 2
-    if n > max_inner:
+    if n > _MAX_INNER:
         raise NumericError(
             f"per-step fixed point needs ~{n} iterations at kappa*dt="
-            f"{kappa_dt:g}, above the configured budget {max_inner}")
+            f"{kappa_dt:g}, above the budget {_MAX_INNER}")
     return n
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt, max_inner):
+def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt):
     """Fixed point of y -> cond_mean + f(y) dt, vectorized over nodes.
 
     ``f_of_y`` is a bound driver (GeneratorSpec.bind). When it is row-wise, a
@@ -225,7 +226,7 @@ def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt, max_inner):
     once two successive iterates are equal. Overflow raises NumericError
     in the residual check or the meter, with no numpy warning.
     """
-    n_iter = _fixpoint_iterations(kappa_dt, max_inner)
+    n_iter = _fixpoint_iterations(kappa_dt)
     row_wise = getattr(f_of_y, "row_wise", False)
     y, f_val = cond_mean, f_of_y(cond_mean)
     rows = slice(None)          # the rows still moving
@@ -374,11 +375,11 @@ class _LeafSweep:
     representation on the tree shares with the leaf weights. It goes one
     subtree at a time, whose prefixes at each depth are one slice of that
     depth's walks, so every per-path vector comes out in leaf-id order, the
-    order of ``ScenarioTree.enumerate_paths``. Exact reductions (max, first
-    hit, left-to-right sums) run as running values over the prefixes; einsum
-    reductions run on a contiguous (rows, depths[, width]) block per
-    subtree, whose per-row results do not depend on how the rows are
-    chunked. Every per-path vector therefore equals, bit for bit, the one
+    order of ``ScenarioTree.enumerate_paths``. Exact reductions (``fold``:
+    max, first hit, left-to-right sums) run as running values over the
+    prefixes; einsum reductions run on a contiguous (rows, depths[, width])
+    block per subtree, whose per-row results do not depend on how the rows
+    are chunked. Every per-path vector therefore equals, bit for bit, the one
     the path table gives, and memory stays O(b^N) floats (the walk set takes
     under 4/3 of a per-leaf float vector) instead of O(N b^N).
 
@@ -461,9 +462,11 @@ class _LeafSweep:
         return n
 
     def fold(self, ufunc, levels, k_lo=0, leaves=True):
-        """Per-path left-to-right ``ufunc`` over depths: ``np.maximum`` gives
-        the max of each path's row, ``np.add`` its sequential sum (the same
-        bits as a sum from 0.0 for levels without -0.0)."""
+        """Per-path left fold of an elementwise binary ``ufunc`` over depths:
+        ``np.maximum`` gives the max of each path's row, ``np.add`` its
+        sequential sum (the same bits as a sum from 0.0 for levels without
+        -0.0), and ``acc if acc >= h else val`` its value at the first
+        depth where it is >= h, else at the last depth."""
         def per_subtree(states):
             acc = levels[0][states[0]]
             for lev, s in zip(levels[1:], states[1:]):
@@ -471,20 +474,6 @@ class _LeafSweep:
             return acc
         return self._per_path(k_lo, k_lo + len(levels) - 1, per_subtree,
                               leaves)
-
-    def first_hit(self, levels, threshold):
-        """Per-path value at the first depth where it is >= threshold, else
-        at the last depth (``StoppingRule('hit')`` on non-negative levels
-        from depth 0)."""
-        def per_subtree(states):
-            acc = np.full(1, np.nan)             # nan: not hit yet
-            for lev, s in zip(levels, states):
-                val = lev[s]
-                acc = np.repeat(acc, val.size // acc.size)
-                fresh = np.isnan(acc) & (val >= threshold)
-                acc[fresh] = val[fresh]
-            return np.where(np.isnan(acc), val, acc)
-        return self._per_path(0, len(levels) - 1, per_subtree)
 
     def row_reduce(self, levels, reduce, k_lo, live):
         """Per-prefix ``reduce(block)`` where block[n, j] is prefix n's
@@ -784,19 +773,22 @@ class _PathEstimators(_Representation):
 
     def class_d(self, y):
         """Class-D estimator: the max of E|Y_tau| over the grid times and
-        the |Y_T|-quantile hitting rules (``StoppingFamily.default_for``),
-        exact per rule on a tree and a sample mean on a batch."""
-        sweep = self.sweep
+        the first hits of |Y| >= h at the |Y_T| quantiles h > 0 of
+        ``StoppingFamily.default_for``, each the ``fold`` that keeps a
+        path's value once it reaches h; exact on a tree, a sample mean on a
+        batch."""
+        sweep, weights = self.sweep, self.sweep.weights
         abs_levels = [np.abs(lev) for lev in _finite(y)]
-        last = len(abs_levels) - 1
-        family = StoppingFamily.for_terminal(
-            self.grid, sweep.at_depth(abs_levels[last], last))
-        best = 0.0
-        for rule in family.rules:
-            stopped = (sweep.at_depth(abs_levels[rule.node], rule.node)
-                       if rule.kind == "time"
-                       else sweep.first_hit(abs_levels, rule.level))
-            best = max(best, _wmean(sweep.weights, stopped))
+        best = max(_wmean(weights, sweep.at_depth(lev, k))
+                   for k, lev in enumerate(abs_levels))
+        terminal = sweep.at_depth(abs_levels[-1], len(abs_levels) - 1)
+        levels = [float(np.quantile(terminal, q)) for q in (0.5, 0.9, 0.99)]
+        del terminal                # one per-path vector at a time
+        for h in levels:
+            if h > 0:
+                hit = sweep.fold(
+                    lambda acc, val: np.where(acc >= h, acc, val), abs_levels)
+                best = max(best, _wmean(weights, hit))
         return best
 
 
@@ -1068,7 +1060,7 @@ def _same_bits(a, b):
 
 
 def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
-              meter=None, settled=None, max_inner=100_000):
+              meter=None, settled=None):
     """Backward induction over depths [k_lo, k_hi], fields indexed from
     k_lo; returns the solution.
 
@@ -1117,7 +1109,7 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
         frozen = (z, v) if iterate is None else (sol.z[j], sol.v[j])
         y = _solve_implicit(cond_mean,
                             gen.bind(rep.context(problem, k), *frozen),
-                            dt, kappa_dt, max_inner)
+                            dt, kappa_dt)
         if meter is not None:
             meter.y(k, y - sol.y[j])
             meter.zv(k, z - sol.z[j], v - sol.v[j])
@@ -1130,22 +1122,21 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
     return sol
 
 
-def _solve(rep, problem, max_inner):
+def _solve(rep, problem):
     N = problem.grid.steps
     return _backward(rep, problem, 0, N,
-                     problem.terminal(rep.context(problem, N)),
-                     max_inner=max_inner)
+                     problem.terminal(rep.context(problem, N)))
 
 
-def solve_tree(problem, tree, max_inner=100_000):
+def solve_tree(problem, tree):
     """Exact backward induction on the scenario tree (the oracle solver)."""
-    return _solve(_setup(problem, "tree", tree=tree), problem, max_inner)
+    return _solve(_setup(problem, "tree", tree=tree), problem)
 
 
-def solve_mc_regression(problem, batch, basis_degree=2, max_inner=100_000):
+def solve_mc_regression(problem, batch, basis_degree=2):
     """Least-squares Monte Carlo backward solver on a simulated path batch."""
     return _solve(_setup(problem, "mc", batch=batch,
-                         basis_degree=basis_degree), problem, max_inner)
+                         basis_degree=basis_degree), problem)
 
 
 # ---------------------------------------------------------------------------
@@ -1185,8 +1176,7 @@ def _constant(rep, problem, k_lo, k_hi, init):
 
 
 def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
-            init=(0.0, 0.0, 0.0), max_inner=100_000, k_hi=None, k_lo=0,
-            terminal_values=None):
+            init=(0.0, 0.0, 0.0), k_hi=None, k_lo=0, terminal_values=None):
     """The Picard iteration of ``picard_solve`` on a given representation.
 
     It owns one iterate, the constant ``init``, which every sweep
@@ -1209,7 +1199,7 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
     for it in range(1, max_iter + 1):
         meter = rep.meter(q, k_lo, k_hi)
         _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=sol,
-                  meter=meter, settled=settled, max_inner=max_inner)
+                  meter=meter, settled=settled)
         if settled is None:
             settled = np.zeros(k_hi - k_lo + 1, dtype=bool)
         trace.n_iter = it
@@ -1235,9 +1225,8 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
 
 def picard_solve(problem, method="tree", tree=None, batch=None, tol=1e-9,
                  max_iter=25, q=None, init=(0.0, 0.0, 0.0), basis_degree=2,
-                 n_paths=10_000, seed=0, max_inner=100_000,
-                 k_hi=None, k_lo=0, terminal_values=None,
-                 check_assumptions=True, node_cap=None):
+                 n_paths=10_000, seed=0, k_hi=None, k_lo=0,
+                 terminal_values=None, check_assumptions=True, node_cap=None):
     """Picard iteration freezing (z, v) at the previous iterate.
 
     Each iteration solves the inner problem whose driver sees frozen (z, v)
@@ -1251,8 +1240,7 @@ def picard_solve(problem, method="tree", tree=None, batch=None, tol=1e-9,
     rep = _setup(problem, method, tree, batch, node_cap=node_cap,
                  n_paths=n_paths, seed=seed, basis_degree=basis_degree)
     return _picard(rep, problem, tol=tol, max_iter=max_iter, q=q, init=init,
-                   max_inner=max_inner, k_hi=k_hi, k_lo=k_lo,
-                   terminal_values=terminal_values)
+                   k_hi=k_hi, k_lo=k_lo, terminal_values=terminal_values)
 
 
 # ---------------------------------------------------------------------------
@@ -1352,8 +1340,8 @@ def truncation_ladder_solve(problem, n_list, method="tree", tree=None,
     solutions is reported against the clamp-tail bound at n_lo. Ladder-Cauchy
     is declared when every rung's Picard iteration converged and the last
     consecutive pair has both below tol: a stopped rung's error would count
-    as a distance between the clamped problems. The final Solution is the
-    largest-n solve. Every rung runs on one representation.
+    as a distance between the clamped problems. Every rung runs on one
+    representation.
     """
     n_list = [float(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or any(
@@ -1407,31 +1395,22 @@ def bsde_residual_max(solution, problem):
         raise ValueError("residual diagnostic is defined on tree solutions")
     rep = _represent(solution, problem)
     tree = solution.tree
-    N, b = tree.grid.steps, tree.branching
     dt = tree.grid.dt
-    sqrt_dt = math.sqrt(dt)
     # per-mark one-step probabilities implied by the branch table (the sign
     # combinations of a jump branch already sum to (lambda_i/Lambda)(1-e^-x))
     p_mark = np.array([tree.branch_probs[tree.branch_jump == i].sum()
                        for i in range(tree.marks.m)])
-    j_branch = np.zeros((b, tree.marks.m))
-    has = tree.branch_jump >= 0
-    j_branch[has, tree.branch_jump[has]] = 1.0
+    # per branch: dB and 1{jump i} - p_i, broadcast over each depth's states
+    db = tree.sign_vectors * math.sqrt(dt)
+    dn = (tree.branch_jump[:, None] == np.arange(tree.marks.m)) - p_mark
     worst = 0.0
-    for k in range(N):
-        n_k = tree.n_states(k)
-        y_k = np.repeat(solution.y[k], b)
-        y_k1 = tree.gather_children(k, solution.y[k + 1]).ravel()
-        z_k = np.repeat(solution.z[k], b, axis=0)
-        v_k = np.repeat(solution.v[k], b, axis=0)
-        db = np.tile(tree.sign_vectors, (n_k, 1)) * sqrt_dt
-        j_ind = np.tile(j_branch, (n_k, 1))
-        f_k = np.repeat(problem.generator(rep.context(problem, k),
-                                          solution.y[k], solution.z[k],
-                                          solution.v[k]), b)
-        resid = (y_k1 - y_k + f_k * dt
-                 - np.einsum("nd,nd->n", z_k, db)
-                 - np.einsum("nm,nm->n", v_k, j_ind - p_mark))
+    for k in range(tree.grid.steps):
+        f_k = problem.generator(rep.context(problem, k), solution.y[k],
+                                solution.z[k], solution.v[k])
+        resid = (tree.gather_children(k, solution.y[k + 1])   # (n_k, b)
+                 - solution.y[k][:, None] + (f_k * dt)[:, None]
+                 - np.einsum("nd,bd->nb", solution.z[k], db)
+                 - np.einsum("nm,bm->nb", solution.v[k], dn))
         worst = max(worst, float(np.max(np.abs(resid))))
     return worst
 

@@ -1,11 +1,13 @@
 """Benchmark workloads reproduce their recorded report bodies.
 
 ``perfbench/run.py`` gates every run on the observables recorded in
-``perfbench/references.json``, the body hash among them. Running the
-tree-verify workload (explicit-tree path functionals) and the mc-ladder
-workload at seed 0 (the path batch's class-D distances) here, in-process
-through ``cli.main``, makes a bit change in any number of their bodies fail
-the ordinary test suite as well. Only ``perfbench/`` is read.
+``perfbench/references.json``, the body hash among them. Running every
+workload here, the seeded ones at seed 0, in-process through ``cli.main``
+-- tree-verify (explicit-tree path functionals), lattice-solve (the
+implicit lattice), mc-solve (the regression solver) and mc-ladder (the
+path batch's class-D distances) -- makes a bit change in any number of
+their bodies, each assembled by the report writer of one command, fail the
+ordinary test suite as well. Only ``perfbench/`` is read.
 """
 
 import json
@@ -23,7 +25,8 @@ import gate  # noqa: E402
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("workload", ["tree-verify", "mc-ladder"])
+@pytest.mark.parametrize("workload", ["tree-verify", "lattice-solve",
+                                      "mc-solve", "mc-ladder"])
 def test_body_matches_the_benchmark_reference(tmp_path, capsys, workload):
     command, cfg = workloads.make_run(workload, 0)
     config = tmp_path / "config.json"

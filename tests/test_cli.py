@@ -1,6 +1,7 @@
 """Config-driven CLI: exit codes, reports, reproducibility."""
 
 import copy
+import importlib.util
 import json
 import math
 import os
@@ -352,11 +353,15 @@ def test_mc_uniqueness_replicates_use_the_run_batch(tmp_path, monkeypatch):
     assert batches == [(300, 1007), (300, 1008), (300, 1009), (300, 1010)]
 
 
-def test_verify_reuses_its_solve_and_passes_max_iter(tmp_path, monkeypatch):
+def test_verify_reuses_its_solve_and_passes_max_iter(tmp_path, monkeypatch,
+                                                     capsys):
     # the verify solve is the uniqueness experiment's (0, 0, 0) start, and
-    # picard.max_iter reaches the (10, 1, 1) start: after one iteration the
-    # two starts still differ by their frozen (z, v) term, so uniqueness
-    # fails (25 iterations, the old fixed count, bring them together)
+    # picard.max_iter reaches the (10, 1, 1) start. Y is deterministic here,
+    # so Z = V = 0: the (0, 0, 0) start has them right from its first sweep
+    # and converges at the second, run once; the (10, 1, 1) start, whose
+    # first sweep freezes Z = V = 1, needs a third and stops at two. The
+    # checks pass, but a start whose solution the report compares did not
+    # converge, so the run exits 2
     from jumpbsde import solver
     sweeps = []
     backward = solver._backward
@@ -366,18 +371,94 @@ def test_verify_reuses_its_solve_and_passes_max_iter(tmp_path, monkeypatch):
         return backward(*args, **kwargs)
     monkeypatch.setattr(solver, "_backward", counted)
     path, _ = _cfg(
-        tmp_path, grid_steps=6, picard={"max_iter": 1},
+        tmp_path, grid_steps=6, picard={"max_iter": 2},
+        problem={**copy.deepcopy(BASE["problem"]),
+                 "generator": {"form": "zv-coupled",
+                               "params": {"cy": 0.3, "cz": 0.3, "cv": 0.3}}})
+    assert cli.main(["verify", "--config", str(path)]) == cli.EXIT_DIVERGED
+    assert len(sweeps) == 2 + 2
+    assert "did not converge" in capsys.readouterr().err
+    out = tmp_path / "out"
+    body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
+    assert body["all_passed"] is True
+    assert body["uniqueness"]["conclusive"] is True
+
+
+def _stopped_solve_config(tmp_path, **overrides):
+    # f = -2 lambda v, xi = N_T (the stopped ladder rung's problem): one
+    # Picard iteration ends far from the fixed point, y0 ~ -1.0078
+    return _cfg(
+        tmp_path,
+        problem={**copy.deepcopy(BASE["problem"]),
+                 "generator": {"form": "affine", "params": {"c": [-2.0]}},
+                 "terminal": {"form": "jump-count", "params": {}}},
+        grid_steps=64, node_cap=None, **overrides)
+
+
+def test_solve_stopped_at_max_iter_exits_2(tmp_path, capsys):
+    path, _ = _stopped_solve_config(tmp_path, picard={"max_iter": 1})
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "subdivide.enabled" in err
+    out = tmp_path / "out"
+    body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
+    assert body["converged"] is False and body["diverged"] is False
+
+
+def test_subdivided_solve_with_stopped_intervals_exits_2(tmp_path):
+    # a supplied c_emp: no pilot runs, and every interval stops at one
+    # iteration
+    path, _ = _stopped_solve_config(
+        tmp_path, picard={"max_iter": 1},
+        subdivide={"enabled": True, "c_emp": 0.33, "q": 1.5})
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_DIVERGED
+    out = tmp_path / "out"
+    body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
+    intervals = body["picard_trace"]["intervals"]
+    assert len(intervals) > 1
+    assert not any(t["converged"] for t in intervals)
+    assert body["converged"] is False
+
+
+def test_a_stopped_pilot_does_not_set_the_exit_code(tmp_path):
+    # the pilot only calibrates c_emp (to a 16-interval plan: one pilot
+    # iteration measures no ratio); its solution is not reported
+    path, _ = _cfg(
+        tmp_path, grid_steps=16, node_cap=None,
+        subdivide={"enabled": True, "pilot_max_iter": 1},
         problem={**copy.deepcopy(BASE["problem"]),
                  "generator": {"form": "zv-coupled",
                                "params": {"cz": 0.3, "cv": 0.3}},
                  "terminal": {"form": "brownian-functional",
                               "params": {"kind": "square"}}})
-    assert cli.main(["verify", "--config", str(path)]) == 3
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_OK
     out = tmp_path / "out"
     body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
-    assert body["uniqueness"]["passed"] is False
-    assert body["uniqueness"]["max_pairwise_sq_distance"] > 1e-6
-    assert len(sweeps) == 1 + 1
+    assert body["converged"] is True
+
+
+def test_verify_stops_before_the_estimates_of_an_unconverged_solve(
+        tmp_path, capsys):
+    # the benchmark's tree-verify problem, with too few Picard iterations
+    spec = importlib.util.spec_from_file_location(
+        "workloads", pathlib.Path(__file__).resolve().parents[1]
+        / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    _, cfg = workloads.make_run("tree-verify", 0)
+    cfg["picard"] = {"max_iter": 2}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main(["verify", "--config", str(path), "--out",
+                     str(tmp_path / "out")])
+    assert code == cli.EXIT_DIVERGED
+    assert "did not converge" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert [f for f in os.listdir(out) if not f.endswith(".json")] == []
+    body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
+    assert body["converged"] is False and body["diverged"] is False
+    assert "zv_estimate" not in body
+    assert body["picard_trace"]["n_iter"] == 2
 
 
 @pytest.mark.parametrize("overrides", [

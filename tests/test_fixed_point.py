@@ -11,9 +11,9 @@ DT = 0.5
 KAPPA_DT = 0.1
 
 
-def _reference(cond_mean, f_of_y, dt, kappa_dt, max_inner):
+def _reference(cond_mean, f_of_y, dt, kappa_dt):
     """The whole-array iteration: every row evaluated on every iteration."""
-    n_iter = _fixpoint_iterations(kappa_dt, max_inner)
+    n_iter = _fixpoint_iterations(kappa_dt)
     y = cond_mean
     f_val = f_of_y(y)
     for _ in range(n_iter):
@@ -71,12 +71,12 @@ def _same_bits(a, b):
 
 def test_rows_settling_at_different_iterations_match_reference():
     bound, cond_mean = _smooth_bound(4000, seed=11)
-    n_iter = _fixpoint_iterations(KAPPA_DT, 1000)
+    n_iter = _fixpoint_iterations(KAPPA_DT)
     settle = _settle_iterations(cond_mean, bound, DT, n_iter)
     assert len(set(settle.tolist())) >= 4
     logged, sizes = _recording(bound)
-    out = _solve_implicit(cond_mean, logged, DT, KAPPA_DT, 1000)
-    assert _same_bits(out, _reference(cond_mean, bound, DT, KAPPA_DT, 1000))
+    out = _solve_implicit(cond_mean, logged, DT, KAPPA_DT)
+    assert _same_bits(out, _reference(cond_mean, bound, DT, KAPPA_DT))
     # settled rows stopped being evaluated
     assert sizes[0] == cond_mean.size and sizes[-1] < cond_mean.size // 2
 
@@ -107,10 +107,10 @@ _cycling.row_wise = True
 def test_two_cycle_row_runs_the_full_count(n_rest):
     _, rest = _smooth_bound(n_rest, seed=5)
     cond_mean = np.concatenate(([0.5, -0.0], rest))
-    n_iter = _fixpoint_iterations(KAPPA_DT, 1000)
+    n_iter = _fixpoint_iterations(KAPPA_DT)
     logged, sizes = _recording(_cycling)
-    out = _solve_implicit(cond_mean, logged, DT, KAPPA_DT, 1000)
-    ref = _reference(cond_mean, _cycling, DT, KAPPA_DT, 1000)
+    out = _solve_implicit(cond_mean, logged, DT, KAPPA_DT)
+    ref = _reference(cond_mean, _cycling, DT, KAPPA_DT)
     assert _same_bits(out, ref)
     assert out[0] in (A, B) and out[1] == 0.0
     assert len(sizes) == n_iter + 1
@@ -120,9 +120,9 @@ def test_nan_row_raises_in_both_loops():
     bound, cond_mean = _smooth_bound(500, seed=2)
     cond_mean[123] = np.nan
     with pytest.raises(NumericError):
-        _reference(cond_mean, bound, DT, KAPPA_DT, 1000)
+        _reference(cond_mean, bound, DT, KAPPA_DT)
     with pytest.raises(NumericError):
-        _solve_implicit(cond_mean, bound, DT, KAPPA_DT, 1000)
+        _solve_implicit(cond_mean, bound, DT, KAPPA_DT)
 
 
 def test_custom_driver_sees_every_row_on_every_iteration():
@@ -132,6 +132,6 @@ def test_custom_driver_sees_every_row_on_every_iteration():
         return bound(y)
 
     logged, sizes = _recording(custom)
-    out = _solve_implicit(cond_mean, logged, DT, KAPPA_DT, 1000)
-    assert _same_bits(out, _reference(cond_mean, custom, DT, KAPPA_DT, 1000))
+    out = _solve_implicit(cond_mean, logged, DT, KAPPA_DT)
+    assert _same_bits(out, _reference(cond_mean, custom, DT, KAPPA_DT))
     assert set(sizes) == {cond_mean.size}

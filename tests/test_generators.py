@@ -239,8 +239,7 @@ def test_check_growth_zv_independent_passes():
     marks = jb.make_mark_space([[1.0]], [1.0])
     prob = _basic_problem(marks=marks)
     spec = GeneratorSpec(f=lambda ctx, y, z, v: np.sin(y), lipschitz_kappa=1.0,
-                         growth_alpha=0.5, growth_gamma=1.0, g=0.0,
-                         depends_on_zv=False)
+                         growth_alpha=0.5, growth_gamma=1.0, g=0.0)
     rep = jb.check_growth(spec, prob, n_points=128, seed=0)
     assert rep["passed"] and rep["max_ratio"] == 0.0
 

@@ -26,8 +26,7 @@ from test_picard import _closure_truncation, _ladder_drivers
 # the two-iterate reference
 # ---------------------------------------------------------------------------
 
-def _sweep_ref(rep, problem, k_lo, k_hi, terminal_values, frozen,
-               max_inner):
+def _sweep_ref(rep, problem, k_lo, k_hi, terminal_values, frozen):
     gen, dt = problem.generator, problem.grid.dt
     kappa_dt = gen.lipschitz_kappa * dt
     sol = solver._empty(rep, problem, k_lo, k_hi)
@@ -37,7 +36,7 @@ def _sweep_ref(rep, problem, k_lo, k_hi, terminal_values, frozen,
         cond_mean, z, v = rep.project(sol.y[j + 1], k)
         sol.y[j][...] = solver._solve_implicit(
             cond_mean, gen.bind(rep.context(problem, k), frozen.z[j],
-                                frozen.v[j]), dt, kappa_dt, max_inner)
+                                frozen.v[j]), dt, kappa_dt)
         sol.z[j][...] = z
         sol.v[j][...] = v
     sol.y0 = float(sol.y[0][0])
@@ -45,7 +44,7 @@ def _sweep_ref(rep, problem, k_lo, k_hi, terminal_values, frozen,
 
 
 def _picard_ref(rep, problem, tol=1e-9, max_iter=25, q=None,
-                init=(0.0, 0.0, 0.0), max_inner=100_000, k_hi=None, k_lo=0,
+                init=(0.0, 0.0, 0.0), k_hi=None, k_lo=0,
                 terminal_values=None):
     if q is None:
         q = solver.picard_q(problem.generator.growth_alpha)
@@ -56,8 +55,7 @@ def _picard_ref(rep, problem, tol=1e-9, max_iter=25, q=None,
     prev = solver._constant(rep, problem, k_lo, k_hi, init)
     trace = solver.PicardTrace(q=q)
     for it in range(1, max_iter + 1):
-        cur = _sweep_ref(rep, problem, k_lo, k_hi, terminal_values, prev,
-                         max_inner)
+        cur = _sweep_ref(rep, problem, k_lo, k_hi, terminal_values, prev)
         trace.n_iter = it
         trace.record(*rep.norms(q, map(np.subtract, cur.y, prev.y),
                                 map(np.subtract, cur.z, prev.z),
