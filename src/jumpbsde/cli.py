@@ -59,6 +59,7 @@ EXIT_SOLVER = 4
 # (kind, default); a required field's default, None, lies outside its domain.
 # An integer's type is int: true and false are ints too, but not counts.
 _POSITIVE_INT = (lambda x: type(x) is int and x >= 1, "a positive integer")
+_INT_AT_LEAST_2 = (lambda x: type(x) is int and x >= 2, "an integer >= 2")
 _POSITIVE_REAL = (lambda x: _is_real(x) and x > 0, "a positive real")
 _NONNEG_REAL = (lambda x: _is_real(x) and x >= 0, "a non-negative real")
 _NULL_OR_NONNEG_REAL = (lambda x: x is None or _NONNEG_REAL[0](x),
@@ -96,8 +97,7 @@ DEFAULT_CONFIG = {
     "node_cap": ((lambda x: x is None or _POSITIVE_INT[0](x),
                   "a positive integer or null"), 10_000_000),
     # a batch's sample means carry a standard error
-    "n_paths": ((lambda x: type(x) is int and x >= 2, "an integer >= 2"),
-                10_000),
+    "n_paths": (_INT_AT_LEAST_2, 10_000),
     "basis_degree": ((lambda x: type(x) is int and x >= 0,
                       "a non-negative integer"), 2),
     "seed": ((lambda x: type(x) is int, "an integer"), 0),
@@ -109,7 +109,8 @@ DEFAULT_CONFIG = {
                    0.5),
         "c_emp": ((lambda x: x is None or _POSITIVE_REAL[0](x),
                    "null or a positive real"), None),
-        "q": (_PICARD_Q, None), "pilot_max_iter": (_POSITIVE_INT, 8)},
+        # the pilot measures a contraction ratio from its second iteration
+        "q": (_PICARD_Q, None), "pilot_max_iter": (_INT_AT_LEAST_2, 8)},
     "ladder": {
         "n_list": ((lambda x: x is None or (
             _is_real_list(x, lambda v: v > 0)
@@ -509,9 +510,11 @@ def main(argv=None):
     for f in files:
         print(f)
     if code == EXIT_DIVERGED:
+        # only solve reads the subdivide section
+        settings = ("picard.max_iter or subdivide.enabled"
+                    if args.command == "solve" else "picard.max_iter")
         print("a reported Picard iteration did not converge; see the report "
-              "(consider picard.max_iter or subdivide.enabled)",
-              file=sys.stderr)
+              f"(consider {settings})", file=sys.stderr)
     return code
 
 

@@ -251,22 +251,23 @@ def truncate_problem(problem, n):
 # ---------------------------------------------------------------------------
 
 def _sample_cloud(problem, size, seed, scale=3.0):
-    """Random (ctx, y, z, v) arguments for the empirical checks."""
+    """Random (ctx, y, z, v) arguments for the empirical checks: uniform
+    draws mapped affinely to t in [0, T), Brownian states in [-3, 3], jump
+    counts 0 to 5, and y, z, v in [-c, c] for the magnitude classes
+    c = 0.1, 1, 10, 100 times ``scale``, one class per row in turn."""
     d, m = problem.d, problem.marks.m
     span = max(1, size)
     cols = 2 + 2 * d + 2 * m
-    draws = rng.normal(seed, rng.STREAM_CLOUD,
-                       np.arange(span, dtype=np.uint64)[:, None],
-                       np.arange(cols, dtype=np.uint64)[None, :])
-    t = (np.abs(draws[:, 0]) % 1.0) * problem.grid.horizon
+    u = rng.uniform(seed, rng.STREAM_CLOUD,
+                    np.arange(span, dtype=np.uint64)[:, None],
+                    np.arange(cols, dtype=np.uint64)[None, :])
+    t = u[:, 0] * problem.grid.horizon
     magnitudes = np.choose(np.arange(span) % 4,
                            [0.1 * scale, scale, 10 * scale, 100 * scale])
-    bw = draws[:, 1:1 + d]
-    counts = np.floor(np.abs(draws[:, 1 + d:1 + d + m]) * 2)
-    y = draws[:, 1 + d + m] * magnitudes
-    z = draws[:, 2 + d + m:2 + 2 * d + m] * magnitudes[:, None]
-    v = draws[:, 2 + 2 * d + m:2 + 2 * d + 2 * m] * magnitudes[:, None]
-    return t, bw, counts, y, z, v
+    bw = 6.0 * u[:, 1:1 + d] - 3.0
+    counts = np.floor(6.0 * u[:, 1 + d:1 + d + m])
+    signed = (2.0 * u[:, 1 + d + m:] - 1.0) * magnitudes[:, None]
+    return t, bw, counts, signed[:, 0], signed[:, 1:1 + d], signed[:, 1 + d:]
 
 
 def check_lipschitz(spec, problem, n_pairs=256, seed=0):

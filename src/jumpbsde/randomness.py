@@ -684,7 +684,10 @@ def build_scenario_tree(grid, marks, d, node_cap=DEFAULT_NODE_CAP):
     levels = []
     for k in range(N):
         reached = (rows[:, None, :] + jump_inc) @ place           # (R_k, 1+m)
-        codes = np.unique(reached)
+        # the distinct codes, ascending (np.unique's, without its numpy.ma
+        # import)
+        codes = np.sort(reached, axis=None)
+        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
         next_rows = np.searchsorted(codes, reached)
         # slice-adds on the next depth's grid, branch by branch: jump
         # outcome mark m, ..., mark 1, no jump, then signs by descending

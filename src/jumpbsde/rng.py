@@ -6,10 +6,13 @@ mapped to a uniform in (0,1) or to a normal via the inverse CDF. Because no
 generator state is carried between calls, a batch can be produced whole, in
 chunks, or path-range by path-range and the values are bit-identical; this is
 what makes disjoint path ranges safe to generate concurrently.
+
+The inverse normal CDF is scipy's ``ndtri``, imported on the first normal
+draw: scipy is a Monte Carlo dependency, and a run that draws no normals
+(the scenario tree and the lattice) never loads it.
 """
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "STREAM_BROWNIAN",
@@ -59,4 +62,5 @@ def uniform(seed, stream, path, slot):
 
 def normal(seed, stream, path, slot):
     """Standard normal variates via the inverse CDF."""
+    from scipy.special import ndtri
     return ndtri(uniform(seed, stream, path, slot))

@@ -358,7 +358,13 @@ class _StepBasis:
         design = self._fill(self.exps, states, buf[:n * k].reshape(k, n).T)
         rhs = np.einsum("ni,nt->it", design, targets, optimize=False)
         beta = np.linalg.solve(self.gram, rhs)
-        return np.einsum("ni,it->nt", design, beta, optimize=False)
+        # design @ beta summed as einsum("ni,it->nt") sums it: from zero,
+        # one column times its coefficients at a time, in basis order; held
+        # target-major while summing, so each add runs over n contiguous rows
+        fitted = np.zeros((targets.shape[1], n))
+        for col, coef in zip(design.T, beta):
+            fitted += coef[:, None] * col
+        return np.ascontiguousarray(fitted.T)
 
 
 # ---------------------------------------------------------------------------

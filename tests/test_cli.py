@@ -116,6 +116,7 @@ def test_unknown_key_rejected(tmp_path, capsys):
     ("ladder.n_list", [True, 4]),
     ("problem.horizon", math.inf),
     ("n_paths", 1),
+    ("subdivide.pilot_max_iter", 1),
 ])
 def test_bad_field_rejected_with_its_path(tmp_path, capsys, field, value):
     _assert_rejected_at(tmp_path / "cfg.json", capsys, field, value)
@@ -421,11 +422,12 @@ def test_subdivided_solve_with_stopped_intervals_exits_2(tmp_path):
 
 
 def test_a_stopped_pilot_does_not_set_the_exit_code(tmp_path):
-    # the pilot only calibrates c_emp (to a 16-interval plan: one pilot
-    # iteration measures no ratio); its solution is not reported
+    # the pilot only calibrates c_emp: it stops unconverged after two
+    # iterations, whose one ratio plans a single interval; its solution is
+    # not reported
     path, _ = _cfg(
         tmp_path, grid_steps=16, node_cap=None,
-        subdivide={"enabled": True, "pilot_max_iter": 1},
+        subdivide={"enabled": True, "pilot_max_iter": 2},
         problem={**copy.deepcopy(BASE["problem"]),
                  "generator": {"form": "zv-coupled",
                                "params": {"cz": 0.3, "cv": 0.3}},
@@ -434,6 +436,7 @@ def test_a_stopped_pilot_does_not_set_the_exit_code(tmp_path):
     assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_OK
     out = tmp_path / "out"
     body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
+    assert body["subdivision_plan"]["breakpoints"] == [0.0, 1.0]
     assert body["converged"] is True
 
 
@@ -452,7 +455,10 @@ def test_verify_stops_before_the_estimates_of_an_unconverged_solve(
     code = cli.main(["verify", "--config", str(path), "--out",
                      str(tmp_path / "out")])
     assert code == cli.EXIT_DIVERGED
-    assert "did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # verify reads no subdivide setting, so the hint names none
+    assert "did not converge" in err and "picard.max_iter" in err
+    assert "subdivide" not in err
     out = tmp_path / "out"
     assert [f for f in os.listdir(out) if not f.endswith(".json")] == []
     body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
@@ -481,23 +487,37 @@ def test_solver_failure_exits_4(tmp_path, capsys, overrides):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, overrides", [
-    ("solve", {}), ("verify", {}), ("ladder", {}),
+# f = 2 y against a declared kappa of 0.5: the config is wrong
+_TWO_Y = {"form": "affine", "params": {"a": 2}, "kappa": 0.5}
+
+
+@pytest.mark.parametrize("command, overrides, generator", [
+    ("solve", {}, _TWO_Y), ("verify", {}, _TWO_Y), ("ladder", {}, _TWO_Y),
     # a given c_emp skips the pilot solve: the chained solve checks kappa
     ("solve", {"grid_steps": 8,
-               "subdivide": {"enabled": True, "c_emp": 1.0}}),
-], ids=["solve", "verify", "ladder", "solve-subdivided"])
+               "subdivide": {"enabled": True, "c_emp": 1.0}}, _TWO_Y),
+    # each built-in form's modulus 2 (sin y near y = 0, |z| and ||v|| on
+    # pairs of one sign) against a declared 1.8: the sampled cloud reaches
+    # the points that show it
+    ("solve", {}, {"form": "affine", "params": {"c": [2.0]}, "kappa": 1.8}),
+    ("solve", {}, {"form": "lipschitz-smooth", "params": {"ay": 2.0},
+                   "kappa": 1.8}),
+    ("solve", {}, {"form": "zv-coupled", "params": {"cz": 2.0},
+                   "kappa": 1.8}),
+    ("solve", {}, {"form": "zv-coupled", "params": {"cv": 2.0},
+                   "kappa": 1.8}),
+], ids=["solve", "verify", "ladder", "solve-subdivided", "affine-c",
+        "lipschitz-smooth-ay", "zv-coupled-cz", "zv-coupled-cv"])
 def test_broken_lipschitz_modulus_exits_1_at_kappa(tmp_path, capsys,
-                                                    command, overrides):
-    # f = 2 y against a declared kappa of 0.5: the config is wrong
+                                                    command, overrides,
+                                                    generator):
     problem = copy.deepcopy(BASE["problem"])
-    problem["generator"] = {"form": "affine", "params": {"a": 2},
-                            "kappa": 0.5}
+    problem["generator"] = generator
     path, _ = _cfg(tmp_path, problem=problem, ladder={"n_list": [1, 4]},
                    **overrides)
     text = path.read_text()
     line = next(i for i, row in enumerate(text.splitlines(), start=1)
-                if row.strip() == '"kappa": 0.5')
+                if row.strip().startswith('"kappa": '))
     assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{path}:{line}: problem.generator.kappa: " in err
@@ -760,7 +780,8 @@ def test_a_ladder_with_a_stopped_rung_exits_2(tmp_path, capsys):
         ladder={"n_list": [8, 16]},
     )
     assert cli.main(["ladder", "--config", str(path)]) == cli.EXIT_DIVERGED
-    assert "did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "subdivide" not in err
     out = tmp_path / "out"
     body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
     ladder = body["ladder"]
@@ -817,6 +838,37 @@ def test_reports_reproducible_across_thread_counts(tmp_path):
             assert b1.encode() == b2.encode()
         else:
             assert pay1[n] == pay2[n]
+
+
+# runs (command, config) pairs in one process and prints, as its last line,
+# whether scipy was loaded after the import and after each run
+_SCIPY_PROBE = """
+import json, sys
+from jumpbsde import cli
+loaded = ["scipy" in sys.modules]
+for command, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    assert cli.main([command, "--config", path]) == 0
+    loaded.append("scipy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_monte_carlo_runs_load_scipy(tmp_path):
+    # the tree and the lattice draw no normal variate, so they never import
+    # scipy's inverse normal CDF; a path batch loads it on its first draw
+    runs = [("verify", _cfg(tmp_path, "tree.json", grid_steps=4)[0]),
+            ("solve", _cfg(tmp_path, "lattice.json", node_cap=None)[0]),
+            ("solve", _cfg(tmp_path, "mc.json", method="mc", grid_steps=4,
+                           n_paths=200)[0])]
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    res = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE]
+        + [str(arg) for run in runs for arg in run],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == [False, False, False,
+                                                       True]
 
 
 def test_config_round_trip(tmp_path, monkeypatch):

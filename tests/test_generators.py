@@ -274,6 +274,33 @@ def test_check_growth_quadratic_fails():
     assert not rep["passed"]
 
 
+@pytest.mark.parametrize("d, m", [(1, 1), (2, 3)])
+def test_sample_cloud_covers_its_ranges(d, m):
+    # uniform draws mapped affinely: t in [0, T), Brownian states in
+    # [-3, 3], every jump count 0..5, and y, z, v reaching out to +-c in
+    # each magnitude class c = 0.3, 3, 30, 300 (one class per row in turn)
+    from jumpbsde.generators import _sample_cloud
+    marks = jb.make_mark_space([[1.0]] * m, [1.0] * m)
+    prob = jb.make_problem(2.5, 4, d, marks, jb.make_generator(
+        "affine", {}, marks=marks, d=d), jb.make_terminal(
+        "constant", {}, marks, d=d))
+    t, bw, counts, y, z, v = _sample_cloud(prob, 400, seed=0)
+    assert (t.shape, bw.shape, counts.shape) == ((400,), (400, d), (400, m))
+    assert (y.shape, z.shape, v.shape) == ((400,), (400, d), (400, m))
+    assert 0 <= t.min() and t.max() < 2.5 and np.ptp(t) > 2.4
+    assert -3 <= bw.min() < -2.9 and 2.9 < bw.max() <= 3
+    assert set(np.unique(counts)) == set(range(6))
+    for cls, c in enumerate((0.3, 3.0, 30.0, 300.0)):
+        signed = np.column_stack((y, z, v))[cls::4]
+        assert -c <= signed.min() < -0.9 * c and 0.9 * c < signed.max() <= c
+    # a seed draws its own cloud, the same every time
+    again = _sample_cloud(prob, 400, seed=0)
+    other = _sample_cloud(prob, 400, seed=1)
+    assert all(np.array_equal(a, b) for a, b in zip(again, (t, bw, counts,
+                                                            y, z, v)))
+    assert not np.array_equal(other[3], y)
+
+
 def test_check_growth_without_constants_is_na():
     marks = jb.make_mark_space([[1.0]], [1.0])
     prob = _basic_problem(marks=marks)
