@@ -53,11 +53,21 @@ def counter_hash(seed, stream, path, slot):
     return h
 
 
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def _to_uniform(h):
+    """The uniform in (0, 1) of uint64 hashes: their top 53 bits, centered
+    on the representable grid. The top value alone rounds to 1.0 and is
+    clamped to the largest float below 1; every other value is below it."""
+    u = np.asarray(((h >> np.uint64(11)).astype(np.float64) + 0.5)
+                   * (2.0 ** -53))
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
 def uniform(seed, stream, path, slot):
     """Uniform variates in the open interval (0, 1)."""
-    h = counter_hash(seed, stream, path, slot)
-    # top 53 bits, centered on the representable grid: never exactly 0 or 1
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    return _to_uniform(counter_hash(seed, stream, path, slot))
 
 
 def normal(seed, stream, path, slot):

@@ -31,8 +31,14 @@ in the (S^q, M^q, L^q) sample norms. On explicit trees those norms are exact
 via a leaf sweep; on implicit lattices S^q is replaced by the exact
 sup-of-marginals lower bound and M^q by its q=2 form (L^q is a linear
 functional and stays exact). The engine keeps one iterate and each sweep
-overwrites it in place, one depth at a time: the representation's meter
-(``_Meter``) takes that depth's differences before they are overwritten --
+overwrites it in place, one depth at a time. On a path batch the iterate
+keeps Y per depth but each step's (Z_k, V_k) as that step's regression
+coefficients (``_BatchZV``), since a fitted field is the step's design
+times them: one target-major sum on the design a fit has just filled gives
+the new (Z_k, V_k) and the previous sweep's, which the driver freezes, and
+the solution's per-path (Z, V) are expanded once, after the last sweep. The
+representation's meter (``_Meter``) takes each depth's differences before
+they are overwritten --
 per-depth scalars on the lattice; on an explicit tree and a path batch the Z
 and |V|^p levels, which the representation's walk view (``sweep``: the leaf
 sweep's root-to-leaf paths, or a batch's paths, each its own walk) reduces
@@ -54,6 +60,7 @@ Lattice reductions use einsum(optimize=False) rather than BLAS, so results
 are bit-stable across thread counts; per-path regression assembly reduces in
 a fixed order for the same reason.
 """
+import collections.abc
 import functools
 import itertools
 import math
@@ -349,22 +356,37 @@ class _StepBasis:
                             if factors else 1.0)
         return design
 
-    def fit(self, states, targets, buf):
-        """Least-squares fitted values for stacked targets (n, nt) on the
-        states the basis was built on; the design is refilled into the head
-        of the flat buffer ``buf``, column by column (the layout
+    def design(self, states, buf):
+        """The design on the states the basis was built on, refilled into
+        the head of the flat buffer ``buf``, column by column (the layout
         ``design[:, keep]`` has)."""
-        n, k = targets.shape[0], len(self.exps)
-        design = self._fill(self.exps, states, buf[:n * k].reshape(k, n).T)
+        n, k = states[0].shape[0], len(self.exps)
+        return self._fill(self.exps, states, buf[:n * k].reshape(k, n).T)
+
+    def coefficients(self, design, targets):
+        """Least-squares coefficients (kept columns, nt) of stacked targets
+        (n, nt) on ``design``."""
         rhs = np.einsum("ni,nt->it", design, targets, optimize=False)
-        beta = np.linalg.solve(self.gram, rhs)
-        # design @ beta summed as einsum("ni,it->nt") sums it: from zero,
-        # one column times its coefficients at a time, in basis order; held
-        # target-major while summing, so each add runs over n contiguous rows
-        fitted = np.zeros((targets.shape[1], n))
-        for col, coef in zip(design.T, beta):
-            fitted += coef[:, None] * col
-        return np.ascontiguousarray(fitted.T)
+        return np.linalg.solve(self.gram, rhs)
+
+    def fit(self, states, targets, buf):
+        """Least-squares fitted values (n, nt) for stacked targets on the
+        states the basis was built on: a view of their target-major sums
+        (``_combine``)."""
+        design = self.design(states, buf)
+        return _combine(design, self.coefficients(design, targets)).T
+
+
+def _combine(design, coefs):
+    """``design @ coefs`` target-major, shaped (nt, n), summed as
+    einsum("ni,it->nt") sums it: from zero, one column times its
+    coefficients at a time, in basis order. Each target's row has the same
+    bits whatever other columns ``coefs`` stacks beside it, and each add
+    runs over n contiguous values."""
+    out = np.zeros((coefs.shape[1], design.shape[0]))
+    for col, coef in zip(design.T, coefs):
+        out += coef[:, None] * col
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -847,6 +869,12 @@ class _Lattice(_Representation):
                 np.einsum("nb,bd->nd", yc, self._wz),
                 np.einsum("nb,bm->nm", yc, self._wv))
 
+    def project_frozen(self, sol, j, k):
+        """A Picard sweep's projection at depth k = k_lo + j of the iterate
+        ``sol``: (E[Y_{k+1} | F_k], the new Z_k, V_k, the iterate's own
+        (Z_k, V_k))."""
+        return (*self.project(sol.y[j + 1], k), (sol.z[j], sol.v[j]))
+
     def _mean(self, level, k):
         """E[level] over the states at depth k."""
         return float(np.einsum("n,n->", self.tree.state_probs(k), level))
@@ -890,7 +918,10 @@ class _PathBatch(_PathEstimators):
     batch; every fit refills its design into one buffer the batch owns. The
     batch keeps the state at every node once, step-major (``_states``), so a
     step's state is one contiguous slice. A depth's level holds one value
-    per path; at least 2 paths, so that sample means carry an SE."""
+    per path; at least 2 paths, so that sample means carry an SE. A Picard
+    iterate on the batch keeps its (Z, V) as per-step coefficients
+    (``_BatchZV``, ``project_frozen``), which ``expand`` turns into
+    per-path arrays."""
 
     kind, estimator, tree = "paths", "mc", None
     _meter = _BatchMeter
@@ -951,9 +982,12 @@ class _PathBatch(_PathEstimators):
         return problem.context(self.grid.nodes[k], bvals,
                                lambda: counts.astype(float))
 
-    def project(self, y_next, k):
-        """(E[Y_{k+1} | F_k], Z_k, V_k), fitted jointly from the stacked
-        targets Y, Y dB/dt and Y (1{jump} - p) / (p (1 - p))."""
+    def _fit(self, y_next, k, prev=None):
+        """E[Y_{k+1} | F_k], Z_k and V_k fitted jointly from the stacked
+        targets Y, Y dB/dt and Y (1{jump} - p) / (p (1 - p)), as the rows
+        of one target-major (1 + d + m, n) table, and the (Z_k, V_k) entry
+        of a ``_BatchZV``. A fitted entry ``prev`` of depth k adds the rows
+        of its (Z_k, V_k), summed on the same design."""
         n, d, dt = self.n_paths, self.d, self.grid.dt
         counts = self._states[1]
         jump = counts[k + 1] != counts[k]     # no unsigned subtraction
@@ -966,13 +1000,56 @@ class _PathBatch(_PathEstimators):
         if k == 0:
             # every path carries the same state at t_0: the projection given
             # trivial information is the plain mean
-            fitted = np.broadcast_to(targets.mean(axis=0), targets.shape)
-        else:
-            states = self._step(k)
-            if k not in self._bases:
-                self._bases[k] = _StepBasis(states, self.degree, step=k)
-            fitted = self._bases[k].fit(states, targets, self._design_buf)
-        return fitted[:, 0], fitted[:, 1:1 + d], fitted[:, 1 + d:]
+            mean = targets.mean(axis=0)
+            return np.broadcast_to(mean[:, None], (mean.size, n)), mean[1:]
+        states = self._step(k)
+        if k not in self._bases:
+            self._bases[k] = _StepBasis(states, self.degree, step=k)
+        basis = self._bases[k]
+        design = basis.design(states, self._design_buf)
+        beta = basis.coefficients(design, targets)
+        stacked = beta if prev is None or prev.ndim == 1 else np.hstack(
+            [beta, prev])
+        return _combine(design, stacked), beta[:, 1:]
+
+    def project(self, y_next, k):
+        """(E[Y_{k+1} | F_k], Z_k, V_k): views of one path-major table (at
+        k = 0, of the broadcast mean), the layouts the driver reads them
+        in."""
+        fitted = self._fit(y_next, k)[0].T
+        if k > 0:
+            fitted = np.ascontiguousarray(fitted)
+        return fitted[:, 0], fitted[:, 1:1 + self.d], fitted[:, 1 + self.d:]
+
+    def project_frozen(self, sol, j, k):
+        """A Picard sweep's projection at depth k = k_lo + j of the iterate
+        ``sol``, whose (Z, V) are a ``_BatchZV``: (E[Y_{k+1} | F_k], the new
+        Z_k, V_k, the iterate's own (Z_k, V_k)). One target-major sum on
+        the design the fit has just filled gives the new fields and the
+        iterate's own, which come C-contiguous, as the driver has always
+        read frozen fields; the new coefficients replace the iterate's."""
+        coefs, w = sol.z.coefs, 1 + self.d + self.m
+        prev = coefs.entries[j]
+        fitted, coefs.entries[j] = self._fit(sol.y[j + 1], k, prev)
+        old = fitted[w:].T if prev.ndim == 2 else self._broadcast(prev)
+        return (fitted[0], fitted[1:1 + self.d].T, fitted[1 + self.d:w].T,
+                self._split(old))
+
+    def _broadcast(self, row):
+        return np.broadcast_to(row, (self.n_paths, row.size))
+
+    def _split(self, zv):
+        """C-contiguous (Z, V) from the (n, d + m) values ``zv``."""
+        return (np.ascontiguousarray(zv[:, :self.d]),
+                np.ascontiguousarray(zv[:, self.d:]))
+
+    def expand(self, entry, k):
+        """(Z_k, V_k), C-contiguous, from a ``_BatchZV`` entry of depth k:
+        the design of step k is refilled."""
+        if entry.ndim == 1:
+            return self._split(self._broadcast(entry))
+        design = self._bases[k].design(self._step(k), self._design_buf)
+        return self._split(_combine(design, entry).T)
 
     def integrate(self, levels, combine):
         """The sample mean of combine(levels) over the paths, and its SE."""
@@ -984,15 +1061,51 @@ class _PathBatch(_PathEstimators):
         return np.mean(per_path)
 
 
-def _empty(rep, problem, k_lo, k_hi):
-    """A solution on ``rep`` over depths [k_lo, k_hi], its fields unset."""
-    n = rep.n_states
+class _BatchZV:
+    """The (Z, V) of a Picard iterate on a path batch, kept as one entry per
+    depth from ``k_lo``: a fitted (Z_k, V_k) is design_k @ entry, with the
+    entry the Z/V columns (kept basis columns, d + m) of the step's
+    least-squares coefficients, or the one row (d + m,) that every path
+    shares -- the plain mean at k = 0, the constant start. The iterate's
+    ``z`` and ``v`` read it as per-depth (n, d) and (n, m) arrays, expanded
+    on access (``_ExpandedField``)."""
+
+    def __init__(self, rep, k_lo, entries):
+        self.rep, self.k_lo, self.entries = rep, k_lo, entries
+
+    def expand(self):
+        """(Z, V) as per-depth lists of C-contiguous arrays."""
+        fields = [self.rep.expand(entry, k)
+                  for k, entry in enumerate(self.entries, self.k_lo)]
+        return [z for z, _ in fields], [v for _, v in fields]
+
+
+class _ExpandedField(collections.abc.Sequence):
+    """Field 0 (Z) or 1 (V) of a ``_BatchZV``, one depth expanded per
+    read."""
+
+    def __init__(self, coefs, field):
+        self.coefs, self.field = coefs, field
+
+    def __len__(self):
+        return len(self.coefs.entries)
+
+    def __getitem__(self, j):
+        j = range(len(self))[j]
+        coefs = self.coefs
+        return coefs.rep.expand(coefs.entries[j], coefs.k_lo + j)[self.field]
+
+
+def _empty(rep, problem, k_lo, k_hi, zv=True):
+    """A solution on ``rep`` over depths [k_lo, k_hi], its fields unset
+    (Z and V None without ``zv``)."""
+    n, steps = rep.n_states, range(k_lo, k_hi)
     return Solution(
         kind=rep.kind, grid=problem.grid, fingerprint=problem.fingerprint(),
         y0=math.nan, tree=rep.tree, batch=rep.batch,
         y=[np.empty(n(k)) for k in range(k_lo, k_hi + 1)],
-        z=[np.empty((n(k), problem.d)) for k in range(k_lo, k_hi)],
-        v=[np.empty((n(k), problem.marks.m)) for k in range(k_lo, k_hi)],
+        z=[np.empty((n(k), problem.d)) for k in steps] if zv else None,
+        v=[np.empty((n(k), problem.marks.m)) for k in steps] if zv else None,
         diagnostics=dict(rep.diagnostics))
 
 
@@ -1074,8 +1187,10 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
     step's own projections (Z_k, V_k). With it, this is one Picard sweep
     over ``iterate``, in place: at depth k it projects the new Y_{k+1},
     solves the step with the iterate's own (Z_k, V_k) -- the previous
-    sweep's -- frozen in the driver, passes the differences new - old to
-    ``meter`` and writes (Y_k, Z_k, V_k) over the old values.
+    sweep's -- frozen in the driver (both from ``rep.project_frozen``),
+    passes the differences new - old to ``meter`` and writes (Y_k, Z_k,
+    V_k) over the old values; a batch iterate's (Z_k, V_k) coefficients
+    are replaced in ``project_frozen``.
 
     ``settled`` (None on a first sweep, whose start is no sweep's output)
     flags per depth whether the previous sweep left Y bitwise unchanged; the
@@ -1111,19 +1226,23 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
             if skip:
                 meter.skip(k)          # and Y_k stays unchanged
                 continue
-        cond_mean, z, v = rep.project(sol.y[j + 1], k)
-        frozen = (z, v) if iterate is None else (sol.z[j], sol.v[j])
+        if iterate is None:
+            cond_mean, z, v = rep.project(sol.y[j + 1], k)
+            frozen = (z, v)
+        else:
+            cond_mean, z, v, frozen = rep.project_frozen(sol, j, k)
         y = _solve_implicit(cond_mean,
                             gen.bind(rep.context(problem, k), *frozen),
                             dt, kappa_dt)
         if meter is not None:
             meter.y(k, y - sol.y[j])
-            meter.zv(k, z - sol.z[j], v - sol.v[j])
+            meter.zv(k, z - frozen[0], v - frozen[1])
         if settled is not None:
             unchanged = _same_bits(y, sol.y[j])
         sol.y[j][...] = y
-        sol.z[j][...] = z
-        sol.v[j][...] = v
+        if not isinstance(sol.z, _ExpandedField):  # a _BatchZV is updated
+            sol.z[j][...] = z
+            sol.v[j][...] = v
     sol.y0 = float(sol.y[0][0])
     return sol
 
@@ -1172,12 +1291,22 @@ def _check_assumptions(problem, seed):
 
 
 def _constant(rep, problem, k_lo, k_hi, init):
-    """The constant (Y, Z, V) = init over depths [k_lo, k_hi]."""
-    sol = _empty(rep, problem, k_lo, k_hi)
-    for levels, value in zip((sol.y, sol.z, sol.v), init):
+    """The constant (Y, Z, V) = init over depths [k_lo, k_hi]; on a path
+    batch, (Z, V) are a ``_BatchZV`` whose every depth holds one row."""
+    batch = isinstance(rep, _PathBatch)
+    sol = _empty(rep, problem, k_lo, k_hi, zv=not batch)
+    y0, z0, v0 = map(float, init)
+    fields = [(sol.y, y0)]
+    if batch:
+        row = np.array([z0] * problem.d + [v0] * problem.marks.m)
+        coefs = _BatchZV(rep, k_lo, [row] * (k_hi - k_lo))
+        sol.z, sol.v = _ExpandedField(coefs, 0), _ExpandedField(coefs, 1)
+    else:
+        fields += [(sol.z, z0), (sol.v, v0)]
+    for levels, value in fields:
         for level in levels:
-            level[...] = float(value)
-    sol.y0 = float(init[0])
+            level[...] = value
+    sol.y0 = y0
     return sol
 
 
@@ -1187,7 +1316,9 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
 
     It owns one iterate, the constant ``init``, which every sweep
     (``_backward``) overwrites in place while its meter takes each depth's
-    differences before they are overwritten."""
+    differences before they are overwritten. A path batch's (Z, V), kept as
+    coefficients through the sweeps, are expanded once, after the last
+    sweep's meter is released."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if q is None:
@@ -1225,6 +1356,9 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
     else:
         trace.message = (f"tolerance {tol:g} not reached in {max_iter} "
                          "iterations")
+    del meter
+    if isinstance(sol.z, _ExpandedField):
+        sol.z, sol.v = sol.z.coefs.expand()
     sol.diagnostics["picard"] = trace.to_json_dict()
     return sol, trace
 

@@ -708,6 +708,24 @@ def test_zero_calibrated_c_emp_gives_one_interval(tmp_path, capsys,
     assert plan["breakpoints"] == [0.0, 1.0] and body["converged"]
 
 
+def test_a_pilot_converged_before_any_ratio_gives_one_interval(tmp_path):
+    # the zero driver from a zero terminal: the pilot's first sweep changes
+    # nothing, so it converges without measuring a ratio and calibrates
+    # c_emp = 0 (a fallback ratio of 1 would plan 16 intervals)
+    path, _ = _cfg(tmp_path, grid_steps=16, node_cap=None,
+                   subdivide={"enabled": True},
+                   problem={**copy.deepcopy(BASE["problem"]),
+                            "generator": {"form": "affine", "kappa": 0.5},
+                            "terminal": {"form": "constant",
+                                         "params": {"value": 0.0}}})
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_OK
+    out = tmp_path / "out"
+    body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
+    plan = body["subdivision_plan"]
+    assert plan["c_emp"] == 0.0 and plan["breakpoints"] == [0.0, 1.0]
+    assert body["converged"]
+
+
 def test_subdivided_solve_checks_lipschitz_once(tmp_path, monkeypatch):
     # the pilot solve that calibrates c_emp checks the declared kappa; the
     # chained solve after it does not check it again

@@ -455,3 +455,24 @@ def test_lattice_picard_holds_one_iterate():
     assert trace.converged
     one = sum(lev.nbytes for f in (sol.y, sol.z, sol.v) for lev in f)
     assert peak <= 1.35 * one
+
+
+def test_batch_picard_keeps_z_and_v_as_coefficients():
+    # through the sweeps a batch iterate keeps Y per depth and (Z, V) as each
+    # step's coefficients: beside Y, the meter's Z and |V|^p levels and the
+    # states and the design buffer the batch builds, only one chunk block
+    # of the meter's reduction and per-step temporaries are live; per-path
+    # (Z, V) arrays would add 2 N n floats
+    n, N = 4000, 20
+    problem = _problem(1, 1, N)
+    batch = jb.simulate_paths(problem.grid, problem.marks, 1, n, 0)
+    (sol, trace), _, peak = traced_peak(jb.picard_solve, problem, "mc",
+                                        batch=batch)
+    assert trace.converged
+    y = sum(lev.nbytes for lev in sol.y)
+    meter = 8 * (2 * N + 1) * n
+    states = (N + 1) * n * (8 + 1)          # float64 values, uint8 counts
+    design = 8 * n * len(solver._monomial_exponents(2, 2))
+    block = 8 * min(n, solver._BatchSweep.CHUNK_ROWS) * N
+    assert peak <= y + meter + states + design + block + 8 * 12 * n
+

@@ -192,6 +192,83 @@ def test_ladder_matches_two_iterate_reference(monkeypatch, method, driver,
 
 
 # ---------------------------------------------------------------------------
+# a path batch's iterate keeps (Z, V) as coefficients
+# ---------------------------------------------------------------------------
+
+def _coefficient_run(monkeypatch, run, rep):
+    """``run()`` with the batch iterate checked at every sweep: its (Z, V)
+    entries are rows or coefficient matrices, never per-path arrays, and
+    the driver reads the frozen (Z, V) C-contiguous."""
+    bind, backward, gen = jb.GeneratorSpec.bind, solver._backward, []
+
+    def bind_spy(self, ctx, z, v):
+        gen.append(z.flags.c_contiguous and v.flags.c_contiguous)
+        return bind(self, ctx, z, v)
+
+    def backward_spy(rep_, problem, k_lo, k_hi, *args, **kwargs):
+        sol = backward(rep_, problem, k_lo, k_hi, *args, **kwargs)
+        coefs = sol.z.coefs
+        for k, entry in enumerate(coefs.entries, k_lo):
+            rows = len(rep._bases[k].exps) if entry.ndim == 2 else None
+            assert entry.shape[-1] == rep.d + rep.m
+            assert entry.ndim == 1 or entry.shape[0] == rows
+        return sol
+
+    with monkeypatch.context() as patch:
+        patch.setattr(jb.GeneratorSpec, "bind", bind_spy)
+        patch.setattr(solver, "_backward", backward_spy)
+        out = run()
+    assert gen and all(gen)
+    return out
+
+
+def test_batch_coefficients_match_two_iterate_reference(monkeypatch):
+    # d = m = 2 at basis degree 2, with rare jumps: pivoting drops the
+    # squares of the 0/1 jump counts, so early steps have fewer
+    # coefficients than monomials
+    marks = jb.make_mark_space([[1.0], [2.0]], [0.15, 0.25])
+    gen = jb.make_generator("lipschitz-smooth",
+                            {"ay": 0.5, "bz": [0.25, 0.25], "cv": 0.25},
+                            marks=marks, d=2)
+    term = jb.make_terminal("state-linear",
+                            {"brownian_weights": [1.0, 1.0],
+                             "jump_weights": [0.5, 0.5], "compensated": True},
+                            marks=marks, d=2)
+    problem = jb.make_problem(1.0, 6, 2, marks, gen, term)
+    rep = _setup(problem, "mc", n_paths=400, seed=3, basis_degree=2)
+    kw = {"tol": 1e-12, "max_iter": 25, "q": 1.5, "init": INIT}
+    sol, trace = _coefficient_run(
+        monkeypatch, lambda: solver._picard(rep, problem, **kw), rep)
+    full = len(solver._monomial_exponents(4, 2))
+    assert any(len(basis.exps) < full for basis in rep._bases.values())
+    assert trace.n_iter >= 4
+    want_sol, want_trace = _picard_ref(rep, problem, **kw)
+    _assert_same_solution(sol, want_sol)
+    _assert_same_trace(trace, want_trace)
+    # one interval with k_lo > 0, from the solve's Y at its right end
+    kw_sub = {**kw, "k_lo": 2, "k_hi": 4, "terminal_values": sol.y[4]}
+    piece, trace = _coefficient_run(
+        monkeypatch, lambda: solver._picard(rep, problem, **kw_sub), rep)
+    want_sol, want_trace = _picard_ref(rep, problem, **kw_sub)
+    _assert_same_solution(piece, want_sol)
+    _assert_same_trace(trace, want_trace)
+    # a chained solve: intervals [4, 6], [2, 4], [0, 2]
+    plan = jb.SubdivisionPlan(np.linspace(0.0, 1.0, 4), 1.5, 0.5, 1.0, 0.5,
+                              0.0)
+    sol, traces = _coefficient_run(monkeypatch, lambda: jb.chained_solve(
+        problem, plan, "mc", batch=rep.batch, **kw), rep)
+    pieces, terminal = [], None
+    for i, k_lo in enumerate((4, 2, 0)):
+        piece, want_trace = _picard_ref(rep, problem, k_lo=k_lo,
+                                        k_hi=k_lo + 2,
+                                        terminal_values=terminal, **kw)
+        _assert_same_trace(traces[i], want_trace)
+        pieces.append((k_lo, piece))
+        terminal = piece.y[0]
+    _assert_same_solution(sol, solver._join(rep, problem, pieces[::-1]))
+
+
+# ---------------------------------------------------------------------------
 # the settled tail
 # ---------------------------------------------------------------------------
 

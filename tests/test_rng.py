@@ -61,3 +61,15 @@ def test_negative_and_huge_seeds_accepted():
     out = rng.uniform(-17, 1, np.uint64(0), np.uint64(0))
     out2 = rng.uniform(2 ** 70 + 3, 1, np.uint64(0), np.uint64(0))
     assert 0 < float(out) < 1 and 0 < float(out2) < 1
+
+
+def test_the_top_hash_maps_below_one():
+    # the top 53-bit value rounds to 1.0 unclamped (and the normal to +inf);
+    # it alone is clamped, to the largest float below 1, and the next value
+    # down keeps its own, smaller uniform
+    top, below = (1 << 64) - 1, (1 << 64) - 1 - (1 << 11)
+    u = rng._to_uniform(np.array([top, top - 1, below], dtype=np.uint64))
+    assert u[0] == u[1] == np.nextafter(1.0, 0.0)
+    assert u[2] == ((2.0 ** 53 - 2) + 0.5) * 2.0 ** -53 == 1.0 - 2.0 ** -52
+    from scipy.special import ndtri
+    assert np.all(np.isfinite(ndtri(u)))
