@@ -330,10 +330,9 @@ def cmd_solve(cfg):
             _, pilot_trace = picard_solve(
                 problem, cfg["method"], tol=pic["tol"],
                 max_iter=sub["pilot_max_iter"], q=q, **ctx)
-            # a pilot that converged before measuring a ratio saw no
-            # contraction to plan for; a stopped one is planned for r = 1
-            r_hat = (max(pilot_trace.ratios) if pilot_trace.ratios
-                     else 0.0 if pilot_trace.converged else 1.0)
+            # with tol >= 0 and at least two iterations, a pilot measures
+            # no ratio only when it converged at its first: nothing to plan
+            r_hat = max(pilot_trace.ratios, default=0.0)
             scale = (problem.generator.lipschitz_kappa
                      * problem.grid.horizon ** (1 - q / 2))
             # kappa = 0: the driver ignores (y, z, v), one interval will do

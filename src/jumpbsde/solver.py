@@ -33,7 +33,7 @@ sup-of-marginals lower bound and M^q by its q=2 form (L^q is a linear
 functional and stays exact). The engine keeps one iterate and each sweep
 overwrites it in place, one depth at a time. On a path batch the iterate
 keeps Y per depth but each step's (Z_k, V_k) as that step's regression
-coefficients (``_BatchZV``), since a fitted field is the step's design
+coefficients (``_Coefficients``), since a fitted field is the step's design
 times them: one target-major sum on the design a fit has just filled gives
 the new (Z_k, V_k) and the previous sweep's, which the driver freezes, and
 the solution's per-path (Z, V) are expanded once, after the last sweep. The
@@ -920,7 +920,7 @@ class _PathBatch(_PathEstimators):
     step's state is one contiguous slice. A depth's level holds one value
     per path; at least 2 paths, so that sample means carry an SE. A Picard
     iterate on the batch keeps its (Z, V) as per-step coefficients
-    (``_BatchZV``, ``project_frozen``), which ``expand`` turns into
+    (``_Coefficients``, ``project_frozen``), which ``expand`` turns into
     per-path arrays."""
 
     kind, estimator, tree = "paths", "mc", None
@@ -985,9 +985,9 @@ class _PathBatch(_PathEstimators):
     def _fit(self, y_next, k, prev=None):
         """E[Y_{k+1} | F_k], Z_k and V_k fitted jointly from the stacked
         targets Y, Y dB/dt and Y (1{jump} - p) / (p (1 - p)), as the rows
-        of one target-major (1 + d + m, n) table, and the (Z_k, V_k) entry
-        of a ``_BatchZV``. A fitted entry ``prev`` of depth k adds the rows
-        of its (Z_k, V_k), summed on the same design."""
+        of one target-major (1 + d + m, n) table, and their (Z_k, V_k)
+        entry of ``_Coefficients``. A fitted entry ``prev`` of depth k adds
+        the rows of its (Z_k, V_k), summed on the same design."""
         n, d, dt = self.n_paths, self.d, self.grid.dt
         counts = self._states[1]
         jump = counts[k + 1] != counts[k]     # no unsigned subtraction
@@ -1023,14 +1023,14 @@ class _PathBatch(_PathEstimators):
 
     def project_frozen(self, sol, j, k):
         """A Picard sweep's projection at depth k = k_lo + j of the iterate
-        ``sol``, whose (Z, V) are a ``_BatchZV``: (E[Y_{k+1} | F_k], the new
-        Z_k, V_k, the iterate's own (Z_k, V_k)). One target-major sum on
+        ``sol``, whose (Z, V) are ``_Coefficients``: (E[Y_{k+1} | F_k], the
+        new Z_k, V_k, the iterate's own (Z_k, V_k)). One target-major sum on
         the design the fit has just filled gives the new fields and the
         iterate's own, which come C-contiguous, as the driver has always
         read frozen fields; the new coefficients replace the iterate's."""
-        coefs, w = sol.z.coefs, 1 + self.d + self.m
-        prev = coefs.entries[j]
-        fitted, coefs.entries[j] = self._fit(sol.y[j + 1], k, prev)
+        entries, w = sol.z.entries, 1 + self.d + self.m
+        prev = entries[j]
+        fitted, entries[j] = self._fit(sol.y[j + 1], k, prev)
         old = fitted[w:].T if prev.ndim == 2 else self._broadcast(prev)
         return (fitted[0], fitted[1:1 + self.d].T, fitted[1 + self.d:w].T,
                 self._split(old))
@@ -1044,8 +1044,8 @@ class _PathBatch(_PathEstimators):
                 np.ascontiguousarray(zv[:, self.d:]))
 
     def expand(self, entry, k):
-        """(Z_k, V_k), C-contiguous, from a ``_BatchZV`` entry of depth k:
-        the design of step k is refilled."""
+        """(Z_k, V_k), C-contiguous, from a ``_Coefficients`` entry of
+        depth k: the design of step k is refilled."""
         if entry.ndim == 1:
             return self._split(self._broadcast(entry))
         design = self._bases[k].design(self._step(k), self._design_buf)
@@ -1061,39 +1061,25 @@ class _PathBatch(_PathEstimators):
         return np.mean(per_path)
 
 
-class _BatchZV:
-    """The (Z, V) of a Picard iterate on a path batch, kept as one entry per
-    depth from ``k_lo``: a fitted (Z_k, V_k) is design_k @ entry, with the
-    entry the Z/V columns (kept basis columns, d + m) of the step's
-    least-squares coefficients, or the one row (d + m,) that every path
-    shares -- the plain mean at k = 0, the constant start. The iterate's
-    ``z`` and ``v`` read it as per-depth (n, d) and (n, m) arrays, expanded
-    on access (``_ExpandedField``)."""
+class _Coefficients(collections.abc.Sequence):
+    """Z (``field`` 0) or V (1) of a Picard iterate on a path batch: its z
+    and v share one list of ``entries``, one per depth from ``k_lo``. A
+    fitted (Z_k, V_k) is design_k @ entry, with the entry the Z/V columns
+    (kept basis columns, d + m) of the step's least-squares coefficients,
+    or the one row (d + m,) that every path shares -- the plain mean at
+    k = 0, the constant start. Reads as per-depth (n, d) or (n, m) arrays,
+    each expanded on access."""
 
-    def __init__(self, rep, k_lo, entries):
+    def __init__(self, rep, k_lo, entries, field):
         self.rep, self.k_lo, self.entries = rep, k_lo, entries
-
-    def expand(self):
-        """(Z, V) as per-depth lists of C-contiguous arrays."""
-        fields = [self.rep.expand(entry, k)
-                  for k, entry in enumerate(self.entries, self.k_lo)]
-        return [z for z, _ in fields], [v for _, v in fields]
-
-
-class _ExpandedField(collections.abc.Sequence):
-    """Field 0 (Z) or 1 (V) of a ``_BatchZV``, one depth expanded per
-    read."""
-
-    def __init__(self, coefs, field):
-        self.coefs, self.field = coefs, field
+        self.field = field
 
     def __len__(self):
-        return len(self.coefs.entries)
+        return len(self.entries)
 
     def __getitem__(self, j):
         j = range(len(self))[j]
-        coefs = self.coefs
-        return coefs.rep.expand(coefs.entries[j], coefs.k_lo + j)[self.field]
+        return self.rep.expand(self.entries[j], self.k_lo + j)[self.field]
 
 
 def _empty(rep, problem, k_lo, k_hi, zv=True):
@@ -1240,7 +1226,7 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
         if settled is not None:
             unchanged = _same_bits(y, sol.y[j])
         sol.y[j][...] = y
-        if not isinstance(sol.z, _ExpandedField):  # a _BatchZV is updated
+        if not isinstance(sol.z, _Coefficients):  # else project_frozen
             sol.z[j][...] = z
             sol.v[j][...] = v
     sol.y0 = float(sol.y[0][0])
@@ -1292,15 +1278,16 @@ def _check_assumptions(problem, seed):
 
 def _constant(rep, problem, k_lo, k_hi, init):
     """The constant (Y, Z, V) = init over depths [k_lo, k_hi]; on a path
-    batch, (Z, V) are a ``_BatchZV`` whose every depth holds one row."""
+    batch, (Z, V) are ``_Coefficients`` whose every depth holds one row."""
     batch = isinstance(rep, _PathBatch)
     sol = _empty(rep, problem, k_lo, k_hi, zv=not batch)
     y0, z0, v0 = map(float, init)
     fields = [(sol.y, y0)]
     if batch:
         row = np.array([z0] * problem.d + [v0] * problem.marks.m)
-        coefs = _BatchZV(rep, k_lo, [row] * (k_hi - k_lo))
-        sol.z, sol.v = _ExpandedField(coefs, 0), _ExpandedField(coefs, 1)
+        entries = [row] * (k_hi - k_lo)
+        sol.z, sol.v = (_Coefficients(rep, k_lo, entries, field)
+                        for field in (0, 1))
     else:
         fields += [(sol.z, z0), (sol.v, v0)]
     for levels, value in fields:
@@ -1357,8 +1344,10 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
         trace.message = (f"tolerance {tol:g} not reached in {max_iter} "
                          "iterations")
     del meter
-    if isinstance(sol.z, _ExpandedField):
-        sol.z, sol.v = sol.z.coefs.expand()
+    if isinstance(sol.z, _Coefficients):
+        fields = [rep.expand(entry, k)
+                  for k, entry in enumerate(sol.z.entries, k_lo)]
+        sol.z, sol.v = [z for z, _ in fields], [v for _, v in fields]
     sol.diagnostics["picard"] = trace.to_json_dict()
     return sol, trace
 

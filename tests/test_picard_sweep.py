@@ -207,8 +207,8 @@ def _coefficient_run(monkeypatch, run, rep):
 
     def backward_spy(rep_, problem, k_lo, k_hi, *args, **kwargs):
         sol = backward(rep_, problem, k_lo, k_hi, *args, **kwargs)
-        coefs = sol.z.coefs
-        for k, entry in enumerate(coefs.entries, k_lo):
+        assert sol.z.entries is sol.v.entries
+        for k, entry in enumerate(sol.z.entries, k_lo):
             rows = len(rep._bases[k].exps) if entry.ndim == 2 else None
             assert entry.shape[-1] == rep.d + rep.m
             assert entry.ndim == 1 or entry.shape[0] == rows
