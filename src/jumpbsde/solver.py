@@ -1226,7 +1226,7 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
         if settled is not None:
             unchanged = _same_bits(y, sol.y[j])
         sol.y[j][...] = y
-        if not isinstance(sol.z, _Coefficients):  # else project_frozen
+        if not isinstance(sol.z, _Coefficients):  # replaced by project_frozen
             sol.z[j][...] = z
             sol.v[j][...] = v
     sol.y0 = float(sol.y[0][0])
