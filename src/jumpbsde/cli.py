@@ -29,9 +29,8 @@ import sys
 from . import __version__
 from .errors import (ConditioningError, ConfigError, NumericError,
                      ResourceLimitError, StepSizeError)
-from .estimates import (DEFAULT_CEILING, ci_suite, ci_suite_csv_rows,
-                        uniqueness_experiment, verify_full_estimate,
-                        verify_zv_estimate)
+from .estimates import (DEFAULT_CEILING, _estimates, ci_suite,
+                        ci_suite_csv_rows, uniqueness_experiment)
 from .generators import (CONFIG_SCHEMA_ID, DIM_D, DIM_M, GENERATOR_FORMS,
                          TERMINAL_FORMS, _is_real, _is_real_list,
                          _one_of, _read_schema, make_generator, make_problem,
@@ -413,9 +412,7 @@ def cmd_verify(cfg):
             "picard_trace": trace.to_json_dict()})
         return _exit_code([trace.converged]), body, files
 
-    zv = verify_zv_estimate(solution, problem, ceiling=ceiling)
-    full = (verify_full_estimate(solution, problem, ceiling=ceiling)
-            if problem.p > 1 else None)
+    zv, full = _estimates(solution, problem, None, ceiling, full=problem.p > 1)
     # the verify solve is the uniqueness experiment's (0, 0, 0) start
     uniq = uniqueness_experiment(problem, cfg["method"], tol=pic["tol"],
                                  q=pic["q"], max_iter=pic["max_iter"],

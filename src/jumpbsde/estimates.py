@@ -66,7 +66,11 @@ def solution_functionals(solution, problem, p):
     int |f(s,0,0,0)| ds, |xi|, and weights. Exact on explicit trees, sample
     versions on path batches.
     """
-    return _represent(solution, problem).functionals(problem, p, solution)
+    rep = _represent(solution, problem)
+    terms = rep.functional_terms(problem, p, solution)
+    return {"weights": rep.weights,
+            **{name: rep.sweep.leaves(term())
+               for name, term in terms.items()}}
 
 
 def check_integrability(problem, n_paths=10_000, seed=0, method="mc",
@@ -105,34 +109,42 @@ def _report(name, lhs, rhs_core, problem, p, ceiling):
         anomalous=anomalous)
 
 
-def _expected_sum(weights, *terms):
-    """E[t_1 + t_2 + ...] of per-path terms, each a function giving a new
-    array: they are computed one at a time and added left to right into
-    one running sum."""
-    total = terms[0]()
-    for term in terms[1:]:
-        total += term()
-    return _wmean(weights, total)
+def _estimates(solution, problem, p, ceiling, full):
+    """The zv report and, with ``full``, the full one (else None), from one
+    pass over the path functionals, each computed once. Each side of an
+    inequality is E of its per-path terms added left to right, in the order
+    the docstrings of ``verify_zv_estimate`` and ``verify_full_estimate``
+    write them. The terms are taken to the power p per walk prefix; a
+    side's sum is the one per-path vector it adds to the terms held."""
+    p = problem.p if p is None else p
+    if p <= 0:
+        raise ValueError("p must be positive")
+    rep = _represent(solution, problem)
+    fn = rep.functional_terms(problem, p, solution)
 
+    def expect(*parts):
+        return _wmean(rep.weights, rep.sweep.leaves(*parts))
 
-def _powered(term, p):
-    """A function giving |term()|^p."""
-    return lambda: abs_pow(term(), p)
+    f0 = abs_pow(fn["int_f0_abs"](), p)
+    if full:
+        rhs_full = expect(abs_pow(fn["xi_abs"](), p), f0)
+    sup = abs_pow(fn["sup_abs_y"](), p)
+    rhs_zv = expect(sup, f0)
+    del f0          # the Z and V sums reuse its memory
+    z = fn["int_z_sq"]()
+    z = abs_pow(np.sqrt(z, out=z), p)
+    v = fn["int_v_p"]()
+    zv = _report("zv-vs-y", expect(z, v), rhs_zv, problem, p, ceiling)
+    if not full:
+        return zv, None
+    return zv, _report("full-vs-data", expect(sup, z, v), rhs_full, problem,
+                       p, ceiling)
 
 
 def verify_zv_estimate(solution, problem, p=None, ceiling=DEFAULT_CEILING):
     """E[(int |Z|^2)^{p/2} + int int |V|^p lambda ds] against
     E[sup |Y|^p + (int |f0|)^p]."""
-    p = problem.p if p is None else p
-    if p <= 0:
-        raise ValueError("p must be positive")
-    rep = _represent(solution, problem)
-    fn, w = rep.functional_terms(problem, p, solution), rep.weights
-    lhs = _expected_sum(w, _powered(lambda: np.sqrt(fn["int_z_sq"]()), p),
-                        fn["int_v_p"])
-    rhs = _expected_sum(w, _powered(fn["sup_abs_y"], p),
-                        _powered(fn["int_f0_abs"], p))
-    return _report("zv-vs-y", lhs, rhs, problem, p, ceiling)
+    return _estimates(solution, problem, p, ceiling, full=False)[0]
 
 
 def verify_full_estimate(solution, problem, p=None, ceiling=DEFAULT_CEILING):
@@ -141,14 +153,7 @@ def verify_full_estimate(solution, problem, p=None, ceiling=DEFAULT_CEILING):
     p = problem.p if p is None else p
     if p <= 1:
         raise ValueError("full estimate requires p > 1")
-    rep = _represent(solution, problem)
-    fn, w = rep.functional_terms(problem, p, solution), rep.weights
-    lhs = _expected_sum(w, _powered(fn["sup_abs_y"], p),
-                        _powered(lambda: np.sqrt(fn["int_z_sq"]()), p),
-                        fn["int_v_p"])
-    rhs = _expected_sum(w, _powered(fn["xi_abs"], p),
-                        _powered(fn["int_f0_abs"], p))
-    return _report("full-vs-data", lhs, rhs, problem, p, ceiling)
+    return _estimates(solution, problem, p, ceiling, full=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +256,11 @@ def ci_suite(ceiling=DEFAULT_CEILING, steps=6):
                 tree = build_scenario_tree(problem.grid, problem.marks,
                                            problem.d)
                 sol = solve_tree(problem, tree)
+                zv, full = _estimates(sol, problem, p, ceiling, full=True)
                 records.append({
                     "driver": form, "horizon": T, "p": p,
                     "kappa": problem.generator.lipschitz_kappa,
-                    "zv": verify_zv_estimate(sol, problem, p, ceiling),
-                    "full": verify_full_estimate(sol, problem, p, ceiling),
+                    "zv": zv, "full": full,
                 })
     return records
 

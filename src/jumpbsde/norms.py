@@ -6,13 +6,15 @@ path probabilities so the oracle-side values carry no sampling error. The
 class-D norm maximizes over a finite family of stopping rules and is a lower
 bound for the true supremum over all stopping times; it is reported as such.
 
-The solver builds no ``ProcessSample`` and no stopping-family object: its
-path batch and explicit tree compute the same norms, and the class-D
-estimator over the rules of ``StoppingFamily.default_for``, along their
-walks with the walk view's ``fold`` (a first hit is the fold that keeps a
-path's value once it reaches the level), with ``sp_from_sup`` from here.
-``ProcessSample`` and the functions that take one serve callers holding
-path arrays.
+The solver builds no ``ProcessSample`` and no stopping-family object, and
+takes only ``_wmean`` and ``abs_pow`` from here: its path batch and explicit
+tree compute the same norms, and the class-D estimator over the rules of
+``StoppingFamily.default_for``, along their walks with the walk view's
+``fold`` (a first hit is the fold that keeps a path's value once it reaches
+the level). ``ProcessSample`` and the functions that take one serve callers
+holding path arrays: the tests' path-table references, and the benchmark's
+traced mode, which hooks ``sp_norm``, ``mp_norm`` and ``class_d_norm`` by
+name and reads their ``ProcessSample`` argument.
 """
 
 from dataclasses import dataclass
@@ -47,9 +49,11 @@ def abs_pow(x, p):
         return np.abs(x)
     if p == 2:
         return x * x
-    if float(p) == int(p):
-        return np.abs(x) ** int(p)
-    return np.abs(x) ** float(p)
+    y, e = np.abs(x), int(p) if float(p) == int(p) else float(p)
+    if y.dtype.kind != "f":
+        return y ** e
+    y **= e      # the bits of y ** e, without a second array
+    return y
 
 
 @dataclass(frozen=True)

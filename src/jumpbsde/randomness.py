@@ -180,72 +180,6 @@ class PathBatch:
         np.add.at(per_mark, (path_of, self.jump_mark_idx), 1)
         return per_path, per_mark
 
-    def state_paths(self):
-        """Cumulative state at every grid node.
-
-        Returns (brownian_values, counts): Brownian value (n, N+1, d) and
-        per-mark jump counts (n, N+1, m). A jump in step j is counted from
-        node j+1 on.
-        """
-        n, N = self.n_paths, self.grid.steps
-        if self.has_brownian:
-            bvals = np.zeros((n, N + 1, self.d))
-            np.cumsum(self.brownian_increments, axis=1, out=bvals[:, 1:, :])
-        else:
-            bvals = np.zeros((n, N + 1, self.d))
-        m = self.marks.m if self.marks is not None else 0
-        counts = np.zeros((n, N + 1, m))
-        if self.has_jumps and self.jump_times.size:
-            per_path = np.diff(self.jump_offsets)
-            path_of = np.repeat(np.arange(n), per_path)
-            np.add.at(counts, (path_of, self.jump_steps + 1, self.jump_mark_idx), 1.0)
-            np.cumsum(counts, axis=1, out=counts)
-        return bvals, counts
-
-    def to_json_dict(self):
-        out = {
-            "grid": self.grid.to_json_dict(),
-            "d": self.d,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "path_start": self.path_start,
-        }
-        if self.has_brownian:
-            out["brownian_increments"] = self.brownian_increments.tolist()
-        if self.has_jumps:
-            out["marks"] = self.marks.to_json_dict()
-            out["jump_events"] = [
-                [[t, int(i)] for t, i in self.jump_events(k)]
-                for k in range(self.n_paths)
-            ]
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data):
-        grid = make_time_grid(data["grid"]["horizon"], data["grid"]["steps"])
-        batch = cls(grid=grid, d=int(data["d"]), n_paths=int(data["n_paths"]),
-                    seed=int(data["seed"]), path_start=int(data.get("path_start", 0)))
-        if "brownian_increments" in data:
-            inc = np.asarray(data["brownian_increments"], dtype=float)
-            inc.setflags(write=False)
-            batch = replace(batch, brownian_increments=inc)
-        if "jump_events" in data:
-            marks = make_mark_space(data["marks"]["marks"],
-                                    data["marks"]["intensities"])
-            times, idx, offsets = [], [], [0]
-            for events in data["jump_events"]:
-                for t, i in events:
-                    times.append(t)
-                    idx.append(i)
-                offsets.append(len(times))
-            batch = replace(
-                batch, marks=marks,
-                **_freeze_jumps(grid, np.asarray(times, dtype=float),
-                                np.asarray(idx, dtype=np.int64),
-                                np.asarray(offsets, dtype=np.int64)),
-            )
-        return batch
-
 
 def _freeze_jumps(grid, times, mark_idx, offsets):
     steps = grid.step_of(times).astype(np.int64) if times.size else times.astype(np.int64)
@@ -454,10 +388,10 @@ class ScenarioTree:
     vector + jump outcome per step); there are branching^k of them. Because
     problem data depend on the state (Brownian value, per-mark jump counts)
     only, conditional expectations collapse exactly onto the recombined state
-    lattice, which is what backward induction uses; full node enumeration
-    (histories, leaf probabilities) is available when branching^N is at most
-    the node cap. Immutable after construction; the walk set of an explicit
-    tree (``walks``), derived from the lattice, is built on first use.
+    lattice, which is what backward induction uses; the walk set of all
+    root-to-leaf paths (``walks``) is available when branching^N is at most
+    the node cap. Immutable after construction; the walk set, derived from
+    the lattice, is built on first use.
 
     Each depth of the lattice is a grid of jump rows times an up-count cube
     (``_Level``), so a state's children follow from its index: the child
@@ -524,12 +458,7 @@ class ScenarioTree:
     def state_probs(self, depth):
         return self.levels[depth].probs
 
-    def expectation(self, depth, values):
-        """Exact expectation of per-state values at a depth."""
-        return float(np.einsum("nb,b->n", np.asarray(values)[None, :],
-                               self.levels[depth].probs)[0])
-
-    # -- full-tree (history) view: explicit trees only ----------------------
+    # -- the walk set: explicit trees only -----------------------------------
 
     def _require_explicit(self, what):
         if not self.explicit:
@@ -546,71 +475,16 @@ class ScenarioTree:
         first use and kept, so every reader of the tree shares one.
 
         ``states[k]`` ((b^k,) intp) is the lattice state at depth k of every
-        length-k path prefix, in leaf-id order (that of
-        ``enumerate_paths``): prefix i's children are prefixes b i, ...,
-        b i + b - 1, so the prefixes below one prefix are one slice of each
-        deeper depth's states. They take under b / (b - 1) <= 4/3 times the
-        8 b^N bytes of one per-leaf float vector. ``probs`` ((b^N,)) are the
-        exact leaf probabilities, multiplied in enumerate_paths' order.
+        length-k path prefix, in leaf-id order: leaf i's branch indices are
+        the base-b digits of i, the first step's most significant, so prefix
+        i's children are prefixes b i, ..., b i + b - 1, and the prefixes
+        below one prefix are one slice of each deeper depth's states. They
+        take under b / (b - 1) <= 4/3 times the 8 b^N bytes of one per-leaf
+        float vector. ``probs`` ((b^N,)) are the exact leaf probabilities,
+        the branch probabilities multiplied from the root down.
         """
         self._require_explicit("the walk set")
         return _walk_set(self)
-
-    def enumerate_paths(self):
-        """All branch-index histories: (ids, state_idx, probs).
-
-        state_idx has shape (n_hist, N+1) indexing each depth's level arrays;
-        probs are the exact per-history probabilities.
-        """
-        self._require_explicit("path enumeration")
-        N, b = self.grid.steps, self.branching
-        n_hist = self.n_leaves
-        ids = np.arange(n_hist, dtype=np.int64)
-        state_idx = np.zeros((n_hist, N + 1), dtype=np.int64)
-        probs = np.ones(n_hist)
-        for k in range(N):
-            digit = (ids // (b ** (N - 1 - k))) % b
-            state_idx[:, k + 1] = self.child_table(k)[state_idx[:, k], digit]
-            probs *= self.branch_probs[digit]
-        return ids, state_idx, probs
-
-    def node_probabilities(self, depth):
-        """Full-tree node probabilities at a depth (explicit trees only)."""
-        self._require_explicit("node probabilities")
-        b = self.branching
-        ids = np.arange(b ** depth, dtype=np.int64)
-        probs = np.ones(ids.size)
-        for k in range(depth):
-            probs *= self.branch_probs[(ids // (b ** (depth - 1 - k))) % b]
-        return probs
-
-    def node_history(self, depth, node_id):
-        """(depth, Brownian sign history, jump history) of one full-tree node."""
-        self._require_explicit("node history")
-        b = self.branching
-        digits = [(node_id // (b ** (depth - 1 - k))) % b for k in range(depth)]
-        signs = [self.sign_vectors[i].tolist() for i in digits]
-        jumps = [int(self.branch_jump[i]) for i in digits]
-        return {"depth": depth, "brownian_signs": signs, "jump_history": jumps}
-
-    def to_json_dict(self):
-        return {
-            "grid": self.grid.to_json_dict(),
-            "marks": self.marks.to_json_dict(),
-            "d": self.d,
-            "branching": self.branching,
-            "branch_signs": self.sign_vectors.tolist(),
-            "branch_jump": self.branch_jump.tolist(),
-            "branch_probs": self.branch_probs.tolist(),
-            "levels": [
-                {
-                    "up_counts": lev.up_counts.tolist(),
-                    "jump_counts": lev.jump_counts.tolist(),
-                    "probability": lev.probs.tolist(),
-                }
-                for lev in self.levels
-            ],
-        }
 
 
 def _walk_set(tree):
@@ -629,8 +503,8 @@ def build_scenario_tree(grid, marks, d, node_cap=DEFAULT_NODE_CAP):
     """Construct the scenario tree for (grid, marks, d).
 
     node_cap bounds the full (non-recombined) leaf count branching^N; pass
-    node_cap=None to disable the cap, which also disables the explicit
-    node-enumeration APIs and leaves only the exact lattice recursion.
+    node_cap=None to disable the cap, which also disables the walk set and
+    leaves only the exact lattice recursion.
     """
     if not isinstance(marks, MarkSpace):
         raise ValueError("marks must be a MarkSpace")

@@ -64,7 +64,7 @@ import collections.abc
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -403,7 +403,7 @@ class _LeafSweep:
     representation on the tree shares with the leaf weights. It goes one
     subtree at a time, whose prefixes at each depth are one slice of that
     depth's walks, so every per-path vector comes out in leaf-id order, the
-    order of ``ScenarioTree.enumerate_paths``. Exact reductions (``fold``:
+    order of the walk set's leaf probabilities. Exact reductions (``fold``:
     max, first hit, left-to-right sums) run as running values over the
     prefixes; einsum reductions run on a contiguous (rows, depths[, width])
     block per subtree, whose per-row results do not depend on how the rows
@@ -433,7 +433,7 @@ class _LeafSweep:
 
     def __init__(self, tree):
         self.walks, self.weights = tree.walks
-        self.b, self.n_steps = tree.branching, tree.grid.steps
+        self.b = tree.branching
         self._chunk_depth = 0
         while self.b ** (self._chunk_depth + 1) <= self.CHUNK_ROWS:
             self._chunk_depth += 1
@@ -455,12 +455,17 @@ class _LeafSweep:
     def _n_walks(self, depth):
         return self.b ** depth
 
-    def leaves(self, per_prefix, depth):
-        """Per-path vector from per-prefix values at ``depth``: the leaves
-        below a prefix share its value."""
-        if depth == self.n_steps:
-            return per_prefix
-        return np.repeat(per_prefix, self.b ** (self.n_steps - depth))
+    def leaves(self, *parts):
+        """Per-path parts[0] + parts[1] + ..., added left to right, of
+        per-prefix vectors at any depths (a vector's size gives its depth):
+        the leaves below a prefix share its value. The sum of several parts
+        is a new vector, added into without repeated copies of them."""
+        total, rest = parts[0], parts[1:]
+        if rest or total.size < self.weights.size:
+            total = np.repeat(total, self.weights.size // total.size)
+        for part in rest:
+            total.reshape(part.size, -1)[...] += part[:, None]
+        return total
 
     def _per_path(self, k_first, k_hi, per_subtree, leaves=True):
         """Per-path vector over all leaves, in leaf-id order (per prefix at
@@ -475,11 +480,11 @@ class _LeafSweep:
             vals = per_subtree(states)
             out[pos:pos + vals.size] = vals
             pos += vals.size
-        return self.leaves(out, k_hi) if leaves else out
+        return self.leaves(out) if leaves else out
 
     def at_depth(self, level, depth):
         """Per-path value of one depth's level array."""
-        return self.leaves(level[self.walks[depth]], depth)
+        return self.leaves(level[self.walks[depth]])
 
     def live(self, levels):
         """How many leading levels a reduction that ignores a zero tail
@@ -543,9 +548,6 @@ class _BatchSweep(_LeafSweep):
 
     def live(self, levels):
         return len(levels)     # no prefix to stop at: every depth is live
-
-    def leaves(self, per_path, depth):
-        return per_path
 
     def at_depth(self, level, depth):
         return level
@@ -666,9 +668,9 @@ class _PathMeter(_Meter):
     levels Z_k and |V_k|^p; a subclass accumulates |Y_k| (``_y``).
 
     Each functional comes per walk prefix at its live depth (``sweep.live``:
-    on a tree the last depth whose level has a nonzero entry), with that
-    depth. Powers are taken per prefix; only the weighted means run over
-    the leaves, in leaf order, so every norm keeps its bits."""
+    on a tree the last depth whose level has a nonzero entry). Powers are
+    taken per prefix; only the weighted means run over the leaves, in leaf
+    order, so every norm keeps its bits."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -685,11 +687,9 @@ class _PathMeter(_Meter):
                                                 np.zeros((n, rep.m)))
 
     def _row_sums(self, levels, reduce):
-        """(per-prefix ``reduce`` of the path rows, the prefixes' depth)."""
+        """Per-prefix ``reduce`` of the path rows."""
         levels, sweep = _ascending(levels), self.rep.sweep
-        live = sweep.live(levels)
-        return (sweep.row_reduce(levels, reduce, self.k_lo, live),
-                self.k_lo + live - 1)
+        return sweep.row_reduce(levels, reduce, self.k_lo, sweep.live(levels))
 
     def _z_sq(self):
         return self._row_sums(
@@ -700,22 +700,20 @@ class _PathMeter(_Meter):
         return self._row_sums(
             self.levels[1], lambda block: np.einsum("njm,m->n", block, lam))
 
-    def _leaf_mean(self, per_prefix, depth):
-        """E of a per-prefix vector at ``depth``, over the leaves."""
+    def _leaf_mean(self, per_prefix):
+        """E of a per-prefix vector, over the leaves."""
         rep = self.rep
-        return _wmean(rep.weights, rep.sweep.leaves(per_prefix, depth))
+        return _wmean(rep.weights, rep.sweep.leaves(per_prefix))
 
     def _sup(self):
-        sup, depth = self._sup_abs()
-        return self._leaf_mean(abs_pow(sup, self.p), depth) ** (1 / self.p)
+        p = self.p
+        return self._leaf_mean(abs_pow(self._sup_abs(), p)) ** (1 / p)
 
     def _mp_lp(self):
         """M^p, from (sum_k |Z_k|^2 dt)^(p/2) per walk prefix, and L^p."""
         rep, p, dt = self.rep, self.p, self.rep.grid.dt
-        z_sq, depth = self._z_sq()
-        mp = self._leaf_mean((z_sq * dt) ** (p / 2.0), depth) ** (1 / p)
-        v_p, depth = self._v_p()
-        v_p = rep.sweep.leaves(v_p, depth)
+        mp = self._leaf_mean((self._z_sq() * dt) ** (p / 2.0)) ** (1 / p)
+        v_p = rep.sweep.leaves(self._v_p())
         return mp, float(rep._expect(v_p) * dt) ** (1 / p)
 
 
@@ -732,9 +730,8 @@ class _TreeMeter(_PathMeter):
 
     def _sup_abs(self):
         levels, sweep = _ascending(self.abs_y), self.rep.sweep
-        live = sweep.live(levels)
-        return (sweep.fold(np.maximum, levels[:live], self.k_lo, False),
-                self.k_lo + live - 1)
+        return sweep.fold(np.maximum, levels[:sweep.live(levels)], self.k_lo,
+                          False)
 
 
 class _BatchMeter(_PathMeter):
@@ -749,7 +746,7 @@ class _BatchMeter(_PathMeter):
         np.maximum(self.sup_abs, np.abs(y), out=self.sup_abs)
 
     def _sup_abs(self):
-        return self.sup_abs, self.k_hi
+        return self.sup_abs
 
 
 class _Representation:
@@ -767,12 +764,6 @@ class _Representation:
         """(S^p, M^p, L^p) of one (Y, Z, V) triple, each field read once."""
         return self.meter(p, k_lo, k_hi).feed(y, z, v).norms()
 
-    def functionals(self, problem, p, sol):
-        """Per-path functionals of the a priori estimates, with weights."""
-        terms = self.functional_terms(problem, p, sol)
-        return {"weights": self.weights,
-                **{name: term() for name, term in terms.items()}}
-
 
 class _PathEstimators(_Representation):
     """Estimators read from per-path functionals of the fields along the
@@ -786,17 +777,19 @@ class _PathEstimators(_Representation):
         return self.sweep.weights
 
     def functional_terms(self, problem, p, sol):
-        """The per-path functionals of ``functionals`` but the weights, by
-        name, each as a function that computes it when called: a caller
-        can hold one per-path vector at a time."""
+        """The per-path functionals of ``estimates.solution_functionals``
+        but the weights, by name, each as a function that computes it when
+        called, so that a caller holds only the ones it needs. Each comes
+        per walk prefix at the depth its reduction ends, for
+        ``sweep.leaves``; the integrals in vectors of their own."""
         N, dt, sweep = self.grid.steps, self.grid.dt, self.sweep
         meter = self.meter(p).feed(sol.y, sol.z, sol.v)
         meter._verdict()
-        return {"sup_abs_y": lambda: sweep.leaves(*meter._sup_abs()),
-                "int_z_sq": lambda: sweep.leaves(*meter._z_sq()) * dt,
-                "int_v_p": lambda: sweep.leaves(*meter._v_p()) * dt,
-                "int_f0_abs": lambda: sweep.fold(
-                    np.add, _data_levels(self, problem)[:-1]) * dt,
+        return {"sup_abs_y": meter._sup_abs,
+                "int_z_sq": lambda: meter._z_sq() * dt,
+                "int_v_p": lambda: meter._v_p() * dt,
+                "int_f0_abs": lambda: dt * sweep.fold(
+                    np.add, _data_levels(self, problem)[:-1], leaves=False),
                 "xi_abs": lambda: sweep.at_depth(np.abs(sol.y[-1]), N)}
 
     def class_d(self, y):
@@ -954,8 +947,9 @@ class _PathBatch(_PathEstimators):
     @functools.cached_property
     def _states(self):
         """Brownian values (N+1, n, d) and per-mark jump counts (N+1, n, m)
-        at every node, the values of ``PathBatch.state_paths`` step-major;
-        the counts in the narrowest unsigned dtype that holds the largest."""
+        at every node, step-major: the cumulative sums of each path's
+        increments and of its jumps per mark, the counts in the narrowest
+        unsigned dtype that holds the largest."""
         batch, n, m = self.batch, self.n_paths, self.m
         bvals = np.zeros((self.grid.steps + 1, n, self.d))
         np.cumsum(batch.brownian_increments.transpose(1, 0, 2), axis=0,
@@ -1404,15 +1398,16 @@ def subdivide_horizon(T, kappa, q, c_emp, safety=0.5):
 
 def _join(rep, problem, pieces):
     """One solution over [0, N] from ascending (k_lo, sub-range solution)
-    pieces; a piece's last Y is the next piece's terminal value, so the
-    boundaries agree by construction."""
-    out = _empty(rep, problem, 0, problem.grid.steps)
+    pieces, holding their level arrays; a piece's last Y is the next
+    piece's terminal value, whose first Y is kept in its place."""
+    y, z, v = [], [], []
     for k_lo, piece in pieces:
-        for dst, src in ((out.y, piece.y), (out.z, piece.z),
-                         (out.v, piece.v)):
-            dst[k_lo:k_lo + len(src)] = src
-    out.y0 = float(out.y[0][0])
-    return out
+        del y[k_lo:]
+        y += piece.y
+        z += piece.z
+        v += piece.v
+    return replace(pieces[0][1], y0=float(y[0][0]), y=y, z=z, v=v,
+                   diagnostics=dict(rep.diagnostics))
 
 
 def chained_solve(problem, plan, method="tree", tree=None, batch=None,

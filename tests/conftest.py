@@ -1,12 +1,14 @@
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis.database import DirectoryBasedExampleDatabase
 
 import jumpbsde as jb
+from jumpbsde import randomness
 
 # Hypothesis keeps its example database (failing examples replay from it)
 # and its other files in the user's cache directory, not in the checkout.
@@ -52,18 +54,41 @@ def big_batch(unit_grid, single_mark):
 
 
 def hand_batch(grid, marks, events, d=1, increments=None):
-    """Hand-crafted batch from explicit per-path jump events."""
-    data = {
-        "grid": grid.to_json_dict(),
-        "d": d,
-        "n_paths": len(events),
-        "seed": 0,
-        "marks": marks.to_json_dict(),
-        "jump_events": events,
-    }
+    """Hand-crafted batch from explicit per-path jump events (lists of
+    (time, mark index)) and, optionally, Brownian increments (n, N, d)."""
+    times = np.array([t for path in events for t, _ in path], dtype=float)
+    mark_idx = np.array([i for path in events for _, i in path],
+                        dtype=np.int64)
+    offsets = np.cumsum([0] + [len(path) for path in events], dtype=np.int64)
     if increments is not None:
-        data["brownian_increments"] = increments
-    return jb.PathBatch.from_json_dict(data)
+        increments = np.array(increments, dtype=float)
+        increments.setflags(write=False)
+    return jb.PathBatch(grid=grid, d=d, n_paths=len(events), seed=0,
+                        brownian_increments=increments, marks=marks,
+                        **randomness._freeze_jumps(grid, times, mark_idx,
+                                                   offsets))
+
+
+def assert_same(got, want):
+    """Bit-for-bit equality of two arrays or sequences of floats."""
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def random_levels(rng, sizes, width=None, coarse=False):
+    """Random per-depth levels, of ``sizes[k]`` states at depth k, over many
+    scales and with some zeros; coarse values (multiples of 1/2) repeat
+    across depths, so first-hit rules meet their level exactly."""
+    out = []
+    for n in sizes:
+        shape = (n,) + (() if width is None else (width,))
+        if coarse:
+            vals = rng.integers(-3, 4, size=shape) * 0.5
+        else:
+            vals = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3,
+                                                                size=shape)
+            vals[rng.uniform(size=shape) < 0.1] = 0.0
+        out.append(vals)
+    return out
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -8,6 +8,7 @@ import pytest
 
 import jumpbsde as jb
 from jumpbsde.estimates import ci_suite, ci_suite_csv_rows
+from reference import state_paths
 
 # frozen seed-pinned baseline of the 12-instance suite (exact tree solves);
 # regressions beyond 10% fail
@@ -46,7 +47,7 @@ def test_brownian_instance_half_constant():
                             marks=marks, d=1)
     prob = jb.make_problem(1.0, N, 1, marks, gen, term)
     batch = jb.simulate_paths(grid, marks, 1, n, seed=19)
-    bvals, _ = batch.state_paths()
+    bvals, _ = state_paths(batch)
     sol = jb.Solution(
         kind="paths", grid=grid, fingerprint=prob.fingerprint(),
         y0=0.0, batch=batch,

@@ -2,10 +2,11 @@
 
 The reference functions below are the stack-by-state-index code the sweep
 replaced: they build the full (b^N, K) path tables from
-``ScenarioTree.enumerate_paths`` and reduce them. Every value must agree bit
+``reference.enumerate_paths`` and reduce them. Every value must agree bit
 for bit, with subtree blocks from one row up to the whole tree.
 """
 
+import collections
 import json
 import math
 from unittest import mock
@@ -15,77 +16,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jumpbsde as jb
-from jumpbsde import cli, randomness
-from jumpbsde.estimates import (solution_functionals, uniqueness_experiment,
-                                verify_full_estimate)
+from jumpbsde import cli, randomness, solver
+from jumpbsde.estimates import (ci_suite, solution_functionals,
+                                uniqueness_experiment, verify_full_estimate)
 from jumpbsde.norms import (ProcessSample, StoppingFamily, class_d_norm,
-                            mp_norm, sp_norm)
+                            sp_norm)
 from jumpbsde.solver import (Solution, _LeafSweep, _setup, bsde_residual_max,
                              solution_norms)
-from conftest import traced_peak
+from conftest import assert_same, random_levels, traced_peak
+from reference import (enumerate_paths, lazy_diff, path_functionals,
+                       path_table, tree_norms)
+from test_meter import _problem
 
 
 # ---------------------------------------------------------------------------
 # the path-table reference
 # ---------------------------------------------------------------------------
 
-def _paths(levels, idx, k0=0):
-    return np.stack([lev[idx[:, k0 + k]] for k, lev in enumerate(levels)],
-                    axis=1)
-
-
-def _lazy_diff(a, b):
-    """Per-depth (Y, Z, V) differences of two solutions, read lazily, as the
-    Picard meter passes them."""
-    return [map(np.subtract, getattr(a, f), getattr(b, f)) for f in "yzv"]
-
-
-def _ref_norms(problem, q, y, z, v, tree, k0=0):
-    grid, marks = problem.grid, problem.marks
-    _, idx, w = tree.enumerate_paths()
-    ypaths, zpaths, vpaths = (_paths(a, idx, k0) for a in (y, z, v))
-    dy = sp_norm(ProcessSample(ypaths, grid, w), q)
-    dz = mp_norm(ProcessSample(zpaths, grid, w), q)
-    dv = float(np.einsum("n,n->", w,
-                         np.einsum("njm,m->n", np.abs(vpaths) ** q,
-                                   marks.intensities)) * grid.dt) ** (1 / q)
-    return dy, dz, dv
-
-
 def _ref_functionals(solution, problem, p):
-    grid, marks, tree = problem.grid, problem.marks, solution.tree
-    dt, N = grid.dt, grid.steps
-    _, idx, w = tree.enumerate_paths()
-    y = _paths(solution.y, idx)
-    z = _paths(solution.z, idx)
-    v = _paths(solution.v, idx)
-    f0 = np.zeros(y.shape[0])
-    for k in range(N):
+    grid, tree = problem.grid, solution.tree
+    _, idx, w = enumerate_paths(tree)
+    f0 = np.zeros(idx.shape[0])
+    for k in range(grid.steps):
         ctx = problem.context(grid.nodes[k], tree.brownian_values(k),
                               tree.levels[k].jump_counts.astype(float))
         f0 += np.abs(problem.generator.zero_section(ctx))[idx[:, k]]
-    f0 *= dt
-    return {
-        "weights": w,
-        "sup_abs_y": np.max(np.abs(y), axis=1),
-        "int_z_sq": np.einsum("njd,njd->n", z, z) * dt,
-        "int_v_p": np.einsum("njm,m->n", np.abs(v) ** p,
-                             marks.intensities) * dt,
-        "int_f0_abs": f0,
-        "xi_abs": np.abs(y[:, -1]),
-    }
+    return path_functionals(problem, p, *(path_table(f, idx) for f in (
+        solution.y, solution.z, solution.v)), f0, w)
 
 
 def _ref_class_d(sol_a, sol_b, tree):
-    _, idx, w = tree.enumerate_paths()
+    _, idx, w = enumerate_paths(tree)
     diff = [x - y for x, y in zip(sol_a.y, sol_b.y)]
-    sample = ProcessSample(_paths(diff, idx), sol_a.grid, w)
+    sample = ProcessSample(path_table(diff, idx), sol_a.grid, w)
     return class_d_norm(sample, StoppingFamily.default_for(sample))
 
 
 def _ref_residual(solution, problem):
     tree = solution.tree
-    ids, idx, _ = tree.enumerate_paths()
+    ids, idx, _ = enumerate_paths(tree)
     N, b = tree.grid.steps, tree.branching
     dt = tree.grid.dt
     sqrt_dt = math.sqrt(dt)
@@ -118,45 +87,15 @@ def _ref_residual(solution, problem):
 # random solutions on random trees
 # ---------------------------------------------------------------------------
 
-def _problem(d, m, N):
-    marks = jb.make_mark_space([[1.0 + i] for i in range(m)],
-                               [0.7 + 0.6 * i for i in range(m)])
-    gen = jb.make_generator("lipschitz-smooth",
-                            {"ay": 0.5, "bz": [0.25] * d, "cv": 0.25},
-                            marks=marks, d=d)
-    term = jb.make_terminal("state-linear",
-                            {"brownian_weights": [1.0] * d,
-                             "jump_weights": [0.5] * m, "compensated": True},
-                            marks=marks, d=d)
-    return jb.make_problem(1.0, N, d, marks, gen, term)
-
-
-def _levels(rng, tree, k_lo, k_hi, width=None, coarse=False):
-    """Random level arrays over many scales, with some zeros; coarse values
-    (multiples of 1/2) repeat across depths, so first-hit rules meet their
-    level exactly."""
-    out = []
-    for k in range(k_lo, k_hi + 1):
-        shape = (tree.n_states(k),) + (() if width is None else (width,))
-        if coarse:
-            vals = rng.integers(-3, 4, size=shape) * 0.5
-        else:
-            vals = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3,
-                                                                size=shape)
-            vals[rng.uniform(size=shape) < 0.1] = 0.0
-        out.append(vals)
-    return out
-
-
 def _solution(rng, problem, tree, k_lo=0, k_hi=None, coarse=False):
     k_hi = problem.grid.steps if k_hi is None else k_hi
-    y = _levels(rng, tree, k_lo, k_hi, coarse=coarse)
+    sizes = [tree.n_states(k) for k in range(k_lo, k_hi + 1)]
+    y = random_levels(rng, sizes, coarse=coarse)
     return Solution(kind="tree", grid=problem.grid,
                     fingerprint=problem.fingerprint(), y0=float(y[0][0]),
                     tree=tree, y=y,
-                    z=_levels(rng, tree, k_lo, k_hi - 1, problem.d, coarse),
-                    v=_levels(rng, tree, k_lo, k_hi - 1, problem.marks.m,
-                              coarse))
+                    z=random_levels(rng, sizes[:-1], problem.d, coarse),
+                    v=random_levels(rng, sizes[:-1], problem.marks.m, coarse))
 
 
 @st.composite
@@ -175,10 +114,6 @@ def _cases(draw):
     }
 
 
-def _assert_same(got, want):
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
 @settings(max_examples=40, deadline=None)
 @given(_cases())
 def test_full_range_functionals_bit_for_bit(case):
@@ -195,23 +130,23 @@ def test_full_range_functionals_bit_for_bit(case):
         rep = _setup(problem, "tree", tree)
         diffs = [[x - y for x, y in zip(getattr(a, f), getattr(b, f))]
                  for f in ("y", "z", "v")]
-        _assert_same(rep.norms(q, *_lazy_diff(a, b)),
-                     _ref_norms(problem, q, *diffs, tree))
+        assert_same(rep.norms(q, *lazy_diff(a, b)),
+                     tree_norms(problem, tree, q, *diffs))
         norms = solution_norms(a, problem, q)
-        _assert_same([norms["sp"], norms["mp"], norms["lp"]],
-                     _ref_norms(problem, q, a.y, a.z, a.v, tree))
+        assert_same([norms["sp"], norms["mp"], norms["lp"]],
+                     tree_norms(problem, tree, q, a.y, a.z, a.v))
         assert norms["n_paths"] == tree.n_leaves
         # estimate functionals, every array
         got = solution_functionals(a, problem, q)
         want = _ref_functionals(a, problem, q)
         assert got.keys() == want.keys()
         for key in want:
-            _assert_same(got[key], want[key])
+            assert_same(got[key], want[key])
         # class-D distance, time and first-hit rules
-        _assert_same(rep.class_d(_lazy_diff(a, b)[0]),
+        assert_same(rep.class_d(lazy_diff(a, b)[0]),
                      _ref_class_d(a, b, tree))
         # residual diagnostic
-        _assert_same(bsde_residual_max(a, problem), _ref_residual(a, problem))
+        assert_same(bsde_residual_max(a, problem), _ref_residual(a, problem))
 
 
 @settings(max_examples=30, deadline=None)
@@ -235,8 +170,8 @@ def test_sub_range_distances_bit_for_bit(case, data):
     with mock.patch.object(_LeafSweep, "CHUNK_ROWS", case["rows"]):
         assert "walks" not in vars(tree)
         rep = _setup(problem, "tree", tree)
-        _assert_same(rep.norms(case["q"], *_lazy_diff(a, b_), k_lo=k_lo),
-                     _ref_norms(problem, case["q"], *diffs, tree, k_lo))
+        assert_same(rep.norms(case["q"], *lazy_diff(a, b_), k_lo=k_lo),
+                     tree_norms(problem, tree, case["q"], *diffs, k_lo))
 
 
 def test_uniqueness_distance_bit_for_bit():
@@ -250,11 +185,12 @@ def test_uniqueness_distance_bit_for_bit():
     runs = [jb.picard_solve(problem, "tree", tree=tree, tol=1e-15, max_iter=2,
                             check_assumptions=False, init=init)[0]
             for init in ((0.0, 0.0, 0.0), (10.0, 1.0, 1.0))]
-    _, idx, w = tree.enumerate_paths()
+    _, idx, w = enumerate_paths(tree)
     diff = [x - y for x, y in zip(runs[0].y, runs[1].y)]
-    want = sp_norm(ProcessSample(_paths(diff, idx), problem.grid, w), res["q"])
+    want = sp_norm(ProcessSample(path_table(diff, idx), problem.grid, w),
+                   res["q"])
     assert want > 0.0
-    _assert_same(res["max_pairwise_sq_distance"], want)
+    assert_same(res["max_pairwise_sq_distance"], want)
 
 
 def test_functionals_memory_has_no_depth_factor():
@@ -281,12 +217,12 @@ def _walk_set_spy():
 def test_walk_set_enumerates_the_path_table():
     problem = _problem(2, 1, 3)
     tree = jb.build_scenario_tree(problem.grid, problem.marks, 2)
-    _, idx, want_probs = tree.enumerate_paths()
+    _, idx, want_probs = enumerate_paths(tree)
     (walks, probs), b = tree.walks, tree.branching
     for k, states in enumerate(walks):
         assert states.dtype == np.intp
         assert np.array_equal(np.repeat(states, b ** (3 - k)), idx[:, k])
-    _assert_same(probs, want_probs)
+    assert_same(probs, want_probs)
     unit = 8 * tree.n_leaves
     assert sum(states.nbytes for states in walks) <= 1.4 * unit
 
@@ -303,22 +239,21 @@ def test_representations_and_sub_range_meters_share_one_walk_set():
     with _walk_set_spy() as spy, \
             mock.patch.object(_LeafSweep, "CHUNK_ROWS", 7):
         full, sub = (_setup(problem, "tree", tree) for _ in range(2))
-        got_sub = sub.norms(q, *_lazy_diff(c, d_), k_lo=k_lo)
-        got_full = full.norms(q, *_lazy_diff(a, b_))
+        got_sub = sub.norms(q, *lazy_diff(c, d_), k_lo=k_lo)
+        got_full = full.norms(q, *lazy_diff(a, b_))
     assert spy.call_count == 1
     assert full.sweep.walks is sub.sweep.walks is tree.walks[0]
     assert full.weights is sub.weights is tree.walks[1]
     diffs = [[x - y for x, y in zip(getattr(c, f), getattr(d_, f))]
              for f in "yzv"]
-    _assert_same(got_sub, _ref_norms(problem, q, *diffs, tree, k_lo))
+    assert_same(got_sub, tree_norms(problem, tree, q, *diffs, k_lo))
     diffs = [[x - y for x, y in zip(getattr(a, f), getattr(b_, f))]
              for f in "yzv"]
-    _assert_same(got_full, _ref_norms(problem, q, *diffs, tree))
+    assert_same(got_full, tree_norms(problem, tree, q, *diffs))
 
 
-def test_one_walk_set_per_tree_in_a_verify_run(tmp_path):
-    # the Picard solve, both estimates and the uniqueness experiment each
-    # read the path functionals of the verify run's one tree
+def _verify(tmp_path):
+    """``cli.main`` verify on a 4^5-leaf tree; returns the exit code."""
     config = tmp_path / "verify.json"
     config.write_text(json.dumps({
         "schema": "jumpbsde/run-config/v1", "method": "tree",
@@ -332,16 +267,50 @@ def test_one_walk_set_per_tree_in_a_verify_run(tmp_path):
                          "params": {"brownian_weights": [1.0],
                                     "jump_weights": [0.5],
                                     "compensated": True}}}}))
+    return cli.main(["verify", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+
+
+def test_one_walk_set_per_tree_in_a_verify_run(tmp_path):
+    # the Picard solve, both estimates and the uniqueness experiment each
+    # read the path functionals of the verify run's one tree
     with _walk_set_spy() as spy:
-        code = cli.main(["verify", "--config", str(config),
-                         "--out", str(tmp_path / "out")])
-    assert code == 0
+        assert _verify(tmp_path) == 0
     assert spy.call_count == 1
 
 
+_TERMS = ("sup_abs_y", "int_z_sq", "int_v_p", "int_f0_abs", "xi_abs")
+
+
+def _count_terms(calls):
+    """Patch the path functionals to count each one's reductions by name."""
+    terms_of = solver._PathEstimators.functional_terms
+
+    def counted(self, *args):
+        return {name: lambda name=name, term=term: (calls.update([name])
+                                                    or term())
+                for name, term in terms_of(self, *args).items()}
+
+    return mock.patch.object(solver._PathEstimators, "functional_terms",
+                             counted)
+
+
+def test_both_estimates_reduce_each_functional_once(tmp_path):
+    # a verify run's zv and full estimates share one pass over the path
+    # functionals, and so does each instance of the CI suite
+    calls = collections.Counter()
+    with _count_terms(calls):
+        assert _verify(tmp_path) == 0
+    assert calls == dict.fromkeys(_TERMS, 1)
+    calls.clear()
+    with _count_terms(calls):
+        records = ci_suite()
+    assert calls == dict.fromkeys(_TERMS, len(records))
+
+
 def test_full_estimate_memory_is_a_few_leaf_vectors():
-    # 4^8 leaves: the estimate adds its per-path terms one at a time into
-    # one running sum, and the walk set it builds stays resident (its
+    # 4^8 leaves: the estimate sums the terms of each side into one
+    # per-path vector, and the walk set it builds stays resident (its
     # states and the leaf probabilities, under 2.4 vectors of 8 b^N bytes)
     problem = _problem(1, 1, 8)
     tree = jb.build_scenario_tree(problem.grid, problem.marks, 1)

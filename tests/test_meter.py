@@ -26,10 +26,10 @@ import pytest
 import jumpbsde as jb
 from jumpbsde import cli, solver
 from jumpbsde.errors import NumericError
-from jumpbsde.norms import (ProcessSample, mp_from_sq, mp_norm, sp_from_sup,
-                            sp_norm)
+from jumpbsde.estimates import solution_functionals
 from jumpbsde.solver import Solution, _setup
-from conftest import traced_peak
+from conftest import assert_same, traced_peak
+from reference import batch_norms, enumerate_paths, path_table, tree_norms
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -68,43 +68,17 @@ def _ref_lattice(problem, tree, q, y, z, v, k_lo):
     return sp, mp, lp
 
 
-def _ref_tree(problem, tree, q, y, z, v, k_lo):
-    _, idx, w = tree.enumerate_paths()
-
-    def paths(levels):
-        return np.stack([lev[idx[:, k_lo + k]] for k, lev in enumerate(levels)],
-                        axis=1)
-
-    grid, lam = problem.grid, problem.marks.intensities
-    v_p = np.einsum("njm,m->n", np.abs(paths(v)) ** q, lam)
-    return (sp_norm(ProcessSample(paths(y), grid, w), q),
-            mp_norm(ProcessSample(paths(z), grid, w), q),
-            float(np.einsum("n,n->", w, v_p) * grid.dt) ** (1 / q))
-
-
-def _ref_batch(problem, batch, q, y, z, v, k_lo):
-    y, z, v = (np.stack(f, axis=1) for f in (y, z, v))
-    dt, w = problem.grid.dt, np.full(batch.n_paths, 1.0 / batch.n_paths)
-    v_p = np.einsum("njm,m->n", np.abs(v) ** q, problem.marks.intensities)
-    return (sp_from_sup(np.max(np.abs(y), axis=1), w, q),
-            mp_from_sq(np.einsum("njd,njd->n", z, z) * dt, w, q),
-            float(np.mean(v_p) * dt) ** (1 / q))
-
-
 def _ref_norms(problem, sol, q, y, z, v, k_lo=0):
     if sol.kind == "paths":
-        return _ref_batch(problem, sol.batch, q, y, z, v, k_lo)
-    ref = _ref_tree if sol.tree.explicit else _ref_lattice
+        return batch_norms(problem, q,
+                           *(np.stack(f, axis=1) for f in (y, z, v)))
+    ref = tree_norms if sol.tree.explicit else _ref_lattice
     return ref(problem, sol.tree, q, y, z, v, k_lo)
 
 
 def _materialised(a, b):
     return [[x - y for x, y in zip(getattr(a, f), getattr(b, f))]
             for f in "yzv"]
-
-
-def _assert_same(got, want):
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +121,7 @@ def _check_trace(problem, trace, iterates, k_lo, init=INIT):
     for i, cur in enumerate(iterates):
         want = _ref_norms(problem, cur, trace.q, *_materialised(cur, prev),
                           k_lo=k_lo)
-        _assert_same([trace.dy[i], trace.dz[i], trace.dv[i]], want)
+        assert_same([trace.dy[i], trace.dz[i], trace.dv[i]], want)
         prev = cur
 
 
@@ -170,7 +144,7 @@ def test_picard_distances_match_materialised_meter(rep_name, method, d, m, N,
     assert type(rep).__name__ == rep_name
     _check_trace(problem, trace, [s for _, s in seen], 0)
     norms = jb.solution_norms(sol, problem, 1.5)
-    _assert_same([norms["sp"], norms["mp"], norms["lp"]],
+    assert_same([norms["sp"], norms["mp"], norms["lp"]],
                  _ref_norms(problem, sol, 1.5, sol.y, sol.z, sol.v))
 
 
@@ -218,6 +192,30 @@ def test_chained_batch_meter_allocates_the_depths_it_reads():
                          n_paths=300, seed=5)
     assert held == [list(range(k_lo, k_lo + 4))
                     for k_lo in (8, 4, 0) for _ in range(2 * 2)]
+
+
+def test_chained_batch_solve_joins_the_pieces_in_place():
+    # the chained solution holds its intervals' own levels: joining them
+    # allocates no whole (Y, Z, V) beside the pieces, which at n = 4000 and
+    # N = 20 took about 1.96 MB
+    problem, n = _problem(1, 1, 20), 4000
+    plan = jb.SubdivisionPlan(np.linspace(0.0, 1.0, 5), 1.5, 0.5, 1.0, 0.5,
+                              0.0)
+    join, peaks = solver._join, []
+
+    def traced_join(rep, problem, pieces):
+        out, _, peak = traced_peak(join, rep, problem, pieces)
+        peaks.append(peak)
+        assert all(a is b for a, b in zip(
+            out.y, [y for _, piece in pieces for y in piece.y[:-1]]))
+        return out
+
+    with mock.patch.object(solver, "_join", traced_join):
+        sol, traces = jb.chained_solve(problem, plan, "mc", tol=0.0,
+                                       max_iter=2, n_paths=n, seed=5)
+    assert len(traces) == 4 and len(peaks) == 1
+    assert (len(sol.y), len(sol.z), len(sol.v)) == (21, 20, 20)
+    assert peaks[0] < 8 * n
 
 
 @pytest.mark.parametrize("field", ["y", "z", "v"])
@@ -342,18 +340,19 @@ def test_meter_trims_a_zero_tail_holding_negative_zeros():
          + [np.full((n(2), 1), -0.0), np.zeros((n(3), 1))])
     z[1][0, 0] = v[1][-1, 0] = -0.0
     assert [rep.sweep.live(levels) for levels in (y, z, v)] == [3, 2, 2]
-    _assert_same(rep.norms(1.5, y, z, v),
-                 _ref_tree(problem, rep.tree, 1.5, y, z, v, 0))
-    _, idx, _ = rep.tree.enumerate_paths()
-    zp, vp = (np.stack([lev[idx[:, k]] for k, lev in enumerate(levels)],
-                       axis=1) for levels in (z, v))
-    got = rep.functionals(problem, 1.5, SimpleNamespace(y=y, z=z, v=v))
+    assert_same(rep.norms(1.5, y, z, v),
+                 tree_norms(problem, rep.tree, 1.5, y, z, v))
+    _, idx, _ = enumerate_paths(rep.tree)
+    zp, vp = (path_table(levels, idx) for levels in (z, v))
+    got = solution_functionals(Solution(
+        kind="tree", grid=problem.grid, fingerprint="", y0=0.0, tree=rep.tree,
+        y=y, z=z, v=v), problem, 1.5)
     dt, lam = problem.grid.dt, problem.marks.intensities
-    _assert_same(got["int_z_sq"], np.einsum("njd,njd->n", zp, zp) * dt)
-    _assert_same(got["int_v_p"],
+    assert_same(got["int_z_sq"], np.einsum("njd,njd->n", zp, zp) * dt)
+    assert_same(got["int_v_p"],
                  np.einsum("njm,m->n", np.abs(vp) ** 1.5, lam) * dt)
-    _assert_same(got["sup_abs_y"], np.max(np.abs(np.stack(
-        [lev[idx[:, k]] for k, lev in enumerate(y)], axis=1)), axis=1))
+    assert_same(got["sup_abs_y"],
+                 np.max(np.abs(path_table(y, idx)), axis=1))
 
 
 def test_tree_sweeps_reduce_the_prefixes_at_their_live_depth():

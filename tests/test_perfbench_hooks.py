@@ -1,9 +1,14 @@
-"""The benchmark's traced mode reads the lattice the package builds.
+"""The benchmark's traced mode hooks the package by name.
 
-``perfbench/child.py traced`` wraps every public callable of the package and
-counts lattice states with a hook on ``build_scenario_tree`` that reads
-``levels[k].codes.size``. A change to the lattice's layout has to keep that
-contract, so it is run here end to end on a small lattice.
+``perfbench/child.py traced`` wraps every public callable of the package,
+and ``perfbench/layers.py`` raises "hooked callables not found" unless each
+one it hooks exists. Its hooks read the driver's ``y`` argument, the Picard
+trace's ``n_iter``, the size of ``rng.uniform``'s draws, the file each
+report writer returns, the ``ProcessSample`` argument of the norm kernels
+``norms.sp_norm``, ``mp_norm`` and ``class_d_norm`` (``NORM_KERNELS``), and
+``levels[k].codes.size`` of the tree ``build_scenario_tree`` returns. A
+change to any of these names (``_Level.codes`` included) has to keep that
+contract, so the traced child is run here end to end on a small lattice.
 """
 
 import json

@@ -12,6 +12,7 @@ import jumpbsde as jb
 from jumpbsde.errors import ResourceLimitError
 from jumpbsde.randomness import ScenarioTree
 from conftest import traced_peak
+from reference import enumerate_paths, state_paths
 from test_meter import _problem
 
 
@@ -145,18 +146,9 @@ def test_poisson_deterministic(unit_grid, single_mark):
         assert a.jump_events(k) == big.jump_events(k)
 
 
-def test_batch_json_round_trip(unit_grid, single_mark):
-    batch = jb.simulate_paths(unit_grid, single_mark, 2, 20, seed=13)
-    back = jb.PathBatch.from_json_dict(batch.to_json_dict())
-    assert np.array_equal(batch.brownian_increments, back.brownian_increments)
-    assert np.array_equal(batch.jump_times, back.jump_times)
-    assert np.array_equal(batch.jump_mark_idx, back.jump_mark_idx)
-    assert np.array_equal(batch.jump_offsets, back.jump_offsets)
-
-
 def test_state_paths_counts(unit_grid, single_mark):
     batch = jb.simulate_paths(unit_grid, single_mark, 1, 200, seed=21)
-    bvals, counts = batch.state_paths()
+    bvals, counts = state_paths(batch)
     total, per_mark = batch.jump_counts()
     assert np.array_equal(counts[:, -1, 0], per_mark[:, 0].astype(float))
     assert np.allclose(bvals[:, -1, 0],
@@ -171,7 +163,7 @@ def test_tree_single_step_leaf_probabilities():
     grid = jb.make_time_grid(1.0, 1)
     marks = jb.make_mark_space([[1.0]], [1.0])
     tree = jb.build_scenario_tree(grid, marks, 1)
-    probs = sorted(tree.node_probabilities(1))
+    probs = sorted(tree.walks[1])
     e = math.exp(-1.0)
     expected = sorted([0.5 * e, 0.5 * e, 0.5 * (1 - e), 0.5 * (1 - e)])
     assert np.allclose(probs, expected, atol=1e-15)
@@ -182,7 +174,7 @@ def test_tree_two_steps_sixteen_leaves():
     grid = jb.make_time_grid(1.0, 2)
     marks = jb.make_mark_space([[1.0]], [1.0])
     tree = jb.build_scenario_tree(grid, marks, 1)
-    leaf_probs = tree.node_probabilities(2)
+    leaf_probs = tree.walks[1]
     assert leaf_probs.size == 16
     assert abs(leaf_probs.sum() - 1.0) < 1e-12
 
@@ -193,7 +185,7 @@ def test_tree_depth_probabilities_sum_to_one():
     tree = jb.build_scenario_tree(grid, marks, 1)
     for k in range(7):
         assert abs(tree.state_probs(k).sum() - 1.0) < 1e-12
-        assert abs(tree.node_probabilities(k).sum() - 1.0) < 1e-12
+    assert abs(tree.walks[1].sum() - 1.0) < 1e-12
 
 
 def test_tree_node_cap():
@@ -209,17 +201,7 @@ def test_tree_implicit_mode_blocks_enumeration():
     tree = jb.build_scenario_tree(grid, marks, 1, node_cap=None)
     assert not tree.explicit
     with pytest.raises(ResourceLimitError):
-        tree.enumerate_paths()
-
-
-def test_tree_history_decoding():
-    grid = jb.make_time_grid(1.0, 2)
-    marks = jb.make_mark_space([[1.0]], [1.0])
-    tree = jb.build_scenario_tree(grid, marks, 1)
-    hist = tree.node_history(2, 0)
-    assert hist["depth"] == 2
-    assert len(hist["brownian_signs"]) == 2
-    assert len(hist["jump_history"]) == 2
+        tree.walks
 
 
 def test_tree_one_jump_bias_first_order():
@@ -236,23 +218,16 @@ def test_tree_one_jump_bias_first_order():
     assert 1.7 <= errs[0] / errs[1] <= 2.3
 
 
-def test_tree_json_dict(single_mark):
-    grid = jb.make_time_grid(1.0, 2)
-    tree = jb.build_scenario_tree(grid, single_mark, 1)
-    doc = tree.to_json_dict()
-    assert doc["branching"] == 4
-    assert len(doc["levels"]) == 3
-    assert abs(sum(doc["branch_probs"]) - 1.0) < 1e-12
-
-
 def test_tree_expectation_helper(single_mark):
     grid = jb.make_time_grid(1.0, 4)
     tree = jb.build_scenario_tree(grid, single_mark, 1)
     # E[B_k] = 0 and E[B_k^2] = t_k, exactly on the lattice
     for k in (1, 2, 4):
         b = tree.brownian_values(k)[:, 0]
-        assert abs(tree.expectation(k, b)) < 1e-14
-        assert abs(tree.expectation(k, b * b) - grid.nodes[k]) < 1e-13
+        probs = tree.state_probs(k)
+        assert abs(float(np.einsum("n,n->", probs, b))) < 1e-14
+        assert abs(float(np.einsum("n,n->", probs, b * b))
+                   - grid.nodes[k]) < 1e-13
 
 
 def test_branch_probabilities_sum_to_one_where_the_largest_overshoots():
@@ -345,10 +320,11 @@ def _assert_same_lattice(d, m, N, intensities, horizon=1.0):
         gathered = tree.gather_children(k, values)
         assert gathered.flags.c_contiguous
         assert gathered.tobytes() == ref.gather_children(k, values).tobytes()
-    assert tree.to_json_dict() == ref.to_json_dict()
+    for name in ("sign_vectors", "branch_jump", "branch_probs"):
+        assert np.array_equal(getattr(tree, name), getattr(ref, name))
     assert tree.explicit == (b ** N <= 4096)
     if tree.explicit:
-        for got, want in zip(tree.enumerate_paths(), ref.enumerate_paths(),
+        for got, want in zip(enumerate_paths(tree), enumerate_paths(ref),
                              strict=True):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -429,8 +405,8 @@ def test_grid_slices_on_an_explicit_tree():
     sol, ref = _assert_same_solve(problem, tree)
     assert (repr(jb.solution_norms(sol, problem))
             == repr(jb.solution_norms(ref, problem)))
-    for got, want in zip(tree.enumerate_paths(),
-                         _gathered_tree(tree).enumerate_paths(), strict=True):
+    for got, want in zip(enumerate_paths(tree),
+                         enumerate_paths(_gathered_tree(tree)), strict=True):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert (jb.bsde_residual_max(sol, problem).hex()
             == jb.bsde_residual_max(ref, problem).hex())

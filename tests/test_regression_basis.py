@@ -8,7 +8,7 @@ the basis that cached each step's design matrix: the fitted values must
 match it bit for bit. The batch keeps its states once, step-major, with the
 jump counts in the narrowest unsigned dtype; a solve on it must match, bit
 for bit, the same solve on the path-major float64 states of
-``PathBatch.state_paths``. The memory tests bound what the bases and a whole
+``reference.state_paths``. The memory tests bound what the bases and a whole
 Monte Carlo solve hold.
 """
 
@@ -22,6 +22,7 @@ from jumpbsde import solver
 from jumpbsde.errors import ConditioningError
 from jumpbsde.solver import _monomial_exponents, _pivoted_columns, _setup
 from conftest import hand_batch, traced_peak
+from reference import state_paths
 
 
 class _CachedDesignBasis:
@@ -209,9 +210,9 @@ def test_mc_solve_holds_step_major_states_and_one_design(d, m):
 
 def _path_major(problem, batch):
     """The batch's representation on the path-major float64 states of
-    ``PathBatch.state_paths``: its step slices are strided views."""
+    ``reference.state_paths``: its step slices are strided views."""
     rep = _setup(problem, "mc", batch=batch)
-    bvals, counts = batch.state_paths()
+    bvals, counts = state_paths(batch)
     rep._states = (bvals.transpose(1, 0, 2), counts.transpose(1, 0, 2))
     return rep
 
@@ -226,7 +227,7 @@ def _assert_same_solve(problem, batch):
         assert ([lev.tobytes() for lev in getattr(sol, field)]
                 == [lev.tobytes() for lev in getattr(want_sol, field)])
     assert trace.to_json_dict() == want_trace.to_json_dict()
-    bvals, counts = batch.state_paths()
+    bvals, counts = state_paths(batch)
     assert np.array_equal(rep._states[0], bvals.transpose(1, 0, 2))
     assert np.array_equal(rep._states[1], counts.transpose(1, 0, 2))
     return rep
@@ -241,7 +242,7 @@ def _hand_batch(problem, rng, n, per_path):
               for k in per_path]
     inc = rng.standard_normal((n, grid.steps, problem.d)) * np.sqrt(grid.dt)
     return hand_batch(grid, problem.marks, events, d=problem.d,
-                      increments=inc.tolist())
+                      increments=inc)
 
 
 def test_counts_past_255_take_uint16():

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 import jumpbsde as jb
 from jumpbsde.estimates import solution_functionals
-from jumpbsde.norms import (ProcessSample, StoppingFamily, class_d_norm,
-                            mp_from_sq, sp_from_sup)
+from jumpbsde.norms import ProcessSample, StoppingFamily, class_d_norm
 from jumpbsde.solver import (Solution, _clamp_tail, _data_levels, _setup,
                              solution_norms)
+from conftest import assert_same, random_levels
+from reference import batch_norms, lazy_diff, path_functionals, state_paths
 
 
 # ---------------------------------------------------------------------------
@@ -30,23 +31,8 @@ def _arrays(sol):
     return tuple(np.stack(f, axis=1) for f in (sol.y, sol.z, sol.v))
 
 
-def _lazy_diff(a, b):
-    """Per-depth (Y, Z, V) differences of two solutions, read lazily, as the
-    Picard meter passes them."""
-    return [map(np.subtract, getattr(a, f), getattr(b, f)) for f in "yzv"]
-
-
-def _ref_norms(problem, q, y, z, v):
-    n, dt = y.shape[0], problem.grid.dt
-    w = np.full(n, 1.0 / n)
-    v_p = np.einsum("njm,m->n", np.abs(v) ** q, problem.marks.intensities)
-    return (sp_from_sup(np.max(np.abs(y), axis=1), w, q),
-            mp_from_sq(np.einsum("njd,njd->n", z, z) * dt, w, q),
-            float(np.mean(v_p) * dt) ** (1 / q))
-
-
 def _contexts(problem, batch):
-    bvals, counts = batch.state_paths()
+    bvals, counts = state_paths(batch)
     return [problem.context(problem.grid.nodes[k], bvals[:, k, :],
                             counts[:, k, :])
             for k in range(problem.grid.steps + 1)]
@@ -54,20 +40,11 @@ def _contexts(problem, batch):
 
 def _ref_functionals(sol, problem, p):
     y, z, v = _arrays(sol)
-    n, dt, N = y.shape[0], problem.grid.dt, problem.grid.steps
-    ctx = _contexts(problem, sol.batch)
+    n, ctx = y.shape[0], _contexts(problem, sol.batch)
     f0 = np.zeros(n)
-    for k in range(N):
+    for k in range(problem.grid.steps):
         f0 = np.add(f0, np.abs(problem.generator.zero_section(ctx[k])))
-    return {
-        "weights": np.full(n, 1.0 / n),
-        "sup_abs_y": np.max(np.abs(y), axis=1),
-        "int_z_sq": np.einsum("njd,njd->n", z, z) * dt,
-        "int_v_p": np.einsum("njm,m->n", np.abs(v) ** p,
-                             problem.marks.intensities) * dt,
-        "int_f0_abs": f0 * dt,
-        "xi_abs": np.abs(y[:, -1]),
-    }
+    return path_functionals(problem, p, y, z, v, f0, np.full(n, 1.0 / n))
 
 
 def _ref_class_d(a, b, grid):
@@ -123,31 +100,15 @@ def _problem(d, m, N):
     return jb.make_problem(1.0, N, d, marks, gen, term)
 
 
-def _levels(rng, n, count, width=None, coarse=False):
-    """Random per-depth levels over many scales, with some zeros; coarse
-    values (multiples of 1/2) repeat across depths, so first-hit rules meet
-    their level exactly."""
-    out = []
-    for _ in range(count):
-        shape = (n,) + (() if width is None else (width,))
-        if coarse:
-            vals = rng.integers(-3, 4, size=shape) * 0.5
-        else:
-            vals = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3,
-                                                                size=shape)
-            vals[rng.uniform(size=shape) < 0.1] = 0.0
-        out.append(vals)
-    return out
-
-
 def _solution(rng, problem, batch, k_lo, k_hi, coarse):
     n, steps = batch.n_paths, k_hi - k_lo
-    y = _levels(rng, n, steps + 1, coarse=coarse)
+    y = random_levels(rng, [n] * (steps + 1), coarse=coarse)
     return Solution(kind="paths", grid=problem.grid,
                     fingerprint=problem.fingerprint(), y0=float(y[0][0]),
                     batch=batch, y=y,
-                    z=_levels(rng, n, steps, problem.d, coarse),
-                    v=_levels(rng, n, steps, problem.marks.m, coarse))
+                    z=random_levels(rng, [n] * steps, problem.d, coarse),
+                    v=random_levels(rng, [n] * steps, problem.marks.m,
+                                    coarse))
 
 
 @st.composite
@@ -163,10 +124,6 @@ def _cases(draw):
     }
 
 
-def _assert_same(got, want):
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
 @settings(max_examples=40, deadline=None)
 @given(_cases())
 def test_batch_estimators_bit_for_bit(case):
@@ -180,18 +137,18 @@ def test_batch_estimators_bit_for_bit(case):
     rep = _setup(problem, "mc", batch=batch)
     diffs = [x - y for x, y in zip(_arrays(a), _arrays(b))]
     # the Picard triple and the solution norms
-    _assert_same(rep.norms(q, *_lazy_diff(a, b)), _ref_norms(problem, q, *diffs))
+    assert_same(rep.norms(q, *lazy_diff(a, b)), batch_norms(problem, q, *diffs))
     norms = solution_norms(a, problem, q)
-    _assert_same([norms["sp"], norms["mp"], norms["lp"]],
-                 _ref_norms(problem, q, *_arrays(a)))
+    assert_same([norms["sp"], norms["mp"], norms["lp"]],
+                 batch_norms(problem, q, *_arrays(a)))
     # estimate functionals, every array
     got = solution_functionals(a, problem, q)
     want = _ref_functionals(a, problem, q)
     assert got.keys() == want.keys()
     for key in want:
-        _assert_same(got[key], want[key])
+        assert_same(got[key], want[key])
     # class-D distance, time and first-hit rules
-    _assert_same(rep.class_d(_lazy_diff(a, b)[0]),
+    assert_same(rep.class_d(lazy_diff(a, b)[0]),
                  _ref_class_d(a, b, problem.grid))
 
 
@@ -210,8 +167,8 @@ def test_batch_sub_range_distances_bit_for_bit(case, data):
             for _ in range(2))
     rep = _setup(problem, "mc", batch=batch)
     diffs = [x - y for x, y in zip(_arrays(a), _arrays(b))]
-    _assert_same(rep.norms(case["q"], *_lazy_diff(a, b), k_lo=k_lo),
-                 _ref_norms(problem, case["q"], *diffs))
+    assert_same(rep.norms(case["q"], *lazy_diff(a, b), k_lo=k_lo),
+                 batch_norms(problem, case["q"], *diffs))
 
 
 @settings(max_examples=25, deadline=None)
@@ -222,13 +179,13 @@ def test_clamp_tail_bound_bit_for_bit(case, level):
     batch = jb.simulate_paths(problem.grid, problem.marks, case["d"],
                               case["n"], case["seed"] % 1000)
     rep = _setup(problem, "mc", batch=batch)
-    _assert_same(_clamp_tail(rep, _data_levels(rep, problem), level),
+    assert_same(_clamp_tail(rep, _data_levels(rep, problem), level),
                  _ref_tail_batch(problem, batch, level))
     for node_cap in (None, 10 ** 7):   # the marginal sum on both trees
         tree = jb.build_scenario_tree(problem.grid, problem.marks,
                                       case["d"], node_cap=node_cap)
         rep = _setup(problem, "tree", tree)
-        _assert_same(_clamp_tail(rep, _data_levels(rep, problem), level),
+        assert_same(_clamp_tail(rep, _data_levels(rep, problem), level),
                      _ref_tail_lattice(problem, tree, level))
 
 
@@ -242,7 +199,7 @@ def test_picard_solve_on_a_batch_matches_its_path_arrays():
     prev, _ = jb.picard_solve(problem, "mc", max_iter=2, **kw)
     cur, trace = jb.picard_solve(problem, "mc", max_iter=3, **kw)
     diffs = [x - y for x, y in zip(_arrays(cur), _arrays(prev))]
-    _assert_same([trace.dy[-1], trace.dz[-1], trace.dv[-1]],
-                 _ref_norms(problem, 1.5, *diffs))
-    _assert_same(rep.norms(1.5, *_lazy_diff(cur, prev)),
-                 _ref_norms(problem, 1.5, *diffs))
+    assert_same([trace.dy[-1], trace.dz[-1], trace.dv[-1]],
+                 batch_norms(problem, 1.5, *diffs))
+    assert_same(rep.norms(1.5, *lazy_diff(cur, prev)),
+                 batch_norms(problem, 1.5, *diffs))

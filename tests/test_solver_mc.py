@@ -1,5 +1,6 @@
 """Least-squares Monte Carlo solver and its agreement with the tree oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -87,11 +88,8 @@ def test_degenerate_features_are_dropped():
     # drop out and the fit degrades to the remaining information
     prob = _problem({}, "jump-count", {"compensated": False}, N=4, lam=2.0)
     batch = jb.simulate_paths(prob.grid, prob.marks, 1, 2000, seed=4)
-    zeroed = jb.PathBatch.from_json_dict({
-        **batch.to_json_dict(),
-        "brownian_increments":
-            np.zeros_like(batch.brownian_increments).tolist(),
-    })
+    zeroed = dataclasses.replace(
+        batch, brownian_increments=np.zeros_like(batch.brownian_increments))
     sol = jb.solve_mc_regression(prob, zeroed)
     counts, _ = zeroed.jump_counts()
     assert abs(sol.y0 - counts.mean()) < 1e-9

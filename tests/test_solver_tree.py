@@ -8,6 +8,7 @@ import pytest
 
 import jumpbsde as jb
 from jumpbsde.errors import StepSizeError
+from reference import enumerate_paths
 
 
 def _problem(gen_form, gen_params, term_form, term_params, T=1.0, N=8,
@@ -75,7 +76,7 @@ def test_tower_property_small_trees():
                          "compensated": True}, N=N)
         tree = jb.build_scenario_tree(prob.grid, prob.marks, 1)
         sol = jb.solve_tree(prob, tree)
-        ids, idx, probs = tree.enumerate_paths()
+        ids, idx, probs = enumerate_paths(tree)
         xi = sol.y[-1][idx[:, -1]]
         for k in range(N + 1):
             # group paths by their lattice state at depth k
