@@ -117,6 +117,8 @@ def _estimates(solution, problem, p, ceiling, full):
     write them. The terms are taken to the power p per walk prefix; a
     side's sum is the one per-path vector it adds to the terms held."""
     p = problem.p if p is None else p
+    if full and p <= 1:
+        raise ValueError("full estimate requires p > 1")
     if p <= 0:
         raise ValueError("p must be positive")
     rep = _represent(solution, problem)
@@ -150,9 +152,6 @@ def verify_zv_estimate(solution, problem, p=None, ceiling=DEFAULT_CEILING):
 def verify_full_estimate(solution, problem, p=None, ceiling=DEFAULT_CEILING):
     """E[sup |Y|^p + (int |Z|^2)^{p/2} + int int |V|^p lambda ds] against
     E[|xi|^p + (int |f0|)^p]; requires p > 1."""
-    p = problem.p if p is None else p
-    if p <= 1:
-        raise ValueError("full estimate requires p > 1")
     return _estimates(solution, problem, p, ceiling, full=True)[1]
 
 

@@ -1,8 +1,8 @@
 """Explicit-tree path functionals from the leaf sweep against the path table.
 
-The reference functions below are the stack-by-state-index code the sweep
-replaced: they build the full (b^N, K) path tables from
-``reference.enumerate_paths`` and reduce them. Every value must agree bit
+The reference functions below and in ``reference.py`` are the
+stack-by-state-index code the sweep replaced: they build the full (b^N, K)
+path tables from ``reference.enumerate_paths`` and reduce them. Every value must agree bit
 for bit, with subtree blocks from one row up to the whole tree.
 """
 

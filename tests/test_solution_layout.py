@@ -1,8 +1,8 @@
 """Path-batch estimators on per-depth solution fields against path arrays.
 
 A path-batch solution holds one (n,), (n, d) or (n, m) array per depth. The
-reference functions below are the path-array formulas those estimators
-replaced: they stack the depths into (n, K[, width]) arrays and reduce them
+reference functions below and in ``reference.py`` are the path-array
+formulas those estimators replaced: they stack the depths into (n, K[, width]) arrays and reduce them
 along the depth axis. Every value must agree bit for bit. The clamp-tail
 bound is checked against its two former loops, the marginal sum on a
 lattice and the per-path sum on a batch.
