@@ -276,13 +276,10 @@ def _norm_records(solution, problem, seed):
                         norms["n_paths"], seed) for name in ("sp", "mp", "lp")]
 
 
-def _trace_csv_rows(trace):
-    rows = [["iteration", "dy", "dz", "dv", "dist", "ratio"]]
-    for r in trace.rows():
-        rows.append([r["iteration"], repr(r["dy"]), repr(r["dz"]),
-                     repr(r["dv"]), repr(r["dist"]),
-                     "" if r["ratio"] is None else repr(r["ratio"])])
-    return rows
+def _table(columns, records):
+    """CSV rows: the header ``columns``, then each record's values under
+    them (``csv`` writes a float as its repr and None as an empty cell)."""
+    return [list(columns)] + [[rec[c] for c in columns] for rec in records]
 
 
 def _report(cfg, command, body, tables=()):
@@ -352,11 +349,9 @@ def cmd_solve(cfg):
                                          **ctx)
         trace_dict = {"intervals": [t.to_json_dict() for t in traces]}
         plan_dict = plan.to_json_dict()
-        csv_rows = [["interval", "iteration", "dist", "ratio"]]
-        for i, t in enumerate(traces):
-            for r in t.rows():
-                csv_rows.append([i, r["iteration"], repr(r["dist"]),
-                                 "" if r["ratio"] is None else repr(r["ratio"])])
+        csv_rows = _table(("interval", "iteration", "dist", "ratio"),
+                          [{"interval": i, **r} for i, t in enumerate(traces)
+                           for r in t.rows()])
     else:
         solution, trace = picard_solve(problem, cfg["method"], tol=pic["tol"],
                                        max_iter=pic["max_iter"], q=pic["q"],
@@ -364,7 +359,8 @@ def cmd_solve(cfg):
         traces = [trace]
         trace_dict = trace.to_json_dict()
         plan_dict = None
-        csv_rows = _trace_csv_rows(trace)
+        csv_rows = _table(("iteration", "dy", "dz", "dv", "dist", "ratio"),
+                          trace.rows())
 
     body, files = _report(cfg, "solve", {
         "problem_fingerprint": problem.fingerprint(),
@@ -418,10 +414,8 @@ def cmd_verify(cfg):
                                  q=pic["q"], max_iter=pic["max_iter"],
                                  _first_run=(solution, trace), **ctx)
     estimates = [zv] + ([full] if full else [])
-    rows = [["name", "lhs", "rhs_core", "implied_constant", "passed"]]
-    for est in estimates:
-        rows.append([est.name, repr(est.lhs), repr(est.rhs_core),
-                     repr(est.implied_constant), est.passed])
+    rows = _table(("name", "lhs", "rhs_core", "implied_constant", "passed"),
+                  [est.to_json_dict() for est in estimates])
     body, files = _report(cfg, "verify", {
         "problem_fingerprint": problem.fingerprint(),
         "y0": solution.y0,
@@ -447,16 +441,9 @@ def cmd_ladder(cfg):
                                      tol=cfg["ladder"]["tol"],
                                      max_iter=cfg["picard"]["max_iter"],
                                      **ctx)
-    rows = [["n", "y0", "converged"]]
-    for lev in report.levels:
-        rows.append([lev["n"], repr(lev["y0"]), lev["converged"]])
-    rows.append([])
-    rows.append(["n_lo", "n_hi", "measured_d_norm", "bound", "bound_se",
-                 "within_bound"])
-    for pair in report.pairs:
-        rows.append([pair["n_lo"], pair["n_hi"],
-                     repr(pair["measured_d_norm"]), repr(pair["bound"]),
-                     repr(pair["bound_se"]), pair["within_bound"]])
+    rows = (_table(("n", "y0", "converged"), report.levels) + [[]]
+            + _table(("n_lo", "n_hi", "measured_d_norm", "bound", "bound_se",
+                      "within_bound"), report.pairs))
     body, files = _report(cfg, "ladder", {
         "problem_fingerprint": problem.fingerprint(),
         "ladder": report.to_json_dict(),

@@ -25,42 +25,41 @@ table of the problem data, |f(t_k, ., 0, 0, 0)| and |xi| on its states
 ``estimates.check_integrability``. ``_setup`` builds the tree or the batch
 and picks the representation for every entry point below.
 
-The Picard engine re-solves with (z, v) frozen at the previous iterate -- the
-inner problem's driver depends on y only -- and records successive distances
-in the (S^q, M^q, L^q) sample norms. On explicit trees those norms are exact
-via a leaf sweep; on implicit lattices S^q is replaced by the exact
-sup-of-marginals lower bound and M^q by its q=2 form (L^q is a linear
-functional and stays exact). The engine keeps one iterate and each sweep
-overwrites it in place, one depth at a time. On a path batch the iterate
-keeps Y per depth but each step's (Z_k, V_k) as that step's regression
-coefficients (``_Coefficients``), since a fitted field is the step's design
-times them: one target-major sum on the design a fit has just filled gives
-the new (Z_k, V_k) and the previous sweep's, which the driver freezes, and
-the solution's per-path (Z, V) are expanded once, after the last sweep. The
-representation's meter (``_Meter``) takes each depth's differences before
-they are overwritten --
-per-depth scalars on the lattice; on an explicit tree and a path batch the Z
-and |V|^p levels, which the representation's walk view (``sweep``: the leaf
-sweep's root-to-leaf paths, or a batch's paths, each its own walk) reduces
-along the walks, beside the |Y| levels on a tree and a running max of |Y| on
-a batch -- and the solution norms read through the same meter. The estimate
-functionals and the class-D estimator read through the walk view too: a
-first hit of |Y| is a ``fold``, with no stopping-family object. A
-depth whose inputs repeat the previous sweep's bit for bit (the settled tail
-below the terminal) is skipped. On a tree the meter reduces each field only
-up to its live depth, the last one whose difference has a nonzero entry:
-the skipped tail and the set terminal meter zeros, and a max over
-non-negative values, or a sum with zero columns kept in place, ends there
-with the same bits, so a sweep reduces the b^K prefixes at that depth K
-and repeats them to the leaves only for the weighted means.
-Non-contraction (three consecutive ratios >= 1) produces a divergence
-report advising horizon subdivision.
+The Picard engine re-solves with (z, v) frozen at the previous iterate --
+the inner problem's driver depends on y only -- and records successive
+distances in the (S^q, M^q, L^q) sample norms. On explicit trees those norms
+are exact via a leaf sweep; on implicit lattices S^q is replaced by the
+exact sup-of-marginals lower bound and M^q by its q=2 form (L^q is a linear
+functional and stays exact). The engine keeps one iterate, Y per depth and a
+(Z_k, V_k) entry per depth that the representation defines (``start``,
+``project_frozen``, ``keep``, ``expand``), and each sweep overwrites it in
+place, one depth at a time. On the lattice an entry is the two arrays; on a
+path batch it is the step's regression coefficients, since a fitted field is
+the step's design times them: one target-major sum on the design a fit has
+just filled gives the new (Z_k, V_k) and the previous sweep's, which the
+driver freezes, and the per-path (Z, V) are expanded once, after the last
+sweep. The representation's meter (``_Meter``) takes each depth's
+differences before they are overwritten -- per-depth scalars on the lattice;
+on an explicit tree and a path batch the Z and |V|^p levels, which the
+representation's walk view (``sweep``: the leaf sweep's root-to-leaf paths,
+or a batch's paths, each its own walk) reduces along the walks, beside the
+|Y| levels on a tree and a running max of |Y| on a batch -- and the solution
+norms read through the same meter. The estimate functionals and the class-D
+estimator read through the walk view too: a first hit of |Y| is a ``fold``,
+with no stopping-family object. A depth whose inputs repeat the previous
+sweep's bit for bit (the settled tail below the terminal) is skipped. On a
+tree the meter reduces each field only up to its live depth, the last one
+whose difference has a nonzero entry: the skipped tail and the set terminal
+meter zeros, and a max over non-negative values, or a sum with zero columns
+kept in place, ends there with the same bits, so a sweep reduces the b^K
+prefixes at that depth K and repeats them to the leaves only for the
+weighted means. Non-contraction (three consecutive ratios >= 1) produces a
+divergence report advising horizon subdivision.
 
 Lattice reductions use einsum(optimize=False) rather than BLAS, so results
 are bit-stable across thread counts; per-path regression assembly reduces in
 a fixed order for the same reason.
 """
-import collections.abc
 import functools
 import itertools
 import math
@@ -415,8 +414,8 @@ class _LeafSweep:
     elementwise work (abs, powers) on the levels, once per lattice node,
     before the sweep expands them. A reduction that ends above the leaves
     gives one value per prefix at its last depth; ``leaves`` repeats such a
-    vector to its leaves (``row_reduce``, and ``fold`` with
-    ``leaves=False``, leave that to the caller).
+    vector to its leaves (``fold`` and ``row_reduce`` leave that to the
+    caller).
 
     A level list whose last depths are all zero -- a Picard sweep's
     differences below the settled tail and at the set terminal -- has the
@@ -467,9 +466,8 @@ class _LeafSweep:
             total.reshape(part.size, -1)[...] += part[:, None]
         return total
 
-    def _per_path(self, k_first, k_hi, per_subtree, leaves=True):
-        """Per-path vector over all leaves, in leaf-id order (per prefix at
-        depth k_hi without ``leaves``).
+    def _per_path(self, k_first, k_hi, per_subtree):
+        """Per-prefix vector at depth k_hi, in leaf-id order.
 
         ``per_subtree(states)`` maps one subtree's prefix states at depths
         k_first..k_hi to a value per prefix at depth k_hi.
@@ -480,7 +478,7 @@ class _LeafSweep:
             vals = per_subtree(states)
             out[pos:pos + vals.size] = vals
             pos += vals.size
-        return self.leaves(out) if leaves else out
+        return out
 
     def at_depth(self, level, depth):
         """Per-path value of one depth's level array."""
@@ -494,8 +492,8 @@ class _LeafSweep:
             n -= 1
         return n
 
-    def fold(self, ufunc, levels, k_lo=0, leaves=True):
-        """Per-path left fold of an elementwise binary ``ufunc`` over depths:
+    def fold(self, ufunc, levels, k_lo=0):
+        """Per-prefix left fold of an elementwise binary ``ufunc`` over depths:
         ``np.maximum`` gives the max of each path's row, ``np.add`` its
         sequential sum (the same bits as a sum from 0.0 for levels without
         -0.0), and ``acc if acc >= h else val`` its value at the first
@@ -505,8 +503,7 @@ class _LeafSweep:
             for lev, s in zip(levels[1:], states[1:]):
                 acc = ufunc(acc[:, None], lev[s].reshape(acc.size, -1)).ravel()
             return acc
-        return self._per_path(k_lo, k_lo + len(levels) - 1, per_subtree,
-                              leaves)
+        return self._per_path(k_lo, k_lo + len(levels) - 1, per_subtree)
 
     def row_reduce(self, levels, reduce, k_lo, live):
         """Per-prefix ``reduce(block)`` where block[n, j] is prefix n's
@@ -523,7 +520,7 @@ class _LeafSweep:
                 block.reshape((len(col), rows // len(col)) + block.shape[1:])[
                     :, :, j] = col[:, None]
             return reduce(block)
-        return self._per_path(k_lo, k_lo + live - 1, per_subtree, False)
+        return self._per_path(k_lo, k_lo + live - 1, per_subtree)
 
 
 class _BatchSweep(_LeafSweep):
@@ -532,7 +529,7 @@ class _BatchSweep(_LeafSweep):
     and ``at_depth`` give it back). The reductions run on chunks of at most
     CHUNK_ROWS paths, which read one slice of each depth's level;
     ``row_reduce`` stacks a chunk's contiguous (rows, depths[, width])
-    block."""
+    block, zero past the live depth as on a tree."""
 
     CHUNK_ROWS = 1 << 12       # most paths in one chunk
 
@@ -545,9 +542,6 @@ class _BatchSweep(_LeafSweep):
     def _subtrees(self, k_first, k_hi):
         for a in range(0, self.weights.size, self.CHUNK_ROWS):
             yield [slice(a, a + self.CHUNK_ROWS)] * (k_hi - k_first + 1)
-
-    def live(self, levels):
-        return len(levels)     # no prefix to stop at: every depth is live
 
     def at_depth(self, level, depth):
         return level
@@ -586,9 +580,8 @@ class _Meter:
     the result: an overflowed iterate is a solver failure, raised after any
     error of the sweep that fed it."""
 
-    def __init__(self, rep, p, k_lo=0, k_hi=None):
+    def __init__(self, rep, p, k_lo=0):
         self.rep, self.p, self.k_lo = rep, p, k_lo
-        self.k_hi = rep.grid.steps if k_hi is None else k_hi
         self.finite = True
 
     def _check(self, *levels):
@@ -668,9 +661,10 @@ class _PathMeter(_Meter):
     levels Z_k and |V_k|^p; a subclass accumulates |Y_k| (``_y``).
 
     Each functional comes per walk prefix at its live depth (``sweep.live``:
-    on a tree the last depth whose level has a nonzero entry). Powers are
-    taken per prefix; only the weighted means run over the leaves, in leaf
-    order, so every norm keeps its bits."""
+    the last depth whose level has a nonzero entry; on a batch each path is
+    its own prefix at every depth). Powers are taken per prefix; only the
+    weighted means run over the leaves, in leaf order, so every norm keeps
+    its bits."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -730,8 +724,7 @@ class _TreeMeter(_PathMeter):
 
     def _sup_abs(self):
         levels, sweep = _ascending(self.abs_y), self.rep.sweep
-        return sweep.fold(np.maximum, levels[:sweep.live(levels)], self.k_lo,
-                          False)
+        return sweep.fold(np.maximum, levels[:sweep.live(levels)], self.k_lo)
 
 
 class _BatchMeter(_PathMeter):
@@ -753,16 +746,16 @@ class _Representation:
     """What the noise representations share: norms read through the meter
     of the representation (``_meter``), which a Picard sweep also feeds."""
 
-    def meter(self, p, k_lo=0, k_hi=None):
-        return self._meter(self, p, k_lo, k_hi)
+    def meter(self, p, k_lo=0):
+        return self._meter(self, p, k_lo)
 
     def sup_norm(self, y, p, k_lo=0):
         """S^p of one Y field."""
         return self.meter(p, k_lo).feed(y).sup()
 
-    def norms(self, p, y, z, v, k_lo=0, k_hi=None):
+    def norms(self, p, y, z, v, k_lo=0):
         """(S^p, M^p, L^p) of one (Y, Z, V) triple, each field read once."""
-        return self.meter(p, k_lo, k_hi).feed(y, z, v).norms()
+        return self.meter(p, k_lo).feed(y, z, v).norms()
 
 
 class _PathEstimators(_Representation):
@@ -789,7 +782,7 @@ class _PathEstimators(_Representation):
                 "int_z_sq": lambda: meter._z_sq() * dt,
                 "int_v_p": lambda: meter._v_p() * dt,
                 "int_f0_abs": lambda: dt * sweep.fold(
-                    np.add, _data_levels(self, problem)[:-1], leaves=False),
+                    np.add, _data_levels(self, problem)[:-1]),
                 "xi_abs": lambda: sweep.at_depth(np.abs(sol.y[-1]), N)}
 
     def class_d(self, y):
@@ -807,8 +800,8 @@ class _PathEstimators(_Representation):
         del terminal                # one per-path vector at a time
         for h in levels:
             if h > 0:
-                hit = sweep.fold(
-                    lambda acc, val: np.where(acc >= h, acc, val), abs_levels)
+                hit = sweep.leaves(sweep.fold(
+                    lambda acc, val: np.where(acc >= h, acc, val), abs_levels))
                 best = max(best, _wmean(weights, hit))
         return best
 
@@ -862,11 +855,26 @@ class _Lattice(_Representation):
                 np.einsum("nb,bd->nd", yc, self._wz),
                 np.einsum("nb,bm->nm", yc, self._wv))
 
-    def project_frozen(self, sol, j, k):
-        """A Picard sweep's projection at depth k = k_lo + j of the iterate
-        ``sol``: (E[Y_{k+1} | F_k], the new Z_k, V_k, the iterate's own
-        (Z_k, V_k))."""
-        return (*self.project(sol.y[j + 1], k), (sol.z[j], sol.v[j]))
+    def start(self, k, z0, v0):
+        """The constant start's entry at depth k: its (Z_k, V_k) arrays."""
+        n = self.n_states(k)
+        return np.full((n, self.d), z0), np.full((n, self.m), v0)
+
+    def project_frozen(self, y_next, k, entry):
+        """A Picard sweep's projection at depth k of the iterate's Y_{k+1}:
+        (E[Y_{k+1} | F_k], the new Z_k, V_k, the entry's own (Z_k, V_k), the
+        new entry)."""
+        cond_mean, z, v = self.project(y_next, k)
+        return cond_mean, z, v, entry, (z, v)
+
+    def keep(self, entry, new):
+        """The entry holding ``new``, written over the entry's own arrays."""
+        for old, level in zip(entry, new):
+            old[...] = level
+        return entry
+
+    def expand(self, entry, k):
+        return entry
 
     def _mean(self, level, k):
         """E[level] over the states at depth k."""
@@ -912,9 +920,9 @@ class _PathBatch(_PathEstimators):
     batch keeps the state at every node once, step-major (``_states``), so a
     step's state is one contiguous slice. A depth's level holds one value
     per path; at least 2 paths, so that sample means carry an SE. A Picard
-    iterate on the batch keeps its (Z, V) as per-step coefficients
-    (``_Coefficients``, ``project_frozen``), which ``expand`` turns into
-    per-path arrays."""
+    iterate's entry at depth k is its (Z_k, V_k) as that step's
+    coefficients (``project_frozen``), which ``expand`` turns into per-path
+    arrays."""
 
     kind, estimator, tree = "paths", "mc", None
     _meter = _BatchMeter
@@ -980,7 +988,7 @@ class _PathBatch(_PathEstimators):
         """E[Y_{k+1} | F_k], Z_k and V_k fitted jointly from the stacked
         targets Y, Y dB/dt and Y (1{jump} - p) / (p (1 - p)), as the rows
         of one target-major (1 + d + m, n) table, and their (Z_k, V_k)
-        entry of ``_Coefficients``. A fitted entry ``prev`` of depth k adds
+        entry (``project_frozen``). A fitted entry ``prev`` of depth k adds
         the rows of its (Z_k, V_k), summed on the same design."""
         n, d, dt = self.n_paths, self.d, self.grid.dt
         counts = self._states[1]
@@ -1007,27 +1015,33 @@ class _PathBatch(_PathEstimators):
         return _combine(design, stacked), beta[:, 1:]
 
     def project(self, y_next, k):
-        """(E[Y_{k+1} | F_k], Z_k, V_k): views of one path-major table (at
-        k = 0, of the broadcast mean), the layouts the driver reads them
-        in."""
-        fitted = self._fit(y_next, k)[0].T
-        if k > 0:
-            fitted = np.ascontiguousarray(fitted)
+        """(E[Y_{k+1} | F_k], Z_k, V_k): views of one path-major table, the
+        layout the driver reads them in; at k = 0 too, since ``z @ b`` on
+        rows of stride 0 can round unlike on a Picard sweep's frozen rows."""
+        fitted = np.ascontiguousarray(self._fit(y_next, k)[0].T)
         return fitted[:, 0], fitted[:, 1:1 + self.d], fitted[:, 1 + self.d:]
 
-    def project_frozen(self, sol, j, k):
-        """A Picard sweep's projection at depth k = k_lo + j of the iterate
-        ``sol``, whose (Z, V) are ``_Coefficients``: (E[Y_{k+1} | F_k], the
-        new Z_k, V_k, the iterate's own (Z_k, V_k)). One target-major sum on
-        the design the fit has just filled gives the new fields and the
-        iterate's own, which come C-contiguous, as the driver has always
-        read frozen fields; the new coefficients replace the iterate's."""
-        entries, w = sol.z.entries, 1 + self.d + self.m
-        prev = entries[j]
-        fitted, entries[j] = self._fit(sol.y[j + 1], k, prev)
-        old = fitted[w:].T if prev.ndim == 2 else self._broadcast(prev)
+    def start(self, k, z0, v0):
+        """The constant start's entry: the row (d + m,) every path shares."""
+        return np.array([z0] * self.d + [v0] * self.m)
+
+    def project_frozen(self, y_next, k, entry):
+        """A Picard sweep's projection at depth k of the iterate's Y_{k+1}:
+        (E[Y_{k+1} | F_k], the new Z_k, V_k, the entry's own (Z_k, V_k), the
+        new entry). An entry is the Z/V columns (kept basis columns, d + m)
+        of the step's least-squares coefficients, or one row (d + m,) that
+        every path shares: the plain mean at k = 0, the constant start. One
+        target-major sum on the design the fit has just filled gives the
+        new fields and the entry's own, C-contiguous, as the driver has
+        always read frozen fields."""
+        w = 1 + self.d + self.m
+        fitted, new = self._fit(y_next, k, entry)
+        old = fitted[w:].T if entry.ndim == 2 else self._broadcast(entry)
         return (fitted[0], fitted[1:1 + self.d].T, fitted[1 + self.d:w].T,
-                self._split(old))
+                self._split(old), new)
+
+    def keep(self, entry, new):
+        return new
 
     def _broadcast(self, row):
         return np.broadcast_to(row, (self.n_paths, row.size))
@@ -1038,8 +1052,8 @@ class _PathBatch(_PathEstimators):
                 np.ascontiguousarray(zv[:, self.d:]))
 
     def expand(self, entry, k):
-        """(Z_k, V_k), C-contiguous, from a ``_Coefficients`` entry of
-        depth k: the design of step k is refilled."""
+        """(Z_k, V_k), C-contiguous, from an entry of depth k: the design of
+        step k is refilled."""
         if entry.ndim == 1:
             return self._split(self._broadcast(entry))
         design = self._bases[k].design(self._step(k), self._design_buf)
@@ -1053,27 +1067,6 @@ class _PathBatch(_PathEstimators):
 
     def _expect(self, per_path):
         return np.mean(per_path)
-
-
-class _Coefficients(collections.abc.Sequence):
-    """Z (``field`` 0) or V (1) of a Picard iterate on a path batch: its z
-    and v share one list of ``entries``, one per depth from ``k_lo``. A
-    fitted (Z_k, V_k) is design_k @ entry, with the entry the Z/V columns
-    (kept basis columns, d + m) of the step's least-squares coefficients,
-    or the one row (d + m,) that every path shares -- the plain mean at
-    k = 0, the constant start. Reads as per-depth (n, d) or (n, m) arrays,
-    each expanded on access."""
-
-    def __init__(self, rep, k_lo, entries, field):
-        self.rep, self.k_lo, self.entries = rep, k_lo, entries
-        self.field = field
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, j):
-        j = range(len(self))[j]
-        return self.rep.expand(self.entries[j], self.k_lo + j)[self.field]
 
 
 def _empty(rep, problem, k_lo, k_hi, zv=True):
@@ -1160,17 +1153,17 @@ def _same_bits(a, b):
 
 def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
               meter=None, settled=None):
-    """Backward induction over depths [k_lo, k_hi], fields indexed from
-    k_lo; returns the solution.
+    """Backward induction over depths [k_lo, k_hi], fields indexed from k_lo.
 
-    Without ``iterate`` it fills a new solution, and the driver sees each
-    step's own projections (Z_k, V_k). With it, this is one Picard sweep
-    over ``iterate``, in place: at depth k it projects the new Y_{k+1},
-    solves the step with the iterate's own (Z_k, V_k) -- the previous
-    sweep's -- frozen in the driver (both from ``rep.project_frozen``),
-    passes the differences new - old to ``meter`` and writes (Y_k, Z_k,
-    V_k) over the old values; a batch iterate's (Z_k, V_k) coefficients
-    are replaced in ``project_frozen``.
+    Without ``iterate`` it fills a new solution and returns it, and the
+    driver sees each step's own projections (Z_k, V_k). With it, this is
+    one Picard sweep over ``iterate``, in place: the iterate is its Y
+    levels and its per-depth entries, which the representation defines and
+    reads (``rep.project_frozen``) and writes (``rep.keep``). At depth k
+    the sweep projects the new Y_{k+1}, solves the step with the entry's
+    (Z_k, V_k) -- the previous sweep's -- frozen in the driver, passes the
+    differences new - old to ``meter`` and then writes Y_k and the new
+    entry over the old.
 
     ``settled`` (None on a first sweep, whose start is no sweep's output)
     flags per depth whether the previous sweep left Y bitwise unchanged; the
@@ -1187,16 +1180,20 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
         raise StepSizeError(
             f"kappa*dt = {kappa_dt:g} >= 1; refine the grid "
             f"(kappa={gen.lipschitz_kappa:g}, dt={dt:g})")
-    sol = _empty(rep, problem, k_lo, k_hi) if iterate is None else iterate
+    if iterate is None:
+        sol = _empty(rep, problem, k_lo, k_hi)
+        levels = sol.y
+    else:
+        levels, entries = iterate
     term = np.asarray(terminal_values, dtype=float)
-    if term.shape != sol.y[-1].shape:
+    if term.shape != levels[-1].shape:
         raise ValueError(
             f"terminal values shaped {term.shape} do not match the "
-            f"{sol.y[-1].shape[0]} states at depth {k_hi}")
+            f"{levels[-1].shape[0]} states at depth {k_hi}")
     if meter is not None:
-        meter.y(k_hi, term - sol.y[-1])
-    unchanged = settled is not None and _same_bits(term, sol.y[-1])
-    sol.y[-1][...] = term
+        meter.y(k_hi, term - levels[-1])
+    unchanged = settled is not None and _same_bits(term, levels[-1])
+    levels[-1][...] = term
 
     for k in range(k_hi - 1, k_lo - 1, -1):
         j = k - k_lo
@@ -1207,24 +1204,27 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
                 meter.skip(k)          # and Y_k stays unchanged
                 continue
         if iterate is None:
-            cond_mean, z, v = rep.project(sol.y[j + 1], k)
+            cond_mean, z, v = rep.project(levels[j + 1], k)
             frozen = (z, v)
         else:
-            cond_mean, z, v, frozen = rep.project_frozen(sol, j, k)
+            cond_mean, z, v, frozen, new = rep.project_frozen(
+                levels[j + 1], k, entries[j])
         y = _solve_implicit(cond_mean,
                             gen.bind(rep.context(problem, k), *frozen),
                             dt, kappa_dt)
         if meter is not None:
-            meter.y(k, y - sol.y[j])
+            meter.y(k, y - levels[j])
             meter.zv(k, z - frozen[0], v - frozen[1])
         if settled is not None:
-            unchanged = _same_bits(y, sol.y[j])
-        sol.y[j][...] = y
-        if not isinstance(sol.z, _Coefficients):  # replaced by project_frozen
-            sol.z[j][...] = z
-            sol.v[j][...] = v
-    sol.y0 = float(sol.y[0][0])
-    return sol
+            unchanged = _same_bits(y, levels[j])
+        levels[j][...] = y
+        if iterate is None:
+            sol.z[j][...], sol.v[j][...] = z, v
+        else:
+            entries[j] = rep.keep(entries[j], new)
+    if iterate is None:
+        sol.y0 = float(levels[0][0])
+        return sol
 
 
 def _solve(rep, problem):
@@ -1270,36 +1270,16 @@ def _check_assumptions(problem, seed):
             f"{rep['max_ratio']:.6g} (worst point {rep['worst_point']})")
 
 
-def _constant(rep, problem, k_lo, k_hi, init):
-    """The constant (Y, Z, V) = init over depths [k_lo, k_hi]; on a path
-    batch, (Z, V) are ``_Coefficients`` whose every depth holds one row."""
-    batch = isinstance(rep, _PathBatch)
-    sol = _empty(rep, problem, k_lo, k_hi, zv=not batch)
-    y0, z0, v0 = map(float, init)
-    fields = [(sol.y, y0)]
-    if batch:
-        row = np.array([z0] * problem.d + [v0] * problem.marks.m)
-        entries = [row] * (k_hi - k_lo)
-        sol.z, sol.v = (_Coefficients(rep, k_lo, entries, field)
-                        for field in (0, 1))
-    else:
-        fields += [(sol.z, z0), (sol.v, v0)]
-    for levels, value in fields:
-        for level in levels:
-            level[...] = value
-    sol.y0 = y0
-    return sol
-
-
 def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
             init=(0.0, 0.0, 0.0), k_hi=None, k_lo=0, terminal_values=None):
     """The Picard iteration of ``picard_solve`` on a given representation.
 
-    It owns one iterate, the constant ``init``, which every sweep
-    (``_backward``) overwrites in place while its meter takes each depth's
-    differences before they are overwritten. A path batch's (Z, V), kept as
-    coefficients through the sweeps, are expanded once, after the last
-    sweep's meter is released."""
+    It owns one iterate, the constant ``init``: Y levels and per-depth
+    (Z, V) entries that the representation defines (``rep.start``), which
+    every sweep (``_backward``) overwrites in place while its meter takes
+    each depth's differences before they are overwritten. The entries are
+    expanded to the solution's (Z, V) arrays (``rep.expand``) once, after
+    the last sweep's meter is released."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if q is None:
@@ -1311,13 +1291,17 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
             raise ValueError("sub-range solves need explicit terminal values")
         terminal_values = problem.terminal(rep.context(problem, N))
 
-    sol = _constant(rep, problem, k_lo, k_hi, init)
+    y0, z0, v0 = map(float, init)
+    sol = _empty(rep, problem, k_lo, k_hi, zv=False)
+    for level in sol.y:
+        level[...] = y0
+    entries = [rep.start(k, z0, v0) for k in range(k_lo, k_hi)]
     settled = None
     trace = PicardTrace(q=q)
     for it in range(1, max_iter + 1):
-        meter = rep.meter(q, k_lo, k_hi)
-        _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=sol,
-                  meter=meter, settled=settled)
+        meter = rep.meter(q, k_lo)
+        _backward(rep, problem, k_lo, k_hi, terminal_values,
+                  iterate=(sol.y, entries), meter=meter, settled=settled)
         if settled is None:
             settled = np.zeros(k_hi - k_lo + 1, dtype=bool)
         trace.n_iter = it
@@ -1338,10 +1322,9 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
         trace.message = (f"tolerance {tol:g} not reached in {max_iter} "
                          "iterations")
     del meter
-    if isinstance(sol.z, _Coefficients):
-        fields = [rep.expand(entry, k)
-                  for k, entry in enumerate(sol.z.entries, k_lo)]
-        sol.z, sol.v = [z for z, _ in fields], [v for _, v in fields]
+    fields = [rep.expand(entry, k) for k, entry in enumerate(entries, k_lo)]
+    sol.z, sol.v = [z for z, _ in fields], [v for _, v in fields]
+    sol.y0 = float(sol.y[0][0])
     sol.diagnostics["picard"] = trace.to_json_dict()
     return sol, trace
 

@@ -1,7 +1,9 @@
 """Config-driven CLI: exit codes, reports, reproducibility."""
 
 import copy
+import csv
 import importlib.util
+import io
 import json
 import math
 import os
@@ -764,6 +766,76 @@ def test_verify_suite_csv_has_12_rows(tmp_path):
     suite_csv = [f for f in os.listdir(out) if f.endswith("_suite.csv")][0]
     rows = (out / suite_csv).read_text().strip().splitlines()
     assert len(rows) == 13   # header + 12 instances
+
+
+def _csv_text(value):
+    """The text of a CSV cell that holds ``value``."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value])
+    return next(csv.reader(io.StringIO(buf.getvalue())))[0]
+
+
+def _trace_rows(trace, keys):
+    """Per iteration: its number, its values of ``keys``, its ratio."""
+    ratios = trace["ratios"]
+    return [[i + 1, *(trace[key][i] for key in keys),
+             ratios[i - 1] if 1 <= i <= len(ratios) else None]
+            for i in range(trace["n_iter"])]
+
+
+def _want_csv(command, body):
+    """The rows a report's CSV table holds, from its body values."""
+    if command == "verify":
+        return [["name", "lhs", "rhs_core", "implied_constant", "passed"]] + [
+            [est[key] for key in ("name", "lhs", "rhs_core",
+                                  "implied_constant", "passed")]
+            for est in (body["zv_estimate"], body["full_estimate"])]
+    if command == "ladder":
+        ladder = body["ladder"]
+        return ([["n", "y0", "converged"]]
+                + [[lev["n"], lev["y0"], lev["converged"]]
+                   for lev in ladder["levels"]] + [[]]
+                + [["n_lo", "n_hi", "measured_d_norm", "bound", "bound_se",
+                    "within_bound"]]
+                + [[pair[key] for key in ("n_lo", "n_hi", "measured_d_norm",
+                                          "bound", "bound_se",
+                                          "within_bound")]
+                   for pair in ladder["pairs"]])
+    trace = body["picard_trace"]
+    if "intervals" in trace:
+        return [["interval", "iteration", "dist", "ratio"]] + [
+            [i, *row] for i, t in enumerate(trace["intervals"])
+            for row in _trace_rows(t, ["distances"])]
+    return ([["iteration", "dy", "dz", "dv", "dist", "ratio"]]
+            + _trace_rows(trace, ["dy", "dz", "dv", "distances"]))
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", {}),
+    ("solve", {"subdivide": {"enabled": True, "c_emp": 1.18, "q": 1.5}}),
+    ("verify", {}),
+    ("ladder", {"ladder": {"n_list": [1, 2, 4]}}),
+], ids=["solve", "subdivided-solve", "verify", "ladder"])
+def test_csv_cells_are_the_body_values(tmp_path, command, overrides):
+    path, _ = _cfg(
+        tmp_path, grid_steps=8, node_cap=10 ** 7,
+        problem={**copy.deepcopy(BASE["problem"]),
+                 "generator": {"form": "zv-coupled",
+                               "params": {"cz": 0.5, "cv": 0.5}},
+                 "terminal": {"form": "brownian-functional",
+                              "params": {"kind": "square"}}},
+        **overrides)
+    assert cli.main([command, "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
+    with open(out / [f for f in os.listdir(out) if f.endswith(".csv")][0],
+              newline="") as fh:
+        got = list(csv.reader(fh))
+    want = _want_csv(command, body)
+    if "subdivide" in overrides:
+        assert len(body["picard_trace"]["intervals"]) == 2
+    assert len(want) > 2
+    assert got == [[_csv_text(value) for value in row] for row in want]
 
 
 def test_ladder_command(tmp_path):

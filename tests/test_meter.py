@@ -88,21 +88,21 @@ def _materialised(a, b):
 INIT = (0.5, -0.25, 0.125)
 
 
-def _copy(sol):
-    return Solution(**{**vars(sol), **{f: [lev.copy() for lev in getattr(
-        sol, f)] for f in "yzv"}})
-
-
 def _metered(run):
-    """``run()`` with every iterate ``_backward`` returns recorded, as
+    """``run()`` with the iterate of every ``_backward`` sweep recorded, as
     (k_lo, copy of the solution) in call order: a Picard sweep overwrites
-    its one iterate in place, so each is copied as the sweep returns."""
+    its one iterate in place, so each is copied, its (Z, V) entries
+    expanded, as the sweep returns."""
     seen, backward = [], solver._backward
 
-    def spy(rep, problem, k_lo, *args, **kwargs):
-        sol = backward(rep, problem, k_lo, *args, **kwargs)
-        seen.append((k_lo, _copy(sol)))
-        return sol
+    def spy(rep, problem, k_lo, *args, iterate, **kwargs):
+        backward(rep, problem, k_lo, *args, iterate=iterate, **kwargs)
+        y, entries = iterate
+        zv = [rep.expand(entry, k) for k, entry in enumerate(entries, k_lo)]
+        seen.append((k_lo, Solution(
+            kind=rep.kind, grid=problem.grid, fingerprint="", y0=0.0,
+            tree=rep.tree, batch=rep.batch, y=[lev.copy() for lev in y],
+            z=[z.copy() for z, _ in zv], v=[v.copy() for _, v in zv])))
 
     with mock.patch.object(solver, "_backward", spy):
         return run(), seen

@@ -52,7 +52,10 @@ def _picard_ref(rep, problem, tol=1e-9, max_iter=25, q=None,
     k_hi = N if k_hi is None else k_hi
     if terminal_values is None:
         terminal_values = problem.terminal(rep.context(problem, N))
-    prev = solver._constant(rep, problem, k_lo, k_hi, init)
+    prev = solver._empty(rep, problem, k_lo, k_hi)
+    for f, value in zip("yzv", init):
+        for level in getattr(prev, f):
+            level[...] = value
     trace = solver.PicardTrace(q=q)
     for it in range(1, max_iter + 1):
         cur = _sweep_ref(rep, problem, k_lo, k_hi, terminal_values, prev)
@@ -60,7 +63,7 @@ def _picard_ref(rep, problem, tol=1e-9, max_iter=25, q=None,
         trace.record(*rep.norms(q, map(np.subtract, cur.y, prev.y),
                                 map(np.subtract, cur.z, prev.z),
                                 map(np.subtract, cur.v, prev.v),
-                                k_lo=k_lo, k_hi=k_hi))
+                                k_lo=k_lo))
         if trace.dist[-1] <= tol:
             trace.converged = True
             break
@@ -205,14 +208,12 @@ def _coefficient_run(monkeypatch, run, rep):
         gen.append(z.flags.c_contiguous and v.flags.c_contiguous)
         return bind(self, ctx, z, v)
 
-    def backward_spy(rep_, problem, k_lo, k_hi, *args, **kwargs):
-        sol = backward(rep_, problem, k_lo, k_hi, *args, **kwargs)
-        assert sol.z.entries is sol.v.entries
-        for k, entry in enumerate(sol.z.entries, k_lo):
+    def backward_spy(rep_, problem, k_lo, k_hi, *args, iterate, **kwargs):
+        backward(rep_, problem, k_lo, k_hi, *args, iterate=iterate, **kwargs)
+        for k, entry in enumerate(iterate[1], k_lo):
             rows = len(rep._bases[k].exps) if entry.ndim == 2 else None
             assert entry.shape[-1] == rep.d + rep.m
             assert entry.ndim == 1 or entry.shape[0] == rows
-        return sol
 
     with monkeypatch.context() as patch:
         patch.setattr(jb.GeneratorSpec, "bind", bind_spy)
