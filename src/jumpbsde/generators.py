@@ -453,7 +453,8 @@ def _affine(params, marks, p, d):
     c_lam = c * marks.intensities
 
     def bind_zv(ctx, z, v):
-        zb, vc = z @ b, v @ c_lam
+        zb = np.einsum("nd,d->n", z, b, optimize=False)
+        vc = np.einsum("nm,m->n", v, c_lam, optimize=False)
 
         def f_of_y(y, rows=None):
             return const + a * y + _take(zb, rows) + _take(vc, rows)
@@ -473,7 +474,8 @@ def _lipschitz_smooth(params, marks, p, d):
     ay, bz, cv = (params[k] for k in ("ay", "bz", "cv"))
 
     def bind_zv(ctx, z, v):
-        zb, vn = z @ bz, cv * ctx.section_norm(v)
+        zb = np.einsum("nd,d->n", z, bz, optimize=False)
+        vn = cv * ctx.section_norm(v)
 
         def f_of_y(y, rows=None):
             return ay * np.sin(y) + _take(zb, rows) + _take(vn, rows)

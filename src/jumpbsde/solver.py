@@ -32,11 +32,17 @@ are exact via a leaf sweep; on implicit lattices S^q is replaced by the
 exact sup-of-marginals lower bound and M^q by its q=2 form (L^q is a linear
 functional and stays exact). The engine keeps one iterate, Y per depth and a
 (Z_k, V_k) entry per depth that the representation defines (``start``,
-``project_frozen``, ``keep``, ``expand``), and each sweep overwrites it in
-place, one depth at a time. On the lattice an entry is the two arrays; on a
-path batch it is the step's regression coefficients, since a fitted field is
-the step's design times them: one target-major sum on the design a fit has
-just filled gives the new (Z_k, V_k) and the previous sweep's, which the
+``project_frozen``, ``detach``, ``fields``), and each sweep overwrites it in
+place, one depth at a time. On the lattice (Z_k, V_k) is the exact
+projection of Y_{k+1}, so the iterate keeps Y only: an entry is empty (it
+reads the iterate's Y_{k+1}) except for one depth, whose entry takes the
+projection of the old Y_{k+1} just before the sweep overwrites that level,
+for the step below to freeze; a sweep that leaves Y_{k+1} as it was reuses
+the new projection instead, and the constant start is built at the depth
+that reads it. A lattice solution's Z and V project Y when read. On a path
+batch an entry is the step's regression coefficients, since a fitted field
+is the step's design times them: one target-major sum on the design a fit
+has just filled gives the new (Z_k, V_k) and the previous sweep's, which the
 driver freezes, and the per-path (Z, V) are expanded once, after the last
 sweep. The representation's meter (``_Meter``) takes each depth's
 differences before they are overwritten -- per-depth scalars on the lattice;
@@ -60,6 +66,7 @@ Lattice reductions use einsum(optimize=False) rather than BLAS, so results
 are bit-stable across thread counts; per-path regression assembly reduces in
 a fixed order for the same reason.
 """
+import collections.abc
 import functools
 import itertools
 import math
@@ -102,6 +109,10 @@ class Solution:
     depth ``k_lo + j`` (``k_lo`` is 0 except on a chained solve's interval)
     on every lattice state, shaped (n_k,), (n_k, d), (n_k, m), or on every
     path, shaped (n,), (n, d), (n, m). Y has one more depth than Z and V.
+    On a path batch ``z`` and ``v`` are lists of arrays. On the lattice,
+    where (Z_k, V_k) is the exact projection of Y_{k+1}, they are read-only
+    sequences that project ``y[j + 1]`` when ``z[j]`` or ``v[j]`` is read
+    (``_Projected``), with the bits the solve computed.
     """
 
     kind: str                      # "tree" | "paths"
@@ -229,26 +240,43 @@ def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt):
     half of it (gathering a subset costs more than evaluating a few settled
     rows along). Other drivers see every row on every iteration. Either way
     the iterates are those of the whole-array iteration, which stops early
-    once two successive iterates are equal. Overflow raises NumericError
-    in the residual check or the meter, with no numpy warning.
+    once two successive iterates are equal.
+
+    A row whose last update repeated its bits (not merely its value: -0.0
+    and +0.0 differ) has y = cond_mean + f(y) dt exactly, a zero residual.
+    So when y is finite the convergence check reads only the rows still
+    evaluated, and none when the last update repeated them all; its
+    verdict and its max residual are those of the check on every row.
+    Overflow raises NumericError in the residual check or the meter, with
+    no numpy warning.
     """
     n_iter = _fixpoint_iterations(kappa_dt)
     row_wise = getattr(f_of_y, "row_wise", False)
     y, f_val = cond_mean, f_of_y(cond_mean)
     rows = slice(None)          # the rows still moving
+    exact = False               # the last update repeated every row's bits
     for _ in range(n_iter):
         y_old = y[rows]
         y_new = cond_mean[rows] + f_val[rows] * dt
-        done = np.array_equal(y_new, y_old)
         if row_wise:
             moved = y_new.view(np.int64) != y_old.view(np.int64)
-            if 2 * np.count_nonzero(moved) <= moved.size:
+            n_moved = np.count_nonzero(moved)
+            exact = n_moved == 0
+            if exact:
+                done = np.array_equal(y_new, y_old)     # False for NaN
+            else:       # the first moved row may rule out equal iterates
+                i = moved.argmax()
+                done = y_new[i] == y_old[i] and np.array_equal(y_new, y_old)
+            if 2 * n_moved <= moved.size:
                 keep = np.flatnonzero(moved)
                 if isinstance(rows, slice):
                     y, rows = y_new, keep   # y_new repeats y_old off keep
                 else:
                     rows = rows[keep]
                 y_new = y_new[keep]
+        else:
+            done = np.array_equal(y_new, y_old)
+            exact = done and _same_bits(y_new, y_old)
         if isinstance(rows, slice):
             y, f_val = y_new, f_of_y(y_new)
         else:
@@ -256,8 +284,15 @@ def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt):
             f_val[rows] = f_of_y(y_new, rows)
         if done:
             break
-    resid = np.abs(y - (cond_mean + f_val * dt))
-    scale = np.abs(y) + np.abs(cond_mean) + np.abs(f_val * dt)
+    if exact or not isinstance(rows, slice):
+        # off the rows still evaluated each row repeated its bits
+        if not np.all(np.isfinite(y)):
+            rows = slice(None)
+        elif exact:
+            return y
+    y_r, mean_r, f_dt = y[rows], cond_mean[rows], f_val[rows] * dt
+    resid = np.abs(y_r - (mean_r + f_dt))
+    scale = np.abs(y_r) + np.abs(mean_r) + np.abs(f_dt)
     if not np.all(resid <= 512.0 * np.finfo(float).eps * scale):
         raise NumericError(
             "per-step fixed point not converged "
@@ -806,15 +841,42 @@ class _PathEstimators(_Representation):
         return best
 
 
+class _Projected(collections.abc.Sequence):
+    """Z (``field`` 0) or V (1) of a lattice solution, per depth: item j is
+    ``rep.project_zv(y[j + 1], k_lo + j)``, read-only. The Z and V of one
+    solution share ``last``, the depth read last and its projection, so a
+    reader that takes Z_k and V_k in turn projects each depth once."""
+
+    def __init__(self, rep, y, k_lo, field, last):
+        self.rep, self.y, self.k_lo = rep, y, k_lo
+        self.field, self.last = field, last
+
+    def __len__(self):
+        return len(self.y) - 1
+
+    def __getitem__(self, j):
+        j = range(len(self))[j]
+        if isinstance(j, range):
+            return [self[i] for i in j]
+        if self.last[0] != j:
+            zv = self.rep.project_zv(self.y[j + 1], self.k_lo + j)
+            for level in zv:
+                level.flags.writeable = False
+            self.last[:] = j, zv
+        return self.last[1][self.field]
+
+
 class _Lattice(_Representation):
     """The recombined state lattice of a scenario tree: E[. | F_k] and the
     Z / V projections are exact branch-weighted sums over each state's
     children. The children's values come from the lattice grid by slicing
     (``ScenarioTree.gather_children``: a row gather per jump outcome, a cube
     slice per sign), as the same C-contiguous (n_k, b) table a child-index
-    gather gives, so the three einsums reduce the same bits. Without an
-    explicit tree the estimators are the exact marginal ones, each an
-    expectation ``_mean`` over one depth's states."""
+    gather gives, so the three einsums reduce the same bits. Since (Z_k,
+    V_k) is a projection of Y_{k+1}, a Picard iterate and a solution keep
+    the Y levels only and project (Z, V) from them when they are read.
+    Without an explicit tree the estimators are the exact marginal ones,
+    each an expectation ``_mean`` over one depth's states."""
 
     kind, estimator, batch, n_paths = "tree", "tree-marginal", None, None
     diagnostics = {}
@@ -852,29 +914,55 @@ class _Lattice(_Representation):
         """(E[Y_{k+1} | F_k], Z_k, V_k) from the level at depth k+1."""
         yc = self.tree.gather_children(k, y_next)            # (n_k, b)
         return (np.einsum("nb,b->n", yc, self.tree.branch_probs),
-                np.einsum("nb,bd->nd", yc, self._wz),
+                *self._zv(yc))
+
+    def _zv(self, yc):
+        return (np.einsum("nb,bd->nd", yc, self._wz),
                 np.einsum("nb,bm->nm", yc, self._wv))
 
+    def project_zv(self, y_next, k):
+        """(Z_k, V_k) from the level at depth k+1, with the bits of
+        ``project``'s."""
+        return self._zv(self.tree.gather_children(k, y_next))
+
+    # A Picard iterate's entry at depth k is None, which reads the iterate's
+    # Y_{k+1}: (Z_k, V_k) is its projection. Only while the step below reads
+    # a previous Y_{k+1} does the entry hold (Z_k, V_k) arrays: the constant
+    # start's, or the projection ``detach`` took before Y_{k+1} changed.
+
     def start(self, k, z0, v0):
-        """The constant start's entry at depth k: its (Z_k, V_k) arrays."""
+        """The constant start's entry at depth k: its (Z_k, V_k), broadcast
+        views that a sweep makes contiguous when it reads them."""
         n = self.n_states(k)
-        return np.full((n, self.d), z0), np.full((n, self.m), v0)
+        return (np.broadcast_to(z0, (n, self.d)),
+                np.broadcast_to(v0, (n, self.m)))
 
     def project_frozen(self, y_next, k, entry):
-        """A Picard sweep's projection at depth k of the iterate's Y_{k+1}:
+        """A sweep's projection at depth k of the iterate's Y_{k+1}:
         (E[Y_{k+1} | F_k], the new Z_k, V_k, the entry's own (Z_k, V_k), the
-        new entry)."""
+        new entry). An empty entry's own fields are the new ones: the direct
+        solve's, and a sweep's where Y_{k+1} kept its bits."""
         cond_mean, z, v = self.project(y_next, k)
-        return cond_mean, z, v, entry, (z, v)
+        own = (z, v) if entry is None else tuple(map(np.ascontiguousarray,
+                                                     entry))
+        return cond_mean, z, v, own, None
 
-    def keep(self, entry, new):
-        """The entry holding ``new``, written over the entry's own arrays."""
-        for old, level in zip(entry, new):
-            old[...] = level
-        return entry
+    def detach(self, entry, k, y_next):
+        """The entry at depth k before the sweep overwrites Y_{k+1}, whose
+        level ``y_next`` still holds: an empty entry takes its projection."""
+        return self.project_zv(y_next, k) if entry is None else entry
 
-    def expand(self, entry, k):
-        return entry
+    def fields(self, y, entries, k_lo):
+        """The (Z, V) of a solution whose Y levels from depth k_lo are ``y``
+        (its entries are all empty): sequences that project ``y`` when
+        read."""
+        last = [None, None]
+        return _Projected(self, y, k_lo, 0, last), _Projected(self, y, k_lo,
+                                                               1, last)
+
+    def join_fields(self, y, parts):
+        """The (Z, V) of joined Y levels from depth 0 (``_join``)."""
+        return self.fields(y, None, 0)
 
     def _mean(self, level, k):
         """E[level] over the states at depth k."""
@@ -1014,34 +1102,43 @@ class _PathBatch(_PathEstimators):
             [beta, prev])
         return _combine(design, stacked), beta[:, 1:]
 
-    def project(self, y_next, k):
-        """(E[Y_{k+1} | F_k], Z_k, V_k): views of one path-major table, the
-        layout the driver reads them in; at k = 0 too, since ``z @ b`` on
-        rows of stride 0 can round unlike on a Picard sweep's frozen rows."""
-        fitted = np.ascontiguousarray(self._fit(y_next, k)[0].T)
-        return fitted[:, 0], fitted[:, 1:1 + self.d], fitted[:, 1 + self.d:]
-
     def start(self, k, z0, v0):
         """The constant start's entry: the row (d + m,) every path shares."""
         return np.array([z0] * self.d + [v0] * self.m)
 
     def project_frozen(self, y_next, k, entry):
-        """A Picard sweep's projection at depth k of the iterate's Y_{k+1}:
+        """A sweep's projection at depth k of the iterate's Y_{k+1}:
         (E[Y_{k+1} | F_k], the new Z_k, V_k, the entry's own (Z_k, V_k), the
         new entry). An entry is the Z/V columns (kept basis columns, d + m)
         of the step's least-squares coefficients, or one row (d + m,) that
         every path shares: the plain mean at k = 0, the constant start. One
         target-major sum on the design the fit has just filled gives the
         new fields and the entry's own, C-contiguous, as the driver has
-        always read frozen fields."""
+        always read frozen fields. An empty entry (the direct solve's) has
+        the new fields as its own."""
         w = 1 + self.d + self.m
         fitted, new = self._fit(y_next, k, entry)
-        old = fitted[w:].T if entry.ndim == 2 else self._broadcast(entry)
+        if entry is None:
+            old = fitted[1:w].T
+        else:
+            old = fitted[w:].T if entry.ndim == 2 else self._broadcast(entry)
         return (fitted[0], fitted[1:1 + self.d].T, fitted[1 + self.d:w].T,
                 self._split(old), new)
 
-    def keep(self, entry, new):
-        return new
+    def detach(self, entry, k, y_next):
+        """An entry reads no Y level: it stays as it is."""
+        return entry
+
+    def fields(self, y, entries, k_lo):
+        """The per-path (Z, V) lists of a solution's entries (``expand``)."""
+        fields = [self.expand(entry, k) for k, entry in enumerate(entries,
+                                                                  k_lo)]
+        return [z for z, _ in fields], [v for _, v in fields]
+
+    def join_fields(self, y, parts):
+        """The pieces' (Z, V) lists, joined (``_join``)."""
+        return ([z for zs, _ in parts for z in zs],
+                [v for _, vs in parts for v in vs])
 
     def _broadcast(self, row):
         return np.broadcast_to(row, (self.n_paths, row.size))
@@ -1069,16 +1166,13 @@ class _PathBatch(_PathEstimators):
         return np.mean(per_path)
 
 
-def _empty(rep, problem, k_lo, k_hi, zv=True):
-    """A solution on ``rep`` over depths [k_lo, k_hi], its fields unset
-    (Z and V None without ``zv``)."""
-    n, steps = rep.n_states, range(k_lo, k_hi)
+def _empty(rep, problem, k_lo, k_hi):
+    """A solution on ``rep`` over depths [k_lo, k_hi], its Y levels unset
+    and its Z and V None."""
     return Solution(
         kind=rep.kind, grid=problem.grid, fingerprint=problem.fingerprint(),
         y0=math.nan, tree=rep.tree, batch=rep.batch,
-        y=[np.empty(n(k)) for k in range(k_lo, k_hi + 1)],
-        z=[np.empty((n(k), problem.d)) for k in steps] if zv else None,
-        v=[np.empty((n(k), problem.marks.m)) for k in steps] if zv else None,
+        y=[np.empty(rep.n_states(k)) for k in range(k_lo, k_hi + 1)],
         diagnostics=dict(rep.diagnostics))
 
 
@@ -1155,15 +1249,17 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
               meter=None, settled=None):
     """Backward induction over depths [k_lo, k_hi], fields indexed from k_lo.
 
-    Without ``iterate`` it fills a new solution and returns it, and the
-    driver sees each step's own projections (Z_k, V_k). With it, this is
-    one Picard sweep over ``iterate``, in place: the iterate is its Y
-    levels and its per-depth entries, which the representation defines and
-    reads (``rep.project_frozen``) and writes (``rep.keep``). At depth k
-    the sweep projects the new Y_{k+1}, solves the step with the entry's
-    (Z_k, V_k) -- the previous sweep's -- frozen in the driver, passes the
-    differences new - old to ``meter`` and then writes Y_k and the new
-    entry over the old.
+    Without ``iterate`` it fills a new solution and returns it: its entries
+    start empty (None), and the driver sees each step's own projections
+    (Z_k, V_k). With it, this is one Picard sweep over ``iterate``, in
+    place: the iterate is its Y levels and its per-depth entries, which
+    only the representation reads and makes (``rep.project_frozen``). At
+    depth k the sweep projects the new Y_{k+1}, solves the step with the
+    entry's (Z_k, V_k) -- the previous sweep's -- frozen in the driver,
+    passes the differences new - old to ``meter`` and then writes Y_k and
+    the new entry over the old. Before it overwrites Y_k with other bits,
+    the entry at depth k-1 takes what it reads of the old Y_k
+    (``rep.detach``).
 
     ``settled`` (None on a first sweep, whose start is no sweep's output)
     flags per depth whether the previous sweep left Y bitwise unchanged; the
@@ -1182,9 +1278,17 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
             f"(kappa={gen.lipschitz_kappa:g}, dt={dt:g})")
     if iterate is None:
         sol = _empty(rep, problem, k_lo, k_hi)
-        levels = sol.y
+        levels, entries = sol.y, [None] * (k_hi - k_lo)
     else:
         levels, entries = iterate
+
+    def overwrite(j, level):
+        # the entry above a changing level first takes what it reads of it
+        if iterate is not None and not unchanged and j > 0:
+            entries[j - 1] = rep.detach(entries[j - 1], k_lo + j - 1,
+                                        levels[j])
+        levels[j][...] = level
+
     term = np.asarray(terminal_values, dtype=float)
     if term.shape != levels[-1].shape:
         raise ValueError(
@@ -1193,7 +1297,7 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
     if meter is not None:
         meter.y(k_hi, term - levels[-1])
     unchanged = settled is not None and _same_bits(term, levels[-1])
-    levels[-1][...] = term
+    overwrite(k_hi - k_lo, term)
 
     for k in range(k_hi - 1, k_lo - 1, -1):
         j = k - k_lo
@@ -1203,26 +1307,20 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
             if skip:
                 meter.skip(k)          # and Y_k stays unchanged
                 continue
-        if iterate is None:
-            cond_mean, z, v = rep.project(levels[j + 1], k)
-            frozen = (z, v)
-        else:
-            cond_mean, z, v, frozen, new = rep.project_frozen(
-                levels[j + 1], k, entries[j])
+        cond_mean, z, v, frozen, entries[j] = rep.project_frozen(
+            levels[j + 1], k, entries[j])
         y = _solve_implicit(cond_mean,
                             gen.bind(rep.context(problem, k), *frozen),
                             dt, kappa_dt)
         if meter is not None:
             meter.y(k, y - levels[j])
             meter.zv(k, z - frozen[0], v - frozen[1])
+        del cond_mean, z, v, frozen    # before ``detach`` projects depth k-1
         if settled is not None:
             unchanged = _same_bits(y, levels[j])
-        levels[j][...] = y
-        if iterate is None:
-            sol.z[j][...], sol.v[j][...] = z, v
-        else:
-            entries[j] = rep.keep(entries[j], new)
+        overwrite(j, y)
     if iterate is None:
+        sol.z, sol.v = rep.fields(levels, entries, k_lo)
         sol.y0 = float(levels[0][0])
         return sol
 
@@ -1277,9 +1375,11 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
     It owns one iterate, the constant ``init``: Y levels and per-depth
     (Z, V) entries that the representation defines (``rep.start``), which
     every sweep (``_backward``) overwrites in place while its meter takes
-    each depth's differences before they are overwritten. The entries are
-    expanded to the solution's (Z, V) arrays (``rep.expand``) once, after
-    the last sweep's meter is released."""
+    each depth's differences before they are overwritten. On the lattice
+    the entries hold nothing between sweeps. The solution's (Z, V) are read
+    from the last sweep's Y levels and entries (``rep.fields``) after its
+    meter is released: the per-path arrays of a batch, sequences that
+    project Y when read on the lattice."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if q is None:
@@ -1292,7 +1392,7 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
         terminal_values = problem.terminal(rep.context(problem, N))
 
     y0, z0, v0 = map(float, init)
-    sol = _empty(rep, problem, k_lo, k_hi, zv=False)
+    sol = _empty(rep, problem, k_lo, k_hi)
     for level in sol.y:
         level[...] = y0
     entries = [rep.start(k, z0, v0) for k in range(k_lo, k_hi)]
@@ -1322,8 +1422,7 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
         trace.message = (f"tolerance {tol:g} not reached in {max_iter} "
                          "iterations")
     del meter
-    fields = [rep.expand(entry, k) for k, entry in enumerate(entries, k_lo)]
-    sol.z, sol.v = [z for z, _ in fields], [v for _, v in fields]
+    sol.z, sol.v = rep.fields(sol.y, entries, k_lo)
     sol.y0 = float(sol.y[0][0])
     sol.diagnostics["picard"] = trace.to_json_dict()
     return sol, trace
@@ -1382,13 +1481,13 @@ def subdivide_horizon(T, kappa, q, c_emp, safety=0.5):
 def _join(rep, problem, pieces):
     """One solution over [0, N] from ascending (k_lo, sub-range solution)
     pieces, holding their level arrays; a piece's last Y is the next
-    piece's terminal value, whose first Y is kept in its place."""
-    y, z, v = [], [], []
+    piece's terminal value, whose first Y is kept in its place. The
+    representation joins the pieces' (Z, V) (``rep.join_fields``)."""
+    y = []
     for k_lo, piece in pieces:
         del y[k_lo:]
         y += piece.y
-        z += piece.z
-        v += piece.v
+    z, v = rep.join_fields(y, [(piece.z, piece.v) for _, piece in pieces])
     return replace(pieces[0][1], y0=float(y[0][0]), y=y, z=z, v=v,
                    diagnostics=dict(rep.diagnostics))
 

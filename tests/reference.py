@@ -64,6 +64,15 @@ def path_table(levels, idx, k_lo=0):
                     axis=1)
 
 
+def iterate_fields(rep, iterate, k_lo):
+    """Copies of the (Y, Z, V) levels of a Picard iterate ``(y, entries)``
+    over depths from k_lo, its (Z, V) read through the representation
+    (``rep.fields``) as a sweep leaves them."""
+    y, entries = iterate
+    z, v = rep.fields(y, entries, k_lo)
+    return tuple([lev.copy() for lev in f] for f in (y, z, v))
+
+
 def lazy_diff(a, b):
     """Per-depth (Y, Z, V) differences of two solutions, read lazily, as the
     Picard meter passes them."""

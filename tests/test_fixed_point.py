@@ -1,5 +1,7 @@
 """The per-step implicit fixed point against the whole-array reference loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,49 @@ def test_custom_driver_sees_every_row_on_every_iteration():
     out = _solve_implicit(cond_mean, logged, DT, KAPPA_DT)
     assert _same_bits(out, _reference(cond_mean, custom, DT, KAPPA_DT))
     assert set(sizes) == {cond_mean.size}
+
+
+def _wide_cycle(y, rows=None):
+    """Row-wise driver: 0.25 sin(y), except that from cond_mean 0.5 at dt
+    0.5 y alternates between 1.0 and 2.0, a residual of 1 that never
+    settles."""
+    out = 0.25 * np.sin(y)
+    out[y == 0.5] = 1.0
+    out[y == 1.0] = 3.0
+    out[y == 2.0] = 1.0
+    return out
+
+
+_wide_cycle.row_wise = True
+
+
+@pytest.mark.parametrize("n_rest", [0, 999])
+def test_unsettled_row_reports_the_whole_array_residual(n_rest):
+    # with the other rows settled and dropped (n_rest 999), the check reads
+    # only the rows still moving; verdict and max residual are those of
+    # every row
+    _, rest = _smooth_bound(n_rest, seed=5)
+    cond_mean = np.concatenate(([0.5], rest))
+    with pytest.raises(NumericError):
+        _reference(cond_mean, _wide_cycle, DT, KAPPA_DT)
+    with pytest.raises(NumericError, match=r"max residual 1\.000e\+00\)"):
+        _solve_implicit(cond_mean, _wide_cycle, DT, KAPPA_DT)
+
+
+@pytest.mark.parametrize("row_wise", [True, False])
+def test_overflowing_step_raises_without_a_warning(row_wise):
+    # y overflows to inf and repeats its bits there: the residual inf - inf
+    # is nan, so the step fails as it did before the zero-residual shortcut,
+    # and numpy warns of nothing
+    bound, cond_mean = _smooth_bound(200, seed=4)
+    cond_mean[7] = 1e308
+
+    def doubling(y, rows=None):
+        out = bound(y) if rows is None else bound(y, rows)
+        return np.where(np.abs(y) > 1e300, 4.0 * y, out)
+
+    doubling.row_wise = row_wise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"max residual nan\)"):
+            _solve_implicit(cond_mean, doubling, DT, KAPPA_DT)

@@ -97,12 +97,20 @@ BUILT_IN_PARAMS = {
 
 
 def _formula(form, prm, ctx, y, z, v):
-    """Each built-in form written out left to right, as documented."""
+    """Each built-in form written out left to right, as documented; the
+    products z.b and v.(c lambda) summed from 0 in index order."""
+    def dot(x, w):
+        out = np.zeros(x.shape[0])
+        for col, wi in zip(x.T, w):
+            out = out + col * wi
+        return out
+
     if form == "affine":
         c_lam = np.array(prm["c"]) * ctx.marks.intensities
-        return prm["const"] + prm["a"] * y + z @ np.array(prm["b"]) + v @ c_lam
+        return (prm["const"] + prm["a"] * y + dot(z, prm["b"])
+                + dot(v, c_lam))
     if form == "lipschitz-smooth":
-        return (prm["ay"] * np.sin(y) + z @ np.array(prm["bz"])
+        return (prm["ay"] * np.sin(y) + dot(z, prm["bz"])
                 + prm["cv"] * ctx.section_norm(v))
     return (prm["cy"] * y + prm["cz"] * np.sqrt(np.einsum("nd,nd->n", z, z))
             + prm["cv"] * ctx.section_norm(v))
@@ -141,6 +149,34 @@ def test_bound_form_matches_full_call_bit_for_bit(form, d, m, n, seed, data):
     rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n,
                                              max_size=n)))
     assert _same_bits(bound(y[rows], rows), full[rows])
+
+
+def _layouts(x):
+    """``x`` (n, w) C-contiguous, as a strided column block of a wider
+    row-major table, and column-major."""
+    table = np.zeros((x.shape[0], x.shape[1] + 3))
+    table[:, 1:1 + x.shape[1]] = x
+    return [x, table[:, 1:1 + x.shape[1]], np.asfortranarray(x)]
+
+
+@pytest.mark.parametrize("n", [2, 17, 300])
+@pytest.mark.parametrize("form", sorted(BUILT_IN_PARAMS))
+def test_bound_form_bits_do_not_depend_on_the_zv_layout(form, n):
+    # the (z, v) terms are einsum sums from 0 in index order, not BLAS
+    # products whose rounding follows the memory layout: contiguous,
+    # strided and broadcast (Z, V) give the same bits (d = m = 2)
+    for seed in range(10):
+        spec, ctx, y, z, v = _bind_case(form, 2, 2, n, seed)
+        # unit magnitudes, where a reassociated sum shows in the last bit
+        rng = np.random.default_rng(seed)
+        z, v = rng.normal(size=z.shape), rng.normal(size=v.shape)
+        want = spec.bind(ctx, z, v)(y)
+        for z_l, v_l in zip(_layouts(z), _layouts(v)):
+            assert _same_bits(spec.bind(ctx, z_l, v_l)(y), want)
+        # one (Z, V) row that every state shares, broadcast with stride 0
+        rows = [np.broadcast_to(a[0], a.shape) for a in (z, v)]
+        want = spec.bind(ctx, *map(np.ascontiguousarray, rows))(y)
+        assert _same_bits(spec.bind(ctx, *rows)(y), want)
 
 
 @pytest.mark.parametrize("form", sorted(BUILT_IN_PARAMS))

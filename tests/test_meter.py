@@ -29,7 +29,8 @@ from jumpbsde.errors import NumericError
 from jumpbsde.estimates import solution_functionals
 from jumpbsde.solver import Solution, _setup
 from conftest import assert_same, traced_peak
-from reference import batch_norms, enumerate_paths, path_table, tree_norms
+from reference import (batch_norms, enumerate_paths, iterate_fields,
+                       path_table, tree_norms)
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -91,18 +92,16 @@ INIT = (0.5, -0.25, 0.125)
 def _metered(run):
     """``run()`` with the iterate of every ``_backward`` sweep recorded, as
     (k_lo, copy of the solution) in call order: a Picard sweep overwrites
-    its one iterate in place, so each is copied, its (Z, V) entries
-    expanded, as the sweep returns."""
+    its one iterate in place, so each is copied, its (Z, V) read through
+    the representation (``iterate_fields``), as the sweep returns."""
     seen, backward = [], solver._backward
 
     def spy(rep, problem, k_lo, *args, iterate, **kwargs):
         backward(rep, problem, k_lo, *args, iterate=iterate, **kwargs)
-        y, entries = iterate
-        zv = [rep.expand(entry, k) for k, entry in enumerate(entries, k_lo)]
+        y, z, v = iterate_fields(rep, iterate, k_lo)
         seen.append((k_lo, Solution(
             kind=rep.kind, grid=problem.grid, fingerprint="", y0=0.0,
-            tree=rep.tree, batch=rep.batch, y=[lev.copy() for lev in y],
-            z=[z.copy() for z, _ in zv], v=[v.copy() for _, v in zv])))
+            tree=rep.tree, batch=rep.batch, y=y, z=z, v=v)))
 
     with mock.patch.object(solver, "_backward", spy):
         return run(), seen
@@ -475,3 +474,21 @@ def test_batch_picard_keeps_z_and_v_as_coefficients():
     block = 8 * min(n, solver._BatchSweep.CHUNK_ROWS) * N
     assert peak <= y + meter + states + design + block + 8 * 12 * n
 
+
+def test_lattice_picard_holds_y_and_a_few_depth_blocks():
+    # a lattice iterate is its Y levels: (Z_k, V_k) is projected from Y_{k+1}
+    # when a step reads it, and only the step's projections, its driver rows
+    # and one detached (Z, V) are live beside Y and the lattice the solve
+    # builds; keeping (Z, V) at every state would add 2 N-depth fields, about
+    # 10 blocks at N = 60
+    N = 60
+    problem = _problem(1, 1, N)
+    (sol, trace), _, peak = traced_peak(jb.picard_solve, problem, "tree",
+                                        node_cap=None,
+                                        check_assumptions=False)
+    assert trace.converged
+    tree, depths = sol.tree, range(N + 1)
+    y = sum(lev.nbytes for lev in sol.y)
+    probs = sum(tree.state_probs(k).nbytes for k in depths)
+    block = 8 * tree.branching * tree.n_states(N - 1)    # one step's gather
+    assert peak <= y + probs + 6 * block

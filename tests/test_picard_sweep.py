@@ -26,14 +26,24 @@ from test_picard import _closure_truncation, _ladder_drivers
 # the two-iterate reference
 # ---------------------------------------------------------------------------
 
+def _empty(rep, problem, k_lo, k_hi):
+    """A solution over depths [k_lo, k_hi] with unset (Y, Z, V) arrays."""
+    sol = solver._empty(rep, problem, k_lo, k_hi)
+    steps = range(k_lo, k_hi)
+    sol.z = [np.empty((rep.n_states(k), problem.d)) for k in steps]
+    sol.v = [np.empty((rep.n_states(k), problem.marks.m)) for k in steps]
+    return sol
+
+
 def _sweep_ref(rep, problem, k_lo, k_hi, terminal_values, frozen):
     gen, dt = problem.generator, problem.grid.dt
     kappa_dt = gen.lipschitz_kappa * dt
-    sol = solver._empty(rep, problem, k_lo, k_hi)
+    sol = _empty(rep, problem, k_lo, k_hi)
     sol.y[-1][...] = np.asarray(terminal_values, dtype=float)
     for k in range(k_hi - 1, k_lo - 1, -1):
         j = k - k_lo
-        cond_mean, z, v = rep.project(sol.y[j + 1], k)
+        # an empty entry: the step's own projections
+        cond_mean, z, v, _, _ = rep.project_frozen(sol.y[j + 1], k, None)
         sol.y[j][...] = solver._solve_implicit(
             cond_mean, gen.bind(rep.context(problem, k), frozen.z[j],
                                 frozen.v[j]), dt, kappa_dt)
@@ -52,7 +62,7 @@ def _picard_ref(rep, problem, tol=1e-9, max_iter=25, q=None,
     k_hi = N if k_hi is None else k_hi
     if terminal_values is None:
         terminal_values = problem.terminal(rep.context(problem, N))
-    prev = solver._empty(rep, problem, k_lo, k_hi)
+    prev = _empty(rep, problem, k_lo, k_hi)
     for f, value in zip("yzv", init):
         for level in getattr(prev, f):
             level[...] = value
