@@ -37,8 +37,8 @@ from .generators import (CONFIG_SCHEMA_ID, DIM_D, DIM_M, GENERATOR_FORMS,
                          make_terminal)
 from .norms import norm_report
 from .randomness import build_scenario_tree, make_mark_space, simulate_paths
-from .solver import (chained_solve, picard_q, picard_solve, solution_norms,
-                     subdivide_horizon, truncation_ladder_solve)
+from .solver import (_check_grid, chained_solve, picard_q, picard_solve,
+                     solution_norms, subdivide_horizon, truncation_ladder_solve)
 
 __all__ = ["main", "cmd_solve", "cmd_verify", "cmd_ladder", "load_config",
            "validate_config", "DEFAULT_CONFIG"]
@@ -215,6 +215,7 @@ def _build_problem(cfg):
 
 
 def _context_for(cfg, problem):
+    _check_grid(problem, cfg["method"] == "mc")      # before tree or batch
     if cfg["method"] == "tree":
         tree = build_scenario_tree(problem.grid, problem.marks, problem.d,
                                    node_cap=cfg["node_cap"])

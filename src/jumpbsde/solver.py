@@ -39,12 +39,12 @@ reads the iterate's Y_{k+1}) except for one depth, whose entry takes the
 projection of the old Y_{k+1} just before the sweep overwrites that level,
 for the step below to freeze; a sweep that leaves Y_{k+1} as it was reuses
 the new projection instead, and the constant start is built at the depth
-that reads it. A lattice solution's Z and V project Y when read. On a path
-batch an entry is the step's regression coefficients, since a fitted field
-is the step's design times them: one target-major sum on the design a fit
-has just filled gives the new (Z_k, V_k) and the previous sweep's, which the
-driver freezes, and the per-path (Z, V) are expanded once, after the last
-sweep. The representation's meter (``_Meter``) takes each depth's
+that reads it. On a path batch an entry is the step's regression
+coefficients, since a fitted field is the step's design times them: one
+target-major sum on the design a fit has just filled gives the new (Z_k,
+V_k) and the previous sweep's, which the driver freezes. A solution keeps
+Y and the entries; its Z and V compute a depth when read (``_Projected``).
+The representation's meter (``_Meter``) takes each depth's
 differences before they are overwritten -- per-depth scalars on the lattice;
 on an explicit tree and a path batch the Z and |V|^p levels, which the
 representation's walk view (``sweep``: the leaf sweep's root-to-leaf paths,
@@ -59,8 +59,9 @@ whose difference has a nonzero entry: the skipped tail and the set terminal
 meter zeros, and a max over non-negative values, or a sum with zero columns
 kept in place, ends there with the same bits, so a sweep reduces the b^K
 prefixes at that depth K and repeats them to the leaves only for the
-weighted means. Non-contraction (three consecutive ratios >= 1) produces a
-divergence report advising horizon subdivision.
+weighted means. Non-contraction (three consecutive ratios >= 1 and the last
+distance above the first) produces a divergence report advising horizon
+subdivision.
 
 Lattice reductions use einsum(optimize=False) rather than BLAS, so results
 are bit-stable across thread counts; per-path regression assembly reduces in
@@ -109,10 +110,11 @@ class Solution:
     depth ``k_lo + j`` (``k_lo`` is 0 except on a chained solve's interval)
     on every lattice state, shaped (n_k,), (n_k, d), (n_k, m), or on every
     path, shaped (n,), (n, d), (n, m). Y has one more depth than Z and V.
-    On a path batch ``z`` and ``v`` are lists of arrays. On the lattice,
-    where (Z_k, V_k) is the exact projection of Y_{k+1}, they are read-only
-    sequences that project ``y[j + 1]`` when ``z[j]`` or ``v[j]`` is read
-    (``_Projected``), with the bits the solve computed.
+    A solve's ``z`` and ``v`` are read-only sequences (``_Projected``) that
+    compute ``z[j]`` and ``v[j]`` when read, with the bits the solve
+    computed: the projection of ``y[j + 1]`` on the lattice, the expansion
+    of step j's regression coefficients on a path batch, where
+    ``np.stack(sol.z, axis=1)`` still gives the (n, N, d) array.
     """
 
     kind: str                      # "tree" | "paths"
@@ -842,24 +844,32 @@ class _PathEstimators(_Representation):
 
 
 class _Projected(collections.abc.Sequence):
-    """Z (``field`` 0) or V (1) of a lattice solution, per depth: item j is
-    ``rep.project_zv(y[j + 1], k_lo + j)``, read-only. The Z and V of one
-    solution share ``last``, the depth read last and its projection, so a
-    reader that takes Z_k and V_k in turn projects each depth once."""
+    """Z (``field`` 0) or V (1) of a solution, per depth: item j is
+    ``rep.expand(sources[j], k_lo + j)``, read-only -- the projection of
+    Y_{k+1} on the lattice, the expanded coefficient entry of step k on a
+    path batch. The Z and V of one solution share ``last``, the depth read
+    last and its fields, so a reader that takes Z_k and V_k in turn expands
+    each depth once."""
 
-    def __init__(self, rep, y, k_lo, field, last):
-        self.rep, self.y, self.k_lo = rep, y, k_lo
+    def __init__(self, rep, sources, k_lo, field, last):
+        self.rep, self.sources, self.k_lo = rep, sources, k_lo
         self.field, self.last = field, last
 
+    @classmethod
+    def pair(cls, rep, sources, k_lo):
+        last = [None, None]
+        return cls(rep, sources, k_lo, 0, last), cls(rep, sources, k_lo, 1,
+                                                      last)
+
     def __len__(self):
-        return len(self.y) - 1
+        return len(self.sources)
 
     def __getitem__(self, j):
         j = range(len(self))[j]
         if isinstance(j, range):
             return [self[i] for i in j]
         if self.last[0] != j:
-            zv = self.rep.project_zv(self.y[j + 1], self.k_lo + j)
+            zv = self.rep.expand(self.sources[j], self.k_lo + j)
             for level in zv:
                 level.flags.writeable = False
             self.last[:] = j, zv
@@ -920,9 +930,9 @@ class _Lattice(_Representation):
         return (np.einsum("nb,bd->nd", yc, self._wz),
                 np.einsum("nb,bm->nm", yc, self._wv))
 
-    def project_zv(self, y_next, k):
+    def expand(self, y_next, k):
         """(Z_k, V_k) from the level at depth k+1, with the bits of
-        ``project``'s."""
+        ``project``'s: a solution's (Z_k, V_k) (``_Projected``)."""
         return self._zv(self.tree.gather_children(k, y_next))
 
     # A Picard iterate's entry at depth k is None, which reads the iterate's
@@ -950,19 +960,13 @@ class _Lattice(_Representation):
     def detach(self, entry, k, y_next):
         """The entry at depth k before the sweep overwrites Y_{k+1}, whose
         level ``y_next`` still holds: an empty entry takes its projection."""
-        return self.project_zv(y_next, k) if entry is None else entry
+        return self.expand(y_next, k) if entry is None else entry
 
     def fields(self, y, entries, k_lo):
         """The (Z, V) of a solution whose Y levels from depth k_lo are ``y``
         (its entries are all empty): sequences that project ``y`` when
         read."""
-        last = [None, None]
-        return _Projected(self, y, k_lo, 0, last), _Projected(self, y, k_lo,
-                                                               1, last)
-
-    def join_fields(self, y, parts):
-        """The (Z, V) of joined Y levels from depth 0 (``_join``)."""
-        return self.fields(y, None, 0)
+        return _Projected.pair(self, y[1:], k_lo)
 
     def _mean(self, level, k):
         """E[level] over the states at depth k."""
@@ -1010,7 +1014,7 @@ class _PathBatch(_PathEstimators):
     per path; at least 2 paths, so that sample means carry an SE. A Picard
     iterate's entry at depth k is its (Z_k, V_k) as that step's
     coefficients (``project_frozen``), which ``expand`` turns into per-path
-    arrays."""
+    arrays when a solution's Z or V is read."""
 
     kind, estimator, tree = "paths", "mc", None
     _meter = _BatchMeter
@@ -1122,39 +1126,31 @@ class _PathBatch(_PathEstimators):
             old = fitted[1:w].T
         else:
             old = fitted[w:].T if entry.ndim == 2 else self._broadcast(entry)
+        own = map(np.ascontiguousarray, (old[:, :self.d], old[:, self.d:]))
         return (fitted[0], fitted[1:1 + self.d].T, fitted[1 + self.d:w].T,
-                self._split(old), new)
+                tuple(own), new)
 
     def detach(self, entry, k, y_next):
         """An entry reads no Y level: it stays as it is."""
         return entry
 
     def fields(self, y, entries, k_lo):
-        """The per-path (Z, V) lists of a solution's entries (``expand``)."""
-        fields = [self.expand(entry, k) for k, entry in enumerate(entries,
-                                                                  k_lo)]
-        return [z for z, _ in fields], [v for _, v in fields]
-
-    def join_fields(self, y, parts):
-        """The pieces' (Z, V) lists, joined (``_join``)."""
-        return ([z for zs, _ in parts for z in zs],
-                [v for _, vs in parts for v in vs])
+        """The (Z, V) of entries from depth k_lo, expanded when read."""
+        return _Projected.pair(self, entries, k_lo)
 
     def _broadcast(self, row):
         return np.broadcast_to(row, (self.n_paths, row.size))
 
-    def _split(self, zv):
-        """C-contiguous (Z, V) from the (n, d + m) values ``zv``."""
-        return (np.ascontiguousarray(zv[:, :self.d]),
-                np.ascontiguousarray(zv[:, self.d:]))
-
     def expand(self, entry, k):
-        """(Z_k, V_k), C-contiguous, from an entry of depth k: the design of
-        step k is refilled."""
+        """(Z_k, V_k) from an entry of depth k, each a C-contiguous copy of
+        its own columns (a kept Z_k holds no V_k): the design of step k is
+        refilled."""
         if entry.ndim == 1:
-            return self._split(self._broadcast(entry))
-        design = self._bases[k].design(self._step(k), self._design_buf)
-        return self._split(_combine(design, entry).T)
+            zv = self._broadcast(entry)
+        else:
+            zv = _combine(self._bases[k].design(self._step(k),
+                                                self._design_buf), entry).T
+        return zv[:, :self.d].copy(), zv[:, self.d:].copy()
 
     def integrate(self, levels, combine):
         """The sample mean of combine(levels) over the paths, and its SE."""
@@ -1217,7 +1213,10 @@ def _setup(problem, method, tree=None, batch=None, node_cap=None,
 
 
 def _represent(solution, problem):
-    """The representation a solution lives on (for its estimators)."""
+    """The representation a solution lives on (for its estimators): the one
+    its (Z, V) sequences read, or a new one for (Z, V) lists."""
+    if isinstance(solution.z, _Projected):
+        return solution.z.rep
     method = {"tree": "tree", "paths": "mc"}[solution.kind]
     return _setup(problem, method, solution.tree, solution.batch)
 
@@ -1231,6 +1230,7 @@ def _prepare(problem, method, tree, batch, picard_kwargs):
     ``check_assumptions`` defaults to True, as in ``picard_solve``, and
     runs once."""
     kwargs = dict(picard_kwargs)
+    _check_grid(problem, method == "mc")
     if kwargs.pop("check_assumptions", True):
         _check_assumptions(problem, kwargs.get("seed", 0))
     setup = {key: kwargs.pop(key) for key in _SETUP_KEYS if key in kwargs}
@@ -1243,6 +1243,22 @@ def _prepare(problem, method, tree, batch, picard_kwargs):
 
 def _same_bits(a, b):
     return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _check_grid(problem, batch=False):
+    """kappa*dt, checked below 1 before a solve builds its tree or batch or
+    reads its data; on a ``batch``, which regresses on jumps, so is each
+    mark's step jump probability."""
+    kappa, dt = problem.generator.lipschitz_kappa, problem.grid.dt
+    if kappa * dt >= 1.0:
+        raise StepSizeError(f"kappa*dt = {kappa * dt:g} >= 1; refine the "
+                            f"grid (kappa={kappa:g}, dt={dt:g})")
+    lam_dt = problem.marks.intensities * dt
+    i = int(np.argmax(lam_dt))
+    if batch and -np.expm1(-lam_dt[i]) == 1.0:
+        raise ConfigError("problem.marks.intensities", f"lambda_{i}*dt = "
+                          f"{lam_dt[i]:g}: every step jumps; refine the grid")
+    return kappa * dt
 
 
 def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
@@ -1270,12 +1286,7 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
     meter records zero differences (``meter.skip``).
     """
     gen = problem.generator
-    dt = problem.grid.dt
-    kappa_dt = gen.lipschitz_kappa * dt
-    if kappa_dt >= 1.0:
-        raise StepSizeError(
-            f"kappa*dt = {kappa_dt:g} >= 1; refine the grid "
-            f"(kappa={gen.lipschitz_kappa:g}, dt={dt:g})")
+    dt, kappa_dt = problem.grid.dt, _check_grid(problem)
     if iterate is None:
         sol = _empty(rep, problem, k_lo, k_hi)
         levels, entries = sol.y, [None] * (k_hi - k_lo)
@@ -1327,6 +1338,7 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
 
 def _solve(rep, problem):
     N = problem.grid.steps
+    _check_grid(problem, rep.batch is not None)
     return _backward(rep, problem, 0, N,
                      problem.terminal(rep.context(problem, N)))
 
@@ -1376,10 +1388,9 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
     (Z, V) entries that the representation defines (``rep.start``), which
     every sweep (``_backward``) overwrites in place while its meter takes
     each depth's differences before they are overwritten. On the lattice
-    the entries hold nothing between sweeps. The solution's (Z, V) are read
-    from the last sweep's Y levels and entries (``rep.fields``) after its
-    meter is released: the per-path arrays of a batch, sequences that
-    project Y when read on the lattice."""
+    the entries hold nothing between sweeps. The solution keeps the last
+    sweep's Y levels and entries, and its (Z, V) are sequences that expand
+    them when read (``rep.fields``): nothing is expanded here."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if q is None:
@@ -1409,7 +1420,8 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
         if trace.dist[-1] <= tol:
             trace.converged = True
             break
-        if len(trace.ratios) >= 3 and all(r >= 1.0 for r in trace.ratios[-3:]):
+        if (len(trace.ratios) >= 3 and min(trace.ratios[-3:]) >= 1.0
+                and trace.dist[-1] > trace.dist[0]):
             trace.diverged = True
             sub_T = (k_hi - k_lo) * problem.grid.dt
             trace.message = (
@@ -1440,10 +1452,9 @@ def picard_solve(problem, method="tree", tree=None, batch=None, tol=1e-9,
     diverged=True with the measured ratios and subdivision advice instead of
     raising, so callers can act on the report.
     """
-    if check_assumptions:
-        _check_assumptions(problem, seed)
-    rep = _setup(problem, method, tree, batch, node_cap=node_cap,
-                 n_paths=n_paths, seed=seed, basis_degree=basis_degree)
+    rep, _ = _prepare(problem, method, tree, batch, {
+        "check_assumptions": check_assumptions, "node_cap": node_cap,
+        "n_paths": n_paths, "seed": seed, "basis_degree": basis_degree})
     return _picard(rep, problem, tol=tol, max_iter=max_iter, q=q, init=init,
                    k_hi=k_hi, k_lo=k_lo, terminal_values=terminal_values)
 
@@ -1481,13 +1492,14 @@ def subdivide_horizon(T, kappa, q, c_emp, safety=0.5):
 def _join(rep, problem, pieces):
     """One solution over [0, N] from ascending (k_lo, sub-range solution)
     pieces, holding their level arrays; a piece's last Y is the next
-    piece's terminal value, whose first Y is kept in its place. The
-    representation joins the pieces' (Z, V) (``rep.join_fields``)."""
+    piece's terminal value, whose first Y is kept in its place. Their (Z, V)
+    read the joined Y levels and entries (``rep.fields``)."""
     y = []
     for k_lo, piece in pieces:
         del y[k_lo:]
         y += piece.y
-    z, v = rep.join_fields(y, [(piece.z, piece.v) for _, piece in pieces])
+    z, v = rep.fields(y, [e for _, piece in pieces for e in piece.z.sources],
+                      0)
     return replace(pieces[0][1], y0=float(y[0][0]), y=y, z=z, v=v,
                    diagnostics=dict(rep.diagnostics))
 

@@ -611,6 +611,46 @@ def test_a_grid_too_coarse_for_kappa_exits_1_at_grid_steps(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("method, horizon", [("tree", 1e300), ("mc", 1e6)])
+def test_a_coarse_grid_exits_1_before_the_terminal_is_evaluated(
+        tmp_path, capsys, method, horizon):
+    # exp of the Brownian values at dt = horizon / 4 overflows; kappa*dt is
+    # checked before the tree or the batch is built and the terminal is
+    # evaluated, so stderr holds the error line and nothing else (the suite
+    # turns a numpy RuntimeWarning into an error)
+    problem = {**copy.deepcopy(BASE["problem"]), "horizon": horizon,
+               "terminal": {"form": "brownian-functional",
+                            "params": {"kind": "exp"}}}
+    path, _ = _cfg(tmp_path, problem=problem, grid_steps=4, method=method,
+                   **({"n_paths": 50} if method == "mc" else {}))
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and err.count("\n") == 1
+    assert "grid_steps: kappa*dt = " in err and ">= 1; refine the grid" in err
+
+
+def test_a_batch_whose_steps_always_jump_exits_1_at_the_intensities(
+        tmp_path, capsys):
+    # lambda*dt = 2.5e5: the step's jump probability 1 - exp(-lambda dt) is
+    # 1.0, and the batch would divide its jump targets by p (1 - p) = 0; the
+    # tree solves the same problem
+    problem = {**copy.deepcopy(BASE["problem"]),
+               "marks": {"marks": [[1.0]], "intensities": [1e6]}}
+    path, _ = _cfg(tmp_path, problem=problem, grid_steps=4)
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_OK
+    path, _ = _cfg(tmp_path, "mc.json", problem=problem, grid_steps=4,
+                   method="mc", n_paths=50)
+    line = next(i for i, row in enumerate(path.read_text().splitlines(),
+                                          start=1)
+                if row.strip().startswith('"intensities": '))
+    capsys.readouterr()
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: problem.marks.intensities: "
+                          "lambda_0*dt = 250000: ")
+    assert err.count("\n") == 1
+
+
 def test_an_error_at_a_default_setting_names_the_file(tmp_path, capsys):
     # no node_cap key: its default 10 000 000 is below 4^12 leaves, and the
     # key has no line to point at
@@ -856,10 +896,11 @@ def test_ladder_command(tmp_path):
     assert all(b >= a for a, b in zip(y0, y0[1:]))
 
 
-def test_a_ladder_with_a_stopped_rung_exits_2(tmp_path, capsys):
-    # f = -2 lambda v, xi = N_T: the n = 8 rung's Picard ratios read >= 1
-    # three times, so the divergence rule stops it short of its fixed point;
-    # the pair distance is then that rung's error, not the ladder's
+def _growing_rung_ladder(tmp_path, **overrides):
+    """f = -2 lambda v, xi = N_T on a 64-step lattice, rungs n = 8 and 16:
+    the n = 8 rung's Picard ratios read >= 1 from sweep 4 to 6 while its
+    distance stays far below the first, and it converges later. Runs
+    ``ladder``; returns (exit code, the body's ladder)."""
     path, _ = _cfg(
         tmp_path,
         problem={**copy.deepcopy(BASE["problem"]),
@@ -868,16 +909,35 @@ def test_a_ladder_with_a_stopped_rung_exits_2(tmp_path, capsys):
         grid_steps=64,
         node_cap=None,
         ladder={"n_list": [8, 16]},
+        **overrides,
     )
-    assert cli.main(["ladder", "--config", str(path)]) == cli.EXIT_DIVERGED
-    err = capsys.readouterr().err
-    assert "did not converge" in err and "subdivide" not in err
+    code = cli.main(["ladder", "--config", str(path)])
     out = tmp_path / "out"
     body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
-    ladder = body["ladder"]
+    return code, body["ladder"]
+
+
+def test_a_ladder_with_a_stopped_rung_exits_2(tmp_path, capsys):
+    # stopped at picard.max_iter 6, short of its fixed point, the n = 8
+    # rung's pair distance is that rung's error, not the ladder's
+    code, ladder = _growing_rung_ladder(tmp_path, picard={"max_iter": 6})
+    assert code == cli.EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "subdivide" not in err
     assert [lev["converged"] for lev in ladder["levels"]] == [False, True]
     assert ladder["pairs"][0]["measured_d_norm"] <= ladder["tol"]
     assert ladder["cauchy"] is False
+
+
+def test_a_ladder_whose_rung_grows_below_its_first_distance_is_cauchy(
+        tmp_path):
+    # at the default picard.max_iter the divergence rule lets the n = 8 rung
+    # run on, and the pair distance is the rungs' own (3.3e-6)
+    code, ladder = _growing_rung_ladder(tmp_path)
+    assert code == cli.EXIT_OK
+    assert [lev["converged"] for lev in ladder["levels"]] == [True, True]
+    assert 1e-6 < ladder["pairs"][0]["measured_d_norm"] < 1e-5
+    assert ladder["cauchy"] is True
 
 
 def test_ladder_requires_increasing_n_list(tmp_path, capsys):

@@ -160,13 +160,13 @@ def test_readers_project_each_depth_once(name):
     problem = _problem(2, 1, 5)
     sol = solver._solve(_setup(problem, "tree", node_cap=REPS[name]),
                         problem)
-    calls, project_zv = [], solver._Lattice.project_zv
+    calls, expand = [], solver._Lattice.expand
 
     def counted(self, y_next, k):
         calls.append(k)
-        return project_zv(self, y_next, k)
+        return expand(self, y_next, k)
 
-    with mock.patch.object(solver._Lattice, "project_zv", counted):
+    with mock.patch.object(solver._Lattice, "expand", counted):
         jb.solution_norms(sol, problem)
         assert calls == list(range(5))
         calls.clear()

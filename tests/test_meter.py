@@ -492,3 +492,32 @@ def test_lattice_picard_holds_y_and_a_few_depth_blocks():
     probs = sum(tree.state_probs(k).nbytes for k in depths)
     block = 8 * tree.branching * tree.n_states(N - 1)    # one step's gather
     assert peak <= y + probs + 6 * block
+
+
+def test_batch_ladder_rungs_keep_y_and_expand_z_and_v_when_read():
+    # a ladder reads only its rungs' Y; each rung solution keeps its Y levels
+    # and its steps' coefficient entries, and beside them only the batch
+    # representation the rungs share stays allocated (its states, design
+    # buffer and path weights) and small objects per depth (entries, Grams,
+    # array headers); per-path (Z, V) at every depth would add 2 N n floats
+    # per rung
+    n, N = 4000, 20
+    problem = _problem(1, 1, N)
+    batch = jb.simulate_paths(problem.grid, problem.marks, 1, n, 0)
+    ladder, kept, _ = traced_peak(jb.truncation_ladder_solve, problem,
+                                  [1.0, 4.0, 16.0], "mc", batch=batch)
+    y = sum(lev.nbytes for sol in ladder.solutions for lev in sol.y)
+    states = (N + 1) * n * (8 + 1)          # float64 values, uint8 counts
+    design = 8 * n * len(solver._monomial_exponents(2, 2))
+    assert kept <= y + states + design + 8 * n + 8192 * (N + 1)
+    # a read expands the depth's entry on the rungs' shared representation,
+    # with the bits of a direct expansion, into compact read-only arrays
+    sol = ladder.solutions[1]
+    rep = solver._represent(sol, problem)
+    assert rep is ladder.solutions[0].z.rep
+    for j in (0, 1, N // 2, N - 1):
+        z, v = rep.expand(sol.z.sources[j], j)
+        for got, want in ((sol.z[j], z), (sol.v[j], v)):
+            assert_same(got, want)
+            assert got.base is None and not got.flags.writeable
+    assert np.stack(sol.z, axis=1).shape == (n, N, 1)

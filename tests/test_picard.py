@@ -188,8 +188,8 @@ def test_chained_mc_on_one_batch_matches_interval_solves():
                                 terminal_values=hi.y[0], **kw)
     assert [t.dist for t in traces] == [tr_hi.dist, tr_lo.dist]
     assert np.array_equal(sol.y, lo.y[:-1] + hi.y)
-    assert np.array_equal(sol.z, lo.z + hi.z)
-    assert np.array_equal(sol.v, lo.v + hi.v)
+    assert np.array_equal(sol.z, list(lo.z) + list(hi.z))
+    assert np.array_equal(sol.v, list(lo.v) + list(hi.v))
     assert sol.y0 == lo.y0
 
 

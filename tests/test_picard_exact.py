@@ -10,7 +10,8 @@ converges, and its levels equal the direct ``_backward``'s bit for bit, on
 the lattice, the explicit tree and a path batch, over the whole grid, over
 a sub-range with k_lo > 0, and interval by interval in a chained solve.
 The drivers' kappa stays small enough that the distances shrink, since the
-divergence rule (three ratios >= 1) would stop a growing iteration first.
+divergence rule (three ratios >= 1, the last distance above the first)
+would stop a growing iteration first.
 """
 
 import numpy as np
