@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 DEFAULT_NODE_CAP = 10_000_000
+# the most jump events a path batch may expect, Lambda * T * n_paths
+EVENT_CAP = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +226,19 @@ def simulate_poisson_measure(grid, marks, n_paths, seed, path_start=0):
     event carrying mark e_i with probability lambda_i / Lambda.
 
     Gap g of path k is keyed by (seed, k, g); its mark by (seed, k, g) on a
-    separate stream. Reproducible independent of n_paths.
+    separate stream. Reproducible independent of n_paths. A batch expecting
+    more than EVENT_CAP events raises ResourceLimitError before any draw.
     """
     _check_sim_args(grid, n_paths, seed)
     if not isinstance(marks, MarkSpace):
         raise ValueError("marks must be a MarkSpace (non-empty mark list)")
     lam_total = marks.total_intensity
     T = grid.horizon
+    if lam_total * T * n_paths > EVENT_CAP:
+        raise ResourceLimitError(
+            "n_paths", f"{n_paths} paths expect Lambda*T*n_paths = "
+                       f"{lam_total * T * n_paths:g} jump events, above the "
+                       f"event cap {EVENT_CAP}")
     paths = np.arange(path_start, path_start + n_paths, dtype=np.uint64)
 
     times_per_round = []
@@ -283,11 +291,11 @@ def merge_batches(brownian_part, jump_part):
 
 
 def simulate_paths(grid, marks, d, n_paths, seed, path_start=0):
-    """Both noises in one batch (independent streams under the same seed)."""
-    return merge_batches(
-        simulate_brownian(grid, d, n_paths, seed, path_start),
-        simulate_poisson_measure(grid, marks, n_paths, seed, path_start),
-    )
+    """Both noises in one batch (independent streams under the same seed);
+    the jump part first, whose event cap is checked before any draw."""
+    jumps = simulate_poisson_measure(grid, marks, n_paths, seed, path_start)
+    return merge_batches(simulate_brownian(grid, d, n_paths, seed, path_start),
+                         jumps)
 
 
 # ---------------------------------------------------------------------------

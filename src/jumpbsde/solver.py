@@ -31,19 +31,18 @@ distances in the (S^q, M^q, L^q) sample norms. On explicit trees those norms
 are exact via a leaf sweep; on implicit lattices S^q is replaced by the
 exact sup-of-marginals lower bound and M^q by its q=2 form (L^q is a linear
 functional and stays exact). The engine keeps one iterate, Y per depth and a
-(Z_k, V_k) entry per depth that the representation defines (``start``,
-``project_frozen``, ``detach``, ``fields``), and each sweep overwrites it in
-place, one depth at a time. On the lattice (Z_k, V_k) is the exact
-projection of Y_{k+1}, so the iterate keeps Y only: an entry is empty (it
-reads the iterate's Y_{k+1}) except for one depth, whose entry takes the
-projection of the old Y_{k+1} just before the sweep overwrites that level,
-for the step below to freeze; a sweep that leaves Y_{k+1} as it was reuses
-the new projection instead, and the constant start is built at the depth
-that reads it. On a path batch an entry is the step's regression
-coefficients, since a fitted field is the step's design times them: one
-target-major sum on the design a fit has just filled gives the new (Z_k,
-V_k) and the previous sweep's, which the driver freezes. A solution keeps
-Y and the entries; its Z and V compute a depth when read (``_Projected``).
+(Z_k, V_k) entry per depth that the representation makes, and overwrites it
+in place, one depth at a time. It owns the constant start, which the first
+sweep freezes, and the write order: a sweep writes the new Y_{k+1} over its
+level only after step k has projected it (``project_frozen``), handed the
+old level, or None when Y_{k+1} kept its bits. On the lattice (Z_k, V_k) is
+the exact projection of Y_{k+1}: the frozen fields project the old level,
+and an entry holds nothing. On a path batch an entry is the Z/V columns of
+the step's regression coefficients (a fitted field is the step's design
+times them), or the plain mean row at k = 0: one target-major sum on the
+design a fit has just filled gives the new (Z_k, V_k) and the previous
+sweep's. A solution keeps Y and the entries; its Z and V compute a depth
+when read (``expand``, ``_Projected``).
 The representation's meter (``_Meter``) takes each depth's
 differences before they are overwritten -- per-depth scalars on the lattice;
 on an explicit tree and a path batch the Z and |V|^p levels, which the
@@ -404,13 +403,6 @@ class _StepBasis:
         (n, nt) on ``design``."""
         rhs = np.einsum("ni,nt->it", design, targets, optimize=False)
         return np.linalg.solve(self.gram, rhs)
-
-    def fit(self, states, targets, buf):
-        """Least-squares fitted values (n, nt) for stacked targets on the
-        states the basis was built on: a view of their target-major sums
-        (``_combine``)."""
-        design = self.design(states, buf)
-        return _combine(design, self.coefficients(design, targets)).T
 
 
 def _combine(design, coefs):
@@ -920,47 +912,27 @@ class _Lattice(_Representation):
             self.grid.nodes[k], lambda: tree.brownian_values(k),
             lambda: tree.levels[k].jump_counts.astype(float))
 
-    def project(self, y_next, k):
-        """(E[Y_{k+1} | F_k], Z_k, V_k) from the level at depth k+1."""
-        yc = self.tree.gather_children(k, y_next)            # (n_k, b)
-        return (np.einsum("nb,b->n", yc, self.tree.branch_probs),
-                *self._zv(yc))
-
     def _zv(self, yc):
         return (np.einsum("nb,bd->nd", yc, self._wz),
                 np.einsum("nb,bm->nm", yc, self._wv))
 
     def expand(self, y_next, k):
         """(Z_k, V_k) from the level at depth k+1, with the bits of
-        ``project``'s: a solution's (Z_k, V_k) (``_Projected``)."""
+        ``project_frozen``'s: a solution's (Z_k, V_k) (``_Projected``)."""
         return self._zv(self.tree.gather_children(k, y_next))
 
-    # A Picard iterate's entry at depth k is None, which reads the iterate's
-    # Y_{k+1}: (Z_k, V_k) is its projection. Only while the step below reads
-    # a previous Y_{k+1} does the entry hold (Z_k, V_k) arrays: the constant
-    # start's, or the projection ``detach`` took before Y_{k+1} changed.
-
-    def start(self, k, z0, v0):
-        """The constant start's entry at depth k: its (Z_k, V_k), broadcast
-        views that a sweep makes contiguous when it reads them."""
-        n = self.n_states(k)
-        return (np.broadcast_to(z0, (n, self.d)),
-                np.broadcast_to(v0, (n, self.m)))
-
-    def project_frozen(self, y_next, k, entry):
-        """A sweep's projection at depth k of the iterate's Y_{k+1}:
-        (E[Y_{k+1} | F_k], the new Z_k, V_k, the entry's own (Z_k, V_k), the
-        new entry). An empty entry's own fields are the new ones: the direct
-        solve's, and a sweep's where Y_{k+1} kept its bits."""
-        cond_mean, z, v = self.project(y_next, k)
-        own = (z, v) if entry is None else tuple(map(np.ascontiguousarray,
-                                                     entry))
-        return cond_mean, z, v, own, None
-
-    def detach(self, entry, k, y_next):
-        """The entry at depth k before the sweep overwrites Y_{k+1}, whose
-        level ``y_next`` still holds: an empty entry takes its projection."""
-        return self.expand(y_next, k) if entry is None else entry
+    def project_frozen(self, y_next, k, y_old, entry):
+        """Step k's projections of the new level ``y_next`` at depth k+1:
+        (E[Y_{k+1} | F_k], the new Z_k, V_k, the frozen (Z_k, V_k), the new
+        entry, which holds nothing). The frozen fields project ``y_old``,
+        the level the sweep is about to overwrite; without it they are the
+        new ones. The old level is projected first, so that one gather
+        block is live at a time."""
+        frozen = None if y_old is None else self.expand(y_old, k)
+        yc = self.tree.gather_children(k, y_next)            # (n_k, b)
+        cond_mean = np.einsum("nb,b->n", yc, self.tree.branch_probs)
+        z, v = self._zv(yc)
+        return cond_mean, z, v, (z, v) if frozen is None else frozen, None
 
     def fields(self, y, entries, k_lo):
         """The (Z, V) of a solution whose Y levels from depth k_lo are ``y``
@@ -1076,63 +1048,47 @@ class _PathBatch(_PathEstimators):
         return problem.context(self.grid.nodes[k], bvals,
                                lambda: counts.astype(float))
 
-    def _fit(self, y_next, k, prev=None):
-        """E[Y_{k+1} | F_k], Z_k and V_k fitted jointly from the stacked
-        targets Y, Y dB/dt and Y (1{jump} - p) / (p (1 - p)), as the rows
-        of one target-major (1 + d + m, n) table, and their (Z_k, V_k)
-        entry (``project_frozen``). A fitted entry ``prev`` of depth k adds
-        the rows of its (Z_k, V_k), summed on the same design."""
+    def project_frozen(self, y_next, k, y_old, entry):
+        """Step k's projections of the new level ``y_next`` at depth k+1,
+        as ``_Lattice.project_frozen``'s, fitted jointly from the stacked
+        targets Y, Y dB/dt and Y (1{jump} - p) / (p (1 - p)), the rows of
+        one target-major (1 + d + m, n) table. An entry is the Z/V columns
+        (kept basis columns, d + m) of the step's coefficients, or at k = 0
+        the plain mean row (d + m,) every path shares. Given ``y_old``, the
+        frozen fields are ``entry``'s, its fit, summed beside the new ones
+        on the design the fit has just filled; else the new ones. Both come
+        C-contiguous, as the driver has always read frozen fields."""
         n, d, dt = self.n_paths, self.d, self.grid.dt
+        w = 1 + d + self.m
         counts = self._states[1]
         jump = counts[k + 1] != counts[k]     # no unsigned subtraction
-        targets = np.empty((n, 1 + d + self.m))
+        targets = np.empty((n, w))
         targets[:, 0] = y_next
         targets[:, 1:1 + d] = (y_next[:, None]
                                * self.batch.brownian_increments[:, k, :] / dt)
         targets[:, 1 + d:] = (y_next[:, None] * (jump - self._p_jump)
                               / self._norm_v)
+        prev = None if y_old is None else entry
         if k == 0:
             # every path carries the same state at t_0: the projection given
             # trivial information is the plain mean
             mean = targets.mean(axis=0)
-            return np.broadcast_to(mean[:, None], (mean.size, n)), mean[1:]
-        states = self._step(k)
-        if k not in self._bases:
-            self._bases[k] = _StepBasis(states, self.degree, step=k)
-        basis = self._bases[k]
-        design = basis.design(states, self._design_buf)
-        beta = basis.coefficients(design, targets)
-        stacked = beta if prev is None or prev.ndim == 1 else np.hstack(
-            [beta, prev])
-        return _combine(design, stacked), beta[:, 1:]
-
-    def start(self, k, z0, v0):
-        """The constant start's entry: the row (d + m,) every path shares."""
-        return np.array([z0] * self.d + [v0] * self.m)
-
-    def project_frozen(self, y_next, k, entry):
-        """A sweep's projection at depth k of the iterate's Y_{k+1}:
-        (E[Y_{k+1} | F_k], the new Z_k, V_k, the entry's own (Z_k, V_k), the
-        new entry). An entry is the Z/V columns (kept basis columns, d + m)
-        of the step's least-squares coefficients, or one row (d + m,) that
-        every path shares: the plain mean at k = 0, the constant start. One
-        target-major sum on the design the fit has just filled gives the
-        new fields and the entry's own, C-contiguous, as the driver has
-        always read frozen fields. An empty entry (the direct solve's) has
-        the new fields as its own."""
-        w = 1 + self.d + self.m
-        fitted, new = self._fit(y_next, k, entry)
-        if entry is None:
-            old = fitted[1:w].T
+            fitted, new = np.broadcast_to(mean[:, None], (w, n)), mean[1:]
+            old = fitted[1:].T if prev is None else self._broadcast(prev)
         else:
-            old = fitted[w:].T if entry.ndim == 2 else self._broadcast(entry)
-        own = map(np.ascontiguousarray, (old[:, :self.d], old[:, self.d:]))
-        return (fitted[0], fitted[1:1 + self.d].T, fitted[1 + self.d:w].T,
-                tuple(own), new)
-
-    def detach(self, entry, k, y_next):
-        """An entry reads no Y level: it stays as it is."""
-        return entry
+            states = self._step(k)
+            if k not in self._bases:
+                self._bases[k] = _StepBasis(states, self.degree, step=k)
+            basis = self._bases[k]
+            design = basis.design(states, self._design_buf)
+            beta = basis.coefficients(design, targets)
+            fitted = _combine(design, beta if prev is None else np.hstack(
+                [beta, prev]))
+            new = beta[:, 1:]
+            old = fitted[1:w].T if prev is None else fitted[w:].T
+        own = map(np.ascontiguousarray, (old[:, :d], old[:, d:]))
+        return (fitted[0], fitted[1:1 + d].T, fitted[1 + d:w].T, tuple(own),
+                new)
 
     def fields(self, y, entries, k_lo):
         """The (Z, V) of entries from depth k_lo, expanded when read."""
@@ -1262,20 +1218,18 @@ def _check_grid(problem, batch=False):
 
 
 def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
-              meter=None, settled=None):
+              meter=None, settled=None, start=None):
     """Backward induction over depths [k_lo, k_hi], fields indexed from k_lo.
 
     Without ``iterate`` it fills a new solution and returns it: its entries
     start empty (None), and the driver sees each step's own projections
-    (Z_k, V_k). With it, this is one Picard sweep over ``iterate``, in
-    place: the iterate is its Y levels and its per-depth entries, which
-    only the representation reads and makes (``rep.project_frozen``). At
-    depth k the sweep projects the new Y_{k+1}, solves the step with the
-    entry's (Z_k, V_k) -- the previous sweep's -- frozen in the driver,
-    passes the differences new - old to ``meter`` and then writes Y_k and
-    the new entry over the old. Before it overwrites Y_k with other bits,
-    the entry at depth k-1 takes what it reads of the old Y_k
-    (``rep.detach``).
+    (Z_k, V_k). With it, this is one Picard sweep over ``iterate`` (Y levels
+    and per-depth entries that only the representation reads and makes), in
+    place. At depth k the sweep projects the new Y_{k+1}, handing
+    ``rep.project_frozen`` the old level for the previous sweep's frozen
+    (Z_k, V_k), or None when Y_{k+1} kept its bits, and only then writes
+    the new Y_{k+1} over the old. A first sweep freezes the constant fields
+    ``start`` = (z0, v0) instead. ``meter`` takes the differences new - old.
 
     ``settled`` (None on a first sweep, whose start is no sweep's output)
     flags per depth whether the previous sweep left Y bitwise unchanged; the
@@ -1292,23 +1246,14 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
         levels, entries = sol.y, [None] * (k_hi - k_lo)
     else:
         levels, entries = iterate
-
-    def overwrite(j, level):
-        # the entry above a changing level first takes what it reads of it
-        if iterate is not None and not unchanged and j > 0:
-            entries[j - 1] = rep.detach(entries[j - 1], k_lo + j - 1,
-                                        levels[j])
-        levels[j][...] = level
-
-    term = np.asarray(terminal_values, dtype=float)
-    if term.shape != levels[-1].shape:
+    y = np.asarray(terminal_values, dtype=float)        # the new Y_{k+1}
+    if y.shape != levels[-1].shape:
         raise ValueError(
-            f"terminal values shaped {term.shape} do not match the "
+            f"terminal values shaped {y.shape} do not match the "
             f"{levels[-1].shape[0]} states at depth {k_hi}")
     if meter is not None:
-        meter.y(k_hi, term - levels[-1])
-    unchanged = settled is not None and _same_bits(term, levels[-1])
-    overwrite(k_hi - k_lo, term)
+        meter.y(k_hi, y - levels[-1])
+    unchanged = settled is not None and _same_bits(y, levels[-1])
 
     for k in range(k_hi - 1, k_lo - 1, -1):
         j = k - k_lo
@@ -1317,19 +1262,27 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
             settled[j + 1] = unchanged
             if skip:
                 meter.skip(k)          # and Y_k stays unchanged
+                y = levels[j]
                 continue
+        old = None if unchanged or settled is None else levels[j + 1]
         cond_mean, z, v, frozen, entries[j] = rep.project_frozen(
-            levels[j + 1], k, entries[j])
+            y, k, old, entries[j])
+        if not unchanged:
+            levels[j + 1][...] = y
+        if start is not None:
+            frozen = tuple(np.full((rep.n_states(k), width), value)
+                           for width, value in zip((rep.d, rep.m), start))
         y = _solve_implicit(cond_mean,
                             gen.bind(rep.context(problem, k), *frozen),
                             dt, kappa_dt)
         if meter is not None:
             meter.y(k, y - levels[j])
             meter.zv(k, z - frozen[0], v - frozen[1])
-        del cond_mean, z, v, frozen    # before ``detach`` projects depth k-1
+        del cond_mean, z, v, frozen    # before the next step's projections
         if settled is not None:
             unchanged = _same_bits(y, levels[j])
-        overwrite(j, y)
+    if not unchanged:
+        levels[0][...] = y
     if iterate is None:
         sol.z, sol.v = rep.fields(levels, entries, k_lo)
         sol.y0 = float(levels[0][0])
@@ -1384,13 +1337,14 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
             init=(0.0, 0.0, 0.0), k_hi=None, k_lo=0, terminal_values=None):
     """The Picard iteration of ``picard_solve`` on a given representation.
 
-    It owns one iterate, the constant ``init``: Y levels and per-depth
-    (Z, V) entries that the representation defines (``rep.start``), which
-    every sweep (``_backward``) overwrites in place while its meter takes
-    each depth's differences before they are overwritten. On the lattice
-    the entries hold nothing between sweeps. The solution keeps the last
-    sweep's Y levels and entries, and its (Z, V) are sequences that expand
-    them when read (``rep.fields``): nothing is expanded here."""
+    It owns one iterate, Y levels at the constant ``init`` and per-depth
+    (Z, V) entries that the representation makes (empty before the first
+    sweep, which freezes the constant (z0, v0) instead), and every sweep
+    (``_backward``) overwrites it in place while its meter takes each
+    depth's differences before they are overwritten. The solution keeps
+    the last sweep's Y levels and entries, and its (Z, V) are sequences
+    that expand them when read (``rep.fields``): nothing is expanded
+    here."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if q is None:
@@ -1406,15 +1360,16 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
     sol = _empty(rep, problem, k_lo, k_hi)
     for level in sol.y:
         level[...] = y0
-    entries = [rep.start(k, z0, v0) for k in range(k_lo, k_hi)]
-    settled = None
+    entries = [None] * (k_hi - k_lo)
+    start, settled = (z0, v0), None
     trace = PicardTrace(q=q)
     for it in range(1, max_iter + 1):
         meter = rep.meter(q, k_lo)
         _backward(rep, problem, k_lo, k_hi, terminal_values,
-                  iterate=(sol.y, entries), meter=meter, settled=settled)
+                  iterate=(sol.y, entries), meter=meter, settled=settled,
+                  start=start)
         if settled is None:
-            settled = np.zeros(k_hi - k_lo + 1, dtype=bool)
+            start, settled = None, np.zeros(k_hi - k_lo + 1, dtype=bool)
         trace.n_iter = it
         trace.record(*meter.norms())
         if trace.dist[-1] <= tol:

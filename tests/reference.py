@@ -1,11 +1,13 @@
-"""Path tables the tests compare the package against, and the norms
-computed from them.
+"""Path tables the tests compare the package against, the norms computed
+from them, and closed-form continuous-time solutions of the affine driver.
 
 ``state_paths`` and ``enumerate_paths`` build, for a path batch and an
 explicit scenario tree, the full path-major tables that the package itself
 never holds: its path batch keeps the states step-major, and the leaf sweep
 reads the tree's walk set one subtree at a time.
 """
+
+import math
 
 import numpy as np
 
@@ -115,3 +117,31 @@ def batch_norms(problem, q, y, z, v):
     return (sp_from_sup(np.max(np.abs(y), axis=1), w, q),
             mp_from_sq(np.einsum("njd,njd->n", z, z) * dt, w, q),
             float(np.mean(v_p) * dt) ** (1 / q))
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the affine driver
+# ---------------------------------------------------------------------------
+#
+# For f = const + a y + b.z + sum_i c_i lambda_i v_i with c_i > -1, Y_t is a
+# conditional expectation under Q, where B has drift b and mark i has
+# intensity (1 + c_i) lambda_i (Quenez & Sulem 2013). The functions take the
+# state (t, B_t, N_t), with B_t (d,) and N_t (m,), and the data b (d,),
+# c and lam (m,), and return (Y_t, Z_t (d,), V_t (m,)).
+
+def affine_state_linear(t, b_t, n_t, T, a, b, c, lam, w, u, s=0.0,
+                        const=0.0):
+    """The solution for xi = w.B_T + u.(N_T - lambda T) + s (a != 0)."""
+    g = math.exp(a * (T - t))
+    y = g * (w @ (b_t + b * (T - t))
+             + u @ (n_t - lam * t + c * lam * (T - t)) + s)
+    return y + const * (g - 1.0) / a, g * w, g * u
+
+
+def affine_exp_brownian(t, b_t, n_t, T, a, b, c, lam, w):
+    """The solution for const = 0 and xi = exp(w.B_T): it does not depend
+    on the jumps, so V = 0."""
+    tau = T - t
+    y = math.exp(a * tau) * math.exp(w @ b_t + (w @ b) * tau
+                                     + (w @ w) * tau / 2.0)
+    return y, w * y, np.zeros_like(lam)

@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -403,6 +404,10 @@ def test_solve_stopped_at_max_iter_exits_2(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_DIVERGED
     err = capsys.readouterr().err
     assert "did not converge" in err and "subdivide.enabled" in err
+    # N + 2 sweeps reach the direct solve (tests/test_picard_exact.py)
+    assert ("on a grid of 64 steps, picard.max_iter 66 reaches the direct "
+            "backward solve unless the divergence rule stops the run first "
+            "or the iterate overflows (exit 4)") in err
     out = tmp_path / "out"
     body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
     assert body["converged"] is False and body["diverged"] is False
@@ -649,6 +654,28 @@ def test_a_batch_whose_steps_always_jump_exits_1_at_the_intensities(
     assert err.startswith(f"error: {path}:{line}: problem.marks.intensities: "
                           "lambda_0*dt = 250000: ")
     assert err.count("\n") == 1
+
+
+def test_a_batch_over_its_event_cap_exits_1_at_n_paths(tmp_path, capsys):
+    # lambda*T*n_paths = 5e7 expected jump events, above the 1e7 cap; kappa
+    # = 0 and lambda*dt = 20 pass the grid checks, so the cap stops the run,
+    # before any variate is drawn
+    problem = {**copy.deepcopy(BASE["problem"]), "horizon": 1e6,
+               "generator": {"form": "affine", "params": {}}}
+    path, _ = _cfg(tmp_path, problem=problem, grid_steps=50_000,
+                   method="mc", n_paths=50)
+    line = next(i for i, row in enumerate(path.read_text().splitlines(),
+                                          start=1)
+                if row.strip().startswith('"n_paths": '))
+    start = time.perf_counter()
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: n_paths: 50 paths expect "
+                          "Lambda*T*n_paths = 5e+07 jump events, above the "
+                          "event cap 10000000")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_an_error_at_a_default_setting_names_the_file(tmp_path, capsys):

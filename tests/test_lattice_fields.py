@@ -29,8 +29,8 @@ def _recorded(run):
     per depth: the fields each depth's last solved step computed."""
     seen, project_frozen = {}, solver._Lattice.project_frozen
 
-    def spy(self, y_next, k, entry):
-        out = project_frozen(self, y_next, k, entry)
+    def spy(self, y_next, k, y_old, entry):
+        out = project_frozen(self, y_next, k, y_old, entry)
         seen[k] = out[1].copy(), out[2].copy()
         return out
 

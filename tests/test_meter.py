@@ -478,9 +478,9 @@ def test_batch_picard_keeps_z_and_v_as_coefficients():
 def test_lattice_picard_holds_y_and_a_few_depth_blocks():
     # a lattice iterate is its Y levels: (Z_k, V_k) is projected from Y_{k+1}
     # when a step reads it, and only the step's projections, its driver rows
-    # and one detached (Z, V) are live beside Y and the lattice the solve
-    # builds; keeping (Z, V) at every state would add 2 N-depth fields, about
-    # 10 blocks at N = 60
+    # and the frozen (Z, V) projected from the old Y_{k+1} are live beside Y
+    # and the lattice the solve builds; keeping (Z, V) at every state would
+    # add 2 N-depth fields, about 10 blocks at N = 60
     N = 60
     problem = _problem(1, 1, N)
     (sol, trace), _, peak = traced_peak(jb.picard_solve, problem, "tree",

@@ -53,7 +53,8 @@ def _sweep_ref(rep, problem, k_lo, k_hi, terminal_values, frozen):
     for k in range(k_hi - 1, k_lo - 1, -1):
         j = k - k_lo
         # an empty entry: the step's own projections
-        cond_mean, z, v, _, _ = rep.project_frozen(sol.y[j + 1], k, None)
+        cond_mean, z, v, _, _ = rep.project_frozen(sol.y[j + 1], k, None,
+                                                   None)
         sol.y[j][...] = solver._solve_implicit(
             cond_mean, gen.bind(rep.context(problem, k), frozen.z[j],
                                 frozen.v[j]), dt, kappa_dt)

@@ -146,6 +146,20 @@ def test_poisson_deterministic(unit_grid, single_mark):
         assert a.jump_events(k) == big.jump_events(k)
 
 
+def test_a_batch_over_the_event_cap_raises_before_any_draw(monkeypatch):
+    # Lambda*T*n_paths = 2e7 expected jump events, twice the cap
+    def draw(*args):
+        raise AssertionError("a variate was drawn")
+
+    monkeypatch.setattr(jb.randomness.rng, "uniform", draw)
+    monkeypatch.setattr(jb.randomness.rng, "normal", draw)
+    grid, marks = jb.make_time_grid(1e5, 4), jb.make_mark_space([[1.0]], [2.0])
+    with pytest.raises(ResourceLimitError, match="2e\\+07 jump events, above "
+                       "the event cap 10000000") as info:
+        jb.simulate_paths(grid, marks, 1, 100, seed=0)
+    assert info.value.setting == "n_paths"
+
+
 def test_state_paths_counts(unit_grid, single_mark):
     batch = jb.simulate_paths(unit_grid, single_mark, 1, 200, seed=21)
     bvals, counts = state_paths(batch)

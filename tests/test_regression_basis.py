@@ -95,12 +95,19 @@ def _arrays(value):
             yield from _arrays(item)
 
 
+def _fit(basis, states, targets, buf):
+    """Fitted values (n, nt) of stacked targets, as a batch computes them:
+    the refilled design times the coefficients, target-major."""
+    design = basis.design(states, buf)
+    return solver._combine(design, basis.coefficients(design, targets)).T
+
+
 def _assert_same_fit(states, degree, targets, buf):
     got = solver._StepBasis(states, degree, step=3)
     want = _CachedDesignBasis(_side_by_side(states), degree, step=3)
     assert got.gram.tobytes() == want.gram.tobytes()
     assert len(got.exps) == want.design.shape[1]
-    assert (got.fit(states, targets, buf).tobytes()
+    assert (_fit(got, states, targets, buf).tobytes()
             == want.fit(targets).tobytes())
     # no attribute of the basis holds a per-path array
     n = targets.shape[0]
@@ -154,7 +161,7 @@ def test_one_buffer_serves_bases_of_different_widths():
     for _ in range(2):
         for states, got, want in bases + bases[::-1]:
             targets = rng.standard_normal((n, 1 + d + m))
-            assert (got.fit(states, targets, buf).tobytes()
+            assert (_fit(got, states, targets, buf).tobytes()
                     == want.fit(targets).tobytes())
 
 
