@@ -320,6 +320,8 @@ def cmd_solve(cfg):
     sub = cfg["subdivide"]
     if sub["enabled"]:
         q = sub["q"] or picard_q(problem.generator.growth_alpha)
+        kappa, T, N = (problem.generator.lipschitz_kappa,
+                       problem.grid.horizon, problem.grid.steps)
         c_emp = sub["c_emp"]
         pilot_trace = None
         if c_emp is None:
@@ -330,18 +332,22 @@ def cmd_solve(cfg):
             # with tol >= 0 and at least two iterations, a pilot measures
             # no ratio only when it converged at its first: nothing to plan
             r_hat = max(pilot_trace.ratios, default=0.0)
-            scale = (problem.generator.lipschitz_kappa
-                     * problem.grid.horizon ** (1 - q / 2))
+            scale = kappa * T ** (1 - q / 2)
             # kappa = 0: the driver ignores (y, z, v), one interval will do
             c_emp = r_hat / scale if scale > 0 else 0.0
-        plan = subdivide_horizon(problem.grid.horizon,
-                                 problem.generator.lipschitz_kappa, q,
-                                 c_emp, sub["safety"])
-        if problem.grid.steps % plan.k_intervals:
-            raise ConfigError(
-                "grid_steps",
-                f"{problem.grid.steps} steps not divisible by the "
-                f"{plan.k_intervals}-interval plan; use a multiple")
+        # more intervals than steps divide no grid, and the plan needs more
+        # exactly when N intervals miss the bound: checked before anything
+        # of the plan's size is built, by a product that is inf at worst
+        at_n = kappa * c_emp * (T / N) ** (1 - q / 2)
+        if at_n > sub["safety"]:
+            raise ConfigError("grid_steps", f"the plan needs more than {N} "
+                              f"intervals: kappa*c_emp*(T/N)^(1-q/2) = "
+                              f"{at_n:g} > safety; use more steps")
+        plan = subdivide_horizon(T, kappa, q, c_emp, sub["safety"])
+        if N % plan.k_intervals:
+            raise ConfigError("grid_steps", f"{N} steps not divisible by the "
+                              f"{plan.k_intervals}-interval plan; use a "
+                              "multiple")
         # the pilot solve, when it ran, checked the declared kappa
         solution, traces = chained_solve(problem, plan, cfg["method"],
                                          tol=pic["tol"],

@@ -177,8 +177,10 @@ def uniqueness_experiment(problem, method="tree", perturbations=None,
         perturbations = [{"init": (0.0, 0.0, 0.0)},
                          {"init": (10.0, 1.0, 1.0)}]
     picard_kwargs.setdefault("check_assumptions", False)
-    rep, kwargs = _prepare(problem, method, tree, batch, picard_kwargs)
     runs = [] if _first_run is None else [(perturbations[0], *_first_run)]
+    # the other starts run on the first run's representation
+    rep, kwargs = _prepare(problem, method, tree, batch, picard_kwargs,
+                           _represent(runs[0][1], problem) if runs else None)
     for pert in perturbations[len(runs):]:
         run_rep = rep
         if "basis_degree" in pert:

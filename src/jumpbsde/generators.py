@@ -8,15 +8,13 @@ scenario-tree lattice. ||v|| anywhere in the driver or the checks is the
 sectional norm (sum_i |v_i|^p lambda_i)^(1/p) with p from the problem.
 
 The solvers' per-step fixed point holds (z, v) fixed, so they evaluate the
-driver through GeneratorSpec.bind(ctx, z, v), a y-only map. The built-in forms
-are written once, in that bound form: binding computes their (z, v) term a
-single time, and the bound map evaluates any subset of rows, so the fixed
-point can stop evaluating the rows that have settled. f(ctx, y, z, v) of a
-built-in form is its bound map on every row, bit for bit. truncate_problem
-writes the truncated driver in the same bound form around the base driver's
-bound map, so a truncated built-in form is bound once per step too. A custom
-driver is bound generically: every evaluation goes through
-GeneratorSpec.__call__ on all rows, and so does its truncation.
+driver through GeneratorSpec.bind(ctx, z, v), a y-only map (``_Bound``): a
+y-part g(y) plus per-state terms the bind computes once, added left to
+right. A built-in form is written once, in that form, so f(ctx, y, z, v) is
+its bound map on every row, bit for bit, and the bound map evaluates any
+subset of rows. truncate_problem appends -f(t,.,0,0,0) and its clamp to the
+base's bound map. A custom driver binds to a y-part that calls it on every
+row, with no terms.
 
 The Lipschitz/growth checks are empirical reports over sampled argument
 clouds, not proofs. The remainder bound sup_{|y|<=r}|f(t,y,0,0) -
@@ -120,18 +118,16 @@ class GeneratorSpec:
         return np.broadcast_to(out, np.shape(y)).astype(float, copy=False)
 
     def bind(self, ctx, z, v):
-        """The y-only driver y -> f(ctx, y, z, v) with (ctx, z, v) held fixed.
+        """The ``_Bound`` y -> f(ctx, y, z, v) with (ctx, z, v) held fixed.
 
-        ``bound(y)`` evaluates every row. The bound map of a built-in form,
-        and of its truncation by truncate_problem, has ``row_wise`` set:
-        ``bound(y[rows], rows)`` then evaluates those rows only and gives the
-        bits of ``bound(y)[rows]``. The fast path lives on the form's ``f``,
-        not on the spec: the bound map of a custom ``f``, and of its
-        truncation, goes through ``__call__`` on every row.
+        ``bound(y)`` evaluates every row. When ``bound.row_wise`` (a built-in
+        form or its truncation), ``bound(y[rows], rows)`` evaluates those rows
+        only and gives the bits of ``bound(y)[rows]``. A custom ``f`` binds
+        to a y-part that calls ``__call__`` on every row, not row-wise.
         """
         if isinstance(self.f, _Form):
             return self.f.bind(ctx, z, v)
-        return lambda y: self(ctx, y, z, v)
+        return _Bound(lambda y: self(ctx, y, z, v), (), row_wise=False)
 
     def zero_section(self, ctx):
         """f(t, ., 0, 0, 0) on the context's states."""
@@ -216,27 +212,20 @@ def truncate_problem(problem, n):
     The driver becomes f(t,y,z,v) - f(t,0,0,0) + q_n(f(t,0,0,0)): increments
     in (y,z,v) are untouched, so the Lipschitz modulus carries over exactly,
     and the truncated data are bounded (square-integrable sub-problem).
-    Binding it binds the base driver and evaluates the zero section once per
-    (ctx, z, v); the bound map is row-wise when the base's is.
+    Binding it binds the base driver and appends -f(t,.,0,0,0) and its
+    clamp to the base's bound map, so the zero section is evaluated once
+    per (ctx, z, v) and the bound map is row-wise when the base's is.
     """
     if n <= 0:
         raise ValueError(f"truncation level must be positive, got {n}")
     base_gen = problem.generator
     base_term = problem.terminal
 
-    def bind_zv(ctx, z, v):
-        base = base_gen.bind(ctx, z, v)
-        zero = base_gen.zero_section(ctx)
-        qz = q_n(zero, n)
+    def bind(ctx, z, v):
+        f0 = base_gen.zero_section(ctx)
+        return base_gen.bind(ctx, z, v).extend(-f0, q_n(f0, n))
 
-        def f_of_y(y, rows=None):
-            f = base(y) if rows is None else base(y, rows)
-            return f - _take(zero, rows) + _take(qz, rows)
-
-        return f_of_y
-
-    row_wise = isinstance(base_gen.f, _Form) and base_gen.f.row_wise
-    gen = replace(base_gen, f=_Form(bind_zv, row_wise=row_wise),
+    gen = replace(base_gen, f=_Form(bind),
                   name=f"truncated({base_gen.name})",
                   params={"base": base_gen.params or {}, "n": float(n)})
     term = replace(base_term,
@@ -341,32 +330,39 @@ def check_growth(spec, problem, n_points=256, seed=0):
 # declarative built-in forms (config schema v1)
 # ---------------------------------------------------------------------------
 
-class _Form:
-    """A driver written once, in its bound form.
+class _Bound:
+    """A bound driver y -> f(ctx, y, z, v): the y-part ``g`` plus the
+    per-state arrays ``terms``, added left to right.
 
-    ``bind_zv(ctx, z, v)`` computes the (z, v) term and returns the map
-    ``f_of_y(y, rows=None)``, where ``y`` holds the rows ``rows`` (all rows
-    when None). Calling the form as f(ctx, y, z, v) binds and evaluates every
-    row, so both routes share one formula and one floating-point association.
-    ``row_wise`` is False only for a truncation of a custom driver, whose
-    bound map evaluates all rows at once.
+    ``bound(y, rows)`` reads ``y`` as the rows ``rows`` (all rows when None)
+    and takes those rows of every term. ``row_wise`` is False when ``g``
+    itself needs every row (a custom driver).
     """
 
-    def __init__(self, bind_zv, row_wise=True):
-        self._bind_zv = bind_zv
-        self.row_wise = row_wise
+    def __init__(self, g, terms, row_wise=True):
+        self.g, self.terms, self.row_wise = g, terms, row_wise
 
-    def bind(self, ctx, z, v):
-        f_of_y = self._bind_zv(ctx, z, v)
-        f_of_y.row_wise = self.row_wise
-        return f_of_y
+    def __call__(self, y, rows=None):
+        out = self.g(y)
+        for term in self.terms:
+            out = out + (term if rows is None else term[rows])
+        return out
+
+    def extend(self, *terms):
+        return _Bound(self.g, self.terms + terms, self.row_wise)
+
+
+class _Form:
+    """A driver written in its bound form: ``bind(ctx, z, v)`` gives its
+    ``_Bound``, and calling the form as f(ctx, y, z, v) binds and evaluates
+    every row, so both routes share one formula and one association.
+    """
+
+    def __init__(self, bind):
+        self.bind = bind
 
     def __call__(self, ctx, y, z, v):
-        return self._bind_zv(ctx, z, v)(y)
-
-
-def _take(values, rows):
-    return values if rows is None else values[rows]
+        return self.bind(ctx, z, v)(y)
 
 
 def _is_real(x):
@@ -451,15 +447,9 @@ def _read_params(schema, params, d, m):
 def _affine(params, marks, p, d):
     a, const, b, c = (params[k] for k in ("a", "const", "b", "c"))
     c_lam = c * marks.intensities
-
-    def bind_zv(ctx, z, v):
-        zb = np.einsum("nd,d->n", z, b, optimize=False)
-        vc = np.einsum("nm,m->n", v, c_lam, optimize=False)
-
-        def f_of_y(y, rows=None):
-            return const + a * y + _take(zb, rows) + _take(vc, rows)
-
-        return f_of_y
+    form = _Form(lambda ctx, z, v: _Bound(lambda y: const + a * y, (
+        np.einsum("nd,d->n", z, b, optimize=False),
+        np.einsum("nm,m->n", v, c_lam, optimize=False))))
 
     if p > 1:
         q = p / (p - 1)
@@ -467,39 +457,23 @@ def _affine(params, marks, p, d):
     else:
         kappa_v = float(np.max(np.abs(c))) if marks.m else 0.0
     kappa = abs(a) + float(np.linalg.norm(b)) + kappa_v
-    return _Form(bind_zv), kappa
+    return form, kappa
 
 
 def _lipschitz_smooth(params, marks, p, d):
     ay, bz, cv = (params[k] for k in ("ay", "bz", "cv"))
-
-    def bind_zv(ctx, z, v):
-        zb = np.einsum("nd,d->n", z, bz, optimize=False)
-        vn = cv * ctx.section_norm(v)
-
-        def f_of_y(y, rows=None):
-            return ay * np.sin(y) + _take(zb, rows) + _take(vn, rows)
-
-        return f_of_y
-
-    kappa = max(abs(ay), float(np.linalg.norm(bz)), abs(cv))
-    return _Form(bind_zv), kappa
+    form = _Form(lambda ctx, z, v: _Bound(lambda y: ay * np.sin(y), (
+        np.einsum("nd,d->n", z, bz, optimize=False),
+        cv * ctx.section_norm(v))))
+    return form, max(abs(ay), float(np.linalg.norm(bz)), abs(cv))
 
 
 def _zv_coupled(params, marks, p, d):
     cy, cz, cv = (params[k] for k in ("cy", "cz", "cv"))
-
-    def bind_zv(ctx, z, v):
-        zn = cz * np.sqrt(np.einsum("...d,...d->...", z, z))
-        vn = cv * ctx.section_norm(v)
-
-        def f_of_y(y, rows=None):
-            return cy * y + _take(zn, rows) + _take(vn, rows)
-
-        return f_of_y
-
-    kappa = max(abs(cy), abs(cz), abs(cv))
-    return _Form(bind_zv), kappa
+    form = _Form(lambda ctx, z, v: _Bound(lambda y: cy * y, (
+        cz * np.sqrt(np.einsum("...d,...d->...", z, z)),
+        cv * ctx.section_norm(v))))
+    return form, max(abs(cy), abs(cz), abs(cv))
 
 
 # name -> (build function, params schema)

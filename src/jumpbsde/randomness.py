@@ -225,9 +225,10 @@ def simulate_poisson_measure(grid, marks, n_paths, seed, path_start=0):
     """Jump part: per path a Poisson process of rate Lambda on (0, T], each
     event carrying mark e_i with probability lambda_i / Lambda.
 
-    Gap g of path k is keyed by (seed, k, g); its mark by (seed, k, g) on a
-    separate stream. Reproducible independent of n_paths. A batch expecting
-    more than EVENT_CAP events raises ResourceLimitError before any draw.
+    Gap g of path k is keyed by (seed, k, g), drawn only while its first g
+    events lie in (0, T]; its mark by (seed, k, g) on a separate stream.
+    Reproducible independent of n_paths. A batch expecting more than
+    EVENT_CAP events raises ResourceLimitError before any draw.
     """
     _check_sim_args(grid, n_paths, seed)
     if not isinstance(marks, MarkSpace):
@@ -242,15 +243,16 @@ def simulate_poisson_measure(grid, marks, n_paths, seed, path_start=0):
     paths = np.arange(path_start, path_start + n_paths, dtype=np.uint64)
 
     times_per_round = []
-    acc = np.zeros(n_paths)
+    live, acc = np.arange(n_paths), np.zeros(n_paths)
     g = 0
     while True:
-        u = rng.uniform(seed, rng.STREAM_JUMP_GAP, paths, np.uint64(g))
+        u = rng.uniform(seed, rng.STREAM_JUMP_GAP, paths[live], np.uint64(g))
         acc = acc + (-np.log(u) / lam_total)
         alive = acc <= T
-        if not alive.any():
+        live, acc = live[alive], acc[alive]
+        if not live.size:
             break
-        times_per_round.append((np.where(alive)[0], acc[alive], g))
+        times_per_round.append((live, acc, g))
         g += 1
         if g > 64 + int(8 * lam_total * T):  # astronomically unlikely
             raise RuntimeError("jump count bound exceeded; check intensities")

@@ -252,7 +252,7 @@ def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt):
     no numpy warning.
     """
     n_iter = _fixpoint_iterations(kappa_dt)
-    row_wise = getattr(f_of_y, "row_wise", False)
+    row_wise = f_of_y.row_wise
     y, f_val = cond_mean, f_of_y(cond_mean)
     rows = slice(None)          # the rows still moving
     exact = False               # the last update repeated every row's bits
@@ -1128,13 +1128,25 @@ def _empty(rep, problem, k_lo, k_hi):
         diagnostics=dict(rep.diagnostics))
 
 
+def _terminal(rep, problem):
+    """xi on the states of ``rep`` at depth N; one that is not finite
+    raises ConfigError at ``problem.terminal``, with no numpy warning."""
+    with np.errstate(all="ignore"):
+        xi = problem.terminal(rep.context(problem, problem.grid.steps))
+    bad = np.count_nonzero(~np.isfinite(xi))
+    if bad:
+        raise ConfigError("problem.terminal", f"the terminal value is not "
+                          f"finite on {bad} of {xi.size} states")
+    return xi
+
+
 def _data_levels(rep, problem):
     """|f(t_k, ., 0, 0, 0)| at depths k < N, then |xi| at depth N, on the
     states of ``rep``: the data of the integrability hypothesis."""
     N = rep.grid.steps
     zero = problem.generator.zero_section
     return ([np.abs(zero(rep.context(problem, k))) for k in range(N)]
-            + [np.abs(problem.terminal(rep.context(problem, N)))])
+            + [np.abs(_terminal(rep, problem))])
 
 
 def _clamp_tail(rep, data, n):
@@ -1180,17 +1192,17 @@ def _represent(solution, problem):
 _SETUP_KEYS = ("node_cap", "n_paths", "seed", "basis_degree")
 
 
-def _prepare(problem, method, tree, batch, picard_kwargs):
+def _prepare(problem, method, tree, batch, picard_kwargs, rep=None):
     """Set-up for entry points that run several solves on one
     representation: (representation, the remaining ``_picard`` keywords).
     ``check_assumptions`` defaults to True, as in ``picard_solve``, and
-    runs once."""
+    runs once. A given ``rep`` is used as it is."""
     kwargs = dict(picard_kwargs)
     _check_grid(problem, method == "mc")
     if kwargs.pop("check_assumptions", True):
         _check_assumptions(problem, kwargs.get("seed", 0))
     setup = {key: kwargs.pop(key) for key in _SETUP_KEYS if key in kwargs}
-    return _setup(problem, method, tree, batch, **setup), kwargs
+    return rep or _setup(problem, method, tree, batch, **setup), kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -1290,10 +1302,9 @@ def _backward(rep, problem, k_lo, k_hi, terminal_values, iterate=None,
 
 
 def _solve(rep, problem):
-    N = problem.grid.steps
     _check_grid(problem, rep.batch is not None)
-    return _backward(rep, problem, 0, N,
-                     problem.terminal(rep.context(problem, N)))
+    return _backward(rep, problem, 0, problem.grid.steps,
+                     _terminal(rep, problem))
 
 
 def solve_tree(problem, tree):
@@ -1354,7 +1365,7 @@ def _picard(rep, problem, tol=1e-9, max_iter=25, q=None,
     if terminal_values is None:
         if k_hi != N:
             raise ValueError("sub-range solves need explicit terminal values")
-        terminal_values = problem.terminal(rep.context(problem, N))
+        terminal_values = _terminal(rep, problem)
 
     y0, z0, v0 = map(float, init)
     sol = _empty(rep, problem, k_lo, k_hi)
@@ -1521,6 +1532,7 @@ def truncation_ladder_solve(problem, n_list, method="tree", tree=None,
             n <= 0 for n in n_list):
         raise ValueError("n_list must be strictly increasing and positive")
     rep, kwargs = _prepare(problem, method, tree, batch, picard_kwargs)
+    _terminal(rep, problem)         # checked before a rung clamps it finite
 
     levels, solutions = [], []
     for n in n_list:

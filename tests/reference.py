@@ -4,13 +4,15 @@ from them, and closed-form continuous-time solutions of the affine driver.
 ``state_paths`` and ``enumerate_paths`` build, for a path batch and an
 explicit scenario tree, the full path-major tables that the package itself
 never holds: its path batch keeps the states step-major, and the leaf sweep
-reads the tree's walk set one subtree at a time.
+reads the tree's walk set one subtree at a time. ``poisson_measure`` is the
+jump simulation that draws every path's gap in every round.
 """
 
 import math
 
 import numpy as np
 
+from jumpbsde import rng
 from jumpbsde.norms import (ProcessSample, mp_from_sq, mp_norm, sp_from_sup,
                             sp_norm)
 
@@ -37,6 +39,39 @@ def state_paths(batch):
                   1.0)
         np.cumsum(counts, axis=1, out=counts)
     return bvals, counts
+
+
+def poisson_measure(grid, marks, n_paths, seed, path_start=0):
+    """(jump_times, jump_mark_idx, jump_offsets, jump_steps) of
+    ``simulate_poisson_measure``, drawing gap g of every path in round g
+    until no path has g events in (0, T]."""
+    lam_total, T = marks.total_intensity, grid.horizon
+    paths = np.arange(path_start, path_start + n_paths, dtype=np.uint64)
+    rounds, acc, g = [], np.zeros(n_paths), 0
+    while True:
+        u = rng.uniform(seed, rng.STREAM_JUMP_GAP, paths, np.uint64(g))
+        acc = acc + (-np.log(u) / lam_total)
+        alive = acc <= T
+        if not alive.any():
+            break
+        rounds.append((np.where(alive)[0], acc[alive], g))
+        g += 1
+    counts = np.zeros(n_paths, dtype=np.int64)
+    for idx, _, _ in rounds:
+        counts[idx] += 1
+    offsets = np.zeros(n_paths + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    times = np.empty(offsets[-1])
+    mark_idx = np.empty(offsets[-1], dtype=np.int64)
+    cursor = offsets[:-1].copy()
+    cum_prob = np.cumsum(marks.intensities) / lam_total
+    for idx, t_vals, g_idx in rounds:
+        u2 = rng.uniform(seed, rng.STREAM_JUMP_MARK, paths[idx],
+                         np.uint64(g_idx))
+        times[cursor[idx]] = t_vals
+        mark_idx[cursor[idx]] = np.searchsorted(cum_prob, u2, side="left")
+        cursor[idx] += 1
+    return times, mark_idx, offsets, grid.step_of(times).astype(np.int64)
 
 
 def enumerate_paths(tree):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from jumpbsde import cli
 from jumpbsde.generators import GENERATOR_FORMS, TERMINAL_FORMS
 
@@ -355,6 +356,35 @@ def test_mc_uniqueness_replicates_use_the_run_batch(tmp_path, monkeypatch):
     path, _ = _cfg(tmp_path, method="mc", grid_steps=4, n_paths=300)
     assert cli.main(["verify", "--config", str(path)]) in (0, 3)
     assert batches == [(300, 1007), (300, 1008), (300, 1009), (300, 1010)]
+
+
+def test_mc_verify_builds_its_batch_representation_once(tmp_path,
+                                                        monkeypatch):
+    # the uniqueness starts run on the verify solve's representation: one
+    # for the run batch and one per standard-error replicate (4), each with
+    # a basis for every step but the first (19); a representation of the
+    # experiment's own gives the same bits
+    from jumpbsde import estimates, solver
+    built = dict.fromkeys(("_PathBatch", "_StepBasis"), 0)
+    for name in built:
+        def counted(self, *args, _name=name,
+                    _init=getattr(solver, name).__init__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(getattr(solver, name), "__init__", counted)
+    path, _ = _cfg(tmp_path, method="mc", grid_steps=20, n_paths=2000)
+    assert cli.main(["verify", "--config", str(path)]) in (0, 3)
+    assert built == {"_PathBatch": 5, "_StepBasis": 95}
+    out = tmp_path / "out"
+    body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
+    cfg = cli.load_config(str(path))
+    problem = cli._build_problem(cfg)
+    uniq = estimates.uniqueness_experiment(
+        problem, "mc", tol=cfg["picard"]["tol"], q=cfg["picard"]["q"],
+        max_iter=cfg["picard"]["max_iter"], **cli._context_for(cfg, problem))
+    del uniq["traces"]
+    assert json.dumps(uniq, sort_keys=True) == json.dumps(
+        body["uniqueness"], sort_keys=True)
 
 
 def test_verify_reuses_its_solve_and_passes_max_iter(tmp_path, monkeypatch,
@@ -699,6 +729,45 @@ def test_a_config_that_is_not_an_object_names_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: <root>: must be an object")
     assert "Traceback" not in err
+
+
+# exp(800 B_T) overflows on the states where B_T > 0.89 (N = 8)
+_OVERFLOWING_TERMINAL = {**BASE["problem"], "terminal": {
+    "form": "brownian-functional",
+    "params": {"kind": "exp", "weights": [800.0]}}}
+
+
+@pytest.mark.parametrize("command, key, overrides", [
+    # K = 10^8, 10^20 and 10^200 intervals for 8 steps: rejected before
+    # anything of the plan's size is built, with no overflow
+    *(("solve", "grid_steps", {"subdivide": {"enabled": True, "c_emp": c}})
+      for c in (100, 1e6, 1e100)),
+    # a terminal value that is not finite, rejected before any solve and
+    # before the first ladder rung, whose clamped terminal is finite
+    *((command, "problem.terminal",
+       {"method": method, "problem": _OVERFLOWING_TERMINAL})
+      for command in ("solve", "verify", "ladder")
+      for method in ("tree", "mc")),
+], ids=["c_emp-100", "c_emp-1e6", "c_emp-1e100"] + [
+    f"{command}-{method}-terminal" for command in ("solve", "verify", "ladder")
+    for method in ("tree", "mc")])
+def test_unusable_input_exits_1_at_its_setting(tmp_path, capsys, command,
+                                                key, overrides):
+    path, _ = _cfg(tmp_path, grid_steps=8, n_paths=100,
+                   ladder={"n_list": [1, 4]}, **overrides)
+    leaf = key.rsplit(".", 1)[-1]
+    line = next(i for i, row in enumerate(path.read_text().splitlines(),
+                                          start=1)
+                if row.strip().startswith(f'"{leaf}": '))
+    code, _, peak = traced_peak(cli.main, [command, "--config", str(path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: {key}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "out").exists()
+    if key == "grid_steps":
+        assert peak < 2 ** 20
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

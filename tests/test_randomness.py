@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jumpbsde as jb
+from jumpbsde import rng
 from jumpbsde.errors import ResourceLimitError
 from jumpbsde.randomness import ScenarioTree
 from conftest import traced_peak
-from reference import enumerate_paths, state_paths
+from reference import enumerate_paths, poisson_measure, state_paths
 from test_meter import _problem
 
 
@@ -144,6 +145,48 @@ def test_poisson_deterministic(unit_grid, single_mark):
     big = jb.simulate_poisson_measure(unit_grid, single_mark, 2000, seed=9)
     for k in (0, 17, 499):
         assert a.jump_events(k) == big.jump_events(k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(0.5, 1.0), (2.0, 1.0), (3.0, 2.5), (0.05, 4.0)]),
+       st.integers(1, 300), st.integers(0, 2 ** 31), st.integers(0, 10 ** 6),
+       st.integers(1, 4))
+def test_poisson_matches_the_every_path_draw_reference(rates, n, seed, start,
+                                                       chunks):
+    # byte for byte the batch that draws every path's gap in every round,
+    # also in consecutive path_start chunks
+    lam, horizon = rates
+    grid = jb.make_time_grid(horizon, 7)
+    marks = jb.make_mark_space([[1.0], [2.0]], [lam, 2.0 * lam])
+    cuts = np.linspace(0, n, chunks + 1).astype(int)
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi == lo:
+            continue
+        batch = jb.simulate_poisson_measure(grid, marks, int(hi - lo), seed,
+                                            path_start=start + int(lo))
+        got = (batch.jump_times, batch.jump_mark_idx, batch.jump_offsets,
+               batch.jump_steps)
+        for a, b in zip(got, poisson_measure(grid, marks, int(hi - lo), seed,
+                                             start + int(lo))):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_poisson_draws_one_gap_more_than_each_path_has_events(
+        unit_grid, single_mark, monkeypatch):
+    # gap g of a path is drawn only while its first g events lie in (0, T]
+    draws = {rng.STREAM_JUMP_GAP: 0, rng.STREAM_JUMP_MARK: 0}
+    uniform = rng.uniform
+
+    def counted(seed, stream, path, slot):
+        out = uniform(seed, stream, path, slot)
+        draws[stream] += out.size
+        return out
+
+    monkeypatch.setattr(rng, "uniform", counted)
+    batch = jb.simulate_poisson_measure(unit_grid, single_mark, 5000, seed=4)
+    events = batch.jump_times.size
+    assert draws[rng.STREAM_JUMP_MARK] == events
+    assert draws[rng.STREAM_JUMP_GAP] <= events + 5000
 
 
 def test_a_batch_over_the_event_cap_raises_before_any_draw(monkeypatch):
