@@ -447,7 +447,7 @@ def cmd_ladder(cfg):
                                      cfg["method"],
                                      tol=cfg["ladder"]["tol"],
                                      max_iter=cfg["picard"]["max_iter"],
-                                     **ctx)
+                                     q=cfg["picard"]["q"], **ctx)
     rows = (_table(("n", "y0", "converged"), report.levels) + [[]]
             + _table(("n_lo", "n_hi", "measured_d_norm", "bound", "bound_se",
                       "within_bound"), report.pairs))

@@ -123,26 +123,18 @@ def brownian_integral(Z, batch):
     return out
 
 
-def _jump_values(V, batch):
-    per_path = np.diff(batch.jump_offsets)
-    path_of = np.repeat(np.arange(batch.n_paths), per_path)
-    vals = V.values[path_of, batch.jump_steps, batch.jump_mark_idx]
-    return path_of, vals
-
-
 def _node_accumulate(batch, path_of, per_jump):
     """Cumulative per-node sums of per-jump quantities: (n, N+1)."""
     out = np.zeros((batch.n_paths, batch.grid.steps + 1))
-    if per_jump.size:
-        np.add.at(out, (path_of, batch.jump_steps + 1), per_jump)
-        np.cumsum(out, axis=1, out=out)
-    return out
+    np.add.at(out, (path_of, batch.jump_steps + 1), per_jump)
+    return np.cumsum(out, axis=1, out=out)
 
 
 def poisson_integral_compensated(V, batch):
     """Integral of V against the compensated jump measure, with [M, M]."""
     _check_field_batch(V, batch)
-    path_of, vals = _jump_values(V, batch)
+    path_of = batch.jump_paths
+    vals = V.values[path_of, batch.jump_steps, batch.jump_mark_idx]
 
     jump_nodes = _node_accumulate(batch, path_of, vals)
     comp_steps = (np.einsum("njm,m->nj", V.values, batch.marks.intensities)
@@ -154,17 +146,12 @@ def poisson_integral_compensated(V, batch):
     qv_nodes = _node_accumulate(batch, path_of, vals ** 2)
 
     # value right after each jump: completed-step compensator + jump part so far
-    if vals.size:
-        first = batch.jump_offsets[path_of]  # start index of each jump's path
-        cum = np.cumsum(vals)
-        jump_cum = cum - np.where(first > 0, cum[first - 1], 0.0)
-        cum2 = np.cumsum(vals ** 2)
-        qv_cum = cum2 - np.where(first > 0, cum2[first - 1], 0.0)
-        m_at_jumps = jump_cum - comp_nodes[path_of, batch.jump_steps]
-        qv_at_jumps = qv_cum
-    else:
-        m_at_jumps = vals
-        qv_at_jumps = vals
+    first = batch.jump_offsets[path_of]  # start index of each jump's path
+    cum = np.cumsum(vals)
+    jump_cum = cum - np.where(first > 0, cum[first - 1], 0.0)
+    cum2 = np.cumsum(vals ** 2)
+    qv_at_jumps = cum2 - np.where(first > 0, cum2[first - 1], 0.0)
+    m_at_jumps = jump_cum - comp_nodes[path_of, batch.jump_steps]
 
     for a in (m_nodes, qv_nodes, m_at_jumps, qv_at_jumps):
         a.setflags(write=False)
@@ -173,9 +160,7 @@ def poisson_integral_compensated(V, batch):
 
 def quadratic_variation(V, batch):
     """Running [M, M] at grid nodes: sum of squared field values at jumps."""
-    _check_field_batch(V, batch)
-    path_of, vals = _jump_values(V, batch)
-    return _node_accumulate(batch, path_of, vals ** 2)
+    return poisson_integral_compensated(V, batch).qv_nodes
 
 
 @dataclass(frozen=True)
@@ -209,10 +194,9 @@ def jump_identity_check(V, result, batch):
         expected.qv_nodes != result.qv_nodes)
     jump_bad = (expected.m_at_jumps != result.m_at_jumps) | (
         expected.qv_at_jumps != result.qv_at_jumps)
-    per_path = np.diff(batch.jump_offsets)
-    path_of = np.repeat(np.arange(n), per_path)
     for k in np.nonzero(node_bad.any(axis=1) |
-                        np.bincount(path_of, weights=jump_bad.astype(float),
+                        np.bincount(batch.jump_paths,
+                                    weights=jump_bad.astype(float),
                                     minlength=n).astype(bool))[0]:
         passed[k] = False
         bad_nodes = np.nonzero(node_bad[k])[0]

@@ -172,19 +172,25 @@ class PathBatch:
         return list(zip(self.jump_times[a:b].tolist(),
                         self.jump_mark_idx[a:b].tolist()))
 
-    def jump_counts(self):
-        """Total jumps per path, and per (path, mark)."""
+    @property
+    def jump_paths(self):
+        """The path of each event (read-only), derived from jump_offsets."""
         if not self.has_jumps:
             raise ValueError("batch carries no jump part")
-        per_path = np.diff(self.jump_offsets)
-        path_of = np.repeat(np.arange(self.n_paths), per_path)
+        out = np.repeat(np.arange(self.n_paths), np.diff(self.jump_offsets))
+        out.setflags(write=False)
+        return out
+
+    def jump_counts(self):
+        """Total jumps per path, and per (path, mark)."""
+        path_of = self.jump_paths
         per_mark = np.zeros((self.n_paths, self.marks.m), dtype=np.int64)
         np.add.at(per_mark, (path_of, self.jump_mark_idx), 1)
-        return per_path, per_mark
+        return np.diff(self.jump_offsets), per_mark
 
 
 def _freeze_jumps(grid, times, mark_idx, offsets):
-    steps = grid.step_of(times).astype(np.int64) if times.size else times.astype(np.int64)
+    steps = grid.step_of(times).astype(np.int64)
     for a in (times, mark_idx, offsets, steps):
         a.setflags(write=False)
     return {"jump_times": times, "jump_mark_idx": mark_idx,
@@ -226,9 +232,11 @@ def simulate_poisson_measure(grid, marks, n_paths, seed, path_start=0):
     event carrying mark e_i with probability lambda_i / Lambda.
 
     Gap g of path k is keyed by (seed, k, g), drawn only while its first g
-    events lie in (0, T]; its mark by (seed, k, g) on a separate stream.
-    Reproducible independent of n_paths. A batch expecting more than
-    EVENT_CAP events raises ResourceLimitError before any draw.
+    events lie in (0, T]; the mark of the event it ends by (seed, k, g) on a
+    separate stream, in the same round. One stable sort over the rounds
+    places the events path-major. Reproducible independent of n_paths. A
+    batch expecting more than EVENT_CAP events raises ResourceLimitError
+    before any draw.
     """
     _check_sim_args(grid, n_paths, seed)
     if not isinstance(marks, MarkSpace):
@@ -241,41 +249,31 @@ def simulate_poisson_measure(grid, marks, n_paths, seed, path_start=0):
                        f"{lam_total * T * n_paths:g} jump events, above the "
                        f"event cap {EVENT_CAP}")
     paths = np.arange(path_start, path_start + n_paths, dtype=np.uint64)
-
-    times_per_round = []
-    live, acc = np.arange(n_paths), np.zeros(n_paths)
-    g = 0
-    while True:
+    cum_prob = np.cumsum(marks.intensities) / lam_total
+    # per round g: the paths whose gap g ends in (0, T], with that event's
+    # time and mark; the last round is empty
+    rounds, live, acc, g = [], np.arange(n_paths), np.zeros(n_paths), 0
+    while live.size:
+        if g > 64 + int(8 * lam_total * T):  # astronomically unlikely
+            raise RuntimeError("jump count bound exceeded; check intensities")
         u = rng.uniform(seed, rng.STREAM_JUMP_GAP, paths[live], np.uint64(g))
         acc = acc + (-np.log(u) / lam_total)
         alive = acc <= T
         live, acc = live[alive], acc[alive]
-        if not live.size:
-            break
-        times_per_round.append((live, acc, g))
+        u = rng.uniform(seed, rng.STREAM_JUMP_MARK, paths[live], np.uint64(g))
+        rounds.append((live, acc, np.searchsorted(cum_prob, u, side="left")))
         g += 1
-        if g > 64 + int(8 * lam_total * T):  # astronomically unlikely
-            raise RuntimeError("jump count bound exceeded; check intensities")
-
-    counts = np.zeros(n_paths, dtype=np.int64)
-    for idx, _, _ in times_per_round:
-        counts[idx] += 1
+    # rounds are in time order within a path, so a stable sort of the
+    # round-major path indices places the events path-major
+    path_of, times, mark_idx = map(np.concatenate, zip(*rounds))
+    del rounds      # copied out: freed before the sort
+    order = np.argsort(path_of, kind="stable")
     offsets = np.zeros(n_paths + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    times = np.empty(offsets[-1])
-    mark_idx = np.empty(offsets[-1], dtype=np.int64)
-    cursor = offsets[:-1].copy()
-    cum_prob = np.cumsum(marks.intensities) / lam_total
-    for idx, t_vals, g_idx in times_per_round:
-        u2 = rng.uniform(seed, rng.STREAM_JUMP_MARK, paths[idx], np.uint64(g_idx))
-        pos = cursor[idx]
-        times[pos] = t_vals
-        mark_idx[pos] = np.searchsorted(cum_prob, u2, side="left")
-        cursor[idx] += 1
-
+    np.cumsum(np.bincount(path_of, minlength=n_paths), out=offsets[1:])
     return PathBatch(grid=grid, d=0, n_paths=int(n_paths), seed=int(seed),
                      path_start=int(path_start), marks=marks,
-                     **_freeze_jumps(grid, times, mark_idx, offsets))
+                     **_freeze_jumps(grid, times[order], mark_idx[order],
+                                     offsets))
 
 
 def merge_batches(brownian_part, jump_part):

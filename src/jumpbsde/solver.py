@@ -97,6 +97,10 @@ __all__ = [
 ]
 
 
+# the most intervals a subdivision plan may have (the order of the node cap)
+MAX_INTERVALS = 10_000_000
+
+
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
@@ -366,12 +370,14 @@ class _StepBasis:
         self.feats = [(j, col.mean(), col.std())
                       for j, col in enumerate(_columns(states))
                       if degree >= 1 and col.max() != col.min()]
-        exps = _monomial_exponents(len(self.feats), degree)
-        if n < len(exps):
+        # counted before they are listed: C(features + degree, degree)
+        n_funcs = math.comb(len(self.feats) + degree, degree)
+        if n < n_funcs:
             raise ConditioningError(
                 step, f"regression normal equations at step {step} are "
-                      f"rank-deficient: {len(exps)} basis functions "
+                      f"rank-deficient: {n_funcs} basis functions "
                       f"for {n} paths")
+        exps = _monomial_exponents(len(self.feats), degree)
         design = self._fill(exps, states, np.empty((n, len(exps))))
         gram = np.einsum("ni,nj->ij", design, design, optimize=False)
         keep = _pivoted_columns(gram)
@@ -1009,9 +1015,7 @@ class _PathBatch(_PathEstimators):
         self.diagnostics = {"basis_degree": degree}
         self._p_jump = -np.expm1(-self.intensities * self.grid.dt)   # (m,)
         self._norm_v = self._p_jump * (1.0 - self._p_jump)
-        self._bases = {}
-        self._design_buf = np.empty(self.n_paths * len(
-            _monomial_exponents(self.d + self.m, degree)))
+        self._bases, self._design_buf = {}, np.empty(0)
 
     def n_states(self, k):
         return self.n_paths
@@ -1026,7 +1030,7 @@ class _PathBatch(_PathEstimators):
         bvals = np.zeros((self.grid.steps + 1, n, self.d))
         np.cumsum(batch.brownian_increments.transpose(1, 0, 2), axis=0,
                   out=bvals[1:])
-        path_of = np.repeat(np.arange(n), np.diff(batch.jump_offsets))
+        path_of = batch.jump_paths
         totals = np.bincount(path_of * m + batch.jump_mark_idx,
                              minlength=n * m)
         counts = np.zeros(bvals.shape[:2] + (m,),
@@ -1079,6 +1083,10 @@ class _PathBatch(_PathEstimators):
             states = self._step(k)
             if k not in self._bases:
                 self._bases[k] = _StepBasis(states, self.degree, step=k)
+                # the buffer holds the design of the widest basis built
+                size = n * len(self._bases[k].exps)
+                if self._design_buf.size < size:
+                    self._design_buf = np.empty(size)
             basis = self._bases[k]
             design = basis.design(states, self._design_buf)
             beta = basis.coefficients(design, targets)
@@ -1435,7 +1443,9 @@ def subdivide_horizon(T, kappa, q, c_emp, safety=0.5):
     The contraction constant has no usable closed form; c_emp is either
     user-supplied or calibrated from a pilot run's measured ratio via
     c_emp = r / (kappa * T^(1-q/2)). A calibrated c_emp of 0 (no measured
-    contraction: every ratio 0) gives the one-interval plan.
+    contraction: every ratio 0) gives the one-interval plan. A plan of more
+    than MAX_INTERVALS intervals raises ValueError before anything of its
+    size is built.
     """
     if not 1.0 < q < 2.0:
         raise ValueError(f"q must lie in (1,2), got {q}")
@@ -1443,16 +1453,20 @@ def subdivide_horizon(T, kappa, q, c_emp, safety=0.5):
         raise ValueError("c_emp must be non-negative")
     if not 0.0 < safety < 1.0:
         raise ValueError("safety must lie in (0,1)")
-    expo = 1.0 - q / 2.0
-    k = 1
-    if kappa * c_emp * T ** expo > safety:
-        k = max(1, math.ceil(T * (kappa * c_emp / safety) ** (1.0 / expo) - 1e-12))
-        while kappa * c_emp * (T / k) ** expo > safety:
-            k += 1
-    breakpoints = np.linspace(0.0, T, k + 1)
+
+    def bound(k):       # falls as k grows; a product that is inf at worst
+        return kappa * c_emp * (T / k) ** (1.0 - q / 2.0)
+    if bound(MAX_INTERVALS) > safety:
+        raise ValueError(f"the plan needs more than {MAX_INTERVALS} "
+                         f"intervals: kappa*c_emp*(T/K)^(1-q/2) = "
+                         f"{bound(MAX_INTERVALS):g} > safety at that K")
+    lo, hi = 1, MAX_INTERVALS       # bisect for the smallest k within it
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if bound(mid) > safety else (lo, mid)
+    breakpoints = np.linspace(0.0, T, lo + 1)
     breakpoints.setflags(write=False)
-    return SubdivisionPlan(breakpoints, q, kappa, c_emp, safety,
-                           kappa * c_emp * (T / k) ** expo)
+    return SubdivisionPlan(breakpoints, q, kappa, c_emp, safety, bound(lo))
 
 
 def _join(rep, problem, pieces):

@@ -524,6 +524,20 @@ def test_solver_failure_exits_4(tmp_path, capsys, overrides):
     assert "Traceback" not in err
 
 
+def test_a_huge_basis_degree_exits_4_before_listing_its_basis(tmp_path):
+    # C(2 + 10^6, 2) basis functions for 50 paths: rejected by their count,
+    # in a child killed after 5 s (listing them would never end)
+    path, _ = _cfg(tmp_path, method="mc", grid_steps=4, n_paths=50,
+                   basis_degree=1_000_000)
+    res = subprocess.run(
+        [sys.executable, "-m", "jumpbsde.cli", "solve", "--config",
+         str(path)], capture_output=True, text=True, timeout=5)
+    assert res.returncode == cli.EXIT_SOLVER
+    assert "rank-deficient: 500001500001 basis functions for 50 paths" in (
+        res.stderr)
+    assert "Traceback" not in res.stderr
+
+
 # f = 2 y against a declared kappa of 0.5: the config is wrong
 _TWO_Y = {"form": "affine", "params": {"a": 2}, "kappa": 0.5}
 
@@ -990,6 +1004,22 @@ def test_ladder_command(tmp_path):
     body = _body(out / [f for f in os.listdir(out) if f.endswith(".json")][0])
     y0 = [lev["y0"] for lev in body["ladder"]["levels"]]
     assert all(b >= a for a, b in zip(y0, y0[1:]))
+
+
+def test_every_ladder_rung_runs_at_the_configured_picard_q(tmp_path,
+                                                            monkeypatch):
+    from jumpbsde import solver
+    seen, picard = [], solver._picard
+
+    def spy(rep, problem, **kwargs):
+        seen.append(kwargs.get("q"))
+        return picard(rep, problem, **kwargs)
+
+    monkeypatch.setattr(solver, "_picard", spy)
+    path, _ = _cfg(tmp_path, grid_steps=6, picard={"q": 1.8},
+                   ladder={"n_list": [1, 2, 4]})
+    assert cli.main(["ladder", "--config", str(path)]) == 0
+    assert seen == [1.8] * 3
 
 
 def _growing_rung_ladder(tmp_path, **overrides):

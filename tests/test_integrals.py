@@ -99,6 +99,24 @@ def test_quadratic_variation_two_marks():
     assert qv[0, -1] == 13.0
 
 
+def test_a_batch_with_no_jump_event():
+    # M is minus the compensator, [M] = 0, and the at-jump records are empty
+    grid = jb.make_time_grid(1.0, 4)
+    marks = jb.make_mark_space([[1.0], [2.0]], [1.0, 3.0])
+    batch = hand_batch(grid, marks, [[], [], []])
+    values = np.arange(24.0).reshape(3, 4, 2) / 7.0 - 1.0
+    V = jb.RandomField(values, grid, marks)
+    res = jb.poisson_integral_compensated(V, batch)
+    comp = np.zeros((3, 5))
+    comp[:, 1:] = np.cumsum(values @ marks.intensities * grid.dt, axis=1)
+    assert np.array_equal(res.m_nodes, -comp)
+    assert np.array_equal(res.qv_nodes, np.zeros((3, 5)))
+    assert np.array_equal(jb.quadratic_variation(V, batch), np.zeros((3, 5)))
+    for a in (res.m_at_jumps, res.qv_at_jumps):
+        assert a.dtype == np.float64 and a.shape == (0,)
+    assert jb.jump_identity_check(V, res, batch).all_passed
+
+
 def test_jump_identity_pass_and_tamper(unit_grid, single_mark):
     batch = jb.simulate_poisson_measure(unit_grid, single_mark, 500, seed=7)
     V = jb.RandomField.constant(1.0, unit_grid, single_mark, 500)

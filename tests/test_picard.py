@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import norm as normal_dist
 
 import jumpbsde as jb
+from conftest import traced_peak
 
 
 def _coupled_problem(cz, cv, T, N, term_kind="square", lam=1.0):
@@ -113,6 +114,18 @@ def test_subdivide_validates():
         jb.subdivide_horizon(1.0, 1.0, 1.5, -1.0)
     with pytest.raises(ValueError):
         jb.subdivide_horizon(1.0, 1.0, 1.5, 1.0, safety=1.5)
+
+
+@pytest.mark.parametrize("c_emp", [1e6, 1e100])
+def test_subdivide_rejects_a_plan_over_its_interval_cap(c_emp):
+    # K = 10^24 intervals, or a power that overflows: refused before
+    # anything of the plan's size is built
+    def plan():
+        with pytest.raises(ValueError, match="more than 10000000 intervals"):
+            jb.subdivide_horizon(1.0, 0.5, 1.5, c_emp)
+
+    _, _, peak = traced_peak(plan)
+    assert peak < 64 * 1024
 
 
 def test_pilot_calibration_then_chained_convergence():
