@@ -3,11 +3,13 @@ JSON + CSV reports.
 
 One self-describing JSON config per run; the only flags are --config, --seed
 (override) and --out (override). Reports are written as
-{"header": {timestamp, tool}, "body": {...}} with the body fully determined
-by the config: regenerating from the embedded config is byte-identical
-outside the header. Exit codes: 0 success; 1 config/input error (also a
-driver that breaks its declared kappa or its declared alpha growth bound,
-and a grid too coarse for the driver's kappa); 2 a Picard run whose
+{"header": {timestamp, tool, profile}, "body": {...}} with the body fully
+determined by the config: regenerating from the embedded config is
+byte-identical outside the header. The header's profile holds the wall time
+of each phase of the run and its peak RSS. Exit codes: 0 success; 1
+config/input error (also a driver that breaks its declared kappa or its
+declared alpha growth bound, and a grid too coarse for the driver's
+kappa); 2 a Picard run whose
 solution the command reports did not converge, by the divergence rule or
 at picard.max_iter: the solve, each interval of a subdivided solve,
 verify's own solve (verify then skips the estimates) and its uniqueness
@@ -25,6 +27,12 @@ import json
 import os
 import re
 import sys
+import time
+
+try:
+    import resource
+except ImportError:             # no getrusage: the profile has no peak RSS
+    resource = None
 
 from . import __version__
 from .errors import (ConditioningError, ConfigError, NumericError,
@@ -236,17 +244,42 @@ def _embeddable(cfg):
     return {**cfg, "out_dir": None}
 
 
-def write_report(out_dir, name, body):
+class _Profile:
+    """The wall time of a run's phases -- set-up (config, problem, tree or
+    batch), solve, norms (a solve's norms, verify's estimates) and report
+    (the body and its CSV tables, up to the JSON report's own write) --
+    and the process's peak RSS, for the report header."""
+
+    PHASES = ("setup", "solve", "norms", "report")
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(self.PHASES, 0.0)
+        self.phase, self.since = "setup", time.perf_counter()
+
+    def enter(self, phase):
+        """End the current phase and start ``phase`` (phases may recur)."""
+        now = time.perf_counter()
+        self.seconds[self.phase] += now - self.since
+        self.phase, self.since = phase, now
+
+    def header(self):
+        self.enter(self.phase)
+        # ru_maxrss counts KiB on Linux
+        rss = (None if resource is None else
+               resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+        return {"phases_s": dict(self.seconds), "ru_maxrss_mb": rss}
+
+
+def write_report(out_dir, name, body, profile=None):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    doc = {
-        "header": {
-            "timestamp": datetime.datetime.now(datetime.timezone.utc)
-            .isoformat(),
-            "tool": f"jumpbsde {__version__}",
-        },
-        "body": body,
+    header = {
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "tool": f"jumpbsde {__version__}",
     }
+    if profile is not None:
+        header["profile"] = profile
+    doc = {"header": header, "body": body}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -283,19 +316,22 @@ def _table(columns, records):
     return [list(columns)] + [[rec[c] for c in columns] for rec in records]
 
 
-def _report(cfg, command, body, tables=()):
+def _report(cfg, command, body, profile, tables=()):
     """Write a command's report: ``body`` with the schema, the command and
-    the embedded config, as ``<command>_<fp>.json``, then each (suffix,
-    rows) table as ``<command>_<fp><suffix>.csv``; returns (body, files)."""
+    the embedded config, as ``<command>_<fp>.json``, and each (suffix,
+    rows) table as ``<command>_<fp><suffix>.csv``, the tables first, so
+    that the header's profile counts them; returns (body, files), the JSON
+    report first."""
+    profile.enter("report")
     config = _embeddable(cfg)
     blob = json.dumps(config, sort_keys=True)
     out, fp = _out_dir(cfg), hashlib.sha256(blob.encode()).hexdigest()[:12]
     body = {"schema": "jumpbsde/report/v1", "command": command,
             "config": config, **body}
-    files = [write_report(out, f"{command}_{fp}.json", body)]
-    for suffix, rows in tables:
-        files.append(write_csv(out, f"{command}_{fp}{suffix}.csv", rows))
-    return body, files
+    tables = [write_csv(out, f"{command}_{fp}{suffix}.csv", rows)
+              for suffix, rows in tables]
+    return body, [write_report(out, f"{command}_{fp}.json", body,
+                               profile.header())] + tables
 
 
 def _exit_code(converged, passed=True):
@@ -311,10 +347,12 @@ def _exit_code(converged, passed=True):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_solve(cfg):
+def cmd_solve(cfg, profile=None):
     """Run the configured solve; returns (exit_code, body, files)."""
+    profile = profile or _Profile()
     problem = _build_problem(cfg)
     ctx = _context_for(cfg, problem)
+    profile.enter("solve")
     pic = cfg["picard"]
 
     sub = cfg["subdivide"]
@@ -369,25 +407,29 @@ def cmd_solve(cfg):
         csv_rows = _table(("iteration", "dy", "dz", "dv", "dist", "ratio"),
                           trace.rows())
 
+    profile.enter("norms")
+    norms = _norm_records(solution, problem, cfg["seed"])
     body, files = _report(cfg, "solve", {
         "problem_fingerprint": problem.fingerprint(),
         "method": cfg["method"],
         "grid": problem.grid.to_json_dict(),
         "seed": cfg["seed"],
         "y0": solution.y0,
-        "norms": _norm_records(solution, problem, cfg["seed"]),
+        "norms": norms,
         "picard_trace": trace_dict,
         "subdivision_plan": plan_dict,
         "converged": all(t.converged for t in traces),
         "diverged": any(t.diverged for t in traces),
-    }, [("_trace", csv_rows)])
+    }, profile, [("_trace", csv_rows)])
     return _exit_code([t.converged for t in traces]), body, files
 
 
-def cmd_verify(cfg):
+def cmd_verify(cfg, profile=None):
     """Solve, then verify the a priori estimates and uniqueness."""
+    profile = profile or _Profile()
     ceiling = cfg["verify"]["ceiling"]
     if cfg["verify"]["suite"] == "ci12":
+        profile.enter("solve")
         records = ci_suite(ceiling=ceiling)
         body, files = _report(cfg, "verify", {
             "suite": "ci12",
@@ -400,11 +442,12 @@ def cmd_verify(cfg):
                 for r in records),
             "all_passed": all(r["zv"].passed and r["full"].passed
                               for r in records),
-        }, [("_suite", ci_suite_csv_rows(records))])
+        }, profile, [("_suite", ci_suite_csv_rows(records))])
         return _exit_code([], body["all_passed"]), body, files
 
     problem = _build_problem(cfg)
     ctx = _context_for(cfg, problem)
+    profile.enter("solve")
     pic = cfg["picard"]
     solution, trace = picard_solve(problem, cfg["method"], tol=pic["tol"],
                                    max_iter=pic["max_iter"], q=pic["q"], **ctx)
@@ -412,11 +455,13 @@ def cmd_verify(cfg):
         # the estimates of an unconverged iterate verify nothing
         body, files = _report(cfg, "verify", {
             "converged": False, "diverged": trace.diverged,
-            "picard_trace": trace.to_json_dict()})
+            "picard_trace": trace.to_json_dict()}, profile)
         return _exit_code([trace.converged]), body, files
 
+    profile.enter("norms")
     zv, full = _estimates(solution, problem, None, ceiling, full=problem.p > 1)
     # the verify solve is the uniqueness experiment's (0, 0, 0) start
+    profile.enter("solve")
     uniq = uniqueness_experiment(problem, cfg["method"], tol=pic["tol"],
                                  q=pic["q"], max_iter=pic["max_iter"],
                                  _first_run=(solution, trace), **ctx)
@@ -431,21 +476,24 @@ def cmd_verify(cfg):
         "uniqueness": {k: v for k, v in uniq.items() if k != "traces"},
         "all_passed": (all(est.passed for est in estimates)
                        and uniq["passed"] is True),
-    }, [("_estimates", rows)])
+    }, profile, [("_estimates", rows)])
     files.append(append_estimate_log(_out_dir(cfg), estimates))
     return (_exit_code([t["converged"] for t in uniq["traces"]],
                        body["all_passed"]), body, files)
 
 
-def cmd_ladder(cfg):
+def cmd_ladder(cfg, profile=None):
     """Run the truncation ladder end to end."""
+    profile = profile or _Profile()
     if cfg["ladder"]["n_list"] is None:
         raise ConfigError("ladder.n_list", "required for the ladder command")
     problem = _build_problem(cfg)
     ctx = _context_for(cfg, problem)
+    profile.enter("solve")
     report = truncation_ladder_solve(problem, cfg["ladder"]["n_list"],
                                      cfg["method"],
                                      tol=cfg["ladder"]["tol"],
+                                     picard_tol=cfg["picard"]["tol"],
                                      max_iter=cfg["picard"]["max_iter"],
                                      q=cfg["picard"]["q"], **ctx)
     rows = (_table(("n", "y0", "converged"), report.levels) + [[]]
@@ -454,7 +502,7 @@ def cmd_ladder(cfg):
     body, files = _report(cfg, "ladder", {
         "problem_fingerprint": problem.fingerprint(),
         "ladder": report.to_json_dict(),
-    }, [("", rows)])
+    }, profile, [("", rows)])
     return _exit_code([lev["converged"] for lev in report.levels]), body, files
 
 
@@ -480,6 +528,7 @@ def main(argv=None):
                        help="override the output directory")
     args = parser.parse_args(argv)
 
+    profile = _Profile()
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -487,7 +536,7 @@ def main(argv=None):
         if args.out is not None:
             cfg["out_dir"] = args.out
         try:
-            code, body, files = COMMANDS[args.command](cfg)
+            code, body, files = COMMANDS[args.command](cfg, profile)
         except ResourceLimitError as e:
             raise _at_line(args.config, ConfigError(e.setting, str(e))) from e
         except StepSizeError as e:

@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 DEFAULT_NODE_CAP = 10_000_000
+# the lattice keeps its state probabilities at every CHECKPOINT_STRIDE-th
+# depth and rebuilds the depths between from the checkpoint below them
+CHECKPOINT_STRIDE = 12
 # the most jump events a path batch may expect, Lambda * T * n_paths
 EVENT_CAP = 10_000_000
 
@@ -58,9 +61,14 @@ class TimeGrid:
         return self.horizon / self.steps
 
     def step_of(self, times):
-        """Index j of the step (t_j, t_{j+1}] containing each time."""
-        j = np.searchsorted(self.nodes, times, side="left") - 1
-        return np.clip(j, 0, self.steps - 1)
+        """Index j of the step (t_j, t_{j+1}] containing each time, clipped
+        to the grid: t / dt rounded down, then moved by one node where a
+        node comparison says so (the rounding is off by one at most)."""
+        times = np.asarray(times, dtype=float)
+        j = np.clip((times / self.dt).astype(np.int64), 0, self.steps - 1)
+        j -= times <= self.nodes[j]
+        j += times > self.nodes[j + 1]
+        return np.clip(j, 0, self.steps - 1, out=j)
 
     def to_json_dict(self):
         return {"horizon": self.horizon, "steps": self.steps}
@@ -328,10 +336,9 @@ class _Level:
     jump-count rows j with sum(j) <= k, ordered by (j_m, ..., j_1), times
     the full up-count cube {0..k}^d, ordered by (u_d, ..., u_1). State
     index = row * (k+1)^d + cube index, the ascending order of the state
-    codes (``codes``). Only the probabilities are kept per state; the
-    counts follow from the index."""
+    codes (``codes``). The counts follow from the index; the probabilities
+    are kept at checkpoint depths only (``ScenarioTree.state_probs``)."""
 
-    probs: np.ndarray        # (n_k,), n_k = R_k (k+1)^d
     rows: np.ndarray         # (R_k, m) jump counts, np.min_scalar_type(N)
     # (R_k, 1+m) intp: a row's row at depth k+1 after no jump, mark 1, ...,
     # mark m; None at the last depth
@@ -339,11 +346,18 @@ class _Level:
     depth: int
     d: int
     base: int                # N + 1, the radix of the state codes
+    # (n_k,) at a depth that is a multiple of CHECKPOINT_STRIDE, else None
+    probs: np.ndarray | None = None
 
     @property
     def shape(self):
         """The grid of the states: (R_k,) + (k+1,) * d."""
         return self.rows.shape[:1] + (self.depth + 1,) * self.d
+
+    @property
+    def size(self):
+        """n_k, the number of states."""
+        return len(self.rows) * (self.depth + 1) ** self.d
 
     @property
     def cube_counts(self):
@@ -389,6 +403,48 @@ def _cube_slices(up_inc, side):
     return [tuple(slice(e, e + side) for e in inc) for inc in up_inc]
 
 
+def _advance(level, probs, branch_probs, up_inc, out, scratch):
+    """Fill ``out`` with the state probabilities at depth k+1 from ``probs``
+    at depth k (``level``'s); ``scratch`` holds at least 2 n_{k+1} floats.
+
+    Branch by branch -- jump outcome mark m, ..., mark 1, no jump, then
+    signs by descending up-increments -- each state's weighted probability
+    is added to its child, so each child sums its parents' weights in
+    ascending parent index, the order of a bincount over the children. The
+    build and every rebuild run this one recursion, so a rebuilt depth has
+    the build's bits. The depth-k grid is copied into one of the next
+    depth's cube size, zero-padded, so that a branch's cube shift is a flat
+    offset: a run of rows adds in one contiguous stretch, a gathered row set
+    row by row. The padding adds +0.0 to children that are >= +0.0, which
+    leaves them as they are."""
+    k, n_jump, d = level.depth, level.next_rows.shape[1], level.d
+    side, n_rows = k + 2, len(level.rows)
+    width = side ** d                       # a row's states at depth k+1
+    pad = scratch[:n_rows * width].reshape((n_rows,) + (side,) * d)
+    pad[...] = 0.0
+    pad[(slice(None),) + (slice(0, k + 1),) * d] = probs.reshape(level.shape)
+    pad, prod = pad.reshape(-1), scratch[n_rows * width:2 * n_rows * width]
+    out[...] = 0.0
+    weight = None
+    for o in range(n_jump - 1, -1, -1):
+        rows = level.next_rows[:, o]
+        for s, inc in enumerate(up_inc):
+            # the cube shift; the cube's axes are (u_d, ..., u_1)
+            shift = sum(e * side ** i for i, e in enumerate(inc[::-1]))
+            if branch_probs[s * n_jump + o] != weight:
+                weight = branch_probs[s * n_jump + o]
+                np.multiply(pad, weight, out=prod)
+            if rows[-1] - rows[0] == n_rows - 1:     # ascending, so a run
+                start = rows[0] * width + shift
+                out[start:start + n_rows * width - shift] += (
+                    prod[:n_rows * width - shift])
+            else:
+                out.reshape(-1, width)[rows, shift:] += (
+                    prod.reshape(n_rows, width)[:, :width - shift])
+    out.setflags(write=False)
+    return out
+
+
 class ScenarioTree:
     """Exact product tree: binomial Brownian x at-most-one-jump branching.
 
@@ -407,7 +463,9 @@ class ScenarioTree:
     o, at the parent's cube cell shifted by the sign's up-increments.
     ``gather_children`` reads a level at the children by one row gather per
     jump outcome and one cube slice per sign; ``child_table`` is the index
-    table it implies, built on demand.
+    table it implies, built on demand. The state probabilities are kept at
+    every CHECKPOINT_STRIDE-th depth; ``state_probs`` rebuilds a depth
+    between from the checkpoint below it, bit for bit.
     """
 
     def __init__(self, grid, marks, d, node_cap, sign_vectors, branch_jump,
@@ -436,7 +494,7 @@ class ScenarioTree:
         return self.node_cap is not None and self.n_leaves <= self.node_cap
 
     def n_states(self, depth):
-        return self.levels[depth].probs.size
+        return self.levels[depth].size
 
     def brownian_values(self, depth):
         """Brownian state per lattice node at a depth: (2u - k) sqrt(dt)."""
@@ -464,7 +522,30 @@ class ScenarioTree:
             k, np.arange(self.n_states(k + 1), dtype=np.intp))
 
     def state_probs(self, depth):
-        return self.levels[depth].probs
+        """(n_k,) read-only probabilities of the states at a depth, rebuilt
+        from the checkpoint at or below it."""
+        for probs in self._probs_from(depth - depth % CHECKPOINT_STRIDE,
+                                      depth + 1):
+            pass
+        return probs
+
+    def _probs_from(self, start, stop, buf=None, scratch=None):
+        """The state probabilities at depths start..stop-1, one at a time,
+        from the checkpoint at ``start``: each rebuilt depth in a new array
+        or, given ``buf``, in the next stretch of it. ``scratch`` holds at
+        least 2 n_{stop-1} floats."""
+        probs = self.levels[start].probs
+        yield probs
+        if scratch is None and stop - start > 1:
+            scratch = np.empty(2 * self.n_states(stop - 1))
+        pos = 0
+        for lev in self.levels[start:stop - 1]:
+            size = self.n_states(lev.depth + 1)
+            out = np.empty(size) if buf is None else buf[pos:pos + size]
+            pos += size
+            probs = _advance(lev, probs, self.branch_probs, self._up_inc,
+                             out, scratch)
+            yield probs
 
     # -- the walk set: explicit trees only -----------------------------------
 
@@ -563,6 +644,12 @@ def build_scenario_tree(grid, marks, d, node_cap=DEFAULT_NODE_CAP):
                           np.eye(m, dtype=np.int64)))             # (1+m, m)
     up_inc = _up_increments(sign_vectors, m)
     rows, probs = np.zeros((1, m), dtype=count_dtype), np.ones(1)
+    probs.setflags(write=False)
+    scratch = np.empty(2 * math.comb(N + m, m) * (N + 1) ** d)     # 2 n_N
+
+    def checkpoint(k):
+        return probs if k % CHECKPOINT_STRIDE == 0 else None
+
     levels = []
     for k in range(N):
         reached = (rows[:, None, :] + jump_inc) @ place           # (R_k, 1+m)
@@ -571,24 +658,15 @@ def build_scenario_tree(grid, marks, d, node_cap=DEFAULT_NODE_CAP):
         codes = np.sort(reached, axis=None)
         codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
         next_rows = np.searchsorted(codes, reached)
-        # slice-adds on the next depth's grid, branch by branch: jump
-        # outcome mark m, ..., mark 1, no jump, then signs by descending
-        # up-increments, so each child sums its parents' weights in
-        # ascending parent index, the order of a bincount over the children
-        cur = probs.reshape((len(rows),) + (k + 1,) * d)
-        nxt = np.zeros((codes.size,) + (k + 2,) * d)
-        cubes = _cube_slices(up_inc, k + 1)
-        for o in range(m, -1, -1):
-            for s, cube in enumerate(cubes):
-                nxt[(next_rows[:, o],) + cube] += (
-                    cur * branch_probs[s * (1 + m) + o])
-        for arr in (probs, rows, next_rows):
+        for arr in (rows, next_rows):
             arr.setflags(write=False)
-        levels.append(_Level(probs, rows, next_rows, k, d, base))
+        levels.append(_Level(rows, next_rows, k, d, base, checkpoint(k)))
         rows = (codes[:, None] // place % base).astype(count_dtype)
-        probs = nxt.reshape(-1)
-    for arr in (probs, rows, sign_vectors, branch_jump, branch_probs):
+        # only the checkpoints outlive the next step
+        probs = _advance(levels[k], probs, branch_probs, up_inc,
+                         np.empty(len(rows) * (k + 2) ** d), scratch)
+    for arr in (rows, sign_vectors, branch_jump, branch_probs):
         arr.setflags(write=False)
-    levels.append(_Level(probs, rows, None, N, d, base))
+    levels.append(_Level(rows, None, N, d, base, checkpoint(N)))
     return ScenarioTree(grid, marks, d, node_cap, sign_vectors, branch_jump,
                         branch_probs, levels)

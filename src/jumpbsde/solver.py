@@ -78,7 +78,7 @@ from .errors import (ConditioningError, ConfigError, NumericError,
                      StepSizeError)
 from .generators import check_growth, check_lipschitz, truncate_problem
 from .norms import _wmean, abs_pow
-from .randomness import build_scenario_tree, simulate_paths
+from .randomness import CHECKPOINT_STRIDE, build_scenario_tree, simulate_paths
 
 __all__ = [
     "Solution",
@@ -234,6 +234,27 @@ def _fixpoint_iterations(kappa_dt):
     return n
 
 
+def _two_cycles(y_new, y_old, before, moved, i):
+    """Whether every row ``moved`` (a mask over the rows evaluated) is a
+    finite two-cycle: its update ``y_new`` repeats the bits it had before
+    ``y_old`` and differs in value from ``y_old``, so it alternates between
+    the two to the end of the budget. ``before`` is (that earlier iterate,
+    where the rows evaluated are in it, or None for in order); the first
+    moved row, ``i``, is looked at first."""
+    was, at = before
+    if y_new.view(np.int64)[i] != was.view(np.int64)[i if at is None
+                                                      else at[i]]:
+        return False
+    if at is not None:
+        was = was[at]
+    if not moved.all():
+        y_new, y_old, was = y_new[moved], y_old[moved], was[moved]
+    step = y_new - y_old
+    # a finite, nonzero step: two finite values that differ
+    return bool((y_new.view(np.int64) == was.view(np.int64)).all()
+                and np.isfinite(step).all() and step.all())
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt):
     """Fixed point of y -> cond_mean + f(y) dt, vectorized over nodes.
@@ -243,28 +264,38 @@ def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt):
     it can never move again, and evaluating it again gives the same bits.
     Such rows are dropped from the evaluated set once they make up at least
     half of it (gathering a subset costs more than evaluating a few settled
-    rows along). Other drivers see every row on every iteration. Either way
-    the iterates are those of the whole-array iteration, which stops early
-    once two successive iterates are equal.
+    rows along). A finite row whose update repeats the bits it had two
+    iterations earlier, with another value than its last, alternates
+    between the two forever (``_two_cycles``); once only such rows move,
+    the loop ends with them at the end of its budget, the value and f its
+    parity gives. Other drivers see every row on every iteration. Either
+    way the iterates are those of the whole-array iteration, which stops
+    early once two successive iterates are equal (never while a two-cycle
+    moves).
 
     A row whose last update repeated its bits (not merely its value: -0.0
     and +0.0 differ) has y = cond_mean + f(y) dt exactly, a zero residual.
     So when y is finite the convergence check reads only the rows still
-    evaluated, and none when the last update repeated them all; its
-    verdict and its max residual are those of the check on every row.
-    Overflow raises NumericError in the residual check or the meter, with
-    no numpy warning.
+    evaluated (two-cycles among them), and none when the last update
+    repeated them all; its verdict and its max residual are those of the
+    check on every row. Overflow raises NumericError in the residual check
+    or the meter, with no numpy warning.
     """
     n_iter = _fixpoint_iterations(kappa_dt)
     row_wise = f_of_y.row_wise
     y, f_val = cond_mean, f_of_y(cond_mean)
-    rows = slice(None)          # the rows still moving
-    exact = False               # the last update repeated every row's bits
-    for _ in range(n_iter):
+    rows = slice(None)          # the rows still evaluated
+    exact = False               # the last update repeated every one's bits
+    # row-wise: the iterate before y_old, and where the rows evaluated are
+    # in it (None: in order)
+    before = None
+    for it in range(n_iter):
         y_old = y[rows]
         y_new = cond_mean[rows] + f_val[rows] * dt
+        cycling = False
         if row_wise:
-            moved = y_new.view(np.int64) != y_old.view(np.int64)
+            bits = y_new.view(np.int64)
+            moved = bits != y_old.view(np.int64)
             n_moved = np.count_nonzero(moved)
             exact = n_moved == 0
             if exact:
@@ -272,13 +303,18 @@ def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt):
             else:       # the first moved row may rule out equal iterates
                 i = moved.argmax()
                 done = y_new[i] == y_old[i] and np.array_equal(y_new, y_old)
+                if before is not None and not isinstance(rows, slice):
+                    cycling = _two_cycles(y_new, y_old, before, moved, i)
+            before = y_old, None
+            if cycling and (n_iter - it) % 2 == 0:
+                break                   # they end the budget at y_old
             if 2 * n_moved <= moved.size:
                 keep = np.flatnonzero(moved)
                 if isinstance(rows, slice):
                     y, rows = y_new, keep   # y_new repeats y_old off keep
                 else:
                     rows = rows[keep]
-                y_new = y_new[keep]
+                y_new, before = y_new[keep], (y_old, keep)
         else:
             done = np.array_equal(y_new, y_old)
             exact = done and _same_bits(y_new, y_old)
@@ -287,8 +323,9 @@ def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt):
         else:
             y[rows] = y_new
             f_val[rows] = f_of_y(y_new, rows)
-        if done:
+        if done or cycling:
             break
+    exact = exact and not cycling   # the two-cycles' residuals are read
     if exact or not isinstance(rows, slice):
         # off the rows still evaluated each row repeated its bits
         if not np.all(np.isfinite(y)):
@@ -633,11 +670,13 @@ class _Meter:
             self._zv(k, z, v)
 
     def feed(self, y, z=(), v=()):
-        """Feed per-depth fields from depth k_lo on; returns the meter."""
-        for k, level in enumerate(y, self.k_lo):
-            self.y(k, level)
-        for k, (z_k, v_k) in enumerate(zip(z, v), self.k_lo):
-            self.zv(k, z_k, v_k)
+        """Feed per-depth fields from depth k_lo on, a depth's Y, Z and V
+        in turn (one pass over the depths); returns the meter."""
+        for k, (y_k, zv) in enumerate(itertools.zip_longest(y, zip(z, v)),
+                                      self.k_lo):
+            self.y(k, y_k)
+            if zv is not None:
+                self.zv(k, *zv)
         return self
 
     def _verdict(self):
@@ -884,7 +923,10 @@ class _Lattice(_Representation):
     V_k) is a projection of Y_{k+1}, a Picard iterate and a solution keep
     the Y levels only and project (Z, V) from them when they are read.
     Without an explicit tree the estimators are the exact marginal ones,
-    each an expectation ``_mean`` over one depth's states."""
+    each an expectation ``_mean`` over one depth's states. The tree keeps
+    the state probabilities at checkpoint depths only; the lattice caches
+    one block of depths rebuilt from its checkpoint (``_probs``), so a sweep
+    over the depths, in either order, rebuilds each block once."""
 
     kind, estimator, batch, n_paths = "tree", "tree-marginal", None, None
     diagnostics = {}
@@ -908,6 +950,7 @@ class _Lattice(_Representation):
         for i in range(m):
             self._wv[tree.branch_jump == i, i] = half_d
             self._wv[tree.branch_jump == -1, i] -= half_d
+        self._block_start, self._block = None, []
 
     def context(self, problem, k):
         """The state context at depth k; its Brownian values and jump
@@ -946,9 +989,31 @@ class _Lattice(_Representation):
         read."""
         return _Projected.pair(self, y[1:], k_lo)
 
+    @functools.cached_property
+    def _block_space(self):
+        """A buffer for the rebuilt depths of the widest block and a
+        scratch grid for the products of its widest step."""
+        n = self.tree.n_states
+        N, c = self.grid.steps, CHECKPOINT_STRIDE
+        starts = range(0, N + 1, c)
+        return (np.empty(max(sum(map(n, range(s + 1, min(s + c, N + 1))))
+                             for s in starts)),
+                np.empty(2 * n(N)))
+
+    def _probs(self, k):
+        """The state probabilities at depth k, from the cached block of the
+        depths between two checkpoints that holds it, rebuilt in place."""
+        start = k - k % CHECKPOINT_STRIDE
+        if start != self._block_start:
+            stop = min(start + CHECKPOINT_STRIDE, self.grid.steps + 1)
+            self._block = list(self.tree._probs_from(start, stop,
+                                                     *self._block_space))
+            self._block_start = start
+        return self._block[k - start]
+
     def _mean(self, level, k):
         """E[level] over the states at depth k."""
-        return float(np.einsum("n,n->", self.tree.state_probs(k), level))
+        return float(np.einsum("n,n->", self._probs(k), level))
 
     def integrate(self, levels, combine):
         """E[combine(levels)] for a linear ``combine`` of the levels at
@@ -987,8 +1052,10 @@ class _PathBatch(_PathEstimators):
     """A simulated path batch: E[. | F_k] by least-squares regression on the
     state at t_k, with each step's basis built once for every solve on the
     batch; every fit refills its design into one buffer the batch owns. The
-    batch keeps the state at every node once, step-major (``_states``), so a
-    step's state is one contiguous slice. A depth's level holds one value
+    batch keeps the jump counts at every node, step-major (``_counts``), and
+    the Brownian values at every CHECKPOINT_STRIDE-th node; a node between
+    is summed again from the checkpoint below it (``state``), with the bits
+    of np.cumsum over the increments. A depth's level holds one value
     per path; at least 2 paths, so that sample means carry an SE. A Picard
     iterate's entry at depth k is its (Z_k, V_k) as that step's
     coefficients (``project_frozen``), which ``expand`` turns into per-path
@@ -996,6 +1063,7 @@ class _PathBatch(_PathEstimators):
 
     kind, estimator, tree = "paths", "mc", None
     _meter = _BatchMeter
+    CHECKPOINT_STRIDE = 4      # Brownian values kept at every 4th node
 
     def __init__(self, problem, batch, degree):
         if batch.grid.to_json_dict() != problem.grid.to_json_dict():
@@ -1016,39 +1084,75 @@ class _PathBatch(_PathEstimators):
         self._p_jump = -np.expm1(-self.intensities * self.grid.dt)   # (m,)
         self._norm_v = self._p_jump * (1.0 - self._p_jump)
         self._bases, self._design_buf = {}, np.empty(0)
+        self._last = -1, None           # the node summed last
 
     def n_states(self, k):
         return self.n_paths
 
     @functools.cached_property
-    def _states(self):
-        """Brownian values (N+1, n, d) and per-mark jump counts (N+1, n, m)
-        at every node, step-major: the cumulative sums of each path's
-        increments and of its jumps per mark, the counts in the narrowest
+    def _counts(self):
+        """Per-mark jump counts (N+1, n, m) at every node, step-major: the
+        cumulative sums of each path's jumps per mark, in the narrowest
         unsigned dtype that holds the largest."""
         batch, n, m = self.batch, self.n_paths, self.m
-        bvals = np.zeros((self.grid.steps + 1, n, self.d))
-        np.cumsum(batch.brownian_increments.transpose(1, 0, 2), axis=0,
-                  out=bvals[1:])
         path_of = batch.jump_paths
         totals = np.bincount(path_of * m + batch.jump_mark_idx,
                              minlength=n * m)
-        counts = np.zeros(bvals.shape[:2] + (m,),
+        counts = np.zeros((self.grid.steps + 1, n, m),
                           np.min_scalar_type(totals.max(initial=0)))
         # a jump in step j is counted from node j+1 on (never decreasing)
         np.add.at(counts, (batch.jump_steps + 1, path_of,
                            batch.jump_mark_idx), 1)
         np.cumsum(counts, axis=0, dtype=counts.dtype, out=counts)
-        return bvals, counts
+        return counts
 
-    def _step(self, k):
+    @functools.cached_property
+    def _checkpoints(self):
+        """The Brownian values at nodes 0, C, 2C, ... (C =
+        CHECKPOINT_STRIDE), by one pass of the sequential adds."""
+        stride, acc = self.CHECKPOINT_STRIDE, np.zeros((self.n_paths, self.d))
+        points = {0: acc}
+        for c in range(stride, self.grid.steps + 1, stride):
+            acc = points[c] = self._summed(acc, c - stride, c)
+        for point in points.values():
+            point.flags.writeable = False
+        return points
+
+    def _summed(self, acc, j, k):
+        """The Brownian values at node k from ``acc``, those at node j <= k:
+        each path's increments j..k-1 added in turn, as np.cumsum adds them
+        (from node 0 the first increment is taken as it is, not added to
+        0.0). ``acc`` is not written to."""
+        if j == k:
+            return acc
+        inc = self.batch.brownian_increments
+        acc = inc[:, 0].copy() if j == 0 else acc + inc[:, j]
+        for i in range(j + 1, k):
+            acc += inc[:, i]
+        return acc
+
+    def _brownian(self, k):
+        """(n, d) read-only, C-contiguous Brownian values at node k, summed
+        from the checkpoint at or below k, or from the node summed last
+        where that lies between. That node is kept, so a node read twice in
+        a row, or the nodes read in ascending order, cost one add at most."""
+        start = k - k % self.CHECKPOINT_STRIDE
+        j, acc = self._last
+        if not start <= j <= k:
+            j, acc = start, self._checkpoints[start]
+        acc = self._summed(acc, j, k)
+        acc.flags.writeable = False
+        self._last = k, acc
+        return acc
+
+    def state(self, k):
         """The state blocks at node k: Brownian values, jump counts."""
-        return [block[k] for block in self._states]
+        return [self._brownian(k), self._counts[k]]
 
     def context(self, problem, k):
         """The state context at node k; the float jump counts are built if
         a reader asks for them."""
-        bvals, counts = self._step(k)
+        bvals, counts = self.state(k)
         return problem.context(self.grid.nodes[k], bvals,
                                lambda: counts.astype(float))
 
@@ -1064,7 +1168,7 @@ class _PathBatch(_PathEstimators):
         C-contiguous, as the driver has always read frozen fields."""
         n, d, dt = self.n_paths, self.d, self.grid.dt
         w = 1 + d + self.m
-        counts = self._states[1]
+        counts = self._counts
         jump = counts[k + 1] != counts[k]     # no unsigned subtraction
         targets = np.empty((n, w))
         targets[:, 0] = y_next
@@ -1080,7 +1184,7 @@ class _PathBatch(_PathEstimators):
             fitted, new = np.broadcast_to(mean[:, None], (w, n)), mean[1:]
             old = fitted[1:].T if prev is None else self._broadcast(prev)
         else:
-            states = self._step(k)
+            states = self.state(k)
             if k not in self._bases:
                 self._bases[k] = _StepBasis(states, self.degree, step=k)
                 # the buffer holds the design of the widest basis built
@@ -1112,7 +1216,7 @@ class _PathBatch(_PathEstimators):
         if entry.ndim == 1:
             zv = self._broadcast(entry)
         else:
-            zv = _combine(self._bases[k].design(self._step(k),
+            zv = _combine(self._bases[k].design(self.state(k),
                                                 self._design_buf), entry).T
         return zv[:, :self.d].copy(), zv[:, self.d:].copy()
 
@@ -1531,15 +1635,16 @@ def chained_solve(problem, plan, method="tree", tree=None, batch=None,
 # ---------------------------------------------------------------------------
 
 def truncation_ladder_solve(problem, n_list, method="tree", tree=None,
-                            batch=None, tol=1e-3, **picard_kwargs):
+                            batch=None, tol=1e-3, picard_tol=1e-9,
+                            **picard_kwargs):
     """Solve the ladder of clamped problems and check the class-D Cauchy bound.
 
     For each pair (n_lo, n_hi) the measured class-D distance between the two
     solutions is reported against the clamp-tail bound at n_lo. Ladder-Cauchy
-    is declared when every rung's Picard iteration converged and the last
-    consecutive pair has both below tol: a stopped rung's error would count
-    as a distance between the clamped problems. Every rung runs on one
-    representation.
+    is declared when every rung's Picard iteration converged (to
+    ``picard_tol``) and the last consecutive pair has both below ``tol``: a
+    stopped rung's error would count as a distance between the clamped
+    problems. Every rung runs on one representation.
     """
     n_list = [float(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or any(
@@ -1550,7 +1655,8 @@ def truncation_ladder_solve(problem, n_list, method="tree", tree=None,
 
     levels, solutions = [], []
     for n in n_list:
-        sol, tr = _picard(rep, truncate_problem(problem, n), **kwargs)
+        sol, tr = _picard(rep, truncate_problem(problem, n), tol=picard_tol,
+                          **kwargs)
         levels.append({"n": n, "y0": sol.y0, "converged": tr.converged})
         solutions.append(sol)
 

@@ -1022,6 +1022,41 @@ def test_every_ladder_rung_runs_at_the_configured_picard_q(tmp_path,
     assert seen == [1.8] * 3
 
 
+def test_every_ladder_rung_runs_at_the_configured_picard_tol(tmp_path,
+                                                              monkeypatch):
+    # a looser picard.tol stops each rung's Picard run sooner; the default
+    # config tol is the library's 1e-9
+    from jumpbsde import solver
+    picard = solver._picard
+
+    def ladder_iterations(**picard_cfg):
+        runs = []
+
+        def spy(rep, problem, **kwargs):
+            sol, trace = picard(rep, problem, **kwargs)
+            runs.append((kwargs["tol"], trace.n_iter))
+            return sol, trace
+
+        monkeypatch.setattr(solver, "_picard", spy)
+        path, _ = _cfg(
+            tmp_path, grid_steps=6, picard=picard_cfg,
+            ladder={"n_list": [1, 2, 4]},
+            problem={**copy.deepcopy(BASE["problem"]),
+                     "generator": {"form": "lipschitz-smooth", "params": {
+                         "ay": 0.5, "bz": [0.25], "cv": 0.25}},
+                     "terminal": {"form": "state-linear", "params": {
+                         "brownian_weights": [1.0], "jump_weights": [0.5],
+                         "compensated": True}}})
+        assert cli.main(["ladder", "--config", str(path)]) == 0
+        return runs
+
+    default, loose = ladder_iterations(), ladder_iterations(tol=1e-2)
+    assert [tol for tol, _ in default] == [1e-9] * 3
+    assert [tol for tol, _ in loose] == [1e-2] * 3
+    print(default, loose)
+    assert all(a < b for (_, a), (_, b) in zip(loose, default))
+
+
 def _growing_rung_ladder(tmp_path, **overrides):
     """f = -2 lambda v, xi = N_T on a 64-step lattice, rungs n = 8 and 16:
     the n = 8 rung's Picard ratios read >= 1 from sweep 4 to 6 while its
@@ -1163,3 +1198,33 @@ def test_config_round_trip(tmp_path, monkeypatch):
     assert code == 0
     assert (json.dumps(body1, sort_keys=True)
             == json.dumps(body2, sort_keys=True))
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", {}), ("verify", {"grid_steps": 4}),
+    ("ladder", {"ladder": {"n_list": [1, 2]}})])
+def test_header_profile_has_phase_times_and_peak_rss(tmp_path, command,
+                                                     overrides):
+    # the profile sits in the header: two runs of one config write the same
+    # body bytes, and each header carries the four phase times and the RSS
+    docs = []
+    for run in ("a", "b"):
+        path, _ = _cfg(tmp_path, name=f"{run}.json",
+                       out_dir=str(tmp_path / run), **overrides)
+        assert cli.main([command, "--config", str(path)]) == 0
+        out = tmp_path / run
+        name = [f for f in os.listdir(out) if f.endswith(".json")][0]
+        with open(out / name) as fh:
+            docs.append(json.load(fh))
+    a, b = docs
+    assert (json.dumps(a["body"], sort_keys=True)
+            == json.dumps(b["body"], sort_keys=True))
+    assert "profile" not in json.dumps(a["body"])
+    for doc in docs:
+        profile = doc["header"]["profile"]
+        assert set(profile) == {"phases_s", "ru_maxrss_mb"}
+        assert set(profile["phases_s"]) == {"setup", "solve", "norms",
+                                            "report"}
+        assert all(t >= 0.0 for t in profile["phases_s"].values())
+        assert profile["phases_s"]["solve"] > 0.0
+        assert profile["ru_maxrss_mb"] > 0.0

@@ -183,3 +183,66 @@ def test_overflowing_step_raises_without_a_warning(row_wise):
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=r"max residual nan\)"):
             _solve_implicit(cond_mean, doubling, DT, KAPPA_DT)
+
+
+C = 4.0
+D = np.nextafter(4.0, 5.0)
+
+
+def _late_cycling(y, rows=None):
+    """``_cycling``, plus a two-cycle that starts one iteration later: from
+    cond_mean 2.0 at dt 0.5, y goes 3.0, then alternates between 4.0 and
+    the next float up."""
+    out = _cycling(y)
+    out[y == 2.0] = 2.0
+    out[y == 3.0] = 4.0
+    out[y == C] = 2.0 * D - 4.0
+    out[y == D] = C
+    return out
+
+
+_late_cycling.row_wise = True
+
+
+@pytest.mark.parametrize("kappa_dt", [0.18, 0.2], ids=["even", "odd"])
+@pytest.mark.parametrize("extra", ["none", "signed-zero", "nan"])
+def test_two_cycles_end_at_their_budget_value(kappa_dt, extra):
+    # rows that two-cycle between different values, in either phase and
+    # under a budget of 24 or 25 iterations (the other rows settle within
+    # it), are dropped with the value the whole-array loop ends at; with
+    # nothing else moving the loop stops early, a -0.0/+0.0 row (equal
+    # values) keeps it running to the budget, and a NaN row still fails
+    n_iter = _fixpoint_iterations(kappa_dt)
+    assert n_iter == {0.18: 24, 0.2: 25}[kappa_dt]
+    _, rest = _smooth_bound(999, seed=5)
+    cond_mean = np.concatenate(([0.5, 2.0, 0.5],
+                                {"none": [], "signed-zero": [-0.0],
+                                 "nan": [np.nan]}[extra], rest))
+    logged, sizes = _recording(_late_cycling)
+    if extra == "nan":
+        with pytest.raises(NumericError):
+            _reference(cond_mean, _late_cycling, DT, kappa_dt)
+        with pytest.raises(NumericError):
+            _solve_implicit(cond_mean, logged, DT, kappa_dt)
+        return
+    out = _solve_implicit(cond_mean, logged, DT, kappa_dt)
+    ref = _reference(cond_mean, _late_cycling, DT, kappa_dt)
+    assert _same_bits(out, ref)
+    # the two cycles end in opposite phases
+    assert out[0] in (A, B) and (out[0] == A) == (out[1] == D)
+    assert out[2] == out[0]
+    if extra == "none":
+        assert len(sizes) < n_iter + 1
+    else:
+        assert len(sizes) == n_iter + 1
+
+
+def test_two_cycle_rows_keep_the_residual_check():
+    # a two-cycle between far-apart values is dropped with f at its budget
+    # value, so its residual still fails the check
+    _, rest = _smooth_bound(999, seed=6)
+    cond_mean = np.concatenate(([0.5], rest))
+    logged, sizes = _recording(_wide_cycle)
+    with pytest.raises(NumericError, match=r"max residual 1\.000e\+00\)"):
+        _solve_implicit(cond_mean, logged, DT, 0.2)
+    assert len(sizes) < _fixpoint_iterations(0.2) + 1

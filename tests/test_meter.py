@@ -27,6 +27,7 @@ import jumpbsde as jb
 from jumpbsde import cli, solver
 from jumpbsde.errors import NumericError
 from jumpbsde.estimates import solution_functionals
+from jumpbsde.randomness import CHECKPOINT_STRIDE
 from jumpbsde.solver import Solution, _setup
 from conftest import assert_same, traced_peak
 from reference import (batch_norms, enumerate_paths, iterate_fields,
@@ -492,6 +493,29 @@ def test_lattice_picard_holds_y_and_a_few_depth_blocks():
     probs = sum(tree.state_probs(k).nbytes for k in depths)
     block = 8 * tree.branching * tree.n_states(N - 1)    # one step's gather
     assert peak <= y + probs + 6 * block
+
+
+def test_lattice_picard_keeps_probabilities_at_checkpoints_and_one_block():
+    # the lattice keeps its state probabilities at every CHECKPOINT_STRIDE-th
+    # depth; a sweep reads the others from one cached block of depths,
+    # rebuilt from its checkpoint into one buffer, beside a scratch of two
+    # grids of the last depth. With every depth's probabilities (620 kB
+    # here, as much as Y) the solve would break the bound
+    N = 60
+    problem = _problem(1, 1, N)
+    (sol, trace), _, peak = traced_peak(jb.picard_solve, problem, "tree",
+                                        node_cap=None,
+                                        check_assumptions=False)
+    assert trace.converged
+    tree, n, c = sol.tree, sol.tree.n_states, CHECKPOINT_STRIDE
+    starts = range(0, N + 1, c)
+    y = sum(lev.nbytes for lev in sol.y)
+    checkpoints = 8 * sum(map(n, starts))
+    block = 8 * max(sum(map(n, range(s + 1, min(s + c, N + 1))))
+                    for s in starts)
+    scratch = 2 * 8 * n(N)
+    gather = 8 * tree.branching * n(N - 1)       # one step's gather
+    assert peak <= y + checkpoints + block + scratch + 5 * gather
 
 
 def test_batch_ladder_rungs_keep_y_and_expand_z_and_v_when_read():

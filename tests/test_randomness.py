@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import jumpbsde as jb
 from jumpbsde import rng
 from jumpbsde.errors import ResourceLimitError
-from jumpbsde.randomness import ScenarioTree
+from jumpbsde.randomness import CHECKPOINT_STRIDE, ScenarioTree
+from jumpbsde.solver import _setup
 from conftest import traced_peak
 from reference import enumerate_paths, poisson_measure, state_paths
 from test_meter import _problem
@@ -329,7 +330,8 @@ def _unique_build(tree):
     offsets = up_inc @ place[:d] + jump_inc @ place[d:]
     codes, probs = np.zeros(1, dtype=np.int64), np.ones(1)
     levels = [SimpleNamespace(codes=codes, up_counts=np.zeros((1, d)),
-                              jump_counts=np.zeros((1, m)), probs=probs)]
+                              jump_counts=np.zeros((1, m)), probs=probs,
+                              size=1)]
     children = []
     for _ in range(N):
         child_codes = codes[:, None] + offsets[None, :]
@@ -341,7 +343,8 @@ def _unique_build(tree):
             minlength=codes.size)
         digits = (codes[:, None] // place) % base
         levels.append(SimpleNamespace(codes=codes, up_counts=digits[:, :d],
-                                      jump_counts=digits[:, d:], probs=probs))
+                                      jump_counts=digits[:, d:], probs=probs,
+                                      size=codes.size))
         children.append(child_idx)
     return _TableTree(tree, levels, children)
 
@@ -361,11 +364,12 @@ def _assert_same_lattice(d, m, N, intensities, horizon=1.0):
         assert np.array_equal(got.jump_counts, want.jump_counts)
         assert (got.up_counts.dtype == got.jump_counts.dtype
                 == np.min_scalar_type(N))
-        assert got.probs.tobytes() == want.probs.tobytes()
+        probs = tree.state_probs(k)
+        assert probs.tobytes() == want.probs.tobytes()
         # per state only the probability; per jump row its counts and its
         # rows at depth k+1
         n_rows = math.comb(k + m, m)
-        assert got.probs.shape == (n_rows * (k + 1) ** d,)
+        assert probs.shape == (n_rows * (k + 1) ** d,)
         assert got.rows.shape == (n_rows, m)
         assert (got.next_rows is None if k == N
                 else got.next_rows.shape == (n_rows, 1 + m))
@@ -412,14 +416,23 @@ def test_lattice_build_matches_unique_reference_examples(d, m, N):
 
 
 def test_lattice_build_transient_memory_is_a_few_children_arrays():
-    # beside the lattice it keeps, the build holds at most three grids of
-    # the last depth's size in temporaries: the grid it fills, one jump
-    # outcome's gathered slice and the weighted parent grid
+    # the build keeps the jump-row tables and the probabilities at the
+    # checkpoint depths (0 and 12 here); beside them it holds the last
+    # step's input and output grids, a scratch of two output grids (the
+    # zero-padded input and one branch's products) and one gathered row
+    # block. The bound, about 2.2 MB here, is below the one the build that
+    # kept every depth's probabilities had to meet (those probabilities plus
+    # 3 grids of the last depth: about 2.5 MB)
     grid = jb.make_time_grid(1.0, 16)
     marks = jb.make_mark_space([[1.0], [2.0]], [0.7, 1.3])
     tree, kept, peak = traced_peak(jb.build_scenario_tree, grid, marks, 2,
                                    node_cap=None)
-    assert peak - kept <= 3 * 8 * tree.n_states(16)
+    n = tree.n_states
+    rows = sum(lev.rows.nbytes + getattr(lev.next_rows, "nbytes", 0)
+               for lev in tree.levels)
+    assert kept <= 8 * (n(0) + n(12)) + rows + 2048 * 17
+    assert peak <= kept + 8 * n(15) + 5 * 8 * n(16)
+    assert peak < 8 * sum(map(n, range(17))) + rows + 3 * 8 * n(16)
 
 
 def _gathered_tree(tree):
@@ -478,3 +491,54 @@ def test_merge_batches_rejects_mismatch(unit_grid, single_mark):
     jp2 = jb.simulate_poisson_measure(unit_grid, single_mark, 20, seed=1)
     with pytest.raises(ValueError):
         jb.merge_batches(bm, jp2)
+
+
+def _searchsorted_step(grid, times):
+    """The step index as a binary search over the nodes gives it."""
+    j = np.searchsorted(grid.nodes, times, side="left") - 1
+    return np.clip(j, 0, grid.steps - 1)
+
+
+@pytest.mark.parametrize("horizon, steps", [
+    (1.0, 50), (3.0, 7), (0.7, 150), (1e-3, 13), (10.0, 33), (2.5, 1)])
+def test_step_of_matches_the_node_search(horizon, steps):
+    # t lies in (t_j, t_{j+1}], clipped to the grid: on every node and its
+    # neighbouring floats, at 0 and T, off the grid, and on the jump times
+    # of several batches
+    grid = jb.make_time_grid(horizon, steps)
+    nodes = grid.nodes
+    times = np.concatenate((nodes, np.nextafter(nodes, np.inf),
+                            np.nextafter(nodes, -np.inf),
+                            [0.0, horizon, -1.0, 2.0 * horizon]))
+    got = grid.step_of(times)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _searchsorted_step(grid, times))
+    marks = jb.make_mark_space([[1.0], [2.0]], [2.0, 5.0])
+    for seed in range(4):
+        batch = jb.simulate_poisson_measure(grid, marks, 300, seed)
+        assert np.array_equal(batch.jump_steps,
+                              _searchsorted_step(grid, batch.jump_times))
+
+
+@pytest.mark.parametrize("d, m, N", [(1, 1, 40), (2, 1, 27), (1, 2, 25),
+                                     (2, 2, 14)])
+def test_rebuilt_probabilities_have_the_build_bits_in_any_order(d, m, N):
+    # the tree keeps the probabilities at every CHECKPOINT_STRIDE-th depth;
+    # state_probs and the lattice's block cache rebuild the others with the
+    # build's bits, read downwards, upwards or at random
+    grid = jb.make_time_grid(1.0, N)
+    marks = jb.make_mark_space([[1.0 + i] for i in range(m)],
+                               [0.7 + 0.6 * i for i in range(m)])
+    tree = jb.build_scenario_tree(grid, marks, d, node_cap=None)
+    want = [lev.probs.tobytes() for lev in _unique_build(tree).levels]
+    kept = [k for k, lev in enumerate(tree.levels) if lev.probs is not None]
+    assert kept == list(range(0, N + 1, CHECKPOINT_STRIDE))
+    problem = _problem(d, m, N)
+    rng = np.random.default_rng(N)
+    for order in (range(N, -1, -1), range(N + 1), rng.permutation(N + 1)):
+        lattice = _setup(problem, "tree", tree)
+        for k in order:
+            got = tree.state_probs(k)
+            assert got.tobytes() == want[k] and not got.flags.writeable
+            assert lattice._probs(k).tobytes() == want[k]
+            assert tree.n_states(k) == got.size

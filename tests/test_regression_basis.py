@@ -197,18 +197,22 @@ def test_mc_solve_holds_step_major_states_and_one_design(d, m):
     rep = _setup(problem, "mc", batch=batch, basis_degree=degree)
     (sol, trace), _, peak = traced_peak(solver._picard, rep, problem)
     assert trace.converged
-    # two iterates, the states (float64 Brownian values, uint8 counts), the
-    # Grams, one meter block and the design buffer, with the per-step fit
-    # temporaries as slack: the bases hold no features
-    one = sum(lev.nbytes for f in (sol.y, sol.z, sol.v) for lev in f)
-    states = (N + 1) * n * (8 * d + m)
+    # Y, the meter's Z and |V|^p levels, the states, the Grams, one meter
+    # block and the design buffer, with the per-step fit temporaries as
+    # slack: the bases hold no features, and the Brownian values are kept
+    # at the checkpoint nodes (0, 4, ..., 20) and the node summed last only,
+    # beside the uint8 counts at every node; all N+1 nodes' values would
+    # add 14 n d floats and break the bound
+    y = sum(lev.nbytes for lev in sol.y)
+    meter = 8 * (N * (d + m) + 1) * n
+    points = len(range(0, N + 1, rep.CHECKPOINT_STRIDE)) + 1
+    states = points * n * 8 * d + (N + 1) * n * m
     grams = sum(b.gram.nbytes for b in rep._bases.values())
-    n_cols = len(_monomial_exponents(d + m, degree))
-    bound = (2 * one + states + grams + N * n * max(d, m) * 8
-             + n * n_cols * 8 + 6 * n * (1 + d + m) * 8)
-    assert peak <= bound
-    assert [a.dtype for a in rep._states] == [np.float64, np.uint8]
-    assert sum(a.nbytes for a in rep._states) == states
+    design = n * len(_monomial_exponents(d + m, degree)) * 8
+    block = 8 * min(n, solver._BatchSweep.CHUNK_ROWS) * N * max(d, m)
+    assert peak <= y + meter + states + grams + design + block + 8 * 12 * n
+    for k in range(N + 1):
+        assert [a.dtype for a in rep.state(k)] == [np.float64, np.uint8]
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +224,8 @@ def _path_major(problem, batch):
     ``reference.state_paths``: its step slices are strided views."""
     rep = _setup(problem, "mc", batch=batch)
     bvals, counts = state_paths(batch)
-    rep._states = (bvals.transpose(1, 0, 2), counts.transpose(1, 0, 2))
+    rep.state = lambda k: [bvals[:, k], counts[:, k]]
+    rep._counts = counts.transpose(1, 0, 2)
     return rep
 
 
@@ -235,8 +240,10 @@ def _assert_same_solve(problem, batch):
                 == [lev.tobytes() for lev in getattr(want_sol, field)])
     assert trace.to_json_dict() == want_trace.to_json_dict()
     bvals, counts = state_paths(batch)
-    assert np.array_equal(rep._states[0], bvals.transpose(1, 0, 2))
-    assert np.array_equal(rep._states[1], counts.transpose(1, 0, 2))
+    for k in range(batch.grid.steps + 1):
+        got_bvals, got_counts = rep.state(k)
+        assert np.array_equal(got_bvals, bvals[:, k])
+        assert np.array_equal(got_counts, counts[:, k])
     return rep
 
 
@@ -257,15 +264,16 @@ def test_counts_past_255_take_uint16():
     problem = _problem(1, 1, 10)
     per_path = [300] + list(rng.poisson(1.5, 59))
     rep = _assert_same_solve(problem, _hand_batch(problem, rng, 60, per_path))
-    counts = rep._states[1]
-    assert counts.dtype == np.uint16 and counts[-1, 0, 0] == 300
+    counts = rep.state(problem.grid.steps)[1]
+    assert counts.dtype == np.uint16 and counts[0, 0] == 300
 
 
 def test_a_batch_without_jumps_drops_the_count_feature():
     rng = np.random.default_rng(4)
     problem = _problem(1, 1, 10)
     rep = _assert_same_solve(problem, _hand_batch(problem, rng, 60, [0] * 60))
-    assert rep._states[1].dtype == np.uint8 and not rep._states[1].any()
+    counts = [rep.state(k)[1] for k in range(problem.grid.steps + 1)]
+    assert all(c.dtype == np.uint8 and not c.any() for c in counts)
     # the count column is constant: every basis keeps the Brownian one only
     assert len(rep._bases) == 9
     assert all([j for j, _, _ in b.feats] == [0] for b in rep._bases.values())
@@ -276,5 +284,31 @@ def test_simulated_batches_match_float_counts(d, m):
     problem = _problem(d, m, 8)
     batch = jb.simulate_paths(problem.grid, problem.marks, d, 2000, 5)
     rep = _assert_same_solve(problem, batch)
-    assert rep._states[1].dtype == np.uint8
-    assert rep._states[0].shape == (9, 2000, d)
+    for k in range(9):
+        bvals, counts = rep.state(k)
+        assert counts.dtype == np.uint8
+        assert bvals.shape == (2000, d) and bvals.flags.c_contiguous
+
+
+@pytest.mark.parametrize("d, m, N", [(1, 1, 50), (2, 2, 17), (1, 2, 8),
+                                     (3, 1, 24)])
+def test_batch_nodes_equal_cumsum_in_any_order(d, m, N):
+    # the batch keeps the Brownian values at every CHECKPOINT_STRIDE-th node
+    # and sums the others again from the checkpoint below (or from the node
+    # summed last): each read, in any order, is np.cumsum's node bit for
+    # bit, C-contiguous (n, d) and read-only
+    n = 300
+    problem = _problem(d, m, N)
+    batch = jb.simulate_paths(problem.grid, problem.marks, d, n, 3)
+    want = np.zeros((N + 1, n, d))
+    np.cumsum(batch.brownian_increments.transpose(1, 0, 2), axis=0,
+              out=want[1:])
+    rng = np.random.default_rng(N)
+    for order in (range(N, -1, -1), range(N + 1),
+                  np.tile(rng.permutation(N + 1), 2)):
+        rep = _setup(problem, "mc", batch=batch)
+        for k in order:
+            got = rep.state(k)[0]
+            assert got.shape == (n, d) and got.flags.c_contiguous
+            assert not got.flags.writeable
+            assert got.tobytes() == want[k].tobytes()
