@@ -259,11 +259,14 @@ def _sample_cloud(problem, size, seed, scale=3.0):
     return t, bw, counts, signed[:, 0], signed[:, 1:1 + d], signed[:, 1 + d:]
 
 
+@np.errstate(all="ignore")
 def check_lipschitz(spec, problem, n_pairs=256, seed=0):
     """Measured Lipschitz modulus over sampled argument pairs.
 
     kappa_hat = max |df| / (|dy| + |dz| + ||dv||) with both points sharing
-    (t, state); passes iff kappa_hat <= declared kappa (1 + 1e-9).
+    (t, state); passes iff kappa_hat <= declared kappa (1 + 1e-9). A driver
+    that is not finite at a pair measures kappa_hat = inf, with no numpy
+    warning.
     """
     if n_pairs < 2:
         raise ValueError("need at least 2 sampled pairs")
@@ -284,6 +287,8 @@ def check_lipschitz(spec, problem, n_pairs=256, seed=0):
             if dist == 0.0:
                 continue
             ratio = abs(fa - fb) / dist
+            if math.isnan(ratio):       # f is not finite at the pair
+                ratio = math.inf
             if ratio > kappa_hat:
                 kappa_hat = ratio
                 worst = {"t": float(t[i]), "y": (float(y1[i]), float(yb)),
@@ -295,11 +300,13 @@ def check_lipschitz(spec, problem, n_pairs=256, seed=0):
             "worst_pair": worst}
 
 
+@np.errstate(all="ignore")
 def check_growth(spec, problem, n_points=256, seed=0):
     """Check |f(t,y,z,v) - f(t,y,0,0)| <= gamma (g + |y| + |z| + ||v||)^alpha.
 
     Reports the maximal ratio against the bound; drivers independent of (z, v)
-    pass with ratio 0 by construction.
+    pass with ratio 0 by construction. A driver that is not finite at a
+    point measures an infinite ratio, with no numpy warning.
     """
     if n_points < 1:
         raise ValueError("need at least 1 sampled point")
@@ -319,6 +326,8 @@ def check_growth(spec, problem, n_points=256, seed=0):
         bound = spec.growth_gamma * load ** spec.growth_alpha
         ratio = abs(full - frozen) / bound if bound > 0 else (
             0.0 if full == frozen else np.inf)
+        if math.isnan(ratio):           # f is not finite at the point
+            ratio = math.inf
         if ratio > max_ratio:
             max_ratio, worst = ratio, {"t": float(t[i]), "y": float(y[i]),
                                        "z": z[i].tolist(), "v": v[i].tolist()}

@@ -14,6 +14,7 @@ threads.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace, field
 
@@ -42,6 +43,8 @@ DEFAULT_NODE_CAP = 10_000_000
 CHECKPOINT_STRIDE = 12
 # the most jump events a path batch may expect, Lambda * T * n_paths
 EVENT_CAP = 10_000_000
+# the most states a lattice may have over its depths (Y takes 8 bytes each)
+STATE_CAP = 100_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +467,9 @@ class ScenarioTree:
     ``gather_children`` reads a level at the children by one row gather per
     jump outcome and one cube slice per sign; ``child_table`` is the index
     table it implies, built on demand. The state probabilities are kept at
-    every CHECKPOINT_STRIDE-th depth; ``state_probs`` rebuilds a depth
-    between from the checkpoint below it, bit for bit.
+    every CHECKPOINT_STRIDE-th depth; ``state_probs`` rebuilds the depths
+    between from the checkpoint below them, bit for bit, and caches the
+    last block of depths it rebuilt.
     """
 
     def __init__(self, grid, marks, d, node_cap, sign_vectors, branch_jump,
@@ -479,6 +483,7 @@ class ScenarioTree:
         self.branch_probs = branch_probs      # (b,), exact unit sum
         self.levels = levels                  # list of _Level, length N+1
         self._up_inc = _up_increments(sign_vectors, marks.m)
+        self._block = (-1, ())    # (its checkpoint, the rebuilt depths)
 
     @property
     def branching(self):
@@ -522,30 +527,24 @@ class ScenarioTree:
             k, np.arange(self.n_states(k + 1), dtype=np.intp))
 
     def state_probs(self, depth):
-        """(n_k,) read-only probabilities of the states at a depth, rebuilt
-        from the checkpoint at or below it."""
-        for probs in self._probs_from(depth - depth % CHECKPOINT_STRIDE,
-                                      depth + 1):
-            pass
-        return probs
-
-    def _probs_from(self, start, stop, buf=None, scratch=None):
-        """The state probabilities at depths start..stop-1, one at a time,
-        from the checkpoint at ``start``: each rebuilt depth in a new array
-        or, given ``buf``, in the next stretch of it. ``scratch`` holds at
-        least 2 n_{stop-1} floats."""
-        probs = self.levels[start].probs
-        yield probs
-        if scratch is None and stop - start > 1:
+        """(n_k,) read-only probabilities of the states at a depth. The tree
+        keeps the last block of depths between two checkpoints it rebuilt,
+        each depth in a new array, so depths read in either order rebuild
+        each block once and an array handed out is never written again."""
+        start = depth - depth % CHECKPOINT_STRIDE
+        block = self._block
+        if block[0] != start:
+            self._block = block = (-1, ())    # freed before the next is built
+            stop = min(start + CHECKPOINT_STRIDE, self.grid.steps + 1)
+            probs = [self.levels[start].probs]
             scratch = np.empty(2 * self.n_states(stop - 1))
-        pos = 0
-        for lev in self.levels[start:stop - 1]:
-            size = self.n_states(lev.depth + 1)
-            out = np.empty(size) if buf is None else buf[pos:pos + size]
-            pos += size
-            probs = _advance(lev, probs, self.branch_probs, self._up_inc,
-                             out, scratch)
-            yield probs
+            for lev in self.levels[start:stop - 1]:
+                probs.append(_advance(lev, probs[-1], self.branch_probs,
+                                      self._up_inc,
+                                      np.empty(self.n_states(lev.depth + 1)),
+                                      scratch))
+            block = self._block = start, probs
+        return block[1][depth - start]
 
     # -- the walk set: explicit trees only -----------------------------------
 
@@ -593,7 +592,9 @@ def build_scenario_tree(grid, marks, d, node_cap=DEFAULT_NODE_CAP):
 
     node_cap bounds the full (non-recombined) leaf count branching^N; pass
     node_cap=None to disable the cap, which also disables the walk set and
-    leaves only the exact lattice recursion.
+    leaves only the exact lattice recursion. A lattice of more than
+    STATE_CAP states over its depths raises ResourceLimitError at
+    ``grid_steps`` before anything is allocated.
     """
     if not isinstance(marks, MarkSpace):
         raise ValueError("marks must be a MarkSpace")
@@ -613,6 +614,13 @@ def build_scenario_tree(grid, marks, d, node_cap=DEFAULT_NODE_CAP):
             "grid_steps",
             f"state coding overflows: (N+1)^(d+m) = {(N + 1) ** (d + m)}"
         )
+    # n_k = C(k+m, m) (k+1)^d: the sum passes the cap within 700 depths
+    sizes = (math.comb(k + m, m) * (k + 1) ** d for k in range(N + 1))
+    if any(total > STATE_CAP for total in itertools.accumulate(sizes)):
+        raise ResourceLimitError(
+            "grid_steps",
+            f"the lattice would have more than {STATE_CAP} states over its "
+            f"{N + 1} depths, the lattice state cap")
 
     # branch tables: sign-major, jump outcome minor; order is part of the
     # determinism contract (reductions always run in this order)

@@ -6,9 +6,10 @@ Per-step scheme (both representations): implicit in y, explicit in (z, v) --
     Y_k = fixpoint of  y -> E[Y_{k+1} | info_k] + f(t_k, state, y, Z_k, V_k) dt
 with Z_k the increment projection E[Y_{k+1} dB]/dt and V_k(e_i) the
 jump-conditional difference E[Y_{k+1} | jump e_i] - E[Y_{k+1} | no jump].
-The fixed point contracts at rate kappa*dt; the iteration runs a count that
-depends only on kappa*dt (plus an exact-equality early exit) so power-of-two
-input scalings reproduce bit-identical solutions on the tree.
+The fixed point contracts at rate kappa*dt; its iteration (``_solve_implicit``)
+is one loop for every driver, which ends once two iterates are equal or
+after a count that depends only on kappa*dt, so power-of-two input scalings
+reproduce bit-identical solutions on the tree.
 
 One loop, ``_backward``, runs the scheme on a noise representation, and only
 the representation's estimator of E[. | info_k] differs: ``_Lattice`` sums
@@ -78,7 +79,7 @@ from .errors import (ConditioningError, ConfigError, NumericError,
                      StepSizeError)
 from .generators import check_growth, check_lipschitz, truncate_problem
 from .norms import _wmean, abs_pow
-from .randomness import CHECKPOINT_STRIDE, build_scenario_tree, simulate_paths
+from .randomness import build_scenario_tree, simulate_paths
 
 __all__ = [
     "Solution",
@@ -234,104 +235,46 @@ def _fixpoint_iterations(kappa_dt):
     return n
 
 
-def _two_cycles(y_new, y_old, before, moved, i):
-    """Whether every row ``moved`` (a mask over the rows evaluated) is a
-    finite two-cycle: its update ``y_new`` repeats the bits it had before
-    ``y_old`` and differs in value from ``y_old``, so it alternates between
-    the two to the end of the budget. ``before`` is (that earlier iterate,
-    where the rows evaluated are in it, or None for in order); the first
-    moved row, ``i``, is looked at first."""
-    was, at = before
-    if y_new.view(np.int64)[i] != was.view(np.int64)[i if at is None
-                                                      else at[i]]:
-        return False
-    if at is not None:
-        was = was[at]
-    if not moved.all():
-        y_new, y_old, was = y_new[moved], y_old[moved], was[moved]
-    step = y_new - y_old
-    # a finite, nonzero step: two finite values that differ
-    return bool((y_new.view(np.int64) == was.view(np.int64)).all()
-                and np.isfinite(step).all() and step.all())
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _solve_implicit(cond_mean, f_of_y, dt, kappa_dt):
-    """Fixed point of y -> cond_mean + f(y) dt, vectorized over nodes.
-
-    ``f_of_y`` is a bound driver (GeneratorSpec.bind). When it is row-wise, a
-    row whose update repeats its value bit for bit is an exact fixed point:
-    it can never move again, and evaluating it again gives the same bits.
-    Such rows are dropped from the evaluated set once they make up at least
-    half of it (gathering a subset costs more than evaluating a few settled
-    rows along). A finite row whose update repeats the bits it had two
-    iterations earlier, with another value than its last, alternates
-    between the two forever (``_two_cycles``); once only such rows move,
-    the loop ends with them at the end of its budget, the value and f its
-    parity gives. Other drivers see every row on every iteration. Either
-    way the iterates are those of the whole-array iteration, which stops
-    early once two successive iterates are equal (never while a two-cycle
-    moves).
-
-    A row whose last update repeated its bits (not merely its value: -0.0
-    and +0.0 differ) has y = cond_mean + f(y) dt exactly, a zero residual.
-    So when y is finite the convergence check reads only the rows still
-    evaluated (two-cycles among them), and none when the last update
-    repeated them all; its verdict and its max residual are those of the
-    check on every row. Overflow raises NumericError in the residual check
-    or the meter, with no numpy warning.
+    """Fixed point of y -> cond_mean + f(y) dt, vectorized over nodes: the
+    iterates of the whole-array loop, which ends once two iterates are equal
+    or after the count kappa*dt sets. A row-wise bound driver
+    (GeneratorSpec.bind) drops the rows whose update repeated their bits
+    (not merely their value: -0.0 and +0.0 differ) once they make up at
+    least half of the rows evaluated: each is an exact fixed point, with a
+    zero residual. So when y is finite the convergence check reads only the
+    rows still evaluated, with the verdict and max residual of the check on
+    every row. Overflow raises NumericError there or in the meter, with no
+    numpy warning.
     """
-    n_iter = _fixpoint_iterations(kappa_dt)
-    row_wise = f_of_y.row_wise
     y, f_val = cond_mean, f_of_y(cond_mean)
     rows = slice(None)          # the rows still evaluated
-    exact = False               # the last update repeated every one's bits
-    # row-wise: the iterate before y_old, and where the rows evaluated are
-    # in it (None: in order)
-    before = None
-    for it in range(n_iter):
+    for _ in range(_fixpoint_iterations(kappa_dt)):
         y_old = y[rows]
         y_new = cond_mean[rows] + f_val[rows] * dt
-        cycling = False
-        if row_wise:
-            bits = y_new.view(np.int64)
-            moved = bits != y_old.view(np.int64)
-            n_moved = np.count_nonzero(moved)
-            exact = n_moved == 0
-            if exact:
-                done = np.array_equal(y_new, y_old)     # False for NaN
-            else:       # the first moved row may rule out equal iterates
-                i = moved.argmax()
-                done = y_new[i] == y_old[i] and np.array_equal(y_new, y_old)
-                if before is not None and not isinstance(rows, slice):
-                    cycling = _two_cycles(y_new, y_old, before, moved, i)
-            before = y_old, None
-            if cycling and (n_iter - it) % 2 == 0:
-                break                   # they end the budget at y_old
-            if 2 * n_moved <= moved.size:
-                keep = np.flatnonzero(moved)
-                if isinstance(rows, slice):
-                    y, rows = y_new, keep   # y_new repeats y_old off keep
-                else:
-                    rows = rows[keep]
-                y_new, before = y_new[keep], (y_old, keep)
-        else:
-            done = np.array_equal(y_new, y_old)
-            exact = done and _same_bits(y_new, y_old)
+        moved = y_new.view(np.int64) != y_old.view(np.int64)
+        n_moved = np.count_nonzero(moved)
+        if not n_moved:
+            break               # y and f(y) repeat their bits
+        i = moved.argmax()      # one look may rule out equal iterates
+        done = y_new[i] == y_old[i] and np.array_equal(y_new, y_old)
+        if f_of_y.row_wise and 2 * n_moved <= moved.size:
+            keep = np.flatnonzero(moved)
+            if isinstance(rows, slice):
+                y, rows = y_new, keep   # y_new repeats y_old off keep
+            else:
+                rows = rows[keep]
+            y_new = y_new[keep]
         if isinstance(rows, slice):
             y, f_val = y_new, f_of_y(y_new)
         else:
             y[rows] = y_new
             f_val[rows] = f_of_y(y_new, rows)
-        if done or cycling:
+        if done:
             break
-    exact = exact and not cycling   # the two-cycles' residuals are read
-    if exact or not isinstance(rows, slice):
-        # off the rows still evaluated each row repeated its bits
-        if not np.all(np.isfinite(y)):
-            rows = slice(None)
-        elif exact:
-            return y
+    if not np.all(np.isfinite(y)):
+        rows = slice(None)
     y_r, mean_r, f_dt = y[rows], cond_mean[rows], f_val[rows] * dt
     resid = np.abs(y_r - (mean_r + f_dt))
     scale = np.abs(y_r) + np.abs(mean_r) + np.abs(f_dt)
@@ -923,10 +866,9 @@ class _Lattice(_Representation):
     V_k) is a projection of Y_{k+1}, a Picard iterate and a solution keep
     the Y levels only and project (Z, V) from them when they are read.
     Without an explicit tree the estimators are the exact marginal ones,
-    each an expectation ``_mean`` over one depth's states. The tree keeps
-    the state probabilities at checkpoint depths only; the lattice caches
-    one block of depths rebuilt from its checkpoint (``_probs``), so a sweep
-    over the depths, in either order, rebuilds each block once."""
+    each an expectation ``_mean`` over one depth's states
+    (``ScenarioTree.state_probs``, which rebuilds each block of depths
+    between two checkpoints once in a sweep, in either order)."""
 
     kind, estimator, batch, n_paths = "tree", "tree-marginal", None, None
     diagnostics = {}
@@ -950,7 +892,6 @@ class _Lattice(_Representation):
         for i in range(m):
             self._wv[tree.branch_jump == i, i] = half_d
             self._wv[tree.branch_jump == -1, i] -= half_d
-        self._block_start, self._block = None, []
 
     def context(self, problem, k):
         """The state context at depth k; its Brownian values and jump
@@ -989,31 +930,9 @@ class _Lattice(_Representation):
         read."""
         return _Projected.pair(self, y[1:], k_lo)
 
-    @functools.cached_property
-    def _block_space(self):
-        """A buffer for the rebuilt depths of the widest block and a
-        scratch grid for the products of its widest step."""
-        n = self.tree.n_states
-        N, c = self.grid.steps, CHECKPOINT_STRIDE
-        starts = range(0, N + 1, c)
-        return (np.empty(max(sum(map(n, range(s + 1, min(s + c, N + 1))))
-                             for s in starts)),
-                np.empty(2 * n(N)))
-
-    def _probs(self, k):
-        """The state probabilities at depth k, from the cached block of the
-        depths between two checkpoints that holds it, rebuilt in place."""
-        start = k - k % CHECKPOINT_STRIDE
-        if start != self._block_start:
-            stop = min(start + CHECKPOINT_STRIDE, self.grid.steps + 1)
-            self._block = list(self.tree._probs_from(start, stop,
-                                                     *self._block_space))
-            self._block_start = start
-        return self._block[k - start]
-
     def _mean(self, level, k):
         """E[level] over the states at depth k."""
-        return float(np.einsum("n,n->", self._probs(k), level))
+        return float(np.einsum("n,n->", self.tree.state_probs(k), level))
 
     def integrate(self, levels, combine):
         """E[combine(levels)] for a linear ``combine`` of the levels at
@@ -1437,6 +1356,9 @@ def solve_mc_regression(problem, batch, basis_degree=2):
 def _check_assumptions(problem, seed):
     gen = problem.generator
     rep = check_lipschitz(gen, problem, n_pairs=64, seed=seed)
+    if not math.isfinite(rep["kappa_hat"]):
+        raise ConfigError("problem.generator", "the driver is not finite at "
+                          f"the worst sampled pair {rep['worst_pair']}")
     if not rep["passed"]:
         # the declared constant is input the driver contradicts
         raise ConfigError(

@@ -16,8 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import jumpbsde as jb
 from conftest import traced_peak
 from jumpbsde import cli
+from jumpbsde.errors import ResourceLimitError
 from jumpbsde.generators import GENERATOR_FORMS, TERMINAL_FORMS
 
 BASE = {
@@ -598,6 +600,30 @@ def test_broken_growth_bound_exits_1_at_alpha(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "ladder"])
+def test_an_overflowing_driver_exits_1_at_the_generator(tmp_path, capsys,
+                                                        command):
+    # at p = 1e6 the sectional norm |v|^p overflows beyond |v| = 1, so the
+    # driver's cv ||v|| term is inf at some sampled pairs: the check says
+    # so, with no numpy warning (the suite makes one an error), instead of
+    # holding a modulus of inf against the declared kappa
+    problem = copy.deepcopy(BASE["problem"])
+    problem["generator"] = {"form": "lipschitz-smooth",
+                            "params": {"ay": 0.5, "bz": [0.25], "cv": 0.25},
+                            "p": 1e6}
+    path, _ = _cfg(tmp_path, problem=problem, ladder={"n_list": [1, 4]})
+    line = next(i for i, row in enumerate(path.read_text().splitlines(),
+                                          start=1)
+                if row.strip().startswith('"generator": '))
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: problem.generator: the "
+                          "driver is not finite at the worst sampled pair ")
+    assert "'df': inf" in err and "kappa" not in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_kept_growth_bound_solves(tmp_path):
     # f = 0.5 y has no (z, v)-increment: any declared (alpha, gamma) holds
     problem = copy.deepcopy(BASE["problem"])
@@ -720,6 +746,34 @@ def test_a_batch_over_its_event_cap_exits_1_at_n_paths(tmp_path, capsys):
                           "event cap 10000000")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_lattice_over_its_state_cap_exits_1_at_grid_steps(tmp_path,
+                                                            capsys):
+    # 10^5 steps with node_cap null: sum_k n_k = sum_k (k+1)^2, about
+    # 3.3e14 states, far above the 1e8 cap; the count is checked from
+    # integers before the build allocates anything (its scratch alone would
+    # take 149 GiB)
+    path, _ = _cfg(tmp_path, grid_steps=100_000, node_cap=None)
+    line = next(i for i, row in enumerate(path.read_text().splitlines(),
+                                          start=1)
+                if row.strip().startswith('"grid_steps": '))
+    assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}:{line}: grid_steps: the lattice would "
+                   "have more than 100000000 states over its 100001 depths, "
+                   "the lattice state cap\n")
+    assert not (tmp_path / "out").exists()
+    grid = jb.make_time_grid(1.0, 100_000)
+    marks = jb.make_mark_space([[1.0]], [1.0])
+
+    def build():
+        with pytest.raises(ResourceLimitError) as info:
+            jb.build_scenario_tree(grid, marks, 1, node_cap=None)
+        return info.value
+
+    error, _, peak = traced_peak(build)
+    assert error.setting == "grid_steps" and peak < 8192
 
 
 def test_an_error_at_a_default_setting_names_the_file(tmp_path, capsys):

@@ -1,13 +1,18 @@
 """The per-step implicit fixed point against the whole-array reference loop."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jumpbsde as jb
 from jumpbsde.errors import NumericError
+from jumpbsde.generators import truncate_problem
 from jumpbsde.solver import _fixpoint_iterations, _solve_implicit
+from test_picard_exact import FORMS, _problem
 
 DT = 0.5
 KAPPA_DT = 0.1
@@ -127,6 +132,30 @@ def test_nan_row_raises_in_both_loops():
         _solve_implicit(cond_mean, bound, DT, KAPPA_DT)
 
 
+@pytest.mark.parametrize("row_wise", [True, False])
+def test_a_nan_row_that_repeats_its_bits_raises(row_wise):
+    # f = 0: every row, the NaN one too, repeats its bits at the first
+    # update, so the loop ends there with nothing left to evaluate, and the
+    # check on every row fails
+    def zero(y, rows=None):
+        return np.zeros_like(y)
+
+    zero.row_wise = row_wise
+    with pytest.raises(NumericError, match=r"max residual nan\)"):
+        _solve_implicit(np.array([1.0, np.nan, 2.0]), zero, DT, KAPPA_DT)
+
+
+def test_iterates_equal_in_value_end_the_loop():
+    # from cond_mean -0.0 the first update gives +0.0, equal in value: the
+    # loop ends there, as the whole-array loop does, where it would
+    # otherwise alternate the sign of zero to the end of its budget
+    cond_mean = np.array([-0.0])
+    logged, sizes = _recording(_cycling)
+    out = _solve_implicit(cond_mean, logged, DT, KAPPA_DT)
+    assert _same_bits(out, _reference(cond_mean, _cycling, DT, KAPPA_DT))
+    assert out.view(np.int64)[0] == 0 and len(sizes) == 2
+
+
 def test_custom_driver_sees_every_row_on_every_iteration():
     bound, cond_mean = _smooth_bound(3000, seed=8)
 
@@ -209,9 +238,9 @@ _late_cycling.row_wise = True
 def test_two_cycles_end_at_their_budget_value(kappa_dt, extra):
     # rows that two-cycle between different values, in either phase and
     # under a budget of 24 or 25 iterations (the other rows settle within
-    # it), are dropped with the value the whole-array loop ends at; with
-    # nothing else moving the loop stops early, a -0.0/+0.0 row (equal
-    # values) keeps it running to the budget, and a NaN row still fails
+    # it), end at the value the whole-array loop ends at, after the whole
+    # budget, alone or beside a -0.0/+0.0 row (equal values); a NaN row
+    # still fails
     n_iter = _fixpoint_iterations(kappa_dt)
     assert n_iter == {0.18: 24, 0.2: 25}[kappa_dt]
     _, rest = _smooth_bound(999, seed=5)
@@ -231,18 +260,59 @@ def test_two_cycles_end_at_their_budget_value(kappa_dt, extra):
     # the two cycles end in opposite phases
     assert out[0] in (A, B) and (out[0] == A) == (out[1] == D)
     assert out[2] == out[0]
-    if extra == "none":
-        assert len(sizes) < n_iter + 1
-    else:
-        assert len(sizes) == n_iter + 1
+    assert len(sizes) == n_iter + 1
 
 
 def test_two_cycle_rows_keep_the_residual_check():
-    # a two-cycle between far-apart values is dropped with f at its budget
-    # value, so its residual still fails the check
+    # a two-cycle between far-apart values runs the whole budget, and its
+    # residual fails the check
     _, rest = _smooth_bound(999, seed=6)
     cond_mean = np.concatenate(([0.5], rest))
     logged, sizes = _recording(_wide_cycle)
     with pytest.raises(NumericError, match=r"max residual 1\.000e\+00\)"):
         _solve_implicit(cond_mean, logged, DT, 0.2)
-    assert len(sizes) < _fixpoint_iterations(0.2) + 1
+    assert len(sizes) == _fixpoint_iterations(0.2) + 1
+
+
+@st.composite
+def _bound_cases(draw):
+    """A built-in form or its truncation bound on random states and (z, v),
+    cond_mean values of magnitude 1e-8 .. 1e2 with some signed zeros, and
+    a kappa*dt whose budget is 1 or 3 .. 30 iterations."""
+    form = draw(st.sampled_from(sorted(FORMS)))
+    d, m = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 400))
+    problem = _problem(form, d, m, 4)
+    level = draw(st.sampled_from([None, 0.5, 4.0]))
+    if level is not None:
+        problem = truncate_problem(problem, level)
+    budget = draw(st.sampled_from([1] + list(range(3, 31))))
+    # n = ceil(53 ln 2 / -ln(kappa*dt)) + 2 iterations, kappa*dt = 0 one
+    kappa_dt = (0.0 if budget == 1
+                else math.exp(-53.0 * math.log(2.0) / (budget - 2.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ctx = problem.context(rng.uniform(), rng.normal(size=(n, d)),
+                          rng.integers(0, 4, size=(n, m)).astype(float))
+    bound = problem.generator.bind(ctx, rng.normal(size=(n, d)),
+                                   rng.normal(size=(n, m)))
+    cond_mean = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 2, size=n)
+    zeros = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.9]))
+    cond_mean[zeros] = np.where(rng.random(n) < 0.5, 0.0, -0.0)[zeros]
+    # the driver's y-modulus times dt is at most kappa*dt
+    dt = kappa_dt / problem.generator.lipschitz_kappa
+    return cond_mean, bound, dt, kappa_dt, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bound_cases())
+def test_bound_forms_match_the_reference_bit_for_bit(case):
+    cond_mean, bound, dt, kappa_dt, budget = case
+    assert _fixpoint_iterations(kappa_dt) == budget
+    try:
+        ref = _reference(cond_mean, bound, dt, kappa_dt)
+    except NumericError:
+        with pytest.raises(NumericError):
+            _solve_implicit(cond_mean, bound, dt, kappa_dt)
+    else:
+        assert _same_bits(_solve_implicit(cond_mean, bound, dt, kappa_dt),
+                          ref)

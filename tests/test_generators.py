@@ -310,6 +310,22 @@ def test_check_growth_quadratic_fails():
     assert not rep["passed"]
 
 
+def test_checks_measure_an_overflowing_driver_as_infinite():
+    # at p = 1e6 ||v||^p overflows beyond |v| = 1, so f = 0.5 ||v|| is inf
+    # at some sampled points, and at both points of some pairs (an inf - inf
+    # NaN): each check measures inf and fails, with no numpy warning (the
+    # suite makes one an error), where a NaN ratio used to be skipped
+    marks = jb.make_mark_space([[1.0]], [1.0])
+    spec = jb.make_generator("zv-coupled", {"cv": 0.5}, marks=marks, d=1,
+                             p=1e6, alpha=0.5, gamma=10.0)
+    prob = _basic_problem(marks=marks, gen=spec, term=jb.make_terminal(
+        "constant", {"value": 1.0}, marks=marks, d=1, p=1e6))
+    rep = jb.check_lipschitz(spec, prob, n_pairs=64, seed=0)
+    assert rep["kappa_hat"] == math.inf and not rep["passed"]
+    rep = jb.check_growth(spec, prob, n_points=64, seed=0)
+    assert rep["max_ratio"] == math.inf and not rep["passed"]
+
+
 @pytest.mark.parametrize("d, m", [(1, 1), (2, 3)])
 def test_sample_cloud_covers_its_ranges(d, m):
     # uniform draws mapped affinely: t in [0, T), Brownian states in

@@ -497,9 +497,9 @@ def test_lattice_picard_holds_y_and_a_few_depth_blocks():
 
 def test_lattice_picard_keeps_probabilities_at_checkpoints_and_one_block():
     # the lattice keeps its state probabilities at every CHECKPOINT_STRIDE-th
-    # depth; a sweep reads the others from one cached block of depths,
-    # rebuilt from its checkpoint into one buffer, beside a scratch of two
-    # grids of the last depth. With every depth's probabilities (620 kB
+    # depth; a sweep reads the others from the tree's one cached block of
+    # depths, rebuilt from its checkpoint, beside a scratch of two grids of
+    # the block's last depth. With every depth's probabilities (620 kB
     # here, as much as Y) the solve would break the bound
     N = 60
     problem = _problem(1, 1, N)

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jumpbsde as jb
-from jumpbsde import rng
+from jumpbsde import randomness, rng
 from jumpbsde.errors import ResourceLimitError
 from jumpbsde.randomness import CHECKPOINT_STRIDE, ScenarioTree
-from jumpbsde.solver import _setup
 from conftest import traced_peak
 from reference import enumerate_paths, poisson_measure, state_paths
 from test_meter import _problem
@@ -524,8 +523,8 @@ def test_step_of_matches_the_node_search(horizon, steps):
                                      (2, 2, 14)])
 def test_rebuilt_probabilities_have_the_build_bits_in_any_order(d, m, N):
     # the tree keeps the probabilities at every CHECKPOINT_STRIDE-th depth;
-    # state_probs and the lattice's block cache rebuild the others with the
-    # build's bits, read downwards, upwards or at random
+    # state_probs rebuilds the others, a block at a time, with the build's
+    # bits, read downwards, upwards or at random
     grid = jb.make_time_grid(1.0, N)
     marks = jb.make_mark_space([[1.0 + i] for i in range(m)],
                                [0.7 + 0.6 * i for i in range(m)])
@@ -533,12 +532,31 @@ def test_rebuilt_probabilities_have_the_build_bits_in_any_order(d, m, N):
     want = [lev.probs.tobytes() for lev in _unique_build(tree).levels]
     kept = [k for k, lev in enumerate(tree.levels) if lev.probs is not None]
     assert kept == list(range(0, N + 1, CHECKPOINT_STRIDE))
-    problem = _problem(d, m, N)
     rng = np.random.default_rng(N)
     for order in (range(N, -1, -1), range(N + 1), rng.permutation(N + 1)):
-        lattice = _setup(problem, "tree", tree)
         for k in order:
             got = tree.state_probs(k)
             assert got.tobytes() == want[k] and not got.flags.writeable
-            assert lattice._probs(k).tobytes() == want[k]
             assert tree.n_states(k) == got.size
+
+
+def test_ascending_read_rebuilds_each_block_once(monkeypatch):
+    # the tree keeps the last block of depths it rebuilt: an ascending read
+    # of the N = 150 lattice runs one probability step per depth off the
+    # checkpoints (138), not one per depth from its checkpoint (813), and
+    # the arrays handed out keep their bits while later blocks are rebuilt
+    N = 150
+    tree = jb.build_scenario_tree(jb.make_time_grid(1.0, N),
+                                  jb.make_mark_space([[1.0]], [1.0]), 1,
+                                  node_cap=None)
+    steps = []
+    advance = randomness._advance
+    monkeypatch.setattr(randomness, "_advance",
+                        lambda *args: steps.append(1) or advance(*args))
+    read = [tree.state_probs(k) for k in range(N + 1)]
+    assert len(steps) <= N
+    assert len(steps) == N - N // CHECKPOINT_STRIDE
+    want = [probs.tobytes() for probs in read]
+    for k in range(N, -1, -1):
+        assert tree.state_probs(k).tobytes() == want[k]
+    assert [probs.tobytes() for probs in read] == want
