@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import NumericError
 from .generators import make_generator, make_problem, make_terminal
 from .norms import _wmean, abs_pow
 from .randomness import build_scenario_tree, make_mark_space
@@ -95,8 +96,11 @@ def check_integrability(problem, n_paths=10_000, seed=0, method="mc",
 
 
 def _report(name, lhs, rhs_core, problem, p, ceiling):
-    """The EstimateReport of lhs <= C rhs_core; rhs_core = 0 < lhs is
-    possible only via numerical error and is flagged anomalous."""
+    """The EstimateReport of lhs <= C rhs_core, both finite (else
+    NumericError); rhs_core = 0 < lhs, numerical error only, is anomalous."""
+    if not (math.isfinite(lhs) and math.isfinite(rhs_core)):
+        raise NumericError(f"the {name} estimate is not finite at p = {p:g}: "
+                           f"lhs {lhs!r}, rhs_core {rhs_core!r}")
     if rhs_core > 0:
         implied, anomalous = lhs / rhs_core, False
     else:
@@ -109,6 +113,7 @@ def _report(name, lhs, rhs_core, problem, p, ceiling):
         anomalous=anomalous)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _estimates(solution, problem, p, ceiling, full):
     """The zv report and, with ``full``, the full one (else None), from one
     pass over the path functionals, each computed once. Each side of an

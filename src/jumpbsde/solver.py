@@ -15,11 +15,12 @@ One loop, ``_backward``, runs the scheme on a noise representation, and only
 the representation's estimator of E[. | info_k] differs: ``_Lattice`` sums
 over the tree's recombined states with exact branch weights (``_Tree``, an
 explicit tree, adds the leaf sweep over root-to-leaf paths); ``_PathBatch``
-regresses on the simulated state, which it keeps once, step-major, with one
-basis per step (each feature's column, mean and std, and the Gram) kept for
-every solve on the batch; each fit standardizes the step's state columns
-again and refills the design into one buffer. Solutions have one layout on
-both: per-depth lists of arrays over the lattice states or the paths
+regresses on the simulated state, which it keeps once, step-major (its
+Brownian values at checkpoints, ``randomness._Checkpoints``), with one basis
+per step (each feature's column, mean and std, and the Gram) kept for every
+solve on the batch; each fit standardizes the step's state columns again and
+refills the design into one buffer. Solutions have one layout on both:
+per-depth lists of arrays over the lattice states or the paths
 (``Solution``). A representation owns the estimators read from them; its
 table of the problem data, |f(t_k, ., 0, 0, 0)| and |xi| on its states
 (``_data_levels``), feeds the estimate functionals, the clamp-tail bound and
@@ -79,7 +80,7 @@ from .errors import (ConditioningError, ConfigError, NumericError,
                      StepSizeError)
 from .generators import check_growth, check_lipschitz, truncate_problem
 from .norms import _wmean, abs_pow
-from .randomness import build_scenario_tree, simulate_paths
+from .randomness import _Checkpoints, build_scenario_tree, simulate_paths
 
 __all__ = [
     "Solution",
@@ -867,8 +868,7 @@ class _Lattice(_Representation):
     the Y levels only and project (Z, V) from them when they are read.
     Without an explicit tree the estimators are the exact marginal ones,
     each an expectation ``_mean`` over one depth's states
-    (``ScenarioTree.state_probs``, which rebuilds each block of depths
-    between two checkpoints once in a sweep, in either order)."""
+    (``ScenarioTree.state_probs``)."""
 
     kind, estimator, batch, n_paths = "tree", "tree-marginal", None, None
     diagnostics = {}
@@ -972,9 +972,9 @@ class _PathBatch(_PathEstimators):
     state at t_k, with each step's basis built once for every solve on the
     batch; every fit refills its design into one buffer the batch owns. The
     batch keeps the jump counts at every node, step-major (``_counts``), and
-    the Brownian values at every CHECKPOINT_STRIDE-th node; a node between
-    is summed again from the checkpoint below it (``state``), with the bits
-    of np.cumsum over the increments. A depth's level holds one value
+    the Brownian values as a ``_Checkpoints`` sequence over the nodes, of
+    stride CHECKPOINT_STRIDE (``state``), with the bits of np.cumsum over
+    the increments. A depth's level holds one value
     per path; at least 2 paths, so that sample means carry an SE. A Picard
     iterate's entry at depth k is its (Z_k, V_k) as that step's
     coefficients (``project_frozen``), which ``expand`` turns into per-path
@@ -1003,7 +1003,6 @@ class _PathBatch(_PathEstimators):
         self._p_jump = -np.expm1(-self.intensities * self.grid.dt)   # (m,)
         self._norm_v = self._p_jump * (1.0 - self._p_jump)
         self._bases, self._design_buf = {}, np.empty(0)
-        self._last = -1, None           # the node summed last
 
     def n_states(self, k):
         return self.n_paths
@@ -1026,47 +1025,23 @@ class _PathBatch(_PathEstimators):
         return counts
 
     @functools.cached_property
-    def _checkpoints(self):
-        """The Brownian values at nodes 0, C, 2C, ... (C =
-        CHECKPOINT_STRIDE), by one pass of the sequential adds."""
-        stride, acc = self.CHECKPOINT_STRIDE, np.zeros((self.n_paths, self.d))
-        points = {0: acc}
-        for c in range(stride, self.grid.steps + 1, stride):
-            acc = points[c] = self._summed(acc, c - stride, c)
-        for point in points.values():
-            point.flags.writeable = False
-        return points
-
-    def _summed(self, acc, j, k):
-        """The Brownian values at node k from ``acc``, those at node j <= k:
-        each path's increments j..k-1 added in turn, as np.cumsum adds them
-        (from node 0 the first increment is taken as it is, not added to
-        0.0). ``acc`` is not written to."""
-        if j == k:
-            return acc
+    def _brownian(self):
+        """The Brownian values at the nodes, each path's increments added in
+        turn, as np.cumsum adds them (node 1 is the first increment itself,
+        not added to 0.0)."""
         inc = self.batch.brownian_increments
-        acc = inc[:, 0].copy() if j == 0 else acc + inc[:, j]
-        for i in range(j + 1, k):
-            acc += inc[:, i]
-        return acc
 
-    def _brownian(self, k):
-        """(n, d) read-only, C-contiguous Brownian values at node k, summed
-        from the checkpoint at or below k, or from the node summed last
-        where that lies between. That node is kept, so a node read twice in
-        a row, or the nodes read in ascending order, cost one add at most."""
-        start = k - k % self.CHECKPOINT_STRIDE
-        j, acc = self._last
-        if not start <= j <= k:
-            j, acc = start, self._checkpoints[start]
-        acc = self._summed(acc, j, k)
-        acc.flags.writeable = False
-        self._last = k, acc
-        return acc
+        def run(j, acc, stop):
+            for i in range(j, stop):
+                acc = inc[:, 0].copy() if i == 0 else acc + inc[:, i]
+                yield acc
+        return _Checkpoints(np.zeros((self.n_paths, self.d)), run,
+                            self.grid.steps, self.CHECKPOINT_STRIDE)
 
     def state(self, k):
-        """The state blocks at node k: Brownian values, jump counts."""
-        return [self._brownian(k), self._counts[k]]
+        """The state blocks at node k: (n, d) read-only, C-contiguous
+        Brownian values, jump counts."""
+        return [self._brownian.at(k), self._counts[k]]
 
     def context(self, problem, k):
         """The state context at node k; the float jump counts are built if
@@ -1642,10 +1617,14 @@ def bsde_residual_max(solution, problem):
     return worst
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solution_norms(solution, problem, p=None):
     """S^p / M^p / L^p norms of a Solution, with the estimator tag."""
     p = problem.p if p is None else p
     rep = _represent(solution, problem)
     sp, mp, lp = rep.norms(p, solution.y, solution.z, solution.v)
+    if not all(map(math.isfinite, (sp, mp, lp))):
+        raise NumericError(f"the norms are not finite at p = {p:g}: "
+                           f"sp {sp!r}, mp {mp!r}, lp {lp!r}")
     return {"sp": sp, "mp": mp, "lp": lp, "p": p, "estimator": rep.estimator,
             "n_paths": rep.n_paths}

@@ -624,6 +624,33 @@ def test_an_overflowing_driver_exits_1_at_the_generator(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, overrides, want", [
+    ("solve", {}, "the norms are not finite at p = 1e+06: sp inf"),
+    ("solve", {"node_cap": None}, "the norms are not finite at p = 1e+06: "
+                                  "sp inf"),
+    ("solve", {"method": "mc", "n_paths": 500},
+     "the norms are not finite at p = 1e+06: sp inf, mp inf, lp inf"),
+    ("verify", {}, "the zv-vs-y estimate is not finite at p = 1e+06: "
+                   "lhs inf, rhs_core inf"),
+], ids=["tree", "lattice", "mc", "verify"])
+def test_a_norm_that_overflows_at_a_huge_p_exits_4(tmp_path, capsys, command,
+                                                   overrides, want):
+    # the driver stays finite at p = 1e6, but |Y|^p and |Z|^p overflow in
+    # the reported norms and estimates: a solver failure, with no numpy
+    # warning (the suite makes one an error) and no report with inf or NaN
+    problem = copy.deepcopy(BASE["problem"])
+    problem["generator"]["p"] = 1e6
+    problem["terminal"] = {"form": "state-linear",
+                           "params": {"brownian_weights": [1.0],
+                                      "jump_weights": [0.5]}}
+    path, _ = _cfg(tmp_path, problem=problem, grid_steps=8, **overrides)
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: solver failure: {want}")
+    assert err.count("\n") == 1
+    assert not list((tmp_path / "out").glob("*"))
+
+
 def test_a_kept_growth_bound_solves(tmp_path):
     # f = 0.5 y has no (z, v)-increment: any declared (alpha, gamma) holds
     problem = copy.deepcopy(BASE["problem"])

@@ -1,6 +1,7 @@
 """Driving-noise simulation and the scenario tree."""
 
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import jumpbsde as jb
 from jumpbsde import randomness, rng
 from jumpbsde.errors import ResourceLimitError
-from jumpbsde.randomness import CHECKPOINT_STRIDE, ScenarioTree
+from jumpbsde.randomness import CHECKPOINT_STRIDE, ScenarioTree, _Checkpoints
 from conftest import traced_peak
 from reference import enumerate_paths, poisson_measure, state_paths
 from test_meter import _problem
@@ -301,12 +302,12 @@ def test_branch_probabilities_sum_to_one_where_the_largest_overshoots():
 class _TableTree(ScenarioTree):
     """A lattice that reads a level at the children through stored int64
     child tables, the layout the grid of jump rows and up-count cubes
-    replaced."""
+    replaced; its state probabilities are ``tree``'s."""
 
     def __init__(self, tree, levels, tables):
         super().__init__(tree.grid, tree.marks, tree.d, tree.node_cap,
                          tree.sign_vectors, tree.branch_jump,
-                         tree.branch_probs, levels)
+                         tree.branch_probs, levels, tree._probs)
         self.tables = tables
 
     def child_table(self, k):
@@ -530,14 +531,18 @@ def test_rebuilt_probabilities_have_the_build_bits_in_any_order(d, m, N):
                                [0.7 + 0.6 * i for i in range(m)])
     tree = jb.build_scenario_tree(grid, marks, d, node_cap=None)
     want = [lev.probs.tobytes() for lev in _unique_build(tree).levels]
-    kept = [k for k, lev in enumerate(tree.levels) if lev.probs is not None]
-    assert kept == list(range(0, N + 1, CHECKPOINT_STRIDE))
+    kept = [probs.tobytes() for probs in tree._probs.points]
+    assert kept == want[::CHECKPOINT_STRIDE]
     rng = np.random.default_rng(N)
     for order in (range(N, -1, -1), range(N + 1), rng.permutation(N + 1)):
         for k in order:
             got = tree.state_probs(k)
             assert got.tobytes() == want[k] and not got.flags.writeable
             assert tree.n_states(k) == got.size
+    for k in (-1, N + 1):
+        with pytest.raises(IndexError, match=rf"^index {k} is outside "
+                                             rf"\[0, {N}\]$"):
+            tree.state_probs(k)
 
 
 def test_ascending_read_rebuilds_each_block_once(monkeypatch):
@@ -560,3 +565,54 @@ def test_ascending_read_rebuilds_each_block_once(monkeypatch):
     for k in range(N, -1, -1):
         assert tree.state_probs(k).tobytes() == want[k]
     assert [probs.tobytes() for probs in read] == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 13),
+       st.sampled_from(["descending", "ascending", "shuffled"]), st.data())
+def test_checkpoints_rebuild_the_single_pass_in_any_order(n, stride, order,
+                                                          data):
+    # a counting run whose values round differently in every step: each
+    # read has the bits of the one pass at construction and is read-only;
+    # an ascending or a descending read runs at most n steps; the old block
+    # is gone before a block is built, so at most one block is referenced
+    def step(x, i):
+        return x * 1.1 + math.sin(i)
+
+    steps, handed = [], {}
+
+    def run(j, x, stop):
+        assert not [k for k, ref in handed.items()
+                    if k % stride and ref() is not None]
+        for i in range(j, stop):
+            steps.append(i)
+            x = step(x, i)
+            yield x
+
+    want = [np.linspace(-1.0, 1.0, 3)]
+    for i in range(n):
+        want.append(step(want[-1], i))
+    seq = _Checkpoints(want[0].copy(), run, n, stride)
+    assert steps == list(range(n))
+    assert ([x.tobytes() for x in seq.points]
+            == [x.tobytes() for x in want[::stride]])
+    steps.clear()
+    ks = list(range(n + 1))
+    if order == "descending":
+        ks.reverse()
+    elif order == "shuffled":
+        ks = data.draw(st.permutations(ks)) + data.draw(
+            st.lists(st.sampled_from(ks), max_size=20))
+    for k in ks:
+        got = seq.at(k)
+        assert got.tobytes() == want[k].tobytes() and not got.flags.writeable
+        handed[k] = weakref.ref(got)
+        del got
+        blocks = {i // stride for i, ref in handed.items()
+                  if i % stride and ref() is not None}
+        assert len(blocks) <= 1
+    if order != "shuffled":
+        assert len(steps) <= n
+    for k in (-1, n + 1):
+        with pytest.raises(IndexError, match=rf"\[0, {n}\]"):
+            seq.at(k)

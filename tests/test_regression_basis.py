@@ -294,9 +294,9 @@ def test_simulated_batches_match_float_counts(d, m):
                                      (3, 1, 24)])
 def test_batch_nodes_equal_cumsum_in_any_order(d, m, N):
     # the batch keeps the Brownian values at every CHECKPOINT_STRIDE-th node
-    # and sums the others again from the checkpoint below (or from the node
-    # summed last): each read, in any order, is np.cumsum's node bit for
-    # bit, C-contiguous (n, d) and read-only
+    # and sums the others again from the checkpoint below: each read, in any
+    # order, is np.cumsum's node bit for bit, C-contiguous (n, d) and
+    # read-only; a node outside [0, N] raises
     n = 300
     problem = _problem(d, m, N)
     batch = jb.simulate_paths(problem.grid, problem.marks, d, n, 3)
@@ -312,3 +312,7 @@ def test_batch_nodes_equal_cumsum_in_any_order(d, m, N):
             assert got.shape == (n, d) and got.flags.c_contiguous
             assert not got.flags.writeable
             assert got.tobytes() == want[k].tobytes()
+    for k in (-1, N + 1):
+        with pytest.raises(IndexError, match=rf"^index {k} is outside "
+                                             rf"\[0, {N}\]$"):
+            rep.state(k)
