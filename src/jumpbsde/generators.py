@@ -17,11 +17,10 @@ base's bound map. A custom driver binds to a y-part that calls it on every
 row, with no terms.
 
 The Lipschitz/growth checks are empirical reports over sampled argument
-clouds, not proofs. The remainder bound sup_{|y|<=r}|f(t,y,0,0) -
-f(t,0,0,0)| <= kappa r holds automatically for Lipschitz drivers and is not
-checked separately. The integrability check reads the zero section and the
-terminal on a noise representation, so it lives with the solvers' estimators
-(estimates.check_integrability).
+clouds, not proofs: one driver call per sampled state, on its stacked
+points and at its time. sup_{|y|<=r}|f(t,y,0,0) - f(t,0,0,0)| <= kappa r
+holds for Lipschitz drivers, unchecked. The integrability check reads the
+zero section and terminal on a noise representation (estimates module).
 """
 
 import copy
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError
-from .randomness import TimeGrid, MarkSpace
+from .randomness import TimeGrid, MarkSpace, make_time_grid
 
 __all__ = [
     "StateContext",
@@ -245,18 +244,35 @@ def _sample_cloud(problem, size, seed, scale=3.0):
     counts 0 to 5, and y, z, v in [-c, c] for the magnitude classes
     c = 0.1, 1, 10, 100 times ``scale``, one class per row in turn."""
     d, m = problem.d, problem.marks.m
-    span = max(1, size)
     cols = 2 + 2 * d + 2 * m
     u = rng.uniform(seed, rng.STREAM_CLOUD,
-                    np.arange(span, dtype=np.uint64)[:, None],
+                    np.arange(size, dtype=np.uint64)[:, None],
                     np.arange(cols, dtype=np.uint64)[None, :])
     t = u[:, 0] * problem.grid.horizon
-    magnitudes = np.choose(np.arange(span) % 4,
+    magnitudes = np.choose(np.arange(size) % 4,
                            [0.1 * scale, scale, 10 * scale, 100 * scale])
     bw = 6.0 * u[:, 1:1 + d] - 3.0
     counts = np.floor(6.0 * u[:, 1 + d:1 + d + m])
     signed = (2.0 * u[:, 1 + d + m:] - 1.0) * magnitudes[:, None]
     return t, bw, counts, signed[:, 0], signed[:, 1:1 + d], signed[:, 1 + d:]
+
+
+def _per_state(spec, problem, t, bw, counts, points):
+    """f (n, k) at each sampled state's k ``points`` (y, z, v), one driver
+    call per state, at its time and state; and y, z, v stacked (n, k, ...)."""
+    y, z, v = (np.stack(x, axis=1) for x in zip(*points))
+    k = len(points)
+    return np.array([
+        spec(problem.context(t[i], bw[[i] * k], counts[[i] * k]),
+             y[i], z[i], v[i]) for i in range(len(t))]), y, z, v
+
+
+def _worst(ratio):
+    """The largest ratio as a float, a NaN read as inf, and its index, the
+    first in row-major order; (0.0, None) when no ratio is positive."""
+    ratio[np.isnan(ratio)] = np.inf
+    at = np.unravel_index(np.argmax(ratio), ratio.shape)
+    return (float(ratio[at]), at) if ratio[at] > 0 else (0.0, None)
 
 
 @np.errstate(all="ignore")
@@ -272,29 +288,18 @@ def check_lipschitz(spec, problem, n_pairs=256, seed=0):
         raise ValueError("need at least 2 sampled pairs")
     t, bw, counts, y1, z1, v1 = _sample_cloud(problem, n_pairs, seed)
     _, _, _, y2, z2, v2 = _sample_cloud(problem, n_pairs, seed + 1)
-    kappa_hat, worst = 0.0, None
-    for i in range(n_pairs):
-        ctx = problem.context(t[i], bw[i:i + 1], counts[i:i + 1])
-        # joint pair plus axis-aligned pairs: a max over the sum metric is
-        # attained on single-coordinate variations
-        variants = [(y2[i], z2[i], v2[i]), (y2[i], z1[i], v1[i]),
-                    (y1[i], z2[i], v1[i]), (y1[i], z1[i], v2[i])]
-        fa = float(spec(ctx, y1[i:i + 1], z1[i:i + 1], v1[i:i + 1])[0])
-        for yb, zb, vb in variants:
-            fb = float(spec(ctx, np.array([yb]), zb[None, :], vb[None, :])[0])
-            dist = (abs(y1[i] - yb) + float(np.linalg.norm(z1[i] - zb))
-                    + float(problem.marks.section_norm(v1[i] - vb, spec.p)))
-            if dist == 0.0:
-                continue
-            ratio = abs(fa - fb) / dist
-            if math.isnan(ratio):       # f is not finite at the pair
-                ratio = math.inf
-            if ratio > kappa_hat:
-                kappa_hat = ratio
-                worst = {"t": float(t[i]), "y": (float(y1[i]), float(yb)),
-                         "z": (z1[i].tolist(), zb.tolist()),
-                         "v": (v1[i].tolist(), vb.tolist()),
-                         "df": fa - fb, "distance": float(dist)}
+    # the first point against itself (no pair), the second jointly and along
+    # each axis: a max over the sum metric is attained on one-axis variations
+    f, y, z, v = _per_state(spec, problem, t, bw, counts, [
+        (y1, z1, v1), (y2, z2, v2), (y2, z1, v1), (y1, z2, v1), (y1, z1, v2)])
+    dist = (np.abs(y[:, :1] - y) + np.linalg.norm(z[:, :1] - z, axis=-1)
+            + problem.marks.section_norm(v[:, :1] - v, spec.p))
+    df = f[:, :1] - f
+    kappa_hat, at = _worst(np.where(dist == 0.0, 0.0, np.abs(df) / dist))
+    worst = None if at is None else {
+        "t": float(t[at[0]]), **{name: (x[at[0], 0].tolist(), x[at].tolist())
+                                 for name, x in zip("yzv", (y, z, v))},
+        "df": float(df[at]), "distance": float(dist[at])}
     return {"kappa_hat": kappa_hat, "declared": spec.lipschitz_kappa,
             "passed": kappa_hat <= spec.lipschitz_kappa * (1 + 1e-9),
             "worst_pair": worst}
@@ -314,23 +319,15 @@ def check_growth(spec, problem, n_points=256, seed=0):
         return {"max_ratio": None, "passed": None,
                 "note": "no growth constants declared"}
     t, bw, counts, y, z, v = _sample_cloud(problem, n_points, seed)
-    max_ratio, worst = 0.0, None
-    for i in range(n_points):
-        ctx = problem.context(t[i], bw[i:i + 1], counts[i:i + 1])
-        full = float(spec(ctx, y[i:i + 1], z[i:i + 1], v[i:i + 1])[0])
-        frozen = float(spec(ctx, y[i:i + 1], np.zeros((1, problem.d)),
-                            np.zeros((1, problem.marks.m)))[0])
-        load = (float(spec.g) + abs(y[i])
-                + float(np.linalg.norm(z[i]))
-                + float(problem.marks.section_norm(v[i], spec.p)))
-        bound = spec.growth_gamma * load ** spec.growth_alpha
-        ratio = abs(full - frozen) / bound if bound > 0 else (
-            0.0 if full == frozen else np.inf)
-        if math.isnan(ratio):           # f is not finite at the point
-            ratio = math.inf
-        if ratio > max_ratio:
-            max_ratio, worst = ratio, {"t": float(t[i]), "y": float(y[i]),
-                                       "z": z[i].tolist(), "v": v[i].tolist()}
+    full, frozen = _per_state(spec, problem, t, bw, counts, [
+        (y, z, v), (y, np.zeros_like(z), np.zeros_like(v))])[0].T
+    load = (float(spec.g) + np.abs(y) + np.linalg.norm(z, axis=-1)
+            + problem.marks.section_norm(v, spec.p))
+    bound = spec.growth_gamma * load ** spec.growth_alpha
+    max_ratio, at = _worst(np.where(bound > 0, np.abs(full - frozen) / bound,
+                                    np.where(full == frozen, 0.0, np.inf)))
+    worst = None if at is None else {"t": float(t[at]), "y": float(y[at]),
+                                     "z": z[at].tolist(), "v": v[at].tolist()}
     return {"max_ratio": max_ratio, "passed": max_ratio <= 1 + 1e-9,
             "worst_point": worst}
 
@@ -577,6 +574,5 @@ def make_terminal(form, params, marks, d, p=2.0):
 
 
 def make_problem(horizon, steps, d, marks, generator, terminal):
-    from .randomness import make_time_grid
     return BSDEProblem(grid=make_time_grid(horizon, steps), marks=marks,
                        d=int(d), generator=generator, terminal=terminal)

@@ -528,19 +528,24 @@ class ScenarioTree:
         """Whether full-tree node enumeration is within the cap."""
         return self.node_cap is not None and self.n_leaves <= self.node_cap
 
+    def _level(self, depth, last):
+        if not 0 <= depth <= last:
+            raise IndexError(f"index {depth} is outside [0, {last}]")
+        return self.levels[depth]
+
     def n_states(self, depth):
-        return self.levels[depth].size
+        return self._level(depth, self.grid.steps).size
 
     def brownian_values(self, depth):
         """Brownian state per lattice node at a depth: (2u - k) sqrt(dt)."""
-        lev = self.levels[depth]
+        lev = self._level(depth, self.grid.steps)
         return lev.per_cell((2.0 * lev.cube_counts - depth)
                             * math.sqrt(self.grid.dt))
 
     def gather_children(self, k, values):
         """(n_k, b) C-contiguous: a level ``values`` at depth k+1 read at
-        each depth-k state's children, in branch order."""
-        lev, n_jump = self.levels[k], 1 + self.marks.m
+        each depth-k state's children, in branch order; k in [0, N-1]."""
+        lev, n_jump = self._level(k, self.grid.steps - 1), 1 + self.marks.m
         grid = values.reshape(self.levels[k + 1].shape)
         out = np.empty(lev.shape + (len(self._up_inc), n_jump),
                        dtype=values.dtype)
@@ -553,6 +558,7 @@ class ScenarioTree:
 
     def child_table(self, k):
         """(n_k, b) intp indices into depth k+1 of each state's children."""
+        self._level(k, self.grid.steps - 1)     # a bad k is named as such
         return self.gather_children(
             k, np.arange(self.n_states(k + 1), dtype=np.intp))
 

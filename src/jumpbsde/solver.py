@@ -1336,15 +1336,12 @@ def _check_assumptions(problem, seed):
                           f"the worst sampled pair {rep['worst_pair']}")
     if not rep["passed"]:
         # the declared constant is input the driver contradicts
-        raise ConfigError(
-            "problem.generator.kappa",
-            f"declared kappa={rep['declared']:g} is below the driver's "
-            f"measured Lipschitz modulus {rep['kappa_hat']:.6g} (worst pair "
-            f"{rep['worst_pair']})")
-    if gen.growth_alpha is None or gen.growth_gamma is None:
-        return
+        raise ConfigError("problem.generator.kappa", f"declared kappa="
+                          f"{rep['declared']:g} is below the driver's measured "
+                          f"Lipschitz modulus {rep['kappa_hat']:.6g} (worst "
+                          f"pair {rep['worst_pair']})")
     rep = check_growth(gen, problem, n_points=64, seed=seed)
-    if not rep["passed"]:
+    if rep["passed"] is False:
         raise ConfigError(
             "problem.generator.alpha",
             f"the driver's (z, v)-increment exceeds the declared growth "

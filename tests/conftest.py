@@ -32,6 +32,33 @@ def _children_import_this_package():
         yield
 
 
+_CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _checkout_files():
+    """The checkout's files, relative to it, outside ``__pycache__/`` and
+    ``.git/``."""
+    found = set()
+    for root, dirs, files in os.walk(_CHECKOUT):
+        dirs[:] = [d for d in dirs if d not in ("__pycache__", ".git")]
+        found.update(os.path.relpath(os.path.join(root, name), _CHECKOUT)
+                     for name in files)
+    return found
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _suite_writes_nothing_into_the_checkout():
+    """The suite leaves the checkout's file list as it found it. Only the
+    start and the end are compared, so a test may make and remove its own
+    work files there (perfbench's self-checks do, under ``.perfbench/``)."""
+    before = _checkout_files()
+    yield
+    after = _checkout_files()
+    if after != before:
+        pytest.fail(f"the test suite added {sorted(after - before)} and "
+                    f"removed {sorted(before - after)} in {_CHECKOUT}")
+
+
 @pytest.fixture(scope="session")
 def unit_grid():
     return jb.make_time_grid(1.0, 10)

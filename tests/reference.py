@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from jumpbsde import rng
+from jumpbsde.generators import _sample_cloud
 from jumpbsde.norms import (ProcessSample, mp_from_sq, mp_norm, sp_from_sup,
                             sp_norm)
 
@@ -173,6 +174,14 @@ def affine_state_linear(t, b_t, n_t, T, a, b, c, lam, w, u, s=0.0,
     return y + const * (g - 1.0) / a, g * w, g * u
 
 
+def affine_jump_count(t, b_t, n_t, T, a, b, c, lam, u):
+    """The solution for xi = u.N_T, uncompensated: it does not depend on
+    the Brownian motion, so Z = 0."""
+    g = math.exp(a * (T - t))
+    return g * (u @ n_t + u @ ((1.0 + c) * lam) * (T - t)), np.zeros_like(
+        b), g * u
+
+
 def affine_exp_brownian(t, b_t, n_t, T, a, b, c, lam, w):
     """The solution for const = 0 and xi = exp(w.B_T): it does not depend
     on the jumps, so V = 0."""
@@ -180,3 +189,86 @@ def affine_exp_brownian(t, b_t, n_t, T, a, b, c, lam, w):
     y = math.exp(a * tau) * math.exp(w @ b_t + (w @ b) * tau
                                      + (w @ w) * tau / 2.0)
     return y, w * y, np.zeros_like(lam)
+
+
+# ---------------------------------------------------------------------------
+# the sampled driver checks, one driver call per argument
+# ---------------------------------------------------------------------------
+#
+# ``generators.check_lipschitz`` and ``check_growth`` as per-point loops:
+# one driver call per point, on a context of one row.
+
+@np.errstate(all="ignore")
+def check_lipschitz(spec, problem, n_pairs=256, seed=0):
+    """Measured Lipschitz modulus over sampled argument pairs.
+
+    kappa_hat = max |df| / (|dy| + |dz| + ||dv||) with both points sharing
+    (t, state); passes iff kappa_hat <= declared kappa (1 + 1e-9). A driver
+    that is not finite at a pair measures kappa_hat = inf, with no numpy
+    warning.
+    """
+    if n_pairs < 2:
+        raise ValueError("need at least 2 sampled pairs")
+    t, bw, counts, y1, z1, v1 = _sample_cloud(problem, n_pairs, seed)
+    _, _, _, y2, z2, v2 = _sample_cloud(problem, n_pairs, seed + 1)
+    kappa_hat, worst = 0.0, None
+    for i in range(n_pairs):
+        ctx = problem.context(t[i], bw[i:i + 1], counts[i:i + 1])
+        # joint pair plus axis-aligned pairs: a max over the sum metric is
+        # attained on single-coordinate variations
+        variants = [(y2[i], z2[i], v2[i]), (y2[i], z1[i], v1[i]),
+                    (y1[i], z2[i], v1[i]), (y1[i], z1[i], v2[i])]
+        fa = float(spec(ctx, y1[i:i + 1], z1[i:i + 1], v1[i:i + 1])[0])
+        for yb, zb, vb in variants:
+            fb = float(spec(ctx, np.array([yb]), zb[None, :], vb[None, :])[0])
+            dist = (abs(y1[i] - yb) + float(np.linalg.norm(z1[i] - zb))
+                    + float(problem.marks.section_norm(v1[i] - vb, spec.p)))
+            if dist == 0.0:
+                continue
+            ratio = abs(fa - fb) / dist
+            if math.isnan(ratio):       # f is not finite at the pair
+                ratio = math.inf
+            if ratio > kappa_hat:
+                kappa_hat = ratio
+                worst = {"t": float(t[i]), "y": (float(y1[i]), float(yb)),
+                         "z": (z1[i].tolist(), zb.tolist()),
+                         "v": (v1[i].tolist(), vb.tolist()),
+                         "df": fa - fb, "distance": float(dist)}
+    return {"kappa_hat": kappa_hat, "declared": spec.lipschitz_kappa,
+            "passed": kappa_hat <= spec.lipschitz_kappa * (1 + 1e-9),
+            "worst_pair": worst}
+
+
+@np.errstate(all="ignore")
+def check_growth(spec, problem, n_points=256, seed=0):
+    """Check |f(t,y,z,v) - f(t,y,0,0)| <= gamma (g + |y| + |z| + ||v||)^alpha.
+
+    Reports the maximal ratio against the bound; drivers independent of (z, v)
+    pass with ratio 0 by construction. A driver that is not finite at a
+    point measures an infinite ratio, with no numpy warning.
+    """
+    if n_points < 1:
+        raise ValueError("need at least 1 sampled point")
+    if spec.growth_gamma is None or spec.growth_alpha is None:
+        return {"max_ratio": None, "passed": None,
+                "note": "no growth constants declared"}
+    t, bw, counts, y, z, v = _sample_cloud(problem, n_points, seed)
+    max_ratio, worst = 0.0, None
+    for i in range(n_points):
+        ctx = problem.context(t[i], bw[i:i + 1], counts[i:i + 1])
+        full = float(spec(ctx, y[i:i + 1], z[i:i + 1], v[i:i + 1])[0])
+        frozen = float(spec(ctx, y[i:i + 1], np.zeros((1, problem.d)),
+                            np.zeros((1, problem.marks.m)))[0])
+        load = (float(spec.g) + abs(y[i])
+                + float(np.linalg.norm(z[i]))
+                + float(problem.marks.section_norm(v[i], spec.p)))
+        bound = spec.growth_gamma * load ** spec.growth_alpha
+        ratio = abs(full - frozen) / bound if bound > 0 else (
+            0.0 if full == frozen else np.inf)
+        if math.isnan(ratio):           # f is not finite at the point
+            ratio = math.inf
+        if ratio > max_ratio:
+            max_ratio, worst = ratio, {"t": float(t[i]), "y": float(y[i]),
+                                       "z": z[i].tolist(), "v": v[i].tolist()}
+    return {"max_ratio": max_ratio, "passed": max_ratio <= 1 + 1e-9,
+            "worst_point": worst}

@@ -1,12 +1,15 @@
 """Problem data, truncation clamp, and empirical assumption checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import jumpbsde as jb
+import reference
+from jumpbsde import solver
 from jumpbsde.generators import GeneratorSpec, q_n
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
@@ -243,6 +246,7 @@ def test_check_lipschitz_linear_pass_and_fail():
     f2 = GeneratorSpec(f=lambda ctx, y, z, v: 2.0 * y, lipschitz_kappa=2.0)
     rep = jb.check_lipschitz(f2, prob, n_pairs=128, seed=0)
     assert rep["passed"] and np.isclose(rep["kappa_hat"], 2.0)
+    assert type(rep["kappa_hat"]) is float
     f_bad = GeneratorSpec(f=lambda ctx, y, z, v: 2.0 * y, lipschitz_kappa=1.0)
     rep2 = jb.check_lipschitz(f_bad, prob, n_pairs=128, seed=0)
     assert not rep2["passed"]
@@ -307,7 +311,7 @@ def test_check_growth_quadratic_fails():
     spec = GeneratorSpec(f=f, lipschitz_kappa=1.0, growth_alpha=0.9,
                          growth_gamma=5.0, g=1.0)
     rep = jb.check_growth(spec, prob, n_points=256, seed=0)
-    assert not rep["passed"]
+    assert not rep["passed"] and type(rep["max_ratio"]) is float
 
 
 def test_checks_measure_an_overflowing_driver_as_infinite():
@@ -358,6 +362,95 @@ def test_check_growth_without_constants_is_na():
     prob = _basic_problem(marks=marks)
     rep = jb.check_growth(prob.generator, prob)
     assert rep["passed"] is None
+
+
+def _time_read(ctx, y, z, v):
+    # reads the time and both states, so a context that does not hold the
+    # sampled state's own (t, state) on every row shows
+    return (np.cos(ctx.t) * y + 0.3 * np.tanh(z).sum(axis=-1)
+            + 0.1 * ctx.brownian[:, 0]
+            + 0.2 * ctx.section_norm(v) * (1.0 + ctx.jump_counts[:, 0]) / 6.0)
+
+
+_CHECKED_FORMS = {
+    "affine": lambda d, m: {"a": 0.5, "const": 1.0, "b": [0.3] * d,
+                            "c": [0.4] * m},
+    "lipschitz-smooth": lambda d, m: {"ay": 0.8, "bz": [0.5] * d,
+                                      "cv": 0.3},
+    "zv-coupled": lambda d, m: {"cy": 0.2, "cz": 0.7, "cv": 0.4},
+    "custom": None,
+}
+
+
+def _checked_problem(form, d, m, p):
+    # growth constants that some samples meet and others do not
+    marks = jb.make_mark_space([[1.0 + i] for i in range(m)],
+                               [0.7 + 0.6 * i for i in range(m)])
+    if form == "custom":
+        gen = GeneratorSpec(f=_time_read, lipschitz_kappa=1.2, p=p,
+                            growth_alpha=0.5, growth_gamma=2.0, g=1.0)
+    else:
+        gen = jb.make_generator(form, _CHECKED_FORMS[form](d, m), marks=marks,
+                                d=d, p=p, alpha=0.5, gamma=2.0, g=1.0)
+    return jb.make_problem(1.0, 4, d, marks, gen, jb.make_terminal(
+        "constant", {}, marks, d=d, p=p))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d, m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("form", list(_CHECKED_FORMS))
+def test_checks_match_the_per_point_loops(form, d, m, p):
+    # one driver call per sampled state gives the per-point loops' verdict
+    # and worst argument; the measured ratio has their bits at d = 1, and
+    # at d = 2 it may differ in the last bits, from the order in which the
+    # Euclidean norm of z sums
+    problem = _checked_problem(form, d, m, p)
+    gen = problem.generator
+    checks = ((jb.check_lipschitz, reference.check_lipschitz, "kappa_hat",
+               "worst_pair"),
+              (jb.check_growth, reference.check_growth, "max_ratio",
+               "worst_point"))
+    for seed in range(5):
+        for check, loop, ratio, worst in checks:
+            got, want = check(gen, problem, 64, seed), loop(gen, problem,
+                                                            64, seed)
+            assert got["passed"] == want["passed"]
+            if d == 1:
+                assert got == want
+            else:
+                np.testing.assert_array_max_ulp(got[ratio], want[ratio], 4)
+                assert (got[worst] is None) == (want[worst] is None)
+                for key in want[worst] or {}:
+                    np.testing.assert_array_max_ulp(
+                        np.array(got[worst][key], dtype=float),
+                        np.array(want[worst][key], dtype=float), 4)
+                    if key != "distance":
+                        assert got[worst][key] == want[worst][key]
+
+
+def test_checks_call_the_driver_once_per_sampled_state(monkeypatch):
+    # the solver checks 64 states each for the Lipschitz and the growth
+    # bound; each driver call sees one state: its time as a float, and
+    # as many context rows as points
+    calls = []
+    call = GeneratorSpec.__call__
+
+    def counted(spec, ctx, y, z, v):
+        calls.append((type(ctx.t), ctx.n, y.shape[0], z.shape[0],
+                      v.shape[0], np.ptp(ctx.brownian, axis=0).max(),
+                      np.ptp(ctx.jump_counts, axis=0).max()))
+        return call(spec, ctx, y, z, v)
+    monkeypatch.setattr(GeneratorSpec, "__call__", counted)
+    problem = _checked_problem("custom", 2, 2, 2.0)
+    problem = replace(problem, generator=replace(problem.generator,
+                                                 growth_gamma=100.0))
+    for check, points in ((jb.check_lipschitz, 5), (jb.check_growth, 2)):
+        calls.clear()
+        check(problem.generator, problem, 64, 0)
+        assert calls == [(float,) + (points,) * 4 + (0.0, 0.0)] * 64
+    calls.clear()
+    solver._check_assumptions(problem, 0)
+    assert len(calls) == 128
 
 
 # ---------------------------------------------------------------------------

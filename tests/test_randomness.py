@@ -540,9 +540,17 @@ def test_rebuilt_probabilities_have_the_build_bits_in_any_order(d, m, N):
             assert got.tobytes() == want[k] and not got.flags.writeable
             assert tree.n_states(k) == got.size
     for k in (-1, N + 1):
-        with pytest.raises(IndexError, match=rf"^index {k} is outside "
-                                             rf"\[0, {N}\]$"):
-            tree.state_probs(k)
+        for read in (tree.state_probs, tree.n_states, tree.brownian_values):
+            with pytest.raises(IndexError, match=rf"^index {k} is outside "
+                                                 rf"\[0, {N}\]$"):
+                read(k)
+    # a depth's children lie at depths 1..N
+    for k in (-1, N):
+        for read in (tree.child_table,
+                     lambda k: tree.gather_children(k, tree.state_probs(N))):
+            with pytest.raises(IndexError, match=rf"^index {k} is outside "
+                                                 rf"\[0, {N - 1}\]$"):
+                read(k)
 
 
 def test_ascending_read_rebuilds_each_block_once(monkeypatch):
