@@ -44,6 +44,9 @@ DEFAULT_NODE_CAP = 10_000_000
 CHECKPOINT_STRIDE = 12
 # the most jump events a path batch may expect, Lambda * T * n_paths
 EVENT_CAP = 10_000_000
+# the most Brownian increments a path batch may hold, n_paths * N * d (8
+# bytes each)
+VARIATE_CAP = 100_000_000
 # the most states a lattice may have over its depths (Y takes 8 bytes each)
 STATE_CAP = 100_000_000
 
@@ -218,22 +221,35 @@ def _check_sim_args(grid, n_paths, seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
+def _check_brownian_args(grid, d, n_paths, seed):
+    _check_sim_args(grid, n_paths, seed)
+    if not (isinstance(d, (int, np.integer)) and d >= 1):
+        raise ValueError(f"dimension d must be a positive integer, got {d!r}")
+    variates = int(n_paths) * grid.steps * int(d)
+    if variates > VARIATE_CAP:
+        raise ResourceLimitError(
+            "n_paths", f"{n_paths} paths of {grid.steps} steps in dimension "
+                       f"{d} need n_paths*grid_steps*dim = {variates:g} "
+                       f"Brownian increments, above the variate cap "
+                       f"{VARIATE_CAP}")
+
+
 def simulate_brownian(grid, d, n_paths, seed, path_start=0):
     """Brownian part: increments Normal(0, dt I_d) per (path, step).
 
     The increment at (path k, step j) depends only on (seed, k, j, dim), so
     generating [0, n) in one call or as disjoint path ranges (via path_start)
-    yields bit-identical values.
+    yields bit-identical values. A batch of more than VARIATE_CAP increments
+    raises ResourceLimitError before any draw.
     """
-    _check_sim_args(grid, n_paths, seed)
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ValueError(f"dimension d must be a positive integer, got {d!r}")
+    _check_brownian_args(grid, d, n_paths, seed)
     N = grid.steps
     paths = (np.arange(path_start, path_start + n_paths, dtype=np.uint64)
              .reshape(-1, 1, 1))
     slots = (np.arange(N, dtype=np.uint64).reshape(1, -1, 1) * np.uint64(d)
              + np.arange(d, dtype=np.uint64).reshape(1, 1, -1))
-    inc = math.sqrt(grid.dt) * rng.normal(seed, rng.STREAM_BROWNIAN, paths, slots)
+    inc = rng.normal(seed, rng.STREAM_BROWNIAN, paths, slots,
+                     scale=math.sqrt(grid.dt))
     inc.setflags(write=False)
     return PathBatch(grid=grid, d=int(d), n_paths=int(n_paths), seed=int(seed),
                      path_start=int(path_start), brownian_increments=inc)
@@ -304,7 +320,9 @@ def merge_batches(brownian_part, jump_part):
 
 def simulate_paths(grid, marks, d, n_paths, seed, path_start=0):
     """Both noises in one batch (independent streams under the same seed);
-    the jump part first, whose event cap is checked before any draw."""
+    the jump part first. The variate cap and the event cap are both checked
+    before any draw."""
+    _check_brownian_args(grid, d, n_paths, seed)
     jumps = simulate_poisson_measure(grid, marks, n_paths, seed, path_start)
     return merge_batches(simulate_brownian(grid, d, n_paths, seed, path_start),
                          jumps)

@@ -775,6 +775,29 @@ def test_a_batch_over_its_event_cap_exits_1_at_n_paths(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_batch_over_its_variate_cap_exits_1_at_n_paths(tmp_path, capsys):
+    # 10^6 paths of 10^6 steps need 10^12 Brownian increments (7.28 TiB),
+    # far above the 1e8 cap; lambda = 1e-9 passes the event cap, and the
+    # variate cap stops the run before the jump part or any variate is drawn
+    problem = {**copy.deepcopy(BASE["problem"]),
+               "marks": {"marks": [[1.0]], "intensities": [1e-9]}}
+    path, _ = _cfg(tmp_path, problem=problem, grid_steps=1_000_000,
+                   method="mc", n_paths=1_000_000)
+    line = next(i for i, row in enumerate(path.read_text().splitlines(),
+                                          start=1)
+                if row.strip().startswith('"n_paths": '))
+    code, _, peak = traced_peak(cli.main, ["solve", "--config", str(path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}:{line}: n_paths: 1000000 paths of 1000000 "
+                   "steps in dimension 1 need n_paths*grid_steps*dim = "
+                   "1e+12 Brownian increments, above the variate cap "
+                   "100000000\n")
+    assert not (tmp_path / "out").exists()
+    # what is left is the grid's O(grid_steps) set-up, about 17 MB
+    assert peak < 2 ** 25
+
+
 def test_a_lattice_over_its_state_cap_exits_1_at_grid_steps(tmp_path,
                                                             capsys):
     # 10^5 steps with node_cap null: sum_k n_k = sum_k (k+1)^2, about
@@ -1233,25 +1256,39 @@ def test_reports_reproducible_across_thread_counts(tmp_path):
 
 
 # runs (command, config) pairs in one process and prints, as its last line,
-# whether scipy was loaded after the import and after each run
+# whether scipy was loaded and how many threads were alive after the import
+# and after each run, how many threads each run started, and the ranges
+# rng._ranges gives the Monte Carlo run's draw on this host
 _SCIPY_PROBE = """
-import json, sys
-from jumpbsde import cli
-loaded = ["scipy" in sys.modules]
+import json, sys, threading
+from jumpbsde import cli, rng
+loaded, alive, starts = ["scipy" in sys.modules], [threading.active_count()], []
+start = threading.Thread.start
+
+def counted(thread):
+    starts[-1] += 1
+    start(thread)
+
+threading.Thread.start = counted
 for command, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    starts.append(0)
     assert cli.main([command, "--config", path]) == 0
     loaded.append("scipy" in sys.modules)
-print(json.dumps(loaded))
+    alive.append(threading.active_count())
+print(json.dumps({"scipy": loaded, "alive": alive, "starts": starts,
+                  "mc_ranges": rng._ranges(4 * 33_000)}))
 """
 
 
 def test_only_monte_carlo_runs_load_scipy(tmp_path):
     # the tree and the lattice draw no normal variate, so they never import
-    # scipy's inverse normal CDF; a path batch loads it on its first draw
+    # scipy's inverse normal CDF nor start a thread; a path batch loads it on
+    # its first draw, and its 4 * 33 000 variates are drawn on one range per
+    # core (at most 2); every command returns with only the main thread
     runs = [("verify", _cfg(tmp_path, "tree.json", grid_steps=4)[0]),
             ("solve", _cfg(tmp_path, "lattice.json", node_cap=None)[0]),
             ("solve", _cfg(tmp_path, "mc.json", method="mc", grid_steps=4,
-                           n_paths=200)[0])]
+                           n_paths=33_000)[0])]
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     res = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE]
@@ -1259,8 +1296,11 @@ def test_only_monte_carlo_runs_load_scipy(tmp_path):
         capture_output=True, text=True, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout.splitlines()[-1]) == [False, False, False,
-                                                       True]
+    probe = json.loads(res.stdout.splitlines()[-1])
+    assert probe["scipy"] == [False, False, False, True]
+    assert probe["alive"] == [1, 1, 1, 1]
+    assert probe["starts"] == [0, 0, probe["mc_ranges"] - 1]
+    assert 1 <= probe["mc_ranges"] <= 2
 
 
 def test_config_round_trip(tmp_path, monkeypatch):

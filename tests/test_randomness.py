@@ -204,6 +204,30 @@ def test_a_batch_over_the_event_cap_raises_before_any_draw(monkeypatch):
     assert info.value.setting == "n_paths"
 
 
+def test_a_batch_over_the_variate_cap_raises_before_any_allocation(
+        monkeypatch):
+    # 10^6 paths of 10^6 steps: 10^12 Brownian increments, 10^4 times the
+    # cap, while Lambda*T*n_paths = 1e-3 passes the event cap
+    def draw(*args, **kwargs):
+        raise AssertionError("a variate was drawn")
+
+    monkeypatch.setattr(jb.randomness.rng, "uniform", draw)
+    monkeypatch.setattr(jb.randomness.rng, "normal", draw)
+    grid = jb.make_time_grid(1.0, 1_000_000)
+    marks = jb.make_mark_space([[1.0]], [1e-9])
+    for simulate, args in ((jb.simulate_paths, (grid, marks, 1)),
+                           (jb.simulate_brownian, (grid, 1))):
+        def run():
+            with pytest.raises(ResourceLimitError, match="1e\\+12 Brownian "
+                               "increments, above the variate cap "
+                               "100000000") as info:
+                simulate(*args, 1_000_000, seed=0)
+            return info.value
+
+        error, _, peak = traced_peak(run)
+        assert error.setting == "n_paths" and peak < 8192
+
+
 def test_state_paths_counts(unit_grid, single_mark):
     batch = jb.simulate_paths(unit_grid, single_mark, 1, 200, seed=21)
     bvals, counts = state_paths(batch)
